@@ -20,8 +20,6 @@
 #include "checker/checker.h"
 #include "checker/monitor.h"
 #include "checker/read_consistency.h"
-#include "graph/tree_clock.h"
-#include "graph/vector_clock.h"
 #include "io/sharded_ingest.h"
 #include "io/text_format.h"
 #include "server/server.h"
@@ -204,48 +202,6 @@ static void BM_AwditCcOnTheFly(benchmark::State &State) {
 }
 BENCHMARK(BM_AwditCcOnTheFly)->Arg(1024)->Arg(4096)->Arg(16384);
 
-// Ablation: tree clock vs vector clock joins on a message-passing trace
-// with localized updates (the regime tree clocks are designed for).
-static void BM_VectorClockJoins(benchmark::State &State) {
-  size_t K = static_cast<size_t>(State.range(0));
-  for (auto _ : State) {
-    std::vector<VectorClock> Clocks;
-    for (size_t S = 0; S < K; ++S)
-      Clocks.emplace_back(K);
-    Rng Rand(3);
-    for (int Step = 0; Step < 4000; ++Step) {
-      // Pull model: the acting session ticks, then absorbs a peer.
-      size_t S = Rand.nextBelow(K);
-      Clocks[S].set(S, Clocks[S].get(S) + 1);
-      size_t From = Rand.nextBelow(K);
-      if (From != S)
-        Clocks[S].joinWith(Clocks[From]);
-    }
-    benchmark::DoNotOptimize(Clocks);
-  }
-}
-BENCHMARK(BM_VectorClockJoins)->Arg(64)->Arg(256);
-
-static void BM_TreeClockJoins(benchmark::State &State) {
-  size_t K = static_cast<size_t>(State.range(0));
-  for (auto _ : State) {
-    std::vector<TreeClock> Clocks;
-    for (size_t S = 0; S < K; ++S)
-      Clocks.emplace_back(K, static_cast<uint32_t>(S));
-    Rng Rand(3);
-    for (int Step = 0; Step < 4000; ++Step) {
-      // Pull model: the acting session ticks, then absorbs a peer.
-      size_t S = Rand.nextBelow(K);
-      Clocks[S].tick();
-      size_t From = Rand.nextBelow(K);
-      if (From != S)
-        Clocks[S].join(Clocks[From]);
-    }
-    benchmark::DoNotOptimize(Clocks);
-  }
-}
-BENCHMARK(BM_TreeClockJoins)->Arg(64)->Arg(256);
-
 // Parallel engine scaling: the same check at 1/2/4/8 workers on the large
 // generated history. Threads = 1 is the exact sequential legacy path, so
 // each family reports the single- vs multi-thread speedup directly
@@ -399,16 +355,16 @@ static void BM_MonitorFlushScalingCc(benchmark::State &State) {
 }
 BENCHMARK(BM_MonitorFlushScalingCc)->Arg(4096)->Arg(16384)->Arg(65536);
 
-// O(delta) checkpoints: the monolithic v1 file re-serializes the whole
-// window on every checkpoint; a store-backed v2 commit appends only the
-// chunks whose bytes changed since the last flush. One iteration streams
-// ~1.5 windows of c-twitter, checkpointing every 256 commits at every
-// window size — the checkpoint cadence is a user knob independent of the
-// window, so fixing it isolates the claim under test: v2 bytes track the
-// flush delta while v1 bytes track the window. The counters expose the
-// average bytes one v1 and one v2 checkpoint cost and the resulting
-// reduction (the CI gate reads reduction_x, which must grow with the
-// window).
+// O(delta) checkpoints: a commit to a live segment store appends only the
+// chunks whose bytes changed since the last flush, while the same commit
+// into a fresh, empty store has to write the whole state. One iteration
+// streams ~1.5 windows of c-twitter, checkpointing every 256 commits at
+// every window size — the checkpoint cadence is a user knob independent of
+// the window, so fixing it isolates the claim under test: live-store bytes
+// track the flush delta while full-state bytes track the window. The
+// counters expose the average bytes one full and one delta checkpoint cost
+// and the resulting reduction (the CI gate reads reduction_x, which must
+// grow with the window).
 static void BM_CheckpointDelta(benchmark::State &State) {
   size_t Window = static_cast<size_t>(State.range(0));
   const History &H = cachedHistory(Window + Window / 2);
@@ -420,14 +376,15 @@ static void BM_CheckpointDelta(benchmark::State &State) {
   Options.CheckIntervalTxns = 256;
   Options.WindowTxns = Window;
 
-  uint64_t V1Bytes = 0, V1Samples = 0, V2Bytes = 0, Commits = 0;
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::temp_directory_path() /
+                 ("awdit_bench_store_" + std::to_string(::getpid()));
+  fs::path FreshDir = Dir.string() + ".fresh";
+  uint64_t FullBytes = 0, FullSamples = 0, DeltaBytes = 0, Commits = 0;
   for (auto _ : State) {
-    namespace fs = std::filesystem;
-    fs::path Dir = fs::temp_directory_path() /
-                   ("awdit_bench_store_" + std::to_string(::getpid()));
     std::error_code Ec;
     fs::remove_all(Dir, Ec);
-    V1Bytes = V1Samples = V2Bytes = Commits = 0;
+    FullBytes = FullSamples = DeltaBytes = Commits = 0;
     StoreCheckpointer Ckpt;
     std::string Err;
     if (!Ckpt.open(Dir.string(), &Err)) {
@@ -451,13 +408,20 @@ static void BM_CheckpointDelta(benchmark::State &State) {
           std::string WErr;
           if (!Ckpt.write(P.M, MachineBlob, Meta, &WErr))
             return;
-          V2Bytes += Ckpt.bytesAppended() - Before;
+          DeltaBytes += Ckpt.bytesAppended() - Before;
           ++Commits;
-          // The v1 cost (a full re-encode) is flat once the window fills;
-          // sample it so the measured loop stays about the store.
+          // The full-state cost (the same commit into an empty store) is
+          // flat once the window fills; sample it so the measured loop
+          // stays about the live store.
           if (Commits % 8 == 1) {
-            V1Bytes += encodeCheckpoint(P.M, MachineBlob, Meta).size();
-            ++V1Samples;
+            std::error_code FreshEc;
+            fs::remove_all(FreshDir, FreshEc);
+            StoreCheckpointer Fresh;
+            if (Fresh.open(FreshDir.string(), &WErr) &&
+                Fresh.write(P.M, MachineBlob, Meta, &WErr)) {
+              FullBytes += Fresh.bytesAppended();
+              ++FullSamples;
+            }
           }
         });
     for (size_t Pos = 0; Pos < Text.size(); Pos += size_t(1) << 16)
@@ -466,16 +430,17 @@ static void BM_CheckpointDelta(benchmark::State &State) {
     Ingest.finishStream();
     benchmark::DoNotOptimize(M.stats().Flushes);
     fs::remove_all(Dir, Ec);
+    fs::remove_all(FreshDir, Ec);
   }
-  double V1Avg =
-      V1Samples ? static_cast<double>(V1Bytes) / static_cast<double>(V1Samples)
-                : 0.0;
-  double V2Avg =
-      Commits ? static_cast<double>(V2Bytes) / static_cast<double>(Commits)
+  double FullAvg = FullSamples ? static_cast<double>(FullBytes) /
+                                     static_cast<double>(FullSamples)
+                               : 0.0;
+  double DeltaAvg =
+      Commits ? static_cast<double>(DeltaBytes) / static_cast<double>(Commits)
               : 0.0;
-  State.counters["v1_bytes_per_ckpt"] = V1Avg;
-  State.counters["v2_bytes_per_ckpt"] = V2Avg;
-  State.counters["reduction_x"] = V2Avg > 0.0 ? V1Avg / V2Avg : 0.0;
+  State.counters["full_bytes_per_ckpt"] = FullAvg;
+  State.counters["delta_bytes_per_ckpt"] = DeltaAvg;
+  State.counters["reduction_x"] = DeltaAvg > 0.0 ? FullAvg / DeltaAvg : 0.0;
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(H.numTxns()));
 }

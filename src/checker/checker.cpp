@@ -6,7 +6,6 @@
 #include "checker/check_ra.h"
 #include "checker/check_ra_single_session.h"
 #include "checker/check_rc.h"
-#include "checker/monitor.h"
 #include "checker/parallel.h"
 #include "checker/read_consistency.h"
 #include "checker/saturation_state.h"
@@ -44,9 +43,8 @@ bool checkSequentialViaEngine(const History &H, IsolationLevel Level,
 
 } // namespace
 
-CheckReport awdit::detail::checkOneShot(const History &H,
-                                        IsolationLevel Level,
-                                        const CheckOptions &Options) {
+CheckReport awdit::checkIsolation(const History &H, IsolationLevel Level,
+                                  const CheckOptions &Options) {
   CheckReport Report;
   SaturationStats Sat;
 
@@ -103,17 +101,4 @@ CheckReport awdit::detail::checkOneShot(const History &H,
   AWDIT_ASSERT(Report.Consistent == Report.Violations.empty(),
                "verdict must agree with the violation list");
   return Report;
-}
-
-CheckReport awdit::checkIsolation(const History &H, IsolationLevel Level,
-                                  const CheckOptions &Options) {
-  MonitorOptions MonitorOpts;
-  MonitorOpts.Level = Level;
-  MonitorOpts.Check = Options;
-  Monitor M(MonitorOpts);
-  // The history is already resolved, so the bulk-adopt fast path skips
-  // per-operation re-resolution; tests/test_monitor.cpp holds this path
-  // and the incremental replay() path to the same bit-identical contract.
-  M.adopt(H);
-  return M.finalize();
 }

@@ -78,25 +78,14 @@ struct CheckReport {
 /// (Algorithm 1 for RC, Algorithm 2 for RA, Algorithm 3 for CC, and the
 /// Theorem 1.6 fast path for single-session RA).
 ///
-/// Implemented as a thin wrapper over the streaming Monitor
-/// (checker/monitor.h): the history is replayed into a monitor session and
-/// finalized. The result is bit-identical to the raw one-shot engine
-/// detail::checkOneShot (enforced by tests/test_monitor.cpp). Callers that
-/// receive transactions incrementally should use Monitor directly instead
-/// of materializing a History first.
+/// The one-shot engine: dispatches to the sequential or parallel RC/RA/CC
+/// algorithms over a complete history. Monitor::finalize() runs it as its
+/// canonical pass, so a monitor fed the same history reports bit-identical
+/// results (enforced by tests/test_monitor.cpp). Callers that receive
+/// transactions incrementally should use Monitor (checker/monitor.h)
+/// directly instead of materializing a History first.
 CheckReport checkIsolation(const History &H, IsolationLevel Level,
                            const CheckOptions &Options = {});
-
-namespace detail {
-
-/// The raw one-shot checking engine (the historical checkIsolation body):
-/// dispatches to the sequential or parallel RC/RA/CC algorithms over a
-/// complete history. Monitor::finalize() runs this as its canonical pass;
-/// library users should call checkIsolation() or use a Monitor.
-CheckReport checkOneShot(const History &H, IsolationLevel Level,
-                         const CheckOptions &Options);
-
-} // namespace detail
 
 } // namespace awdit
 

@@ -7,7 +7,6 @@
 #include "store/segment_store.h"
 #include "support/serialize.h"
 
-#include <cstdio>
 #include <filesystem>
 
 using namespace awdit;
@@ -15,8 +14,6 @@ using namespace awdit;
 namespace {
 
 constexpr uint32_t CheckpointMagic = 0x50435741; // "AWCP" little-endian
-
-constexpr size_t EnvelopeBytes = 4 + 4 + 8 + 8;
 
 void saveOptions(ByteWriter &W, const MonitorOptions &O) {
   W.u8(static_cast<uint8_t>(O.Level));
@@ -64,94 +61,7 @@ void loadMeta(ByteReader &R, CheckpointMeta &Meta) {
   Meta.Flushes = R.u64();
 }
 
-/// Validates the envelope and returns the payload range, or false with a
-/// precise diagnostic — truncation and corruption are operator-facing
-/// conditions (a killed process, a failing disk), not programmer errors.
-bool openEnvelope(std::string_view Blob, std::string_view &Payload,
-                  std::string *Err) {
-  auto Fail = [&](const std::string &Msg) {
-    if (Err)
-      *Err = Msg;
-    return false;
-  };
-  if (Blob.size() < EnvelopeBytes)
-    return Fail("truncated checkpoint (file shorter than the header)");
-  ByteReader R(Blob);
-  if (R.u32() != CheckpointMagic)
-    return Fail("not an awdit checkpoint (bad magic)");
-  uint32_t Version = R.u32();
-  if (Version != CheckpointVersion)
-    return Fail("unsupported checkpoint version " + std::to_string(Version) +
-                " (this build reads version " +
-                std::to_string(CheckpointVersion) + ")");
-  uint64_t PayloadSize = R.u64();
-  uint64_t Checksum = R.u64();
-  if (Blob.size() - EnvelopeBytes < PayloadSize)
-    return Fail("truncated checkpoint (need " + std::to_string(PayloadSize) +
-                " payload bytes, have " +
-                std::to_string(Blob.size() - EnvelopeBytes) + ")");
-  Payload = Blob.substr(EnvelopeBytes, PayloadSize);
-  if (fnv1a(Payload) != Checksum)
-    return Fail("checkpoint checksum mismatch (corrupted file)");
-  return true;
-}
-
 } // namespace
-
-std::string awdit::encodeCheckpoint(const Monitor &M,
-                                    std::string_view MachineState,
-                                    const CheckpointMeta &Meta) {
-  std::string Payload;
-  ByteWriter W(Payload);
-  saveMeta(W, Meta);
-  W.str(MachineState);
-  M.saveState(W);
-
-  std::string Blob;
-  ByteWriter Env(Blob);
-  Env.u32(CheckpointMagic);
-  Env.u32(CheckpointVersion);
-  Env.u64(Payload.size());
-  Env.u64(fnv1a(Payload));
-  Blob += Payload;
-  return Blob;
-}
-
-bool awdit::decodeCheckpointMeta(std::string_view Blob, CheckpointMeta &Meta,
-                                 std::string *Err) {
-  std::string_view Payload;
-  if (!openEnvelope(Blob, Payload, Err))
-    return false;
-  ByteReader R(Payload);
-  loadMeta(R, Meta);
-  if (!R.ok()) {
-    if (Err)
-      *Err = "corrupted checkpoint (meta block)";
-    return false;
-  }
-  return true;
-}
-
-bool awdit::restoreCheckpoint(std::string_view Blob, Monitor &M,
-                              std::string &MachineState, std::string *Err) {
-  std::string_view Payload;
-  if (!openEnvelope(Blob, Payload, Err))
-    return false;
-  ByteReader R(Payload);
-  CheckpointMeta Meta;
-  loadMeta(R, Meta);
-  MachineState = R.str();
-  if (!R.ok()) {
-    if (Err)
-      *Err = "corrupted checkpoint (meta block)";
-    return false;
-  }
-  return M.loadState(R, Err);
-}
-
-std::string awdit::checkpointFilePath(const std::string &Dir) {
-  return Dir + "/checkpoint.bin";
-}
 
 std::string awdit::sanitizeStreamName(std::string_view Name) {
   static const char Hex[] = "0123456789ABCDEF";
@@ -176,88 +86,14 @@ std::string awdit::sanitizeStreamName(std::string_view Name) {
   return Out;
 }
 
-std::string awdit::checkpointFilePathFor(const std::string &Dir,
-                                         std::string_view Stream) {
-  return Dir + "/" + sanitizeStreamName(Stream) + ".ckpt";
-}
-
-bool awdit::writeCheckpointFileAt(const std::string &Path,
-                                  std::string_view Blob, std::string *Err) {
-  AWDIT_SPAN("checkpoint.v1");
-  obs::ScopedLatency Lat(obs::metrics().CheckpointV1Write);
-  auto Fail = [&](const std::string &Msg) {
-    if (Err)
-      *Err = Msg;
-    return false;
-  };
-  std::filesystem::path Parent = std::filesystem::path(Path).parent_path();
-  if (!Parent.empty()) {
-    std::error_code Ec;
-    std::filesystem::create_directories(Parent, Ec);
-    if (Ec)
-      return Fail("cannot create checkpoint directory '" +
-                  Parent.string() + "': " + Ec.message());
-  }
-  std::string Tmp = Path + ".tmp";
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return Fail("cannot open '" + Tmp + "' for writing");
-  size_t Written = std::fwrite(Blob.data(), 1, Blob.size(), F);
-  // Close unconditionally — a short write (disk full) must not leak the
-  // stream: the checkpoint hook retries every interval and would bleed
-  // one fd per attempt.
-  bool Ok = Written == Blob.size();
-  if (std::fclose(F) != 0)
-    Ok = false;
-  if (!Ok) {
-    std::remove(Tmp.c_str());
-    return Fail("short write to '" + Tmp + "'");
-  }
-  // rename() is atomic within one filesystem: a crash leaves either the
-  // old checkpoint or the new one, never a half-written file under the
-  // final name.
-  if (std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return Fail("cannot rename '" + Tmp + "' to '" + Path + "'");
-  }
-  return true;
-}
-
-bool awdit::readCheckpointFileAt(const std::string &Path, std::string &Blob,
-                                 std::string *Err) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "' (no checkpoint written yet?)";
-    return false;
-  }
-  Blob.clear();
-  char Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Blob.append(Buf, N);
-  std::fclose(F);
-  return true;
-}
-
-bool awdit::writeCheckpointFile(const std::string &Dir,
-                                std::string_view Blob, std::string *Err) {
-  return writeCheckpointFileAt(checkpointFilePath(Dir), Blob, Err);
-}
-
-bool awdit::readCheckpointFile(const std::string &Dir, std::string &Blob,
-                               std::string *Err) {
-  return readCheckpointFileAt(checkpointFilePath(Dir), Blob, Err);
-}
-
 //===----------------------------------------------------------------------===//
-// Store-backed checkpoints (format v2)
+// The segment-store checkpointer.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// Parses the root meta blob:
-///   [u32 magic "AWCP"] [u32 version=2] [meta] [str machine-state]
+///   [u32 magic "AWCP"] [u32 version] [meta] [str machine-state]
 ///   [u32 id-base] [u64 count] [count x u64 session so-base]
 /// \p MachineState may be null when only the meta is wanted.
 bool parseStoreMeta(std::string_view Blob, CheckpointMeta &Meta,

@@ -5,65 +5,51 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Persistent checkpoints for the streaming Monitor: a versioned binary
-/// snapshot of the complete monitoring state — the live window, the
-/// incremental wr resolution, the saturation engine (including its dynamic
-/// topological order, verbatim), the exactly-once delivery state, the
-/// format parser's machine state, and the byte offset of the stream — so
+/// Persistent checkpoints for the streaming Monitor: a versioned snapshot of
+/// the complete monitoring state — the live window, the incremental wr
+/// resolution, the saturation engine (including its dynamic topological
+/// order, verbatim), the exactly-once delivery state, the format parser's
+/// machine state, and the byte offset of the stream — so
 /// `awdit monitor --resume <dir>` can restart mid-stream and emit exactly
 /// the violations a never-killed monitor would have emitted after the
 /// checkpoint (enforced by tests/test_checkpoint.cpp and the CI
 /// kill-and-resume smoke).
 ///
-/// On-disk format (all integers little-endian):
+/// Layout: one append-only mmap-backed segment store per checkpointed
+/// stream (store/segment_store.h). The Monitor state is serialized in
+/// *global* stream coordinates (see StateCoords in support/serialize.h) and
+/// cut at stable chunk boundaries (ChunkMark), so window eviction's id
+/// rebasing does not dirty untouched chunks and a checkpoint appends only
+/// what changed — O(delta), not O(state). Each commit publishes an fsync'd
+/// root record whose meta blob carries everything restore needs
+/// out-of-band:
 ///
-///   [u32 magic "AWCP"] [u32 version] [u64 payload size] [u64 FNV-1a
-///   checksum of payload] [payload]
+///   [u32 magic "AWCP"] [u32 CheckpointStoreVersion] [meta: format string,
+///   MonitorOptions, stream cursor] [str machine-state blob]
+///   [u32 window id base] [u64 count] [count x u64 session so-base]
 ///
-///   payload := meta (format string, MonitorOptions, stream cursor)
-///            | machine-state blob (length-prefixed, format-specific)
-///            | monitor-state blob (Monitor::saveState)
-///
-/// Two checkpoint formats coexist:
-///
-///   - **v1 (monolithic file)**: the framed blob above, rewritten whole on
-///     every checkpoint via temp file + rename. Simple, single-file, O(state)
-///     write cost per checkpoint.
-///   - **v2 (segment store)**: the same logical payload, cut at stable chunk
-///     boundaries (ChunkMark) and persisted in an append-only mmap-backed
-///     SegmentStore (store/segment_store.h). Chunk contents are expressed in
-///     *global* stream coordinates (see StateCoords in support/serialize.h),
-///     so window eviction's id rebasing does not dirty untouched chunks and
-///     a checkpoint appends only what changed — O(delta), not O(state). The
-///     store's fsync'd root record plays the role of the rename.
-///
-/// Compatibility policy, per format: the version bumps on any layout
-/// change; a reader only accepts its own version (checkpoints are
-/// operational state, not archival data — a monitor restart across an
-/// awdit upgrade re-reads the stream instead). The two formats version
-/// independently: v1 files carry CheckpointVersion, store roots carry
-/// CheckpointStoreVersion, and `--resume` tells them apart by what is on
-/// disk (a store directory vs. a checkpoint.bin), so a v1 checkpoint stays
-/// readable by a build that also writes v2 stores. Truncated or corrupted
-/// state fails with a clear error, never UB: every count is bounds-checked
-/// against the remaining payload and checksums cover every payload (the v1
-/// envelope checksum; per-chunk and per-root FNV-1a in the store). v1
-/// writes go to a temp file first and rename() into place; v2 commits
-/// publish a root only after the chunks it references are durable — either
-/// way a kill mid-write leaves the previous checkpoint intact.
+/// Compatibility policy: CheckpointStoreVersion bumps on any change to the
+/// root meta blob or the chunked state encoding, and a reader only accepts
+/// its own version (checkpoints are operational state, not archival data —
+/// a monitor restart across an awdit upgrade re-reads the stream instead).
+/// Truncated or corrupted state fails with a clear error, never UB: every
+/// count is bounds-checked against the remaining bytes and per-chunk and
+/// per-root FNV-1a checksums cover every byte. A root is published only
+/// after the chunks it references are durable, so a kill mid-write leaves
+/// the previous checkpoint intact.
 ///
 /// What counts as "layout": only durable logical state. The speculative
-/// saturation machinery of PR 6 (per-flush epoch stamps, speculative rows
-/// and edge buffers, adoption counters) is transient within one flush and
+/// saturation machinery (per-flush epoch stamps, speculative rows and edge
+/// buffers, adoption counters) is transient within one flush and
 /// deliberately serialized nowhere, so enabling or disabling speculation —
 /// or resuming on a machine with a different thread count — reads and
-/// writes the same version-1 bytes. If epoch metadata ever becomes
-/// persistent (e.g. cross-flush snapshot reuse), that is a layout change
-/// and must bump CheckpointVersion.
+/// writes the same bytes. If epoch metadata ever becomes persistent (e.g.
+/// cross-flush snapshot reuse), that is a layout change and must bump
+/// CheckpointStoreVersion.
 ///
 /// The monitor/machine serialization lives with the classes themselves
-/// (Monitor::saveState, StreamMachine::saveState); this header owns the
-/// envelope, the meta block, and the file I/O.
+/// (Monitor::saveStateChunked, StreamMachine::saveState); this header owns
+/// the meta block, the root encoding, and the store plumbing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,9 +63,6 @@
 #include <string_view>
 
 namespace awdit {
-
-/// The checkpoint envelope version this build writes and reads.
-inline constexpr uint32_t CheckpointVersion = 1;
 
 /// Everything a resume needs before (and besides) the monitor state
 /// itself: how the monitor was configured, which format the stream is in,
@@ -100,74 +83,24 @@ struct CheckpointMeta {
   uint64_t Flushes = 0;
 };
 
-/// Serializes \p M plus the format machine state \p MachineState (opaque
-/// bytes from StreamMachine::saveState) under \p Meta into one framed,
-/// checksummed checkpoint blob.
-std::string encodeCheckpoint(const Monitor &M, std::string_view MachineState,
-                             const CheckpointMeta &Meta);
-
-/// Validates the envelope (magic, version, size, checksum) and parses the
-/// meta block. Cheap relative to a full restore; the CLI uses it to check
-/// flag compatibility before constructing the monitor.
-bool decodeCheckpointMeta(std::string_view Blob, CheckpointMeta &Meta,
-                          std::string *Err);
-
-/// Restores the full state into \p M (freshly constructed with
-/// Meta.Options) and hands back the machine-state bytes for
-/// StreamMachine::loadState. Validates the envelope again — callers may
-/// skip decodeCheckpointMeta.
-bool restoreCheckpoint(std::string_view Blob, Monitor &M,
-                       std::string &MachineState, std::string *Err);
-
-/// The checkpoint file inside \p Dir (the single-stream `awdit monitor`
-/// layout: one checkpoint per directory).
-std::string checkpointFilePath(const std::string &Dir);
-
 /// Encodes a client-chosen stream id into a string safe to use as a file
 /// name: [A-Za-z0-9._-] pass through (a leading '.' is encoded so a name
 /// can never be hidden or traverse upward), everything else — slashes, NUL,
 /// control bytes, spaces — becomes %XX. Injective on case-sensitive
 /// filesystems (the server's supported deployment target), so distinct
-/// stream ids cannot collide on one checkpoint file; on a case-folding
-/// filesystem ids differing only in letter case would share files.
+/// stream ids cannot collide on one checkpoint store or sink file; on a
+/// case-folding filesystem ids differing only in letter case would share
+/// them.
 std::string sanitizeStreamName(std::string_view Name);
-
-/// The checkpoint file of stream \p Stream inside \p Dir — the multi-tenant
-/// server layout: one file per stream, named
-/// `<dir>/<sanitized-stream>.ckpt`.
-std::string checkpointFilePathFor(const std::string &Dir,
-                                  std::string_view Stream);
-
-/// Writes \p Blob atomically (temp file + rename) to \p Path, creating the
-/// parent directory if needed.
-bool writeCheckpointFileAt(const std::string &Path, std::string_view Blob,
-                           std::string *Err);
-
-/// Reads the checkpoint file at \p Path into \p Blob.
-bool readCheckpointFileAt(const std::string &Path, std::string &Blob,
-                          std::string *Err);
-
-/// Writes \p Blob atomically (temp file + rename) as \p Dir's checkpoint,
-/// creating \p Dir if needed.
-bool writeCheckpointFile(const std::string &Dir, std::string_view Blob,
-                         std::string *Err);
-
-/// Reads \p Dir's checkpoint file into \p Blob.
-bool readCheckpointFile(const std::string &Dir, std::string &Blob,
-                        std::string *Err);
-
-//===----------------------------------------------------------------------===//
-// Store-backed checkpoints (format v2)
-//===----------------------------------------------------------------------===//
 
 namespace store {
 class SegmentStore;
 } // namespace store
 
-/// The store-backed checkpoint format version. Versioned independently of
-/// the v1 file format: bumps on any change to the root meta blob layout or
-/// the chunked monitor-state encoding.
-inline constexpr uint32_t CheckpointStoreVersion = 2;
+/// The checkpoint layout version this build writes and reads. Bumps on any
+/// change to the root meta blob layout or the chunked monitor-state
+/// encoding.
+inline constexpr uint32_t CheckpointStoreVersion = 3;
 
 /// A checkpoint writer/reader over an append-only segment store: each
 /// write() appends only the chunks whose bytes changed since the last
@@ -213,8 +146,8 @@ public:
   uint64_t bytesAppended() const;
   uint64_t commits() const;
 
-  /// True when \p Dir looks like a segment store (has a root log), i.e.
-  /// `--resume` should take the v2 path instead of reading checkpoint.bin.
+  /// True when \p Dir looks like a segment store (has a root log) — the
+  /// only thing `--resume` accepts.
   static bool isStoreDir(const std::string &Dir);
 
 private:

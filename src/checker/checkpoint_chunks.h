@@ -1,19 +1,18 @@
-//===- checker/checkpoint_chunks.h - v2 chunk section kinds ------*- C++ -*-===//
+//===- checker/checkpoint_chunks.h - Checkpoint chunk kinds ------*- C++ -*-===//
 //
 // Part of the AWDIT reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The section-kind numbering of chunked (store-backed, format-v2)
-/// checkpoints. Each kind labels one section of the Monitor serialization
-/// stream, in stream order; chunk ids are chunkId(Kind, Bucket) (see
-/// support/serialize.h) and must be strictly increasing through the
-/// stream, so kinds here must stay in the order the sections are written.
-/// Renumbering is a layout change of the v2 root only — the byte stream
-/// itself is unaffected (marks are out-of-band) — but a resume pairs
-/// chunks written and read by the same build, so keep CheckpointStoreVersion
-/// bumped on any change that alters reassembly.
+/// The section-kind numbering of chunked (store-backed) checkpoints. Each
+/// kind labels one section of the Monitor serialization stream, in stream
+/// order; chunk ids are chunkId(Kind, Bucket) (see support/serialize.h) and
+/// must be strictly increasing through the stream, so kinds here must stay
+/// in the order the sections are written. The byte stream itself does not
+/// depend on the numbering (marks are out-of-band), but a resume pairs
+/// chunks written and read by the same build, so bump CheckpointStoreVersion
+/// on any change that alters reassembly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +36,6 @@ enum Kind : uint64_t {
   SPos,
   SOut,
   SIn,
-  SEdges,   ///< refcounted edge set, bucketed by global source id >> 4
   SSources, ///< source-tagged edge lists, bucketed by (tag, id >> 4)
   SQuar,
   SProc,    ///< processed flags, bucketed by global id >> 8
@@ -46,11 +44,9 @@ enum Kind : uint64_t {
   SWriters, ///< per-key writer index, bucketed by key >> 4
   SRa,      ///< per-session RA state, bucketed by session
   // Monitor resolution + delivery state.
-  MAdopted,
   MWrites,  ///< write-site index, bucketed by key >> 4
   MPending, ///< pending reads, bucketed by key >> 4
   MWaiters, ///< close waiters, bucketed by global writer id >> 4
-  MMask,    ///< evicted-writer mask (already global), bucketed by value >> 36
   MDirty,
   MOpen,
   MForced,

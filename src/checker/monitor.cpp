@@ -51,7 +51,6 @@ TxnId Monitor::toLocal(TxnId MonitorId) const {
 TxnId Monitor::beginTxn(SessionId S) {
   AWDIT_ASSERT(S < Live.Sessions.size(), "beginTxn: unknown session");
   AWDIT_ASSERT(!Finalized, "beginTxn: monitor already finalized");
-  ensureAdoptedIndex();
   Transaction T;
   T.Session = S;
   // Open transactions are not yet part of T_c: Committed flips on commit().
@@ -258,47 +257,6 @@ void Monitor::replay(const History &H) {
   }
 }
 
-void Monitor::adopt(const History &H) {
-  AWDIT_ASSERT(Live.Txns.empty() && Live.Sessions.empty() && !Finalized,
-               "adopt: monitor must be pristine");
-  // Take the resolved history over wholesale: H was produced by
-  // HistoryBuilder::build() (or an earlier finalize), so every derived
-  // index is already in its final state and nothing needs re-deriving —
-  // adopted transactions are not marked dirty, and the write index is
-  // materialized lazily, only if streaming or checking continues (the
-  // adopt-then-finalize wrapper never needs it).
-  Live = H;
-  Meta.assign(Live.Txns.size(),
-              TxnMeta{/*Open=*/false, /*Deferred=*/false, /*Ts=*/0});
-  SessionSoBase.assign(Live.Sessions.size(), 0);
-  for (size_t S = 0; S < Live.Sessions.size(); ++S)
-    Saturation.addSession();
-  AdoptedIndexPending = true;
-  Stats.IngestedTxns += Live.Txns.size();
-  Stats.IngestedOps += Live.TotalOps;
-  Stats.CommittedTxns += Live.CommittedCount;
-}
-
-void Monitor::ensureAdoptedIndex() {
-  if (!AdoptedIndexPending)
-    return;
-  AdoptedIndexPending = false;
-  // Populate the write index and key universe so new ingestion resolves
-  // (and duplicate-detects) against the adopted writes, and queue the
-  // adopted transactions as the saturation engine's first delta.
-  for (TxnId L = 0; L < static_cast<TxnId>(Live.Txns.size()); ++L) {
-    const Transaction &T = Live.Txns[L];
-    for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
-      const Operation &Op = T.Ops[OpIdx];
-      Keys.insert(Op.K);
-      if (Op.isWrite())
-        Writes.record(Op.K, Op.V, L, OpIdx);
-    }
-    if (T.Committed)
-      AdoptedReady.push_back(L);
-  }
-}
-
 History Monitor::takeHistory() {
   AWDIT_ASSERT(!Finalized, "takeHistory: monitor already finalized");
   AWDIT_ASSERT(Stats.EvictedTxns == 0,
@@ -341,14 +299,11 @@ void Monitor::flush(bool Final) {
   auto FlushStart = std::chrono::steady_clock::now();
   ++Stats.Flushes;
   CommitsSinceFlush = 0;
-  ensureAdoptedIndex();
   forceAbortHung();
 
   // Re-derive dirty transactions; those with a still-open writer stay
-  // dirty until it closes. Adopted transactions join the first delta
-  // as-is: their derived state was taken over wholesale.
+  // dirty until it closes.
   std::vector<TxnId> Ready;
-  Ready.swap(AdoptedReady);
   std::vector<TxnId> DirtyNow(Dirty.begin(), Dirty.end());
   for (TxnId L : DirtyNow) {
     if (Meta[L].Open)
@@ -362,8 +317,6 @@ void Monitor::flush(bool Final) {
     if (Live.Txns[L].Committed)
       Ready.push_back(L);
   }
-  std::sort(Ready.begin(), Ready.end());
-  Ready.erase(std::unique(Ready.begin(), Ready.end()), Ready.end());
 
   std::vector<Violation> Found;
 
@@ -671,15 +624,15 @@ CheckReport Monitor::finalize() {
 
   if (Stats.EvictedTxns == 0) {
     // Exact mode: bring every derived index to its final state, then run
-    // the canonical one-shot engine over the full ingested history. This
-    // is what makes checkIsolation() a bit-identical wrapper.
+    // the canonical one-shot engine over the full ingested history, so the
+    // report is bit-identical to checking the replayed history in one shot.
     for (TxnId L : Dirty) {
       bool Derived = deriveTxn(L);
       AWDIT_ASSERT(Derived, "finalize: writer still open after close-all");
       (void)Derived;
     }
     Dirty.clear();
-    CheckReport Report = detail::checkOneShot(Live, Opts.Level, Opts.Check);
+    CheckReport Report = checkIsolation(Live, Opts.Level, Opts.Check);
     // Deliver anything the incremental passes had not yet surfaced.
     // Monitor ids equal history ids here (nothing was evicted).
     for (const Violation &V : Report.Violations)
@@ -759,7 +712,7 @@ std::string Monitor::describe(const Violation &V) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Persistent checkpoints: verbatim serialization of the monitoring state.
+// Persistent checkpoints: chunked serialization of the monitoring state.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -803,20 +756,16 @@ void saveU32Sequence(ByteWriter &W, const Container &C) {
 
 } // namespace
 
-void Monitor::saveState(ByteWriter &W) const { saveStateImpl(W, nullptr); }
-
-void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
+void Monitor::saveStateImpl(ByteWriter &W, const StateCoords &C) const {
   AWDIT_ASSERT(!Finalized, "saveState: monitor already finalized");
-  // Local→global coordinate transforms of the chunked (v2) path; identity
-  // when C is null, which writes the historical v1 bytes. See StateCoords.
-  uint32_t IdBase = C ? C->IdBase : 0;
+  // Local→global coordinate transforms; see StateCoords.
+  uint32_t IdBase = C.IdBase;
   auto GT = [&](TxnId T) {
     return T == NoTxn ? T : static_cast<TxnId>(T + IdBase);
   };
   auto GSo = [&](SessionId S, uint32_t So) {
-    return C && S < C->SoBase->size()
-               ? static_cast<uint32_t>(So + (*C->SoBase)[S])
-               : So;
+    return S < C.SoBase.size() ? static_cast<uint32_t>(So + C.SoBase[S])
+                               : So;
   };
 
   // The live window. Transactions live at global ids [Base, Base+N) in
@@ -841,18 +790,15 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
       W.u32(RI.OpIndex);
       W.u64(RI.K);
       W.i64(RI.V);
-      // The chunked path writes a masked read as its original pre-eviction
-      // (global writer, op) — the record's bytes never change when the
-      // writer is later evicted; the loader re-masks anything below the
-      // window base. v1 keeps the masked sentinel (its bytes are the
-      // pruned view).
+      // A masked read is written as its original pre-eviction (global
+      // writer, op) — the record's bytes never change when the writer is
+      // later evicted; the loader re-masks anything below the window base.
       uint32_t WriterOut = GT(RI.Writer);
       uint32_t WriterOpOut = RI.WriterOp;
-      if (C && RI.Writer == NoTxn) {
+      if (RI.Writer == NoTxn) {
         auto MIt = EvictedWriterMask.find(
             ((static_cast<uint64_t>(IdBase) + I) << 32) | RI.OpIndex);
-        if (MIt != EvictedWriterMask.end() &&
-            MIt->second != UnknownMaskedWriter) {
+        if (MIt != EvictedWriterMask.end()) {
           WriterOut = static_cast<uint32_t>(MIt->second >> 32);
           WriterOpOut = static_cast<uint32_t>(MIt->second);
         }
@@ -862,18 +808,11 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
     }
     // External-read indices and read-from lists are a pure function of
     // the reads, the mask, and commit metadata (classifyExternalReads):
-    // the chunked path derives them at load instead of churning chunks
-    // every time an evicted writer drops out of them.
-    if (!C)
-      saveU32Sequence(W, T.ExtReads);
+    // they are derived at load instead of churning chunks every time an
+    // evicted writer drops out of them.
     W.u64(T.WriteKeys.size());
     for (Key K : T.WriteKeys)
       W.u64(K);
-    if (!C) {
-      W.u64(T.ReadFroms.size());
-      for (TxnId F : T.ReadFroms)
-        W.u32(GT(F));
-    }
   }
   W.chunk(chunkId(ckchunk::MSess));
   W.u64(Live.Sessions.size());
@@ -904,12 +843,6 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
   }
 
   Saturation.saveState(W, C);
-
-  W.chunk(chunkId(ckchunk::MAdopted));
-  W.u64(AdoptedReady.size());
-  for (TxnId T : AdoptedReady)
-    W.u32(GT(T));
-  W.boolean(AdoptedIndexPending);
 
   // wr resolution: the write-site index, sorted by (key, value).
   {
@@ -978,26 +911,6 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
       W.u64(Readers.size());
       for (TxnId Reader : Readers)
         W.u32(GT(Reader));
-    }
-  }
-
-  {
-    // The chunked path serializes masked reads with their original writer
-    // inline in MTxns, so it only needs MMask for entries whose original
-    // writer is unknown (restored from a v1 checkpoint). v1 keeps the full
-    // key set — its loader has no other way to tell masked from unresolved.
-    std::vector<uint64_t> Sorted;
-    Sorted.reserve(EvictedWriterMask.size());
-    for (const auto &[MaskKey, Original] : EvictedWriterMask)
-      if (!C || Original == UnknownMaskedWriter)
-        Sorted.push_back(MaskKey);
-    std::sort(Sorted.begin(), Sorted.end());
-    W.chunk(chunkId(ckchunk::MMask));
-    W.u64(Sorted.size());
-    for (uint64_t V : Sorted) {
-      // Mask keys are (global id << 32 | op) already: no transform.
-      W.chunk(chunkId(ckchunk::MMask, 1 + (V >> 36)));
-      W.u64(V);
     }
   }
 
@@ -1083,12 +996,8 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords *C) const {
   W.str(ErrText);
 }
 
-bool Monitor::loadState(ByteReader &R, std::string *Err) {
-  return loadStateImpl(R, Err, nullptr);
-}
-
 bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
-                            const StateCoords *C) {
+                            const StateCoords &C) {
   auto Fail = [&](const char *Msg) {
     if (Err)
       *Err = Msg;
@@ -1097,16 +1006,13 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   if (Finalized || !Live.Txns.empty() || !Live.Sessions.empty())
     return Fail("checkpoint restore requires a pristine monitor");
 
-  // Exact inverses of the globalizing transforms in saveStateImpl. With a
-  // null \p C these are the identity, reading historical v1 bytes.
-  const uint32_t IdBase = C ? C->IdBase : 0;
+  // Exact inverses of the globalizing transforms in saveStateImpl.
+  const uint32_t IdBase = C.IdBase;
   auto LT = [&](TxnId T) {
     return T == NoTxn ? T : static_cast<TxnId>(T - IdBase);
   };
-  auto LSo = [&](uint32_t S, uint32_t V) -> uint32_t {
-    if (!C || !C->SoBase || S >= C->SoBase->size())
-      return V;
-    return static_cast<uint32_t>(V - (*C->SoBase)[S]);
+  auto LSo = [&](uint32_t S, uint32_t V) {
+    return S < C.SoBase.size() ? static_cast<uint32_t>(V - C.SoBase[S]) : V;
   };
 
   uint64_t NumTxns = R.u64();
@@ -1137,8 +1043,8 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
       RI.V = R.i64();
       uint32_t GW = R.u32();
       uint32_t WOp = R.u32();
-      if (C && GW != NoTxn && GW < IdBase) {
-        // Chunked records keep a masked read's original pre-eviction writer;
+      if (GW != NoTxn && GW < IdBase) {
+        // Records keep a masked read's original pre-eviction writer;
         // anything below the window base was evicted, so re-mask it here.
         RI.Writer = NoTxn;
         RI.WriterOp = NoOp;
@@ -1150,28 +1056,12 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
         RI.WriterOp = WOp;
       }
     }
-    if (!C) {
-      uint64_t NumExt = R.u64();
-      if (!R.checkCount(NumExt, 4))
-        return Fail("corrupted checkpoint (external reads)");
-      T.ExtReads.resize(NumExt);
-      for (uint32_t &E : T.ExtReads)
-        E = R.u32();
-    }
     uint64_t NumWk = R.u64();
     if (!R.checkCount(NumWk, 8))
       return Fail("corrupted checkpoint (write keys)");
     T.WriteKeys.resize(NumWk);
     for (Key &K : T.WriteKeys)
       K = R.u64();
-    if (!C) {
-      uint64_t NumRf = R.u64();
-      if (!R.checkCount(NumRf, 4))
-        return Fail("corrupted checkpoint (read-froms)");
-      T.ReadFroms.resize(NumRf);
-      for (TxnId &F : T.ReadFroms)
-        F = LT(R.u32());
-    }
   }
 
   uint64_t NumSessions = R.u64();
@@ -1190,34 +1080,20 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   Live.CommittedCount = R.u64();
 
   Base = R.u32();
-  if (C && Base != C->IdBase)
-    return Fail("inconsistent checkpoint (window base vs. root metadata)");
   Meta.resize(NumTxns);
   for (TxnMeta &TM : Meta) {
     TM.Open = R.boolean();
     TM.Deferred = R.boolean();
     TM.Ts = R.u64();
   }
-  if (C) {
-    // Chunked checkpoints omit ExtReads/ReadFroms: both are pure functions
-    // of the reads, open flags, and commit bits, all of which are loaded by
-    // this point.
-    for (uint64_t I = 0; I < NumTxns; ++I)
-      classifyExternalReads(static_cast<TxnId>(I));
-  }
-
   if (!R.ok())
     return Fail("truncated checkpoint (window)");
-  if (!Saturation.loadState(R, Err, C, Base))
+  // ExtReads/ReadFroms are not serialized: both are pure functions of the
+  // reads, open flags, and commit bits, all of which are loaded by now.
+  for (uint64_t I = 0; I < NumTxns; ++I)
+    classifyExternalReads(static_cast<TxnId>(I));
+  if (!Saturation.loadState(R, Err, C))
     return false;
-
-  uint64_t NumAdopted = R.u64();
-  if (!R.checkCount(NumAdopted, 4))
-    return Fail("corrupted checkpoint (adopted list)");
-  AdoptedReady.resize(NumAdopted);
-  for (TxnId &T : AdoptedReady)
-    T = LT(R.u32());
-  AdoptedIndexPending = R.boolean();
 
   uint64_t NumWrites = R.u64();
   if (!R.checkCount(NumWrites, 24))
@@ -1262,12 +1138,6 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     WaitersOnClose.emplace(Writer, std::move(Readers));
   }
 
-  uint64_t NumMask = R.u64();
-  if (!R.checkCount(NumMask, 8))
-    return Fail("corrupted checkpoint (evicted-writer mask)");
-  for (uint64_t I = 0; I < NumMask; ++I)
-    EvictedWriterMask.emplace(R.u64(), UnknownMaskedWriter);
-
   auto LoadTxnSet = [&](std::set<TxnId> &Set) {
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 4))
@@ -1292,8 +1162,6 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   SessionSoBase.resize(NumSoBase);
   for (uint64_t &V : SessionSoBase)
     V = R.u64();
-  if (C && C->SoBase && SessionSoBase != *C->SoBase)
-    return Fail("inconsistent checkpoint (session bases vs. root metadata)");
 
   uint64_t NumFp = R.u64();
   if (!R.checkCount(NumFp, 8))
@@ -1341,6 +1209,10 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
       Keys.insert(Op.K);
   Live.KeyCount = Keys.size();
 
+  if (Base != IdBase)
+    return Fail("inconsistent checkpoint (window base vs. root metadata)");
+  if (SessionSoBase != C.SoBase)
+    return Fail("inconsistent checkpoint (session bases vs. root metadata)");
   // Structural sanity: counts that must agree for the monitor to be usable.
   if (Meta.size() != Live.Txns.size() ||
       SessionSoBase.size() != Live.Sessions.size())
@@ -1358,16 +1230,14 @@ void Monitor::saveStateChunked(std::string &Bytes,
   SoBase = SessionSoBase;
   ByteWriter W(Bytes);
   W.enableChunks(&Marks);
-  StateCoords C{Base, &SessionSoBase};
-  saveStateImpl(W, &C);
+  saveStateImpl(W, StateCoords{Base, SessionSoBase});
 }
 
 bool Monitor::loadStateChunked(std::string_view Bytes, uint32_t IdBase,
                                const std::vector<uint64_t> &SoBase,
                                std::string *Err) {
   ByteReader R(Bytes);
-  StateCoords C{IdBase, &SoBase};
-  if (!loadStateImpl(R, Err, &C))
+  if (!loadStateImpl(R, Err, StateCoords{IdBase, SoBase}))
     return false;
   if (R.remaining() != 0) {
     if (Err)

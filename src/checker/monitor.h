@@ -17,9 +17,9 @@
 /// is checked, cycles the instant the closing edge is inserted) instead of
 /// being returned after the whole history has been materialized.
 ///
-/// The one-shot checkIsolation() facade is a thin wrapper over this class:
-/// replay the history, finalize, return the report (bit-identical to the
-/// historical one-shot engine; enforced by tests/test_monitor.cpp).
+/// Without eviction, finalize() returns the one-shot checkIsolation()
+/// report over everything ingested — a replayed history is bit-identical
+/// to checking it in one shot (enforced by tests/test_monitor.cpp).
 ///
 /// A windowed mode bounds memory on unbounded streams: transactions older
 /// than a count-, edge-, or age-based horizon are evicted from the
@@ -67,8 +67,7 @@ struct MonitorOptions {
   /// variant and thread count of the canonical finalize pass, ...).
   CheckOptions Check;
   /// Run an incremental checking pass every this many commits. 0 checks
-  /// only on explicit check() calls and at finalize() — the configuration
-  /// the one-shot checkIsolation() wrapper uses.
+  /// only on explicit check() calls and at finalize().
   size_t CheckIntervalTxns = 0;
   /// Windowed mode: evict the oldest transactions once more than this many
   /// are live (0 = keep everything; exact checking). Only a prefix of
@@ -128,7 +127,7 @@ struct MonitorStats {
   uint64_t ForcedAborts = 0;
   /// Cumulative wall-clock time spent inside checking passes, in
   /// microseconds. Host-local timing, not part of the monitor's logical
-  /// state: it is excluded from checkpoints (saveState stays canonical for
+  /// state: it is excluded from checkpoints (the bytes stay canonical for
   /// a given state) and from the end-of-run summary (which must be
   /// byte-identical across resumed runs). Consumed by the periodic stats
   /// line (`awdit monitor --stats-interval`) and the server's /metrics.
@@ -201,17 +200,6 @@ public:
   /// order. A fresh monitor assigns the same ids the history uses.
   void replay(const History &H);
 
-  /// Bulk-adopts a finalized history as the monitor's initial state:
-  /// the already-resolved transactions are taken over wholesale instead
-  /// of being re-resolved operation by operation. Requires a pristine
-  /// monitor. This is the fast path the one-shot checkIsolation() wrapper
-  /// uses (adopt, then finalize); semantically it matches replay() with
-  /// two caveats: adopted thin-air reads are final (later streamed writes
-  /// do not retroactively resolve them), and adopted transactions are
-  /// checked at the first flush after adoption (a check() call, the
-  /// checking cadence, or finalize()) rather than one by one.
-  void adopt(const History &H);
-
   /// Moves the fully derived ingested history out of the monitor without
   /// running any check, ending the session. Every transaction must be
   /// closed and nothing may have been evicted. This makes the monitor
@@ -230,9 +218,8 @@ public:
   /// Completes the session: still-open transactions are treated as
   /// aborted, the final checking pass runs, and every not-yet-reported
   /// violation is delivered to the sink. When nothing was evicted the
-  /// returned report is the canonical one-shot result over the whole
-  /// ingested history — bit-identical to the historical checkIsolation()
-  /// (enforced by tests/test_monitor.cpp). In windowed mode (after
+  /// returned report is the canonical one-shot checkIsolation() result
+  /// over the whole ingested history. In windowed mode (after
   /// evictions) the report instead aggregates the violations streamed
   /// over the whole run, capped at MaxWindowedReportViolations entries
   /// (the sink saw every one as it happened; ReportedViolations has the
@@ -300,42 +287,34 @@ public:
   /// Serializes the complete monitoring state — live window, wr
   /// resolution, saturation engine, exactly-once delivery state, stats —
   /// so a restored monitor continues the stream emitting exactly the
-  /// violations a never-stopped monitor would have emitted from this
-  /// point on. Unordered containers are written in sorted order, so the
-  /// bytes are canonical for a given state. Must not be finalized.
-  void saveState(ByteWriter &W) const;
-
-  /// Restores saveState() bytes into a freshly constructed monitor (same
-  /// MonitorOptions, in particular the same Level). Returns false with a
-  /// message in \p Err on corrupted or incompatible input; the monitor is
-  /// unusable afterwards.
-  bool loadState(ByteReader &R, std::string *Err);
-
-  /// Chunked serialization for store-backed (format-v2) checkpoints: the
-  /// same logical state as saveState, but transaction ids and so-indices
-  /// are written in *global* coordinates — rebase-invariant under windowed
-  /// eviction — and \p Marks receives the chunk boundaries (strictly
-  /// increasing ids; see support/serialize.h). \p IdBase and \p SoBase
-  /// receive the coordinate bases the bytes were written under; a restore
-  /// needs them back to invert the transform, so the store keeps them in
-  /// the root's meta blob. Unchanged state re-serializes into
-  /// byte-identical chunks, which is what makes a store commit O(delta).
+  /// violations a never-stopped monitor would have emitted from this point
+  /// on. Transaction ids and so-indices are written in *global*
+  /// coordinates — rebase-invariant under windowed eviction — and \p Marks
+  /// receives the chunk boundaries (strictly increasing ids; see
+  /// support/serialize.h). \p IdBase and \p SoBase receive the coordinate
+  /// bases the bytes were written under; a restore needs them back to
+  /// invert the transform, so the store keeps them in the root's meta
+  /// blob. Unordered containers are written in sorted order and unchanged
+  /// state re-serializes into byte-identical chunks, which is what makes a
+  /// store commit O(delta). Must not be finalized.
   void saveStateChunked(std::string &Bytes, std::vector<ChunkMark> &Marks,
                         uint32_t &IdBase,
                         std::vector<uint64_t> &SoBase) const;
 
   /// Restores reassembled saveStateChunked() bytes (chunks concatenated in
-  /// ascending id order) written under \p IdBase / \p SoBase.
+  /// ascending id order) written under \p IdBase / \p SoBase into a
+  /// freshly constructed monitor (same MonitorOptions, in particular the
+  /// same Level). Returns false with a message in \p Err on corrupted or
+  /// incompatible input; the monitor is unusable afterwards.
   bool loadStateChunked(std::string_view Bytes, uint32_t IdBase,
                         const std::vector<uint64_t> &SoBase,
                         std::string *Err);
 
 private:
-  /// Shared serialization body of the v1 and chunked paths: a null \p C
-  /// writes/reads raw local coordinates (the historical v1 bytes), a
-  /// non-null one applies the local↔global transform and emits marks.
-  void saveStateImpl(ByteWriter &W, const StateCoords *C) const;
-  bool loadStateImpl(ByteReader &R, std::string *Err, const StateCoords *C);
+  /// Serialization bodies of saveStateChunked/loadStateChunked, applying
+  /// the local↔global transform \p C.
+  void saveStateImpl(ByteWriter &W, const StateCoords &C) const;
+  bool loadStateImpl(ByteReader &R, std::string *Err, const StateCoords &C);
 
   struct TxnMeta {
     bool Open = true;
@@ -358,11 +337,6 @@ private:
   /// ops against the current write index. Returns false when some read
   /// resolves to a still-open writer (checking must wait).
   bool deriveTxn(TxnId Local);
-
-  /// Materializes the deferred write index of an adopted history before
-  /// any new ingestion resolves against it, and queues the adopted
-  /// transactions as the engine's first delta.
-  void ensureAdoptedIndex();
 
   /// Rebuilds \p Local's ExtReads/ReadFroms from its (resolved) Reads:
   /// the external reads are exactly those from a distinct, closed,
@@ -413,8 +387,6 @@ private:
   /// per-key write index, refcounted source-tagged edges, dynamic
   /// topological order.
   SaturationState Saturation;
-  /// Adopted transactions pending their first hand-off to the engine.
-  std::vector<TxnId> AdoptedReady;
 
   /// Incremental wr resolution (local ids).
   WriteSiteIndex Writes;
@@ -428,13 +400,10 @@ private:
   /// Reads whose writer was evicted, keyed by (monitor id << 32 | op):
   /// excluded from checking and never reported as thin-air. The value
   /// remembers the original (global writer id << 32 | writer op) so the
-  /// chunked checkpoint can serialize the read exactly as it looked
-  /// before the eviction — keeping old transaction chunks byte-stable
-  /// across window slides. Entries restored from a v1 checkpoint carry
-  /// UnknownMaskedWriter (v1 bytes never held the original).
+  /// checkpoint can serialize the read exactly as it looked before the
+  /// eviction — keeping old transaction chunks byte-stable across window
+  /// slides.
   std::unordered_map<uint64_t, uint64_t> EvictedWriterMask;
-  static constexpr uint64_t UnknownMaskedWriter =
-      (static_cast<uint64_t>(NoTxn) << 32) | NoOp;
 
   /// Closed transactions whose checking state is stale (newly closed or
   /// retroactively re-resolved). Ordered for deterministic flushes.
@@ -474,10 +443,6 @@ private:
   bool HasTime = false;
   bool AnyViolation = false;
   bool Finalized = false;
-  /// Set by adopt(): the write index / key universe of the adopted prefix
-  /// is materialized lazily, only if streaming or checking continues
-  /// afterwards.
-  bool AdoptedIndexPending = false;
   std::string ErrText;
 };
 

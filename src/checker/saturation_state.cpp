@@ -991,7 +991,7 @@ void SaturationState::compact(const History &H, TxnId Cut) {
   // order steers later witness extraction, and a canonical replay makes
   // the post-compaction order a pure function of the logical edge set —
   // identical between a resumed and an uninterrupted run, and stable
-  // between consecutive checkpoints (what keeps v2 chunks unchanged).
+  // between consecutive checkpoints (what keeps their chunks unchanged).
   std::vector<uint64_t> ReplayOrder;
   ReplayOrder.reserve(BySource.size());
   for (const auto &[Source, EdgeList] : BySource)
@@ -1038,24 +1038,19 @@ void SaturationState::compact(const History &H, TxnId Cut) {
 // Checkpoint support: verbatim serialization of the streaming state.
 //===----------------------------------------------------------------------===//
 
-void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
+void SaturationState::saveState(ByteWriter &W, const StateCoords &C) const {
   AWDIT_ASSERT(EngineMode == Mode::Streaming,
                "saveState: only streaming state checkpoints");
-  // Local→global transforms of chunked serialization (identity when C is
-  // null — the v1 byte path). See StateCoords in support/serialize.h.
-  uint32_t IdBase = C ? C->IdBase : 0;
+  // Local→global transforms (see StateCoords in support/serialize.h).
+  uint32_t IdBase = C.IdBase;
   auto GT = [&](TxnId T) { return static_cast<TxnId>(T + IdBase); };
   auto GSo = [&](SessionId S, uint32_t So) {
-    return C && S < C->SoBase->size()
-               ? static_cast<uint32_t>(So + (*C->SoBase)[S])
-               : So;
+    return S < C.SoBase.size() ? static_cast<uint32_t>(So + C.SoBase[S])
+                               : So;
   };
-  auto GPacked = [&](uint64_t Packed) {
-    return Packed + (static_cast<uint64_t>(IdBase) << 32) + IdBase;
-  };
-  // BySource is already global-coordinate in memory; the chunked path
-  // writes it verbatim, so its base and the checkpoint's must agree.
-  AWDIT_ASSERT(!C || C->IdBase == EvictedBase,
+  // BySource is already global-coordinate in memory and written verbatim,
+  // so its base and the checkpoint's must agree.
+  AWDIT_ASSERT(IdBase == EvictedBase,
                "saveState: checkpoint id base != engine eviction base");
 
   W.chunk(chunkId(ckchunk::SHdr));
@@ -1066,45 +1061,18 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
 
   Order.saveState(W, IdBase, ckchunk::SPos);
 
-  // Edge refcounts: v1 only, sorted by packed key for canonical bytes
-  // (iteration order of the live table never influences behavior in
-  // streaming mode). The chunked path skips them entirely — the map is
-  // the filtered refcount image of the source lists below, so loadState
+  // Source-tagged edge lists, sorted by (global) source key, verbatim:
+  // they live in global coordinates and may carry tombstones, and a
+  // per-transaction source's bytes never change after creation, so
+  // eviction dirties no old chunk. The edge refcount map is not written —
+  // it is the filtered refcount image of these lists, so loadState
   // re-derives it instead of paying churned refcount chunks on every
   // retroactive re-derivation.
-  if (!C) {
-    std::vector<std::pair<uint64_t, EdgeRefs>> Sorted;
-    Sorted.reserve(Edges.size());
-    Edges.forEach([&](uint64_t Packed, const EdgeRefs &Refs) {
-      Sorted.emplace_back(Packed, Refs);
-    });
-    std::sort(Sorted.begin(), Sorted.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
-    W.u64(Sorted.size());
-    for (const auto &[Packed, Refs] : Sorted) {
-      W.u64(Packed);
-      W.u32(Refs.Base);
-      W.u32(Refs.Inferred);
-    }
-  }
-
-  // Source-tagged edge lists, sorted by (global) source key. The lists
-  // live in global coordinates and may carry tombstones. The chunked path
-  // writes them verbatim — a per-transaction source's bytes never change
-  // after creation, so eviction dirties no old chunk. The v1 path writes
-  // the filtered, localized view: exactly the bytes an eagerly pruned
-  // engine would produce (tombstone-only sources are elided like eager
-  // pruning would have dropped them).
   {
     std::vector<uint64_t> Sources;
     Sources.reserve(BySource.size());
-    for (const auto &[Source, List] : BySource) {
-      if (!C && std::all_of(List.begin(), List.end(), [&](uint64_t GP) {
-            return deadPacked(GP);
-          }))
-        continue;
+    for (const auto &[Source, List] : BySource)
       Sources.push_back(Source);
-    }
     std::sort(Sources.begin(), Sources.end());
     W.chunk(chunkId(ckchunk::SSources));
     W.u64(Sources.size());
@@ -1113,21 +1081,10 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
       W.chunk(chunkId(ckchunk::SSources,
                       1 + (((Source >> 32) << 28) |
                            (static_cast<uint32_t>(Source) >> 4))));
-      if (C) {
-        W.u64(Source);
-        W.u64(List.size());
-        for (uint64_t GPacked : List)
-          W.u64(GPacked);
-      } else {
-        W.u64(isPerTxnSource(Source) ? Source - EvictedBase : Source);
-        uint64_t Live = 0;
-        for (uint64_t GPacked : List)
-          Live += !deadPacked(GPacked);
-        W.u64(Live);
-        for (uint64_t GPacked : List)
-          if (!deadPacked(GPacked))
-            W.u64(localizePacked(GPacked));
-      }
+      W.u64(Source);
+      W.u64(List.size());
+      for (uint64_t GPacked : List)
+        W.u64(GPacked);
     }
   }
 
@@ -1137,7 +1094,7 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
     W.chunk(chunkId(ckchunk::SQuar));
     W.u64(Sorted.size());
     for (uint64_t Packed : Sorted)
-      W.u64(GPacked(Packed));
+      W.u64(globalizePacked(Packed));
   }
 
   W.chunk(chunkId(ckchunk::SProc));
@@ -1210,8 +1167,7 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
   for (size_t S = 0; S < RaStates.size(); ++S) {
     const RaSessionState &St = RaStates[S];
     W.chunk(chunkId(ckchunk::SRa, 1 + S));
-    W.u64(C && S < C->SoBase->size() ? St.NextSo + (*C->SoBase)[S]
-                                     : St.NextSo);
+    W.u64(S < C.SoBase.size() ? St.NextSo + C.SoBase[S] : St.NextSo);
     W.boolean(St.NeedsFullRerun);
     std::vector<std::pair<Key, TxnId>> Sorted(St.Scratch.LastWrite.begin(),
                                               St.Scratch.LastWrite.end());
@@ -1225,96 +1181,71 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords *C) const {
 }
 
 bool SaturationState::loadState(ByteReader &R, std::string *Err,
-                                const StateCoords *C, uint32_t WindowBase) {
+                                const StateCoords &C) {
   auto Fail = [&](const char *Msg) {
     if (Err)
       *Err = Msg;
     return false;
   };
-  // Exact inverses of the saveState transforms (identity when C is null).
-  uint32_t IdBase = C ? C->IdBase : 0;
+  // Exact inverses of the saveState transforms.
+  uint32_t IdBase = C.IdBase;
   auto LT = [&](TxnId T) { return static_cast<TxnId>(T - IdBase); };
   auto LSo = [&](SessionId S, uint32_t So) {
-    return C && S < C->SoBase->size()
-               ? static_cast<uint32_t>(So - (*C->SoBase)[S])
-               : So;
-  };
-  auto LPacked = [&](uint64_t Packed) {
-    return Packed - (static_cast<uint64_t>(IdBase) << 32) - IdBase;
+    return S < C.SoBase.size() ? static_cast<uint32_t>(So - C.SoBase[S])
+                               : So;
   };
 
   if (EngineMode != Mode::Streaming)
     return Fail("checkpoint restore requires a streaming-mode engine");
-  if (C && C->IdBase != WindowBase)
-    return Fail("inconsistent checkpoint (id base vs. window base)");
-  EvictedBase = WindowBase;
-  if (R.u8() != static_cast<uint8_t>(Level))
+  EvictedBase = IdBase;
+  uint8_t SavedLevel = R.u8();
+  if (!R.ok())
+    return Fail("truncated checkpoint (saturation state)");
+  if (SavedLevel != static_cast<uint8_t>(Level))
     return Fail("checkpoint isolation level does not match this monitor");
   NumSessions = R.u64();
   BaseCyclic = R.boolean();
   NeedsFullHbRecompute = R.boolean();
   // Speculation bookkeeping is transient per-flush state: deliberately
-  // absent from checkpoints (the format is unchanged by PR 6), reset here.
+  // absent from checkpoints, reset here.
   RowEpochs.clear();
 
   if (!Order.loadState(R, IdBase))
     return Fail("corrupted checkpoint (topological order)");
 
-  // Edge refcounts: present in v1 bytes only; the chunked format derives
-  // them from the source lists after those are read.
-  Edges.clear();
-  InferredDistinct = 0;
-  if (!C) {
-    uint64_t NumEdges = R.u64();
-    if (!R.checkCount(NumEdges, 16))
-      return Fail("corrupted checkpoint (edge count)");
-    for (uint64_t I = 0; I < NumEdges; ++I) {
-      uint64_t Packed = R.u64();
-      EdgeRefs Refs;
-      Refs.Base = R.u32();
-      Refs.Inferred = R.u32();
-      Edges[Packed] = Refs;
-      if (Refs.Inferred > 0)
-        ++InferredDistinct;
-    }
-  }
-
-  // Source lists: the chunked bytes are the in-memory (global-coordinate,
-  // tombstone-carrying) form verbatim; v1 bytes are the filtered local
-  // view and re-globalize against the window base.
+  // Source lists: the in-memory (global-coordinate, tombstone-carrying)
+  // form verbatim.
   BySource.clear();
   uint64_t NumSources = R.u64();
   if (!R.checkCount(NumSources, 16))
     return Fail("corrupted checkpoint (source count)");
   for (uint64_t I = 0; I < NumSources && R.ok(); ++I) {
     uint64_t Source = R.u64();
-    if (!C && isPerTxnSource(Source))
-      Source += EvictedBase;
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 8))
       return Fail("corrupted checkpoint (source list)");
     std::vector<uint64_t> List(Len);
-    for (uint64_t J = 0; J < Len; ++J)
-      List[J] = C ? R.u64() : R.u64() + packedShift(EvictedBase);
+    for (uint64_t &GPacked : List)
+      GPacked = R.u64();
     BySource.emplace(Source, std::move(List));
   }
-  if (C) {
-    // Derive the refcount map: it is a pure, order-independent refcount
-    // image of the filtered lists, so replaying them here reproduces the
-    // live engine's map bit-exactly.
-    for (const auto &[Source, List] : BySource) {
-      bool IsBase = isBaseSource(Source);
-      for (uint64_t GPacked : List) {
-        if (deadPacked(GPacked))
-          continue;
-        EdgeRefs &Refs = Edges[localizePacked(GPacked)];
-        if (IsBase) {
-          ++Refs.Base;
-        } else {
-          if (Refs.Inferred == 0)
-            ++InferredDistinct;
-          ++Refs.Inferred;
-        }
+  // Derive the refcount map: it is a pure, order-independent refcount
+  // image of the filtered lists, so replaying them here reproduces the
+  // live engine's map bit-exactly.
+  Edges.clear();
+  InferredDistinct = 0;
+  for (const auto &[Source, List] : BySource) {
+    bool IsBase = isBaseSource(Source);
+    for (uint64_t GPacked : List) {
+      if (deadPacked(GPacked))
+        continue;
+      EdgeRefs &Refs = Edges[localizePacked(GPacked)];
+      if (IsBase) {
+        ++Refs.Base;
+      } else {
+        if (Refs.Inferred == 0)
+          ++InferredDistinct;
+        ++Refs.Inferred;
       }
     }
   }
@@ -1324,7 +1255,7 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
   if (!R.checkCount(NumQuarantined, 8))
     return Fail("corrupted checkpoint (quarantine)");
   for (uint64_t I = 0; I < NumQuarantined; ++I)
-    Quarantined.insert(LPacked(R.u64()));
+    Quarantined.insert(localizePacked(R.u64()));
 
   uint64_t NumProcessed = R.u64();
   if (!R.checkCount(NumProcessed, 1))
@@ -1392,8 +1323,8 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
   for (uint64_t I = 0; I < NumRa && R.ok(); ++I) {
     RaSessionState &St = RaStates[I];
     St.NextSo = R.u64();
-    if (C && I < C->SoBase->size())
-      St.NextSo -= (*C->SoBase)[I];
+    if (I < C.SoBase.size())
+      St.NextSo -= C.SoBase[I];
     St.NeedsFullRerun = R.boolean();
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 12))

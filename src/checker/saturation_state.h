@@ -8,7 +8,7 @@
 /// The incremental, delta-driven saturation engine shared by the three
 /// checking paths:
 ///
-///  - detail::checkOneShot() runs it as a single cold-start delta over a
+///  - checkIsolation() runs it as a single cold-start delta over a
 ///    complete history (the batch kernels of saturation_impl.h, verbatim);
 ///  - the parallel engine (checker/parallel.h) has its shard workers feed
 ///    inferred-edge batches into one merged state through striped buffers;
@@ -196,23 +196,20 @@ public:
 
   // --- Checkpoint support (streaming; checker/checkpoint.h). ---
 
-  /// Serializes every persisted streaming fact — edge refcounts, source
-  /// lists, the dynamic order (verbatim: its internal positions steer
-  /// later witness extraction), happens-before rows, writer index, RA
-  /// frontiers. Unordered containers are dumped in sorted-key order so the
-  /// bytes are canonical; list-valued state keeps its order verbatim.
-  /// A non-null \p C (chunked checkpoint-v2 serialization) globalizes
-  /// transaction ids and so-indices and emits chunk marks; loadState must
-  /// be handed the same transform back. Null writes the v1 bytes.
-  void saveState(ByteWriter &W, const StateCoords *C = nullptr) const;
+  /// Serializes every persisted streaming fact — source lists, the dynamic
+  /// order (verbatim: its internal positions steer later witness
+  /// extraction), happens-before rows, writer index, RA frontiers — with
+  /// transaction ids and so-indices globalized by \p C, emitting chunk
+  /// marks. Unordered containers are dumped in sorted-key order so the
+  /// bytes are canonical; list-valued state keeps its order verbatim. The
+  /// edge refcount map is not written: it is the filtered refcount image
+  /// of the source lists, re-derived on load.
+  void saveState(ByteWriter &W, const StateCoords &C) const;
 
   /// Restores a freshly constructed streaming state (same Level) from
-  /// saveState() bytes. \p WindowBase is the global id of window-local 0
-  /// (the monitor's eviction count) — it re-globalizes v1 bytes and seeds
-  /// the lazy eviction filter. Returns false (with \p Err set) on
-  /// corrupted or level-mismatched input.
-  bool loadState(ByteReader &R, std::string *Err,
-                 const StateCoords *C = nullptr, uint32_t WindowBase = 0);
+  /// saveState() bytes written under \p C. Returns false (with \p Err
+  /// set) on corrupted or level-mismatched input.
+  bool loadState(ByteReader &R, std::string *Err, const StateCoords &C);
 
 private:
   // Source tags: the unit of work that contributed an edge. Re-running a

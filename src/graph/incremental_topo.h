@@ -84,14 +84,12 @@ public:
   /// not a rebuilt-equivalent one. The DFS scratch (epoch marks) is
   /// transient and reset on load.
   ///
-  /// For chunked (checkpoint-v2) serialization, \p IdBase globalizes
-  /// adjacency node ids (loadState must be given the same base back) and
-  /// \p KindBase numbers the emitted chunk sections — this class claims
-  /// kinds KindBase..KindBase+2 (positions, out-, in-adjacency). The
-  /// defaults write the historical v1 bytes with no marks.
-  void saveState(ByteWriter &W, uint32_t IdBase = 0,
-                 uint64_t KindBase = 0) const;
-  bool loadState(ByteReader &R, uint32_t IdBase = 0);
+  /// \p IdBase globalizes adjacency node ids (loadState must be given the
+  /// same base back) and \p KindBase numbers the emitted chunk sections —
+  /// this class claims kinds KindBase..KindBase+2 (positions, out-,
+  /// in-adjacency).
+  void saveState(ByteWriter &W, uint32_t IdBase, uint64_t KindBase) const;
+  bool loadState(ByteReader &R, uint32_t IdBase);
 
 private:
   /// Forward discovery from \p To bounded by position \p Limit. Returns

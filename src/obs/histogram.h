@@ -152,7 +152,6 @@ struct PipelineMetrics {
   LatencyHistogram IngestStages[NumIngestStages];
   LatencyHistogram IngestQueueWait;          ///< SPSC push/pop block time
   LatencyHistogram IngestQueueDepth;         ///< items, sampled at push
-  LatencyHistogram CheckpointV1Write;        ///< encode + write + rename
   LatencyHistogram CheckpointStoreCommit;    ///< chunk + append + fsync
   LatencyHistogram ServerPump;               ///< one session actor item
   LatencyHistogram ServerHello;              ///< HELLO parse -> OK queued

@@ -47,7 +47,7 @@
 ///   ERR <message>
 ///
 /// Stream ids are client-chosen strings (no whitespace); they name the
-/// session's checkpoint file (checker/checkpoint.h sanitizer) and its
+/// session's checkpoint store (checker/checkpoint.h sanitizer) and its
 /// JSON-lines sink, and tag every pushed violation.
 ///
 /// Mux framing (`HELLO ... mux=on`): one connection carries many streams.

@@ -207,7 +207,6 @@ SessionEnv sessionEnvFor(const ServerOptions &O, size_t PoolThreads) {
   Env.CheckpointDir = O.CheckpointDir;
   Env.SinkDir = O.SinkDir;
   Env.CheckpointIntervalFlushes = O.CheckpointIntervalFlushes;
-  Env.StoreCheckpoints = O.CheckpointStore;
   Env.HotThreads = hotThreadsFor(O.ShardHotSessions, PoolThreads);
   Env.HotBytesPerSec = O.HotBytesPerSec;
   Env.MaxInboxBytes = O.MaxInboxBytes;
@@ -473,7 +472,6 @@ std::string Server::serverStatsJson(bool Deep) const {
     Field("server_hello", PM.ServerHello);
     Field("server_output_queue", PM.ServerOutputQueue);
     Field("ingest_queue_wait", PM.IngestQueueWait);
-    Field("checkpoint_v1", PM.CheckpointV1Write);
     Field("checkpoint_store", PM.CheckpointStoreCommit);
   }
   Out += "}";
@@ -919,12 +917,9 @@ std::string Server::renderMetrics() const {
   Histogram("awdit_ingest_queue_depth",
             "Ingest SPSC queue occupancy (items), sampled at enqueue.",
             PM.IngestQueueDepth, "", /*Unitless=*/true);
-  metricHeader(Out, "awdit_checkpoint_write_seconds",
-               "Checkpoint persistence, by layout.", "histogram");
-  Histogram("awdit_checkpoint_write_seconds", "", PM.CheckpointV1Write,
-            "format=\"v1\"", false, false);
-  Histogram("awdit_checkpoint_write_seconds", "", PM.CheckpointStoreCommit,
-            "format=\"store\"", false, false);
+  Histogram("awdit_checkpoint_write_seconds",
+            "Checkpoint persistence: one segment-store commit.",
+            PM.CheckpointStoreCommit, "format=\"store\"");
   Histogram("awdit_server_pump_seconds",
             "One session-actor work item on the shared pool.",
             PM.ServerPump, "");

@@ -25,7 +25,7 @@
 ///            self-pipe) or by a client's SHUTDOWN verb — then drains:
 ///            stops accepting, checkpoints + finalizes every session
 ///            (clients get DRAINING/FINAL/BYE), closes, returns;
-///   a restarted server with the same --checkpoint-dir resumes every
+///   a restarted server with the same --checkpoint-store-dir resumes every
 ///   tenant from its per-stream checkpoint on the tenant's next HELLO.
 ///
 /// Backpressure: a client whose session's inbox exceeds its quota is
@@ -65,12 +65,9 @@ struct ServerOptions {
   /// Serve the /metrics endpoint (on MetricsPort; 0 = ephemeral).
   bool EnableMetrics = false;
   uint16_t MetricsPort = 0;
-  /// Per-stream checkpoints live here; empty disables persistence.
+  /// Per-stream checkpoint stores (`<dir>/<stream>.store/`, O(delta) per
+  /// checkpoint) live here; empty disables persistence.
   std::string CheckpointDir;
-  /// Use copy-on-write segment stores (`<dir>/<stream>.store/`, O(delta)
-  /// per checkpoint) instead of monolithic `.ckpt` files. A server
-  /// switched to stores still resumes tenants from leftover v1 files.
-  bool CheckpointStore = false;
   /// Per-stream JSONL violation sinks live here; empty disables them.
   std::string SinkDir;
   /// Where the `TRACE dump` verb writes Chrome-trace JSON files; empty

@@ -354,28 +354,18 @@ void StreamSession::writeCheckpointNow(const StreamMachine &Mach,
   ByteWriter W(MachineBlob);
   Mach.saveState(W);
   std::string Err;
-  if (Env.StoreCheckpoints) {
-    if (!StoreCkpt) {
-      StoreCkpt = std::make_unique<StoreCheckpointer>();
-      if (!StoreCkpt->open(checkpointStoreDirFor(Env.CheckpointDir, Name),
-                           &Err)) {
-        std::fprintf(stderr,
-                     "warning: stream %s: checkpoint store not opened: "
-                     "%s\n",
-                     Name.c_str(), Err.c_str());
-        StoreCkpt.reset();
-        return;
-      }
-    }
-    if (!StoreCkpt->write(M, MachineBlob, Meta, &Err)) {
+  if (!StoreCkpt) {
+    StoreCkpt = std::make_unique<StoreCheckpointer>();
+    if (!StoreCkpt->open(checkpointStoreDirFor(Env.CheckpointDir, Name),
+                         &Err)) {
       std::fprintf(stderr,
-                   "warning: stream %s: checkpoint not written: %s\n",
+                   "warning: stream %s: checkpoint store not opened: %s\n",
                    Name.c_str(), Err.c_str());
+      StoreCkpt.reset();
       return;
     }
-  } else if (!writeCheckpointFileAt(
-                 checkpointFilePathFor(Env.CheckpointDir, Name),
-                 encodeCheckpoint(M, MachineBlob, Meta), &Err)) {
+  }
+  if (!StoreCkpt->write(M, MachineBlob, Meta, &Err)) {
     std::fprintf(stderr, "warning: stream %s: checkpoint not written: %s\n",
                  Name.c_str(), Err.c_str());
     return;
@@ -507,9 +497,6 @@ void StreamSession::processItem(const Item &I) {
     finalizeSession(/*ToSinkFile=*/true, "FINAL");
     if (!Env.CheckpointDir.empty()) {
       // The stream is complete; its checkpoint would only resurrect it.
-      // Both layouts go: a server switched between them may have either.
-      std::remove(
-          checkpointFilePathFor(Env.CheckpointDir, Name).c_str());
       StoreCkpt.reset(); // unmap before unlinking
       std::string StoreDir = checkpointStoreDirFor(Env.CheckpointDir, Name);
       if (StoreCheckpointer::isStoreDir(StoreDir)) {
@@ -650,47 +637,29 @@ SessionRegistry::hello(const HelloRequest &Req,
 
   // No live session. Only the event-loop thread creates sessions, so no
   // other creator can race this unlocked section; resume from the
-  // per-stream checkpoint when one exists — a segment store in the
-  // StoreCheckpoints layout, else a v1 .ckpt file (so a server switched
-  // between layouts still resumes every tenant).
-  std::string Blob;
-  bool HaveCheckpoint = false;
+  // per-stream checkpoint store when one exists.
   std::string CkptPath;
   std::unique_ptr<StoreCheckpointer> ResumeStore;
   if (!Env.CheckpointDir.empty()) {
-    if (Env.StoreCheckpoints) {
-      std::string StoreDir =
-          checkpointStoreDirFor(Env.CheckpointDir, Req.Stream);
-      if (StoreCheckpointer::isStoreDir(StoreDir)) {
-        ResumeStore = std::make_unique<StoreCheckpointer>();
-        std::string Err;
-        if (!ResumeStore->open(StoreDir, &Err)) {
-          R.Err = "checkpoint store " + StoreDir + ": " + Err;
-          return R;
-        }
-        if (ResumeStore->hasCheckpoint()) {
-          HaveCheckpoint = true;
-          CkptPath = StoreDir;
-        } else {
-          // A store directory with no committed root (a crash before the
-          // first checkpoint): nothing to resume from.
-          ResumeStore.reset();
-        }
+    CkptPath = checkpointStoreDirFor(Env.CheckpointDir, Req.Stream);
+    if (StoreCheckpointer::isStoreDir(CkptPath)) {
+      ResumeStore = std::make_unique<StoreCheckpointer>();
+      std::string Err;
+      if (!ResumeStore->open(CkptPath, &Err)) {
+        R.Err = "checkpoint store " + CkptPath + ": " + Err;
+        return R;
       }
-    }
-    if (!HaveCheckpoint) {
-      CkptPath = checkpointFilePathFor(Env.CheckpointDir, Req.Stream);
-      std::string IgnoredErr;
-      HaveCheckpoint = readCheckpointFileAt(CkptPath, Blob, &IgnoredErr);
+      // A store directory with no committed root (a crash before the first
+      // checkpoint) has nothing to resume from.
+      if (!ResumeStore->hasCheckpoint())
+        ResumeStore.reset();
     }
   }
 
-  if (HaveCheckpoint) {
+  if (ResumeStore) {
     CheckpointMeta Meta;
     std::string Err;
-    bool MetaOk = ResumeStore ? ResumeStore->readMeta(Meta, &Err)
-                              : decodeCheckpointMeta(Blob, Meta, &Err);
-    if (!MetaOk) {
+    if (!ResumeStore->readMeta(Meta, &Err)) {
       R.Err = "checkpoint " + CkptPath + ": " + Err;
       return R;
     }
@@ -707,11 +676,7 @@ SessionRegistry::hello(const HelloRequest &Req,
       return R;
     }
     std::string MachineState;
-    bool Restored =
-        ResumeStore
-            ? ResumeStore->restore(S->M, MachineState, &Err)
-            : restoreCheckpoint(Blob, S->M, MachineState, &Err);
-    if (!Restored) {
+    if (!ResumeStore->restore(S->M, MachineState, &Err)) {
       R.Err = "checkpoint " + CkptPath + ": " + Err;
       return R;
     }

@@ -8,8 +8,8 @@
 /// The tenant layer of `awdit serve`: a SessionRegistry owns one
 /// StreamSession — Monitor + format StreamMachine + sinks + counters — per
 /// named stream. Sessions are created lazily on the first HELLO, restored
-/// from their per-stream checkpoint file (checker/checkpoint.h envelope)
-/// when one exists, detached when their client disconnects, evicted (with
+/// from their per-stream checkpoint store (checker/checkpoint.h) when one
+/// exists, detached when their client disconnects, evicted (with
 /// a final checkpoint) after an idle timeout, and drained — checkpoint,
 /// then finalize — when the server shuts down.
 ///
@@ -83,7 +83,9 @@ public:
 
 /// Server-level configuration shared by every session.
 struct SessionEnv {
-  /// Per-stream checkpoint files live here; empty disables persistence.
+  /// Per-stream checkpoint stores (`<CheckpointDir>/<stream>.store/`,
+  /// checker/checkpoint.h StoreCheckpointer) live here; empty disables
+  /// persistence.
   std::string CheckpointDir;
   /// Per-stream JSON-lines violation sinks and summaries live here; empty
   /// disables them.
@@ -91,11 +93,6 @@ struct SessionEnv {
   /// Write a checkpoint every this many checking passes (and always at
   /// detach, idle eviction, and drain).
   uint64_t CheckpointIntervalFlushes = 16;
-  /// Checkpoint into per-stream copy-on-write segment stores
-  /// (`<CheckpointDir>/<stream>.store/`, checker/checkpoint.h
-  /// StoreCheckpointer) instead of monolithic `.ckpt` files. Resume still
-  /// accepts either layout, preferring the store.
-  bool StoreCheckpoints = false;
   /// Extra threads a hot session's pump may spawn when it upgrades to the
   /// sharded ingest pipeline (io/sharded_ingest.h); < 2 disables the
   /// upgrade and every session stays on the inline decoder.
@@ -320,9 +317,9 @@ private:
   LineDecoder Decode = nullptr;
   std::unique_ptr<StreamMachine> Machine;
   std::unique_ptr<std::ofstream> SinkFile;
-  /// The stream's segment store (StoreCheckpoints layout). Set by the
-  /// registry on a store resume, opened lazily by the first checkpoint of
-  /// a fresh stream; pump-thread only after hello() publishes the session.
+  /// The stream's checkpoint store. Set by the registry on a resume,
+  /// opened lazily by the first checkpoint of a fresh stream; pump-thread
+  /// only after hello() publishes the session.
   std::unique_ptr<StoreCheckpointer> StoreCkpt;
   uint64_t Offset = 0;
   uint64_t LineNo = 0;

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The persistent state store behind checkpoint format v2
+/// The persistent state store behind monitor checkpoints
 /// (`awdit monitor --checkpoint-store DIR`): a directory of append-only,
 /// mmap-backed segment files plus a root log (store/root_log.h). State is
 /// stored as *chunks* — checksummed byte extents keyed by a 64-bit id —
@@ -126,15 +126,14 @@ public:
   bool openReadOnly(const std::string &Dir, std::string *Err);
 
   /// True if \p Dir looks like a segment store (has a root log file) —
-  /// how `--resume` tells a v2 store directory from a v1 snapshot
-  /// directory.
+  /// how `--resume` tells a checkpoint store from any other directory.
   static bool isStoreDir(const std::string &Dir);
 
   bool hasRoot() const { return Roots.hasRoot(); }
   uint64_t rootSeq() const { return Roots.lastSeq(); }
 
   /// The caller-owned meta blob of the current root (checkpoint meta +
-  /// machine state in the checkpoint-v2 usage).
+  /// machine state in the checkpoint usage).
   const std::string &rootMeta() const { return RootMetaBlob; }
 
   /// Ids of every chunk under the current root, ascending.

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The byte-level primitives of the checkpoint format (checker/checkpoint.h):
+/// The byte-level primitives of the checkpoint layout (checker/checkpoint.h):
 /// a writer appending fixed-width little-endian fields to a growing buffer,
 /// and a bounds-checked reader over a byte range. The reader never throws
 /// and never reads past the end — a truncated or corrupted checkpoint turns
@@ -27,7 +27,7 @@
 
 namespace awdit {
 
-/// A chunk boundary recorded during chunked (checkpoint-v2) serialization:
+/// A chunk boundary recorded during chunked (checkpoint) serialization:
 /// bytes [Offset, next mark's Offset) belong to the chunk \p Id. Marks are
 /// out-of-band — the byte stream itself is identical with or without them —
 /// and ids are strictly increasing in stream order, so a reader reassembles
@@ -49,20 +49,19 @@ inline constexpr uint64_t chunkId(uint64_t Kind, uint64_t Sub = 0) {
   return (Kind << 56) | (Sub < MaxSub ? Sub : MaxSub);
 }
 
-/// The optional local-to-global coordinate transform of chunked
-/// serialization. Windowed eviction rebases every local transaction id
-/// (by the window base) and every session-order index (by the per-session
-/// evicted count) at nearly every flush, so locally-addressed bytes churn
-/// completely between checkpoints. Serializing ids in global coordinates —
-/// local + base, applied on save and inverted on load with the same bases
-/// captured alongside the bytes — makes the serialized form of surviving
-/// state rebase-invariant. A null transform (the v1 snapshot path) writes
-/// raw local values: byte-identical to the historical format.
+/// The local-to-global coordinate transform of checkpoint serialization.
+/// Windowed eviction rebases every local transaction id (by the window
+/// base) and every session-order index (by the per-session evicted count)
+/// at nearly every flush, so locally-addressed bytes would churn completely
+/// between checkpoints. Serializing ids in global coordinates — local +
+/// base, applied on save and inverted on load with the same bases captured
+/// alongside the bytes — makes the serialized form of surviving state
+/// rebase-invariant.
 struct StateCoords {
   /// Added to every local transaction id (Monitor::Base).
   uint32_t IdBase = 0;
   /// Added per session to so-indices/frontiers (Monitor::SessionSoBase).
-  const std::vector<uint64_t> *SoBase = nullptr;
+  const std::vector<uint64_t> &SoBase;
 };
 
 /// Appends little-endian fields to a byte buffer.

@@ -6,8 +6,10 @@
 // the violations the uninterrupted run emitted after the checkpoint, and
 // its finalize report and cumulative statistics equal the uninterrupted
 // run's — across flush cadences, window sizes, isolation levels, clean and
-// anomaly-injected histories, and all three stream formats. Corrupted or
-// truncated checkpoints must fail with a clear diagnostic, never UB.
+// anomaly-injected histories, and all three stream formats — first on
+// in-memory chunked snapshots taken at every flush, then through real
+// on-disk segment stores. Corrupted or truncated checkpoints must fail
+// with a clear diagnostic, never UB.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 #include "io/sharded_ingest.h"
 #include "io/text_format.h"
 #include "sim/anomaly_injector.h"
+#include "store/segment_store.h"
 #include "support/serialize.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
@@ -41,13 +44,41 @@ using namespace awdit::test;
 
 namespace {
 
-/// One captured snapshot: the encoded blob plus how many violations had
-/// been reported when it was taken (the expected re-emission cut).
+namespace fs = std::filesystem;
+
+struct StoreTempDir {
+  fs::path Path;
+  explicit StoreTempDir(const std::string &Tag) {
+    static int Counter = 0;
+    Path = fs::temp_directory_path() /
+           ("awdit_ckptstore_" + Tag + "_" + std::to_string(::getpid()) +
+            "_" + std::to_string(Counter++));
+  }
+  ~StoreTempDir() {
+    std::error_code Ec;
+    fs::remove_all(Path, Ec);
+  }
+  std::string str() const { return Path.string(); }
+};
+
+/// One captured snapshot: the chunked monitor state with the coordinate
+/// bases it was written under, the parser machine state, the meta, and how
+/// many violations had been reported when it was taken (the expected
+/// re-emission cut).
 struct Snapshot {
-  std::string Blob;
+  std::string Bytes;
+  uint32_t IdBase = 0;
+  std::vector<uint64_t> SoBase;
+  std::string Machine;
   CheckpointMeta Meta;
   uint64_t ViolationsAtCheckpoint = 0;
 };
+
+/// Chunked snapshot of \p M, as a store commit would serialize it.
+void saveChunked(const Monitor &M, Snapshot &S) {
+  std::vector<ChunkMark> Marks;
+  M.saveStateChunked(S.Bytes, Marks, S.IdBase, S.SoBase);
+}
 
 struct ReferenceRun {
   CheckReport Report;
@@ -73,10 +104,9 @@ ReferenceRun runWithSnapshots(const std::string &Text,
         S.Meta.LineNo = P.LineNo;
         S.Meta.CommittedTxns = P.CommittedTxns;
         S.Meta.Flushes = P.Flushes;
-        std::string MachineBlob;
-        ByteWriter W(MachineBlob);
+        ByteWriter W(S.Machine);
         P.Machine.saveState(W);
-        S.Blob = encodeCheckpoint(P.M, MachineBlob, S.Meta);
+        saveChunked(P.M, S);
         S.ViolationsAtCheckpoint = P.M.stats().ReportedViolations;
         Run.Snapshots.push_back(std::move(S));
       });
@@ -114,13 +144,12 @@ void resumeAndCompare(const ReferenceRun &Ref, const Snapshot &S,
                       const std::string &Context) {
   CollectingSink Sink;
   Monitor M(Options, &Sink);
-  std::string MachineState;
   std::string Err;
-  ASSERT_TRUE(restoreCheckpoint(S.Blob, M, MachineState, &Err))
+  ASSERT_TRUE(M.loadStateChunked(S.Bytes, S.IdBase, S.SoBase, &Err))
       << Context << ": " << Err;
 
   ShardedMonitorIngest Ingest(M, Format, Threads);
-  ByteReader MR(MachineState);
+  ByteReader MR(S.Machine);
   ASSERT_TRUE(Ingest.machine().loadState(MR)) << Context;
   Ingest.primeResume(S.Meta.StreamOffset, S.Meta.LineNo);
 
@@ -276,7 +305,7 @@ TEST(Checkpoint, StreamTimeAndAgeEvictionSurvive) {
 }
 
 /// Force-abort bookkeeping (hung-transaction ids, open-transaction set,
-/// the anchored stream clock) round-trips through Monitor::saveState —
+/// the anchored stream clock) round-trips through the chunked state —
 /// exercised through the API because the native text format cannot hold a
 /// transaction open across other sessions' commits.
 TEST(Checkpoint, ForceAbortStateSurvivesDirectSaveLoad) {
@@ -317,15 +346,13 @@ TEST(Checkpoint, ForceAbortStateSurvivesDirectSaveLoad) {
   TxnId Hung = FeedPrefix(A);
   EXPECT_GT(A.stats().ForcedAborts, 0u);
 
-  std::string Blob;
-  ByteWriter W(Blob);
-  A.saveState(W);
+  Snapshot S;
+  saveChunked(A, S);
 
   CollectingSink SinkB;
   Monitor B(Options, &SinkB);
-  ByteReader R(Blob);
   std::string Err;
-  ASSERT_TRUE(B.loadState(R, &Err)) << Err;
+  ASSERT_TRUE(B.loadStateChunked(S.Bytes, S.IdBase, S.SoBase, &Err)) << Err;
 
   FeedSuffix(A, Hung);
   FeedSuffix(B, Hung);
@@ -350,8 +377,8 @@ TEST(Checkpoint, ForceAbortStateSurvivesDirectSaveLoad) {
 
 namespace {
 
-/// A small valid checkpoint blob to mutate.
-std::string makeValidBlob(MonitorOptions &OptionsOut) {
+/// A small valid snapshot to mutate.
+Snapshot makeValidSnapshot(MonitorOptions &OptionsOut) {
   History H = generated(3, 200, false);
   std::string Text = writeTextHistory(H);
   OptionsOut.Level = IsolationLevel::CausalConsistency;
@@ -359,96 +386,114 @@ std::string makeValidBlob(MonitorOptions &OptionsOut) {
   OptionsOut.CheckIntervalTxns = 16;
   ReferenceRun Ref = runWithSnapshots(Text, "native", OptionsOut);
   EXPECT_FALSE(Ref.Snapshots.empty());
-  return Ref.Snapshots.empty() ? std::string()
-                               : Ref.Snapshots.back().Blob;
+  return Ref.Snapshots.empty() ? Snapshot() : Ref.Snapshots.back();
 }
 
-std::string restoreError(const std::string &Blob,
+std::string restoreError(const Snapshot &S, std::string_view Bytes,
                          const MonitorOptions &Options) {
   Monitor M(Options);
-  std::string MachineState, Err;
-  EXPECT_FALSE(restoreCheckpoint(Blob, M, MachineState, &Err));
+  std::string Err;
+  EXPECT_FALSE(M.loadStateChunked(Bytes, S.IdBase, S.SoBase, &Err));
   return Err;
+}
+
+/// Copies the store \p From to \p To and republishes its root there with
+/// byte \p Offset of the root's meta blob set to \p Value, keeping every
+/// chunk.
+bool republishRoot(const StoreTempDir &From, const StoreTempDir &To,
+                   size_t Offset, char Value, std::string *Err) {
+  fs::copy(From.Path, To.Path, fs::copy_options::recursive);
+  store::SegmentStore Store;
+  if (!Store.open(To.str(), Err))
+    return false;
+  std::string MetaBlob = Store.rootMeta();
+  MetaBlob[Offset] = Value;
+  std::vector<uint64_t> Ids = Store.chunkIds();
+  std::vector<std::string> Payloads(Ids.size());
+  std::vector<std::pair<uint64_t, std::string_view>> Chunks;
+  for (size_t I = 0; I < Ids.size(); ++I) {
+    if (!Store.readChunk(Ids[I], Payloads[I], Err))
+      return false;
+    Chunks.emplace_back(Ids[I], Payloads[I]);
+  }
+  return Store.commit(MetaBlob, Chunks, Err);
 }
 
 } // namespace
 
 TEST(Checkpoint, CorruptedAndTruncatedFailCleanly) {
   MonitorOptions Options;
-  std::string Blob = makeValidBlob(Options);
-  ASSERT_FALSE(Blob.empty());
+  Snapshot S = makeValidSnapshot(Options);
+  ASSERT_FALSE(S.Bytes.empty());
 
-  // Sanity: the pristine blob restores.
+  // Sanity: the pristine bytes restore.
   {
     Monitor M(Options);
-    std::string MachineState, Err;
-    EXPECT_TRUE(restoreCheckpoint(Blob, M, MachineState, &Err)) << Err;
+    std::string Err;
+    EXPECT_TRUE(M.loadStateChunked(S.Bytes, S.IdBase, S.SoBase, &Err))
+        << Err;
   }
-
-  // A flipped payload byte: checksum mismatch.
-  {
-    std::string Bad = Blob;
-    Bad[Bad.size() / 2] ^= 0x5a;
-    EXPECT_NE(restoreError(Bad, Options).find("checksum"),
-              std::string::npos);
-  }
-  // Truncation at many points: header, meta, and deep in the state.
-  for (size_t Keep : {size_t(3), size_t(11), size_t(60), Blob.size() / 2,
-                      Blob.size() - 1}) {
-    std::string Err = restoreError(Blob.substr(0, Keep), Options);
-    EXPECT_NE(Err.find("truncated"), std::string::npos)
+  // Truncation at many points — the window, the saturation engine, and
+  // deep in the delivery state — is a typed error, never UB.
+  std::vector<size_t> Cuts = {S.Bytes.size() / 2, S.Bytes.size() - 1};
+  for (size_t Keep = 0; Keep < S.Bytes.size(); Keep = Keep * 2 + 1)
+    Cuts.push_back(Keep);
+  for (size_t Keep : Cuts) {
+    std::string Err =
+        restoreError(S, std::string_view(S.Bytes).substr(0, Keep), Options);
+    EXPECT_TRUE(Err.find("truncated") != std::string::npos ||
+                Err.find("corrupted") != std::string::npos)
         << "kept " << Keep << ": " << Err;
-  }
-  // Garbage: not a checkpoint at all.
-  EXPECT_NE(restoreError("definitely not a checkpoint blob", Options)
-                .find("not an awdit checkpoint"),
-            std::string::npos);
-  // A future version is refused up front.
-  {
-    std::string Bad = Blob;
-    Bad[4] = 99; // version field (little-endian u32 at offset 4)
-    EXPECT_NE(restoreError(Bad, Options).find("unsupported checkpoint"),
-              std::string::npos);
   }
   // Restoring into a monitor at a different isolation level is refused.
   {
     MonitorOptions Wrong = Options;
     Wrong.Level = IsolationLevel::ReadCommitted;
-    EXPECT_NE(restoreError(Blob, Wrong).find("isolation level"),
+    EXPECT_NE(restoreError(S, S.Bytes, Wrong).find("isolation level"),
               std::string::npos);
   }
 
-  // Meta decoding survives everything restore rejects, and agrees.
-  CheckpointMeta Meta;
+  // The store root: the snapshot written through a real store reads back
+  // its meta; a root whose meta blob is not ours, or that carries the
+  // previous layout's version, is refused before any state is touched.
+  StoreTempDir Dir("root");
   std::string Err;
-  ASSERT_TRUE(decodeCheckpointMeta(Blob, Meta, &Err)) << Err;
-  EXPECT_EQ(Meta.Format, "native");
-  EXPECT_EQ(Meta.Options.Level, IsolationLevel::CausalConsistency);
-  EXPECT_GT(Meta.StreamOffset, 0u);
-  EXPECT_FALSE(decodeCheckpointMeta(Blob.substr(0, 10), Meta, &Err));
-}
-
-TEST(Checkpoint, FileLayerRoundTripsAtomically) {
-  MonitorOptions Options;
-  std::string Blob = makeValidBlob(Options);
-  ASSERT_FALSE(Blob.empty());
-  std::string Dir = ::testing::TempDir() + "/awdit_ckpt_test";
-
-  std::string Err;
-  ASSERT_TRUE(writeCheckpointFile(Dir, Blob, &Err)) << Err;
-  std::string Read;
-  ASSERT_TRUE(readCheckpointFile(Dir, Read, &Err)) << Err;
-  EXPECT_EQ(Blob, Read);
-
-  // Overwrite goes through the temp file, so a reader never sees a torn
-  // checkpoint under the final name.
-  ASSERT_TRUE(writeCheckpointFile(Dir, Blob, &Err)) << Err;
-  ASSERT_TRUE(readCheckpointFile(Dir, Read, &Err)) << Err;
-  EXPECT_EQ(Blob, Read);
-
-  std::string Missing;
-  EXPECT_FALSE(readCheckpointFile(Dir + "/nope", Missing, &Err));
-  EXPECT_NE(Err.find("cannot open"), std::string::npos);
+  {
+    Monitor M(Options);
+    ASSERT_TRUE(M.loadStateChunked(S.Bytes, S.IdBase, S.SoBase, &Err)) << Err;
+    StoreCheckpointer Ckpt;
+    ASSERT_TRUE(Ckpt.open(Dir.str(), &Err)) << Err;
+    ASSERT_TRUE(Ckpt.write(M, S.Machine, S.Meta, &Err)) << Err;
+    CheckpointMeta Meta;
+    ASSERT_TRUE(Ckpt.readMeta(Meta, &Err)) << Err;
+    EXPECT_EQ(Meta.Format, "native");
+    EXPECT_EQ(Meta.Options.Level, IsolationLevel::CausalConsistency);
+    EXPECT_GT(Meta.StreamOffset, 0u);
+  }
+  // The magic is the u32 at offset 0, the version the u32 at offset 4
+  // (little-endian; the current version fits its low byte).
+  struct RootCase {
+    size_t Offset;
+    char Value;
+    const char *Want;
+  };
+  for (RootCase Case :
+       {RootCase{0, 'X', "bad magic"},
+        RootCase{4, 2, "unsupported checkpoint store version 2"}}) {
+    StoreTempDir Image("root_img");
+    ASSERT_TRUE(republishRoot(Dir, Image, Case.Offset, Case.Value, &Err))
+        << Err;
+    StoreCheckpointer Ckpt;
+    ASSERT_TRUE(Ckpt.open(Image.str(), &Err)) << Err;
+    ASSERT_TRUE(Ckpt.hasCheckpoint());
+    CheckpointMeta Meta;
+    EXPECT_FALSE(Ckpt.readMeta(Meta, &Err));
+    EXPECT_NE(Err.find(Case.Want), std::string::npos) << Err;
+    Monitor M(Options);
+    std::string MachineState;
+    EXPECT_FALSE(Ckpt.restore(M, MachineState, &Err));
+    EXPECT_NE(Err.find(Case.Want), std::string::npos) << Err;
+  }
 }
 
 /// Many independent monitors checkpointed and restored in one process —
@@ -494,12 +539,12 @@ TEST(Checkpoint, MultipleIndependentMonitorsRestoreWithoutBleed) {
     const Snapshot &S = T.Ref.Snapshots[T.SnapIdx];
     T.Sink = std::make_unique<CollectingSink>();
     T.M = std::make_unique<Monitor>(T.Options, T.Sink.get());
-    std::string MachineState, Err;
-    ASSERT_TRUE(restoreCheckpoint(S.Blob, *T.M, MachineState, &Err))
+    std::string Err;
+    ASSERT_TRUE(T.M->loadStateChunked(S.Bytes, S.IdBase, S.SoBase, &Err))
         << "tenant " << I << ": " << Err;
     T.Ingest = std::make_unique<ShardedMonitorIngest>(*T.M, "native",
                                                       /*Threads=*/1);
-    ByteReader MR(MachineState);
+    ByteReader MR(S.Machine);
     ASSERT_TRUE(T.Ingest->machine().loadState(MR)) << "tenant " << I;
     T.Ingest->primeResume(S.Meta.StreamOffset, S.Meta.LineNo);
   }
@@ -562,41 +607,27 @@ TEST(Checkpoint, MultipleIndependentMonitorsRestoreWithoutBleed) {
 }
 
 //===----------------------------------------------------------------------===//
-// Store-backed checkpoints (format v2): the same bit-identical-resume
-// contract, now through StoreCheckpointer over a real on-disk segment
-// store — including crash images taken at commit boundaries and torn
-// mid-commit, and the O(delta) write-cost property that justifies v2.
+// Store-backed checkpoints: the same bit-identical-resume contract, now
+// through StoreCheckpointer over a real on-disk segment store — including
+// crash images taken at commit boundaries and torn mid-commit, and the
+// O(delta) write-cost property that justifies the store.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-namespace fs = std::filesystem;
-
-struct StoreTempDir {
-  fs::path Path;
-  explicit StoreTempDir(const std::string &Tag) {
-    static int Counter = 0;
-    Path = fs::temp_directory_path() /
-           ("awdit_ckptstore_" + Tag + "_" + std::to_string(::getpid()) +
-            "_" + std::to_string(Counter++));
-  }
-  ~StoreTempDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  std::string str() const { return Path.string(); }
-};
-
 /// Replays \p Text once more, checkpointing into one store at every flush
 /// (the way `awdit monitor --checkpoint-store` does), and photographs the
 /// store directory right after selected commits — a crash image at each.
-/// Returns the per-commit appended byte deltas.
-std::vector<uint64_t> runWithStoreCommits(const std::string &Text,
-                                          const std::string &Format,
-                                          const MonitorOptions &Options,
-                                          const std::string &StoreDir,
-                                          const std::vector<size_t> &ImageAt,
-                                          std::vector<fs::path> &Images) {
+/// Returns the per-commit appended byte deltas. With \p FullBytes, every
+/// commit's state is also written into a fresh, empty store and the bytes
+/// that full write appends are recorded there.
+std::vector<uint64_t>
+runWithStoreCommits(const std::string &Text, const std::string &Format,
+                    const MonitorOptions &Options,
+                    const std::string &StoreDir,
+                    const std::vector<size_t> &ImageAt,
+                    std::vector<fs::path> &Images,
+                    std::vector<uint64_t> *FullBytes = nullptr) {
   std::vector<uint64_t> Deltas;
   StoreCheckpointer Ckpt;
   std::string Err;
@@ -620,6 +651,13 @@ std::vector<uint64_t> runWithStoreCommits(const std::string &Text,
         std::string WErr;
         EXPECT_TRUE(Ckpt.write(P.M, MachineBlob, Meta, &WErr)) << WErr;
         Deltas.push_back(Ckpt.bytesAppended() - Before);
+        if (FullBytes) {
+          StoreTempDir FreshDir("full");
+          StoreCheckpointer Fresh;
+          EXPECT_TRUE(Fresh.open(FreshDir.str(), &WErr)) << WErr;
+          EXPECT_TRUE(Fresh.write(P.M, MachineBlob, Meta, &WErr)) << WErr;
+          FullBytes->push_back(Fresh.bytesAppended());
+        }
         for (size_t Want : ImageAt)
           if (Want == FlushIdx) {
             fs::path Image = fs::path(StoreDir + ".img." +
@@ -800,9 +838,9 @@ TEST(StoreCheckpoint, TornRootLogResumesFromLastPublishedRoot) {
   }
 }
 
-/// The reason v2 exists: a commit appends what changed since the last
-/// flush, not the state — so as the state grows, the per-commit cost
-/// stays bounded while the v1 snapshot it replaces grows with the state.
+/// The reason the store exists: a commit appends what changed since the
+/// last flush, not the state — so as the state grows, the per-commit cost
+/// stays bounded while a full write of the state grows with it.
 /// (The window-scaled version of this claim is BM_CheckpointDelta's gate:
 /// at large windows a window must dwarf a flush for the delta to show.)
 TEST(StoreCheckpoint, DeltaCommitsStayFractionOfGrowingSnapshot) {
@@ -814,27 +852,27 @@ TEST(StoreCheckpoint, DeltaCommitsStayFractionOfGrowingSnapshot) {
   Options.CheckIntervalTxns = 16;
   Options.WindowTxns = 0;
 
-  ReferenceRun Ref = runWithSnapshots(Text, "native", Options);
-  ASSERT_GT(Ref.Snapshots.size(), 10u);
   StoreTempDir Dir("delta");
   std::vector<fs::path> NoImages;
+  std::vector<uint64_t> FullBytes;
   std::vector<uint64_t> Deltas = runWithStoreCommits(
-      Text, "native", Options, Dir.str(), {}, NoImages);
-  ASSERT_EQ(Deltas.size(), Ref.Snapshots.size());
+      Text, "native", Options, Dir.str(), {}, NoImages, &FullBytes);
+  ASSERT_GT(Deltas.size(), 10u);
+  ASSERT_EQ(Deltas.size(), FullBytes.size());
 
-  // Steady state: skip the warm-up third, average the rest. Each v1 blob
-  // is the full state; each v2 delta is what actually changed.
-  uint64_t V1Sum = 0, V2Sum = 0, N = 0;
+  // Steady state: skip the warm-up third, average the rest. Each fresh
+  // write is the full state; each delta is what actually changed.
+  uint64_t FullSum = 0, DeltaSum = 0, N = 0;
   for (size_t I = Deltas.size() / 3; I < Deltas.size(); ++I) {
-    V1Sum += Ref.Snapshots[I].Blob.size();
-    V2Sum += Deltas[I];
+    FullSum += FullBytes[I];
+    DeltaSum += Deltas[I];
     ++N;
   }
   ASSERT_GT(N, 0u);
-  double V1Avg = static_cast<double>(V1Sum) / static_cast<double>(N);
-  double V2Avg = static_cast<double>(V2Sum) / static_cast<double>(N);
-  EXPECT_LT(V2Avg * 2, V1Avg)
-      << "steady-state v2 delta " << V2Avg << " vs v1 snapshot " << V1Avg;
+  double FullAvg = static_cast<double>(FullSum) / static_cast<double>(N);
+  double DeltaAvg = static_cast<double>(DeltaSum) / static_cast<double>(N);
+  EXPECT_LT(DeltaAvg * 2, FullAvg)
+      << "steady-state delta " << DeltaAvg << " vs full write " << FullAvg;
 }
 
 /// Chunked save -> load -> save is byte-identical, marks and bases
@@ -886,28 +924,26 @@ TEST(StoreCheckpoint, ChunkedSaveLoadSaveIsByteIdentical) {
   }
 }
 
-/// Both formats written from one state restore to the same monitor, and an
-/// empty or mismatched store fails cleanly — the migration contract.
-TEST(StoreCheckpoint, CoexistsWithV1AndFailsCleanly) {
+/// A snapshot written through a store restores to the same monitor, and an
+/// empty or non-store directory fails cleanly.
+TEST(StoreCheckpoint, RestoresSnapshotAndFailsCleanly) {
   MonitorOptions Options;
-  std::string V1Blob = makeValidBlob(Options);
-  ASSERT_FALSE(V1Blob.empty());
+  Snapshot S = makeValidSnapshot(Options);
+  ASSERT_FALSE(S.Bytes.empty());
 
-  // v1 restore -> v2 write -> v2 restore -> v1 re-encode: same bytes.
+  // Snapshot restore -> store write -> store restore -> re-save: same bytes.
   Monitor M(Options);
-  std::string MachineState, Err;
-  ASSERT_TRUE(restoreCheckpoint(V1Blob, M, MachineState, &Err)) << Err;
-  CheckpointMeta Meta;
-  ASSERT_TRUE(decodeCheckpointMeta(V1Blob, Meta, &Err)) << Err;
+  std::string Err;
+  ASSERT_TRUE(M.loadStateChunked(S.Bytes, S.IdBase, S.SoBase, &Err)) << Err;
 
-  StoreTempDir Dir("coexist");
+  StoreTempDir Dir("restore");
   {
     StoreCheckpointer Ckpt;
     ASSERT_TRUE(Ckpt.open(Dir.str(), &Err)) << Err;
     EXPECT_FALSE(Ckpt.hasCheckpoint());
     CheckpointMeta Empty;
     EXPECT_FALSE(Ckpt.readMeta(Empty, &Err));
-    ASSERT_TRUE(Ckpt.write(M, MachineState, Meta, &Err)) << Err;
+    ASSERT_TRUE(Ckpt.write(M, S.Machine, S.Meta, &Err)) << Err;
     EXPECT_EQ(Ckpt.commits(), 1u);
   }
   {
@@ -916,14 +952,17 @@ TEST(StoreCheckpoint, CoexistsWithV1AndFailsCleanly) {
     ASSERT_TRUE(Ckpt.hasCheckpoint());
     CheckpointMeta Meta2;
     ASSERT_TRUE(Ckpt.readMeta(Meta2, &Err)) << Err;
-    EXPECT_EQ(Meta.StreamOffset, Meta2.StreamOffset);
-    EXPECT_EQ(Meta.Flushes, Meta2.Flushes);
+    EXPECT_EQ(S.Meta.StreamOffset, Meta2.StreamOffset);
+    EXPECT_EQ(S.Meta.Flushes, Meta2.Flushes);
     Monitor M2(Options);
     std::string MachineState2;
     ASSERT_TRUE(Ckpt.restore(M2, MachineState2, &Err)) << Err;
-    EXPECT_EQ(MachineState, MachineState2);
-    EXPECT_EQ(encodeCheckpoint(M, MachineState, Meta),
-              encodeCheckpoint(M2, MachineState2, Meta));
+    EXPECT_EQ(S.Machine, MachineState2);
+    Snapshot Again;
+    saveChunked(M2, Again);
+    EXPECT_EQ(S.Bytes, Again.Bytes);
+    EXPECT_EQ(S.IdBase, Again.IdBase);
+    EXPECT_EQ(S.SoBase, Again.SoBase);
   }
   // The layout helpers agree on what is and is not a store.
   EXPECT_TRUE(StoreCheckpointer::isStoreDir(Dir.str()));
@@ -931,6 +970,7 @@ TEST(StoreCheckpoint, CoexistsWithV1AndFailsCleanly) {
   // removeStoreDir refuses a non-store directory, removes a real one.
   StoreTempDir NotAStore("plain");
   fs::create_directories(NotAStore.Path);
+  EXPECT_FALSE(StoreCheckpointer::isStoreDir(NotAStore.str()));
   EXPECT_FALSE(removeStoreDir(NotAStore.str(), &Err));
   ASSERT_TRUE(removeStoreDir(Dir.str(), &Err)) << Err;
   EXPECT_FALSE(fs::exists(Dir.Path));

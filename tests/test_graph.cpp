@@ -4,7 +4,6 @@
 #include "graph/digraph.h"
 #include "graph/scc.h"
 #include "graph/topo_sort.h"
-#include "graph/vector_clock.h"
 #include "support/rng.h"
 
 #include <gtest/gtest.h>
@@ -209,35 +208,6 @@ TEST(ExtractCycle, RestrictsToComponent) {
     EXPECT_NE(E.From, 2u);
     EXPECT_NE(E.To, 2u);
   }
-}
-
-TEST(VectorClock, JoinIsPointwiseMax) {
-  VectorClock A(3), B(3);
-  A.set(0, 5);
-  A.set(1, 1);
-  B.set(1, 7);
-  B.set(2, 2);
-  A.joinWith(B);
-  EXPECT_EQ(A.get(0), 5u);
-  EXPECT_EQ(A.get(1), 7u);
-  EXPECT_EQ(A.get(2), 2u);
-}
-
-TEST(VectorClock, LeqOrder) {
-  VectorClock A(2), B(2);
-  A.set(0, 1);
-  B.set(0, 2);
-  B.set(1, 1);
-  EXPECT_TRUE(A.leq(B));
-  EXPECT_FALSE(B.leq(A));
-  EXPECT_TRUE(A.leq(A));
-}
-
-TEST(VectorClock, EqualityAndDefault) {
-  VectorClock A(2), B(2);
-  EXPECT_TRUE(A == B);
-  B.set(1, 3);
-  EXPECT_FALSE(A == B);
 }
 
 TEST(SccRandomized, AgreesWithTopoSortOnCyclicity) {

@@ -92,7 +92,7 @@ void expectIncrementalMatchesReplay(const History &H, size_t Interval,
 
     CheckOptions Options;
     Options.Threads = 1;
-    CheckReport OneShot = detail::checkOneShot(H, Level, Options);
+    CheckReport OneShot = checkIsolation(H, Level, Options);
     expectSameReport(Replay, OneShot,
                      Context + " one-shot level " + isolationLevelName(Level));
 
@@ -161,31 +161,6 @@ TEST_P(IncrementalEquivalenceInjected, MatchesReplayEngine) {
 INSTANTIATE_TEST_SUITE_P(Sweep, IncrementalEquivalenceInjected,
                          ::testing::Combine(::testing::Range(0, 7),
                                             ::testing::Values(1, 64)));
-
-/// The adopt fast path feeds the engine its first delta at the first
-/// explicit check; the finalize report must still be canonical.
-TEST(IncrementalEngine, AdoptThenCheckStaysBitIdentical) {
-  GenerateParams P;
-  P.Bench = Benchmark::Rubis;
-  P.Mode = ConsistencyMode::Causal;
-  P.Sessions = 6;
-  P.Txns = 400;
-  P.Seed = 5;
-  History H = generateHistory(P);
-  for (IsolationLevel Level : AllIsolationLevels) {
-    CheckOptions Options;
-    Options.Threads = 1;
-    MonitorOptions MonitorOpts;
-    MonitorOpts.Level = Level;
-    MonitorOpts.Check = Options;
-    Monitor M(MonitorOpts);
-    M.adopt(H);
-    EXPECT_TRUE(M.check());
-    expectSameReport(detail::checkOneShot(H, Level, Options), M.finalize(),
-                     std::string("adopt+check level ") +
-                         isolationLevelName(Level));
-  }
-}
 
 /// Retroactive wr resolution with per-commit cadence: a read that precedes
 /// its writer in stream order exercises the dirty re-propagation of the
@@ -489,7 +464,7 @@ TEST_P(StreamingForeignFormats, ChunkingInvariantAndBatchEquivalent) {
   CheckOptions Ref;
   Ref.Threads = 1;
   CheckReport Expected =
-      detail::checkOneShot(*Batch, IsolationLevel::CausalConsistency, Ref);
+      checkIsolation(*Batch, IsolationLevel::CausalConsistency, Ref);
 
   for (size_t Chunk : {size_t(1), size_t(7), size_t(4096)}) {
     MonitorOptions Options;

@@ -1,7 +1,7 @@
 //===- tests/test_monitor.cpp - Streaming Monitor tests ---------------------===//
 //
-// The streaming-API battery: checkIsolation() (now a replay-through-Monitor
-// wrapper) must stay bit-identical to the raw one-shot engine on generated
+// The streaming-API battery: a Monitor replaying a history must finalize
+// bit-identically to the one-shot checkIsolation() engine on generated
 // CTwitter/TPC-C/RUBiS histories, clean and anomaly-injected; incremental
 // checking must surface violations before finalize and deliver each exactly
 // once; windowed mode must keep the live window bounded while still
@@ -53,18 +53,14 @@ void expectSameReport(const CheckReport &A, const CheckReport &B,
   EXPECT_EQ(A.Stats.UsedFastPath, B.Stats.UsedFastPath) << Context;
 }
 
-/// The acceptance criterion of the wrapper: both monitor ingestion paths
-/// — the bulk-adopt fast path checkIsolation() uses and the incremental
-/// operation-by-operation replay() — must reproduce the raw one-shot
-/// engine exactly.
+/// The acceptance criterion of the streaming path: the incremental
+/// operation-by-operation replay() must reproduce the one-shot engine
+/// exactly.
 void expectWrapperBitIdentical(const History &H, const std::string &Context) {
   for (IsolationLevel Level : AllIsolationLevels) {
     CheckOptions Options;
     Options.Threads = 1; // deterministic sequential reference
-    CheckReport OneShot = detail::checkOneShot(H, Level, Options);
-    CheckReport Wrapped = checkIsolation(H, Level, Options);
-    expectSameReport(OneShot, Wrapped,
-                     Context + " (adopt) level " + isolationLevelName(Level));
+    CheckReport OneShot = checkIsolation(H, Level, Options);
 
     MonitorOptions MonitorOpts;
     MonitorOpts.Level = Level;
@@ -178,8 +174,8 @@ TEST(MonitorStreaming, DetectsViolationsBeforeFinalize) {
 
   CheckOptions Ref;
   Ref.Threads = 1;
-  expectSameReport(detail::checkOneShot(*H, Options.Level, Options.Check),
-                   Report, "streamed finalize");
+  expectSameReport(checkIsolation(*H, Options.Level, Options.Check), Report,
+                   "streamed finalize");
 }
 
 /// Duplicate sink delivery must not happen across repeated explicit
@@ -386,7 +382,7 @@ TEST(StreamingParser, ChunkingInvariant) {
     CheckOptions Ref;
     Ref.Threads = 1;
     expectSameReport(
-        detail::checkOneShot(H, IsolationLevel::CausalConsistency, Ref),
+        checkIsolation(H, IsolationLevel::CausalConsistency, Ref),
         Streamed, "chunk size " + std::to_string(Chunk));
   }
 }

@@ -552,10 +552,15 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
   Options.CheckIntervalTxns = 128;
   CollectingSink Sink;
   Monitor M(Options, &Sink);
-  std::string CkptBlob;
+  // A store checkpoint write under trace, at the first flush.
+  std::string Dir = ::testing::TempDir() + "/awdit-obs-ckpt";
+  std::filesystem::remove_all(Dir);
+  StoreCheckpointer Ckpt;
+  std::string Err;
+  ASSERT_TRUE(Ckpt.open(Dir, &Err)) << Err;
   ShardedMonitorIngest Ingest(
       M, "native", /*Threads=*/4, [&](const IngestFlushPoint &FP) {
-        if (!CkptBlob.empty())
+        if (Ckpt.commits() > 0)
           return;
         CheckpointMeta Meta;
         Meta.Format = "native";
@@ -567,7 +572,8 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
         std::string MachineBlob;
         ByteWriter W(MachineBlob);
         FP.Machine.saveState(W);
-        CkptBlob = encodeCheckpoint(FP.M, MachineBlob, Meta);
+        std::string WErr;
+        EXPECT_TRUE(Ckpt.write(FP.M, MachineBlob, Meta, &WErr)) << WErr;
       });
   ASSERT_TRUE(Ingest.valid());
   for (size_t Pos = 0; Pos < Text.size(); Pos += 7777)
@@ -581,20 +587,14 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
   EXPECT_NE(Ingest.finishStream(), ShardedMonitorIngest::EndState::Error)
       << Ingest.errorText();
   M.finalize();
-
-  // A v1 checkpoint write under trace.
-  ASSERT_FALSE(CkptBlob.empty()) << "no flush happened";
-  std::string Dir = ::testing::TempDir() + "/awdit-obs-ckpt";
-  std::filesystem::create_directories(Dir);
-  std::string Err;
-  ASSERT_TRUE(writeCheckpointFile(Dir, CkptBlob, &Err)) << Err;
+  ASSERT_GT(Ckpt.commits(), 0u) << "no flush happened";
 
   std::string Json = obs::traceDumpJson();
   ASSERT_TRUE(JsonChecker(Json).valid());
   for (const char *Span :
        {"\"ingest.read\"", "\"ingest.decode\"", "\"ingest.apply\"",
         "\"flush\"", "\"flush.delta\"", "\"flush.finalize\"",
-        "\"checkpoint.v1\""})
+        "\"checkpoint.store\""})
     EXPECT_NE(Json.find(Span), std::string::npos) << "missing " << Span;
   // Worker threads named their tracks.
   EXPECT_NE(Json.find("\"applier\""), std::string::npos);

@@ -194,7 +194,7 @@ TEST(ServerProtocol, SanitizeStreamNameIsInjectiveAndSafe) {
   EXPECT_EQ(sanitizeStreamName("a%20b"), "a%2520b");
   EXPECT_NE(sanitizeStreamName("a b"), sanitizeStreamName("a%20b"));
   EXPECT_EQ(sanitizeStreamName(""), "%");
-  EXPECT_EQ(checkpointFilePathFor("dir", "s/1"), "dir/s%2F1.ckpt");
+  EXPECT_EQ(checkpointStoreDirFor("dir", "s/1"), "dir/s%2F1.store");
 }
 
 //===----------------------------------------------------------------------===//
@@ -765,16 +765,15 @@ TEST(ServerEndToEnd, IdleEvictionCheckpointsAndResumes) {
   C.close(); // vanish without DETACH
 
   // Wait past the idle timeout for the sweep to evict the session.
-  std::string CkptPath =
-      checkpointFilePathFor(H.checkpointDir(), "e1");
+  std::string CkptPath = checkpointStoreDirFor(H.checkpointDir(), "e1");
   for (int Tries = 0; Tries < 100; ++Tries) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    if (std::filesystem::exists(CkptPath) &&
+    if (StoreCheckpointer::isStoreDir(CkptPath) &&
         H.server().renderMetrics().find(
             "awdit_server_sessions_evicted_total 1") != std::string::npos)
       break;
   }
-  EXPECT_TRUE(std::filesystem::exists(CkptPath));
+  EXPECT_TRUE(StoreCheckpointer::isStoreDir(CkptPath));
   EXPECT_NE(H.server().renderMetrics().find(
                 "awdit_server_sessions_evicted_total 1"),
             std::string::npos);
@@ -1078,8 +1077,9 @@ TEST(ServerEndToEnd, AuthRejectsBeforeAnySessionStateIsCreated) {
       << Page;
   EXPECT_EQ(metricValue(Page, "awdit_server_auth_failures_total"), 4u);
   EXPECT_FALSE(std::filesystem::exists(H.sinkDir() + "/a1.jsonl"));
-  EXPECT_FALSE(std::filesystem::exists(
-      checkpointFilePathFor(H.checkpointDir(), "a1")));
+  std::string RejectedStore = checkpointStoreDirFor(H.checkpointDir(), "a1");
+  EXPECT_FALSE(StoreCheckpointer::isStoreDir(RejectedStore));
+  EXPECT_FALSE(std::filesystem::exists(RejectedStore));
 
   // The right token attaches normally on the same connection.
   ASSERT_TRUE(C.sendLine("HELLO a1 cc token=sesame"));

@@ -313,10 +313,14 @@ struct FuzzRun {
   ShardedMonitorIngest::EndState End = ShardedMonitorIngest::EndState::Clean;
 };
 
-/// A resumable cut: the checkpoint blob plus how many JSONL bytes had been
-/// emitted when it was taken.
+/// A resumable cut: the chunked monitor state with its coordinate bases,
+/// the parser machine state, plus how many JSONL bytes had been emitted
+/// when it was taken.
 struct FuzzSnapshot {
-  std::string Blob;
+  std::string Bytes;
+  uint32_t IdBase = 0;
+  std::vector<uint64_t> SoBase;
+  std::string Machine;
   CheckpointMeta Meta;
   size_t JsonlBytesAtCheckpoint = 0;
 };
@@ -340,10 +344,10 @@ FuzzRun runFuzz(const std::string &Text, const std::string &Format,
       S.Meta.LineNo = P.LineNo;
       S.Meta.CommittedTxns = P.CommittedTxns;
       S.Meta.Flushes = P.Flushes;
-      std::string MachineBlob;
-      ByteWriter W(MachineBlob);
+      ByteWriter W(S.Machine);
       P.Machine.saveState(W);
-      S.Blob = encodeCheckpoint(P.M, MachineBlob, S.Meta);
+      std::vector<ChunkMark> Marks;
+      P.M.saveStateChunked(S.Bytes, Marks, S.IdBase, S.SoBase);
       S.JsonlBytesAtCheckpoint = Out.str().size();
       Snapshots->push_back(std::move(S));
     };
@@ -370,11 +374,10 @@ FuzzRun resumeFuzz(const FuzzSnapshot &S, const std::string &Text,
   std::ostringstream Out;
   JsonLinesSink Sink(Out);
   Monitor M(Options, &Sink);
-  std::string MachineState;
   std::string Err;
-  EXPECT_TRUE(restoreCheckpoint(S.Blob, M, MachineState, &Err)) << Err;
+  EXPECT_TRUE(M.loadStateChunked(S.Bytes, S.IdBase, S.SoBase, &Err)) << Err;
   ShardedMonitorIngest Ingest(M, Format, Threads);
-  ByteReader MR(MachineState);
+  ByteReader MR(S.Machine);
   EXPECT_TRUE(Ingest.machine().loadState(MR));
   Ingest.primeResume(S.Meta.StreamOffset, S.Meta.LineNo);
   std::string_view Rest = std::string_view(Text).substr(S.Meta.StreamOffset);

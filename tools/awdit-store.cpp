@@ -39,7 +39,7 @@ using namespace awdit;
 
 namespace {
 
-/// Human name of a v2 chunk-section kind (checker/checkpoint_chunks.h).
+/// Human name of a chunk-section kind (checker/checkpoint_chunks.h).
 /// Stores written by other producers may use kinds we do not know.
 const char *chunkKindName(uint64_t Kind) {
   switch (static_cast<ckchunk::Kind>(Kind)) {
@@ -59,8 +59,6 @@ const char *chunkKindName(uint64_t Kind) {
     return "saturation/topo-out";
   case ckchunk::SIn:
     return "saturation/topo-in";
-  case ckchunk::SEdges:
-    return "saturation/edges";
   case ckchunk::SSources:
     return "saturation/source-edges";
   case ckchunk::SQuar:
@@ -75,16 +73,12 @@ const char *chunkKindName(uint64_t Kind) {
     return "saturation/writer-index";
   case ckchunk::SRa:
     return "saturation/ra-state";
-  case ckchunk::MAdopted:
-    return "monitor/adopted";
   case ckchunk::MWrites:
     return "monitor/write-sites";
   case ckchunk::MPending:
     return "monitor/pending-reads";
   case ckchunk::MWaiters:
     return "monitor/close-waiters";
-  case ckchunk::MMask:
-    return "monitor/evicted-mask";
   case ckchunk::MDirty:
     return "monitor/dirty";
   case ckchunk::MOpen:

@@ -53,6 +53,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -63,6 +64,30 @@
 using namespace awdit;
 
 namespace {
+
+/// The flags each command reads. Anything else is refused up front, so a
+/// misspelled or retired flag cannot silently change what a run does.
+const std::map<std::string, std::set<std::string>> CommandFlags = {
+    {"check", {"level", "format", "witnesses", "threads", "json"}},
+    {"batch", {"level", "format", "witnesses", "jobs", "json"}},
+    {"monitor",
+     {"level", "format", "interval", "window", "window-edges", "window-age",
+      "force-abort", "witnesses", "threads", "checkpoint-store",
+      "checkpoint-interval", "resume", "kill-after-flushes",
+      "stats-interval", "trace", "json"}},
+    {"serve",
+     {"host", "port", "metrics-port", "checkpoint-store-dir", "sink-dir",
+      "trace-dir", "threads", "shard-hot-sessions", "hot-bytes-per-sec",
+      "idle-timeout", "checkpoint-interval", "auth-token",
+      "max-inbox-bytes", "max-outq-bytes", "max-window-bytes",
+      "sock-sndbuf"}},
+    {"stats", {"format"}},
+    {"generate",
+     {"bench", "sessions", "txns", "seed", "abort-prob", "mode", "inject",
+      "out", "format"}},
+    {"reduce", {"nodes", "edge-prob", "seed", "variant", "out", "format"}},
+    {"shrink", {"level", "out", "format", "max-checks"}},
+};
 
 /// Parsed command-line flags: everything after the positional arguments.
 struct Flags {
@@ -140,23 +165,21 @@ int usage() {
       " single-threaded path;\n"
       "                  N >= 2 shards parsing across N-1 workers +"
       " 1 applier)]\n"
-      "                 [--checkpoint DIR (write a restartable snapshot"
-      " of the monitor\n"
-      "                  every K checking passes; K set by"
-      " --checkpoint-interval, default 16)]\n"
-      "                 [--checkpoint-store DIR (like --checkpoint, but"
-      " append-only\n"
-      "                  copy-on-write segment store: each checkpoint"
-      " writes only the\n"
-      "                  pages that changed — O(delta), not O(state))]\n"
-      "                 [--resume DIR (restart from DIR's snapshot —"
-      " either layout,\n"
-      "                  autodetected: seeks the stream,"
-      " restores all state, emits exactly the"
+      "                 [--checkpoint-store DIR (checkpoint the monitor"
+      " every K checking\n"
+      "                  passes into an append-only segment store; each"
+      " checkpoint writes\n"
+      "                  only the chunks that changed — O(delta), not"
+      " O(state); K set by\n"
+      "                  --checkpoint-interval, default 16)]\n"
+      "                 [--resume DIR (restart from the checkpoint store"
+      " DIR: seeks the\n"
+      "                  stream, restores all state, emits exactly the"
       " violations an\n"
-      "                  uninterrupted run would emit from the snapshot"
+      "                  uninterrupted run would emit from the checkpoint"
       " on; other\n"
-      "                  flags must match the snapshot or be omitted)]\n"
+      "                  flags must match the checkpoint or be"
+      " omitted)]\n"
       "                 [--kill-after-flushes N (testing aid: SIGKILL"
       " self after N\n"
       "                  checking passes, for kill/resume drills)]\n"
@@ -171,12 +194,10 @@ int usage() {
       " Perfetto)]\n"
       "  awdit serve --port P [--host ADDR (default 127.0.0.1)]"
       " [--metrics-port P]\n"
-      "                 [--checkpoint-dir DIR (persist per-stream"
-      " snapshots; a restarted\n"
-      "                  server resumes every tenant)]"
-      " [--checkpoint-store-dir DIR (same,\n"
-      "                  as per-stream copy-on-write segment stores:"
-      " O(delta) writes)]\n"
+      "                 [--checkpoint-store-dir DIR (persist one"
+      " checkpoint store per\n"
+      "                  stream; a restarted server resumes every"
+      " tenant)]\n"
       "                 [--sink-dir DIR"
       " (per-stream JSONL\n"
       "                  violation logs)] [--threads N] [--idle-timeout"
@@ -466,47 +487,38 @@ bool resumeFlagConflict(const std::string &CkptFile, const Flags &F,
 /// stdin ("-"), feeding a streaming Monitor that emits violations live —
 /// human one-liners or JSON lines — while a window bounds memory if
 /// requested. `--threads N` shards the parsing work across cores
-/// (io/sharded_ingest.h) with bit-identical output; `--checkpoint DIR`
-/// snapshots the full monitor state at flush boundaries so `--resume DIR`
-/// can restart mid-stream after a crash. EOF and SIGINT both finalize:
-/// trailing violations are flushed to the sink and the final stats line is
-/// emitted, so tail mode never drops what it already saw.
+/// (io/sharded_ingest.h) with bit-identical output; `--checkpoint-store
+/// DIR` checkpoints the full monitor state at flush boundaries so
+/// `--resume DIR` can restart mid-stream after a crash. EOF and SIGINT
+/// both finalize: trailing violations are flushed to the sink and the
+/// final stats line is emitted, so tail mode never drops what it already
+/// saw.
 int cmdMonitor(const std::string &Path, const Flags &F) {
   std::string Format = F.getOr("format", "native");
   MonitorOptions Options;
 
   const std::string *ResumeDir = F.get("resume");
   CheckpointMeta ResumeMeta;
-  std::string ResumeBlob;
-  // `--resume` takes either layout: a v2 segment-store directory (detected
-  // by its root log) or a v1 checkpoint.bin directory.
-  bool ResumeFromStore =
-      ResumeDir && StoreCheckpointer::isStoreDir(*ResumeDir);
   std::unique_ptr<StoreCheckpointer> StoreCkpt;
   if (ResumeDir) {
-    std::string CkptFile =
-        ResumeFromStore ? *ResumeDir : checkpointFilePath(*ResumeDir);
-    std::string Err;
-    if (ResumeFromStore) {
-      StoreCkpt = std::make_unique<StoreCheckpointer>();
-      if (!StoreCkpt->open(*ResumeDir, &Err) ||
-          !StoreCkpt->readMeta(ResumeMeta, &Err)) {
-        std::fprintf(stderr, "error: %s: %s\n", CkptFile.c_str(),
-                     Err.c_str());
-        return 2;
-      }
-    } else {
-      if (!readCheckpointFile(*ResumeDir, ResumeBlob, &Err)) {
-        std::fprintf(stderr, "error: %s\n", Err.c_str());
-        return 2;
-      }
-      if (!decodeCheckpointMeta(ResumeBlob, ResumeMeta, &Err)) {
-        std::fprintf(stderr, "error: %s: %s\n", CkptFile.c_str(),
-                     Err.c_str());
-        return 2;
-      }
+    const std::string &CkptFile = *ResumeDir;
+    // Only a checkpoint store resumes; opening anything else would create
+    // an empty store in its place.
+    if (!StoreCheckpointer::isStoreDir(CkptFile)) {
+      std::fprintf(stderr,
+                   "error: %s: not a checkpoint store (--resume takes a "
+                   "directory written by --checkpoint-store)\n",
+                   CkptFile.c_str());
+      return 2;
     }
-    // The snapshot dictates the configuration; explicitly given flags must
+    std::string Err;
+    StoreCkpt = std::make_unique<StoreCheckpointer>();
+    if (!StoreCkpt->open(CkptFile, &Err) ||
+        !StoreCkpt->readMeta(ResumeMeta, &Err)) {
+      std::fprintf(stderr, "error: %s: %s\n", CkptFile.c_str(), Err.c_str());
+      return 2;
+    }
+    // The checkpoint dictates the configuration; explicitly given flags must
     // agree with it or the resumed run would not continue the same check.
     // The level compares as a parsed value, not as text — the display name
     // ("CC") and the flag spelling ("cc") differ in case.
@@ -570,22 +582,11 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
     Threads = std::min(Hw, 8u);
   }
 
-  const std::string *CkptDir = F.get("checkpoint");
+  // A resumed run keeps checkpointing into its own store unless told
+  // otherwise — restartability should survive the restart.
   const std::string *StoreDir = F.get("checkpoint-store");
-  if (CkptDir && StoreDir) {
-    std::fprintf(stderr, "error: --checkpoint and --checkpoint-store are "
-                         "mutually exclusive\n");
-    return 2;
-  }
-  // A resumed run keeps checkpointing into its own directory unless told
-  // otherwise — restartability should survive the restart. The layout
-  // follows what was resumed.
-  if (!CkptDir && !StoreDir) {
-    if (ResumeFromStore)
-      StoreDir = ResumeDir;
-    else
-      CkptDir = ResumeDir;
-  }
+  if (!StoreDir)
+    StoreDir = ResumeDir;
   uint64_t CkptInterval = numFlag(F, "checkpoint-interval", "16");
   if (CkptInterval == 0) {
     std::fprintf(stderr,
@@ -617,34 +618,22 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
   std::string MachineState;
   if (ResumeDir) {
     std::string Err;
-    bool Restored = ResumeFromStore
-                        ? StoreCkpt->restore(M, MachineState, &Err)
-                        : restoreCheckpoint(ResumeBlob, M, MachineState,
-                                            &Err);
-    if (!Restored) {
-      std::fprintf(stderr, "error: %s: %s\n",
-                   ResumeFromStore
-                       ? ResumeDir->c_str()
-                       : checkpointFilePath(*ResumeDir).c_str(),
+    if (!StoreCkpt->restore(M, MachineState, &Err)) {
+      std::fprintf(stderr, "error: %s: %s\n", ResumeDir->c_str(),
                    Err.c_str());
       return 2;
     }
   }
   // The write store: usually the one just restored from, but an explicit
-  // --checkpoint-store may point elsewhere (and a store resume may switch
-  // to v1 --checkpoint, in which case the handle is no longer needed).
-  if (StoreDir) {
-    if (!StoreCkpt || !ResumeFromStore || *StoreDir != *ResumeDir) {
-      StoreCkpt = std::make_unique<StoreCheckpointer>();
-      std::string Err;
-      if (!StoreCkpt->open(*StoreDir, &Err)) {
-        std::fprintf(stderr, "error: %s: %s\n", StoreDir->c_str(),
-                     Err.c_str());
-        return 2;
-      }
+  // --checkpoint-store may point elsewhere.
+  if (StoreDir && (!StoreCkpt || *StoreDir != *ResumeDir)) {
+    StoreCkpt = std::make_unique<StoreCheckpointer>();
+    std::string Err;
+    if (!StoreCkpt->open(*StoreDir, &Err)) {
+      std::fprintf(stderr, "error: %s: %s\n", StoreDir->c_str(),
+                   Err.c_str());
+      return 2;
     }
-  } else {
-    StoreCkpt.reset();
   }
 
   // Epoch-barrier hook, run on the applier thread after every completed
@@ -654,8 +643,8 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
   auto LastStatsPrint = std::chrono::steady_clock::now();
   obs::HistogramSnapshot LastFlushSnap;
   ShardedMonitorIngest::FlushHook Hook;
-  if (CkptDir || StoreDir || KillAfter || StatsIntervalSec) {
-    Hook = [&, CkptDir, StoreDir, CkptInterval, KillAfter, StatsIntervalSec,
+  if (StoreDir || KillAfter || StatsIntervalSec) {
+    Hook = [&, StoreDir, CkptInterval, KillAfter, StatsIntervalSec,
             Format](const IngestFlushPoint &P) mutable {
       // Periodic one-line stats (stderr, at checking-pass boundaries):
       // the same counters the server's /metrics endpoint exports, plus
@@ -679,8 +668,7 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
               static_cast<unsigned long long>(Delta.percentile(0.99)));
         }
       }
-      if ((CkptDir || StoreDir) &&
-          P.Flushes - LastCkptFlush >= CkptInterval) {
+      if (StoreDir && P.Flushes - LastCkptFlush >= CkptInterval) {
         CheckpointMeta Meta;
         Meta.Format = Format;
         Meta.Options = Options;
@@ -692,13 +680,7 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
         ByteWriter MW(MBlob);
         P.Machine.saveState(MW);
         std::string Err;
-        bool Wrote =
-            StoreDir
-                ? StoreCkpt->write(P.M, MBlob, Meta, &Err)
-                : writeCheckpointFile(*CkptDir,
-                                      encodeCheckpoint(P.M, MBlob, Meta),
-                                      &Err);
-        if (!Wrote)
+        if (!StoreCkpt->write(P.M, MBlob, Meta, &Err))
           std::fprintf(stderr, "warning: checkpoint not written: %s\n",
                        Err.c_str());
         else
@@ -721,7 +703,7 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
     ByteReader MR(MachineState);
     if (!Ingest.machine().loadState(MR)) {
       std::fprintf(stderr, "error: %s: corrupted checkpoint (parser state)\n",
-                   checkpointFilePath(*ResumeDir).c_str());
+                   ResumeDir->c_str());
       return 2;
     }
     Ingest.primeResume(ResumeMeta.StreamOffset, ResumeMeta.LineNo);
@@ -879,16 +861,7 @@ int cmdServe(const Flags &F) {
     Options.MetricsPort =
         static_cast<uint16_t>(numFlag(F, "metrics-port", "0"));
   }
-  Options.CheckpointDir = F.getOr("checkpoint-dir", "");
-  if (const std::string *StoreDir = F.get("checkpoint-store-dir")) {
-    if (!Options.CheckpointDir.empty()) {
-      std::fprintf(stderr, "error: --checkpoint-dir and "
-                           "--checkpoint-store-dir are mutually exclusive\n");
-      return 2;
-    }
-    Options.CheckpointDir = *StoreDir;
-    Options.CheckpointStore = true;
-  }
+  Options.CheckpointDir = F.getOr("checkpoint-store-dir", "");
   Options.SinkDir = F.getOr("sink-dir", "");
   Options.TraceDir = F.getOr("trace-dir", "");
   Options.Threads = static_cast<unsigned>(numFlag(F, "threads", "0"));
@@ -1151,6 +1124,16 @@ int main(int Argc, char **Argv) {
   }
   if (Positionals.size() > 1 && Cmd != "batch")
     return usage();
+  auto Known = CommandFlags.find(Cmd);
+  if (Known == CommandFlags.end())
+    return usage();
+  for (const auto &Flag : F.Values) {
+    if (!Known->second.count(Flag.first)) {
+      std::fprintf(stderr, "error: unknown flag --%s for 'awdit %s'\n",
+                   Flag.first.c_str(), Cmd.c_str());
+      return 2;
+    }
+  }
 
   if (Cmd == "check" && Positionals.size() == 1)
     return cmdCheck(Positionals[0], F);
