@@ -28,12 +28,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <ctime>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -354,6 +357,79 @@ static void BM_MonitorFlushScalingCc(benchmark::State &State) {
                           TailOps);
 }
 BENCHMARK(BM_MonitorFlushScalingCc)->Arg(4096)->Arg(16384)->Arg(65536);
+
+// Feed-order sensitivity of the streaming checks. A generated history ends
+// with the synthetic initial-state transaction: the largest writer, read
+// by most transactions that come before it. Fed in id order it commits
+// last; moved to the front, every later reader of an initial value reads
+// from it while the stream runs. One iteration runs a Monitor over the
+// same random CC history both ways (interval 256, one thread) and
+// init_last_over_first_x is the median, over nine back-to-back pairs of
+// runs, of the CPU seconds in id order over the CPU seconds with the
+// initial-state transaction first: near 1 when a read costs
+// O(log |writer|), far below 1 when per-read work grows with the writer.
+// The two runs of a pair see the same host and which of them goes first
+// alternates, so the ratio calibrates itself; one pair's ratio still
+// spreads by a fifth on a shared host, hence nine.
+static double monitorCpuSecs(const History &H, TxnId First) {
+  MonitorOptions Options;
+  Options.Level = IsolationLevel::CausalConsistency;
+  Options.Check.MaxWitnesses = 1;
+  Options.Check.Threads = 1;
+  Options.CheckIntervalTxns = 256;
+  std::clock_t T0 = std::clock();
+  Monitor M(Options);
+  while (M.numSessions() < H.numSessions())
+    M.addSession();
+  auto FeedOne = [&](TxnId Id) {
+    const Transaction &T = H.txn(Id);
+    TxnId Mid = M.beginTxn(T.Session);
+    for (const Operation &Op : T.Ops)
+      M.append(Mid, Op);
+    if (T.Committed)
+      M.commit(Mid);
+    else
+      M.abortTxn(Mid);
+  };
+  if (First != NoTxn)
+    FeedOne(First);
+  for (TxnId Id = 0; Id < H.numTxns(); ++Id)
+    if (Id != First)
+      FeedOne(Id);
+  benchmark::DoNotOptimize(M.finalize());
+  return static_cast<double>(std::clock() - T0) / CLOCKS_PER_SEC;
+}
+
+static void BM_MonitorInitOrderCc(benchmark::State &State) {
+  GenerateParams P;
+  P.Bench = Benchmark::Random;
+  P.Mode = ConsistencyMode::Causal;
+  P.Sessions = 32;
+  P.Txns = static_cast<size_t>(State.range(0));
+  P.Seed = 12345;
+  History H = generateHistory(P);
+  TxnId Init = static_cast<TxnId>(H.numTxns() - 1);
+  constexpr int Pairs = 9;
+  std::vector<double> Ratios;
+  for (auto _ : State) {
+    for (int I = 0; I < Pairs; ++I) {
+      double Last, First;
+      if (I % 2 == 0) {
+        Last = monitorCpuSecs(H, NoTxn);
+        First = monitorCpuSecs(H, Init);
+      } else {
+        First = monitorCpuSecs(H, Init);
+        Last = monitorCpuSecs(H, NoTxn);
+      }
+      Ratios.push_back(First > 0.0 ? Last / First : 0.0);
+    }
+  }
+  std::sort(Ratios.begin(), Ratios.end());
+  State.counters["init_last_over_first_x"] = Ratios[Ratios.size() / 2];
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) * 2 *
+                          Pairs * static_cast<int64_t>(H.numOps()));
+}
+BENCHMARK(BM_MonitorInitOrderCc)->Arg(16384)->Unit(benchmark::kMillisecond);
 
 // O(delta) checkpoints: a commit to a live segment store appends only the
 // chunks whose bytes changed since the last flush, while the same commit

@@ -5,9 +5,8 @@
 #include "checker/commit_graph.h"
 #include "checker/read_consistency.h"
 #include "checker/saturation_impl.h"
-#include "support/hybrid_map.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 using namespace awdit;
 
@@ -21,21 +20,38 @@ bool awdit::checkRepeatableReadsRange(const History &H, TxnId Begin,
                                       TxnId End,
                                       std::vector<Violation> &Out) {
   size_t Before = Out.size();
-  std::unordered_map<Key, TxnId> LastWriter;
+  // (key, po rank) of each external read, and the ranks of the reads that
+  // disagree with the first read of their key; reused across the range.
+  std::vector<std::pair<Key, uint32_t>> ByKey;
+  std::vector<uint32_t> Failing;
   for (TxnId Id = Begin; Id < End; ++Id) {
     const Transaction &T = H.txn(Id);
-    if (!T.Committed)
-      continue;
-    LastWriter.clear();
     // Only external reads matter: the guard in Algorithm 2 line 25 skips
     // own-transaction writers.
-    for (uint32_t ReadIdx : T.ExtReads) {
-      const ReadInfo &RI = T.Reads[ReadIdx];
-      auto [It, Inserted] = LastWriter.try_emplace(RI.K, RI.Writer);
-      if (!Inserted && It->second != RI.Writer)
-        Out.push_back({ViolationKind::NonRepeatableRead, Id, RI.OpIndex,
-                       RI.Writer,
-                       {}});
+    const std::vector<uint32_t> &Ext = T.ExtReads;
+    if (!T.Committed || Ext.size() < 2)
+      continue;
+    ByKey.clear();
+    for (uint32_t I = 0; I < Ext.size(); ++I)
+      ByKey.emplace_back(T.Reads[Ext[I]].K, I);
+    std::sort(ByKey.begin(), ByKey.end());
+    // Within a key's run (po order), every read must observe the writer
+    // of the run's first read.
+    Failing.clear();
+    TxnId First = NoTxn;
+    for (size_t J = 0; J < ByKey.size(); ++J) {
+      TxnId Writer = T.Reads[Ext[ByKey[J].second]].Writer;
+      if (J == 0 || ByKey[J].first != ByKey[J - 1].first)
+        First = Writer;
+      else if (Writer != First)
+        Failing.push_back(ByKey[J].second);
+    }
+    std::sort(Failing.begin(), Failing.end());
+    for (uint32_t I : Failing) {
+      const ReadInfo &RI = T.Reads[Ext[I]];
+      Out.push_back({ViolationKind::NonRepeatableRead, Id, RI.OpIndex,
+                     RI.Writer,
+                     {}});
     }
   }
   return Out.size() == Before;

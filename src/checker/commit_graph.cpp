@@ -31,19 +31,77 @@ CommitGraph::CommitGraph(const History &H) : H(H), G(H.numTxns()) {
 }
 
 void CommitGraph::flushInferred() {
-  if (Pending.empty())
+  size_t Raw = Pending.size();
+  for (const std::vector<uint64_t> &Run : Adopted)
+    Raw += Run.size();
+  if (Raw == 0)
     return;
-  std::sort(Pending.begin(), Pending.end());
-  uint64_t Prev = ~uint64_t(0);
-  for (uint64_t Packed : Pending) {
-    if (Packed == Prev)
+
+  // Counting sort on the source: Pos[U + 1] counts U's raw edges, the
+  // prefix sum turns Pos[U] into the start of U's bucket, and the scatter
+  // advances it to the bucket's end. Only targets are stored: the source
+  // is implicit in the bucket.
+  size_t N = G.numNodes();
+  std::vector<size_t> Pos(N + 1, 0);
+  auto ForEachRaw = [&](auto &&F) {
+    for (uint64_t Packed : Pending)
+      F(Packed);
+    for (const std::vector<uint64_t> &Run : Adopted)
+      for (uint64_t Packed : Run)
+        F(Packed);
+  };
+  ForEachRaw([&](uint64_t Packed) { ++Pos[(Packed >> 32) + 1]; });
+  for (size_t U = 0; U < N; ++U)
+    Pos[U + 1] += Pos[U];
+  std::vector<uint32_t> Targets(Raw);
+  ForEachRaw([&](uint64_t Packed) {
+    Targets[Pos[Packed >> 32]++] = static_cast<uint32_t>(Packed);
+  });
+  std::vector<uint64_t>().swap(Pending);
+  Adopted.clear();
+
+  // Deduplicate each bucket (Seen[To] == From + 1 marks a target already
+  // kept for this source), then sort its distinct targets. Visiting
+  // sources in ascending order adds the new distinct edges in ascending
+  // (From, To) order, skipping those an earlier flush already added
+  // (Inferred is sorted the same way).
+  std::vector<uint32_t> Seen(N, 0);
+  std::vector<uint64_t> Added;
+  size_t Old = 0;
+  size_t Begin = 0;
+  for (uint32_t From = 0; From < N; ++From) {
+    uint32_t *First = Targets.data() + Begin;
+    uint32_t *Last = First;
+    for (size_t I = Begin; I < Pos[From]; ++I) {
+      uint32_t To = Targets[I];
+      if (Seen[To] == From + 1)
+        continue;
+      Seen[To] = From + 1;
+      *Last++ = To;
+    }
+    Begin = Pos[From];
+    if (First == Last)
       continue;
-    Prev = Packed;
-    if (Inferred.insert(Packed).second)
-      G.addEdge(static_cast<uint32_t>(Packed >> 32),
-                static_cast<uint32_t>(Packed));
+    std::sort(First, Last);
+    for (const uint32_t *To = First; To != Last; ++To) {
+      uint64_t Packed = packEdge(From, *To);
+      while (Old < Inferred.size() && Inferred[Old] < Packed)
+        ++Old;
+      if (Old < Inferred.size() && Inferred[Old] == Packed)
+        continue;
+      G.addEdge(From, *To);
+      Added.push_back(Packed);
+    }
   }
-  Pending.clear();
+
+  if (Inferred.empty()) {
+    Inferred = std::move(Added);
+    return;
+  }
+  std::vector<uint64_t> Merged(Inferred.size() + Added.size());
+  std::merge(Inferred.begin(), Inferred.end(), Added.begin(), Added.end(),
+             Merged.begin());
+  Inferred = std::move(Merged);
 }
 
 EdgeKind CommitGraph::classifyEdge(TxnId From, TxnId To) const {

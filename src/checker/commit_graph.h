@@ -26,7 +26,6 @@
 #include "history/history.h"
 #include "support/assert.h"
 
-#include <unordered_set>
 #include <vector>
 
 namespace awdit {
@@ -35,7 +34,15 @@ namespace awdit {
 ///
 /// Construction seeds the graph with so (as per-session successor chains —
 /// the transitive reduction of so) and txn-level wr edges; checker
-/// algorithms then add inferred edges via inferEdge().
+/// algorithms then add inferred edges via inferEdge() or adoptInferred().
+///
+/// Inferred edges are canonicalized at flush time without hashing: a
+/// counting sort on the dense source id, then inside each source's bucket
+/// a marker-array dedupe and a sort of the distinct targets. New distinct
+/// edges enter the graph in ascending (From, To) order, so each node's
+/// adjacency is [so successor, wr readers ascending, inferred targets
+/// ascending] — a later flush appends its new targets after the earlier
+/// ones. The order steers Tarjan numbering and witness choice.
 class CommitGraph {
 public:
   explicit CommitGraph(const History &H);
@@ -47,6 +54,14 @@ public:
   void inferEdge(TxnId From, TxnId To) {
     AWDIT_ASSERT(From != To, "inferEdge: self edge is a trivial cycle");
     Pending.push_back(packEdge(From, To));
+  }
+
+  /// Hands a buffer of packed inferred edges (see packEdge) to the graph:
+  /// the same as inferEdge() on each element, without copying them.
+  /// \p Edges is left empty.
+  void adoptInferred(std::vector<uint64_t> &&Edges) {
+    if (!Edges.empty())
+      Adopted.push_back(std::move(Edges));
   }
 
   /// Packs an inferred edge for inferEdge-style bulk storage. The shared
@@ -62,8 +77,12 @@ public:
     return Inferred.size();
   }
 
-  /// Number of edges in the underlying graph (so + wr + inferred).
-  size_t numEdges() const { return G.numEdges() + Pending.size(); }
+  /// Number of edges in the underlying graph: so + wr + distinct inferred
+  /// (flushes pending).
+  size_t numEdges() {
+    flushInferred();
+    return G.numEdges();
+  }
 
   /// Checks co' for cycles. Appends at most \p MaxWitnesses violations to
   /// \p Out (one witness cycle per cyclic SCC). A cycle that uses only
@@ -82,15 +101,18 @@ private:
   /// Classifies an edge for witness labelling (structural, O(deg) for wr).
   EdgeKind classifyEdge(TxnId From, TxnId To) const;
 
-  /// Merges the pending inferred edges into the graph, deduplicated.
+  /// Merges the pending inferred edges into the graph, deduplicated
+  /// against each other and against earlier flushes.
   void flushInferred();
 
   const History &H;
   Digraph G;
-  /// Raw (possibly duplicated) inferred edges awaiting the flush.
+  /// Raw (possibly duplicated) inferred edges awaiting the flush:
+  /// inferEdge()'s buffer and the buffers handed over by adoptInferred().
   std::vector<uint64_t> Pending;
-  /// Packed (From, To) pairs of flushed inferred edges.
-  std::unordered_set<uint64_t> Inferred;
+  std::vector<std::vector<uint64_t>> Adopted;
+  /// Packed (From, To) pairs of flushed inferred edges, sorted ascending.
+  std::vector<uint64_t> Inferred;
 };
 
 } // namespace awdit

@@ -171,16 +171,13 @@ bool Monitor::deriveTxn(TxnId Local) {
   Transaction &T = Live.Txns[Local];
   T.Reads.clear();
 
-  std::vector<Key> WrittenKeys;
   bool AllWritersClosed = true;
   uint64_t ReaderTag = static_cast<uint64_t>(toMonitorId(Local)) << 32;
 
   for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
     const Operation &Op = T.Ops[OpIdx];
-    if (Op.isWrite()) {
-      WrittenKeys.push_back(Op.K);
+    if (Op.isWrite())
       continue;
-    }
     ReadInfo RI{OpIdx, Op.K, Op.V, NoTxn, NoOp};
     bool Masked = EvictedWriterMask.count(ReaderTag | OpIdx) != 0;
     if (!Masked) {
@@ -215,10 +212,7 @@ bool Monitor::deriveTxn(TxnId Local) {
     }
   }
 
-  std::sort(WrittenKeys.begin(), WrittenKeys.end());
-  WrittenKeys.erase(std::unique(WrittenKeys.begin(), WrittenKeys.end()),
-                    WrittenKeys.end());
-  T.WriteKeys = std::move(WrittenKeys);
+  T.deriveWriteKeys();
   classifyExternalReads(Local);
   return AllWritersClosed;
 }
@@ -1062,6 +1056,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     T.WriteKeys.resize(NumWk);
     for (Key &K : T.WriteKeys)
       K = R.u64();
+    T.markOverwrittenWrites();
   }
 
   uint64_t NumSessions = R.u64();

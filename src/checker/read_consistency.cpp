@@ -2,38 +2,7 @@
 
 #include "checker/read_consistency.h"
 
-#include <unordered_map>
-
 using namespace awdit;
-
-namespace {
-
-/// Lazily computed per-transaction map key -> op index of the final write
-/// to that key. Shared across all reads from the same writer so the
-/// observe-latest-write check stays linear overall.
-class FinalWriteIndex {
-public:
-  explicit FinalWriteIndex(const std::vector<Transaction> &Txns)
-      : Txns(Txns) {}
-
-  uint32_t finalWriteOp(TxnId Writer, Key K) {
-    auto [It, Inserted] = Cache.try_emplace(Writer);
-    if (Inserted) {
-      const Transaction &T = Txns[Writer];
-      for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx)
-        if (T.Ops[OpIdx].isWrite())
-          It->second[T.Ops[OpIdx].K] = OpIdx;
-    }
-    auto KeyIt = It->second.find(K);
-    return KeyIt == It->second.end() ? NoOp : KeyIt->second;
-  }
-
-private:
-  const std::vector<Transaction> &Txns;
-  std::unordered_map<TxnId, std::unordered_map<Key, uint32_t>> Cache;
-};
-
-} // namespace
 
 bool awdit::checkReadConsistency(const History &H,
                                  std::vector<Violation> &Out) {
@@ -45,21 +14,25 @@ bool awdit::checkReadConsistencyRange(const History &H, TxnId Begin,
                                       TxnId End, std::vector<Violation> &Out) {
   size_t Before = Out.size();
   const std::vector<Transaction> &Txns = H.transactions();
-  FinalWriteIndex FinalWrites(Txns);
 
+  // LatestOwnWrite[S]: op index of the latest own write to T.WriteKeys[S]
+  // seen so far in the po scan, NoOp before the first; used for the
+  // own-write axioms (Fig. 2c/2d/2e same-txn). One scratch array reused
+  // across the range.
+  std::vector<uint32_t> LatestOwnWrite;
   for (TxnId Id = Begin; Id < End; ++Id) {
     const Transaction &T = Txns[Id];
     if (!T.Committed)
       continue;
 
-    // latestWrite[x]: op index of the latest own write to x seen so far in
-    // the po scan; used for the own-write axioms (Fig. 2c/2d/2e same-txn).
-    std::unordered_map<Key, uint32_t> LatestOwnWrite;
+    LatestOwnWrite.assign(T.WriteKeys.size(), NoOp);
     size_t NextRead = 0;
     for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
       const Operation &Op = T.Ops[OpIdx];
+      uint32_t Slot = T.writeKeySlot(Op.K);
       if (Op.isWrite()) {
-        LatestOwnWrite[Op.K] = OpIdx;
+        if (Slot != NoOp)
+          LatestOwnWrite[Slot] = OpIdx;
         continue;
       }
       const ReadInfo &RI = T.Reads[NextRead++];
@@ -76,7 +49,7 @@ bool awdit::checkReadConsistencyRange(const History &H, TxnId Begin,
         continue;
       }
 
-      auto OwnIt = LatestOwnWrite.find(Op.K);
+      uint32_t OwnLatest = Slot == NoOp ? NoOp : LatestOwnWrite[Slot];
       if (RI.Writer == Id) {
         // (c) No future reads: the observed own write must be po-earlier.
         if (RI.WriterOp > OpIdx) {
@@ -84,7 +57,7 @@ bool awdit::checkReadConsistencyRange(const History &H, TxnId Begin,
           continue;
         }
         // (e, same txn) Observe latest own write.
-        if (OwnIt == LatestOwnWrite.end() || OwnIt->second != RI.WriterOp) {
+        if (OwnLatest != RI.WriterOp) {
           Out.push_back(
               {ViolationKind::NotLatestWriteSameTxn, Id, OpIdx, Id, {}});
           continue;
@@ -92,14 +65,15 @@ bool awdit::checkReadConsistencyRange(const History &H, TxnId Begin,
       } else {
         // (d) Observe own writes: reading externally is wrong if an own
         // po-earlier write to the key exists.
-        if (OwnIt != LatestOwnWrite.end()) {
+        if (OwnLatest != NoOp) {
           Out.push_back(
               {ViolationKind::NotOwnWrite, Id, OpIdx, RI.Writer, {}});
           continue;
         }
         // (e, other txn) Observe latest write: the observed write must be
-        // the final write to the key inside the writer transaction.
-        if (FinalWrites.finalWriteOp(RI.Writer, Op.K) != RI.WriterOp) {
+        // the final write to the key inside the writer transaction — one
+        // derived flag of the writer's op, never a rebuilt index.
+        if (!Txns[RI.Writer].isFinalWrite(RI.WriterOp, Op.K)) {
           Out.push_back({ViolationKind::NotLatestWriteOtherTxn, Id, OpIdx,
                          RI.Writer,
                          {}});

@@ -23,9 +23,13 @@
 
 namespace awdit {
 
-/// Checks the five Read Consistency axioms of \p H in O(n) time, appending
-/// one violation per failing read to \p Out. Returns true iff no violation
-/// was found.
+/// Checks the five Read Consistency axioms of \p H, appending one violation
+/// per failing read to \p Out. Returns true iff no violation was found.
+/// Hash-free: own writes are tracked in a scratch array aligned with the
+/// reader's sorted WriteKeys (a binary search per op), and whether an
+/// observed write is its writer's final write is a derived per-op flag
+/// (Operation::Overwritten). An op costs O(log |KeysWt|) and nothing is
+/// rebuilt per call.
 bool checkReadConsistency(const History &H, std::vector<Violation> &Out);
 
 /// Range form of checkReadConsistency covering transactions [Begin, End):

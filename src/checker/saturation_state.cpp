@@ -806,25 +806,21 @@ bool SaturationState::finalizeAcyclic(const History &H,
                                       std::vector<Violation> &Out,
                                       size_t MaxWitnesses,
                                       SaturationStats *Stats) {
+  AWDIT_ASSERT(EngineMode == Mode::Batch,
+               "finalizeAcyclic: streaming state keeps its own order");
   // One canonical pass over the complete edge set: the commit graph
   // canonicalizes (sorts, deduplicates) the inferred edges, so the result
   // is independent of which path or interleaving collected them — and
   // bit-identical to the historical batch checkers. The CC paths already
-  // built the base graph for the topological sort; reuse it.
+  // built the base graph for the topological sort; reuse it. The edge
+  // buffers are handed over, not copied.
   std::optional<CommitGraph> Local;
   CommitGraph &Co = CachedBase ? *CachedBase : Local.emplace(H);
-  for (uint64_t Packed : BatchEdges)
-    Co.inferEdge(edgeFrom(Packed), edgeTo(Packed));
+  Co.adoptInferred(std::move(BatchEdges));
   for (Stripe &S : Stripes) {
     std::lock_guard<std::mutex> Lock(S.Mutex);
-    for (uint64_t Packed : S.Buf)
-      Co.inferEdge(edgeFrom(Packed), edgeTo(Packed));
-    S.Buf.clear();
+    Co.adoptInferred(std::move(S.Buf));
   }
-  Edges.forEach([&](uint64_t Packed, const EdgeRefs &Refs) {
-    if (Refs.Inferred > 0)
-      Co.inferEdge(edgeFrom(Packed), edgeTo(Packed));
-  });
   if (Stats) {
     Stats->InferredEdges = Co.numInferredEdges();
     Stats->GraphEdges = Co.numEdges();

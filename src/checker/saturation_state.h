@@ -166,11 +166,11 @@ public:
   /// to finalizeAcyclic().
   std::optional<std::vector<uint32_t>> computeBaseOrder(const History &H);
 
-  /// Canonical verdict over the complete history: rebuilds the commit
-  /// graph from \p H, merges every inferred edge collected so far
-  /// (canonicalized: sorted, deduplicated), and runs the same SCC pass and
-  /// witness extraction as the batch checkers. Bit-identical to them for
-  /// identical edge sets.
+  /// Canonical verdict over the complete history (batch mode): rebuilds
+  /// the commit graph from \p H, hands it every inferred edge buffer
+  /// collected so far (canonicalized there: sorted, deduplicated), and
+  /// runs the same SCC pass and witness extraction as the batch checkers.
+  /// Bit-identical to them for identical edge sets. Consumes the buffers.
   bool finalizeAcyclic(const History &H, std::vector<Violation> &Out,
                        size_t MaxWitnesses, SaturationStats *Stats);
 

@@ -135,14 +135,11 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
     if (T.Committed)
       ++CommittedCount;
 
-    std::unordered_set<Key> WrittenKeys;
     std::unordered_set<TxnId> SeenWriters;
     for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
       const Operation &Op = T.Ops[OpIdx];
-      if (Op.isWrite()) {
-        WrittenKeys.insert(Op.K);
+      if (Op.isWrite())
         continue;
-      }
       ReadInfo RI{OpIdx, Op.K, Op.V, NoTxn, NoOp};
       if (const WriteSite *Site = WriteIndex.find(Op.K, Op.V)) {
         RI.Writer = Site->T;
@@ -159,8 +156,7 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
           T.ReadFroms.push_back(RI.Writer);
       }
     }
-    T.WriteKeys.assign(WrittenKeys.begin(), WrittenKeys.end());
-    std::sort(T.WriteKeys.begin(), T.WriteKeys.end());
+    T.deriveWriteKeys();
   }
 
   H.TotalOps = TotalOps;

@@ -6,9 +6,11 @@
 ///
 /// \file
 /// The Transaction record (paper Definition 2.1) plus the derived per-
-/// transaction indices that History::finalize() precomputes for the checking
-/// algorithms: resolved reads, distinct write keys, and distinct external
-/// writers in first-read order.
+/// transaction indices the checking algorithms read: resolved reads,
+/// distinct write keys (and which writes are final), and distinct external
+/// writers in first-read order. HistoryBuilder::build() derives them for a
+/// complete history, Monitor::deriveTxn() for each transaction of a live
+/// stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,7 @@
 #include "history/types.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace awdit {
@@ -36,7 +39,8 @@ struct ReadInfo {
 };
 
 /// A client transaction: its operations in program order, its session
-/// coordinates, and indices derived during History::finalize().
+/// coordinates, and the derived indices (HistoryBuilder::build(),
+/// Monitor::deriveTxn()).
 struct Transaction {
   /// The session this transaction belongs to.
   SessionId Session = 0;
@@ -47,7 +51,7 @@ struct Transaction {
   /// Operations in program order.
   std::vector<Operation> Ops;
 
-  // --- Derived by History::finalize(). ---
+  // --- Derived by HistoryBuilder::build() / Monitor::deriveTxn(). ---
 
   /// All reads in po order, with resolved writers.
   std::vector<ReadInfo> Reads;
@@ -65,6 +69,52 @@ struct Transaction {
   /// sorted WriteKeys — O(log |KeysWt|)).
   bool writesKey(Key K) const {
     return std::binary_search(WriteKeys.begin(), WriteKeys.end(), K);
+  }
+
+  /// Position of \p K in WriteKeys, or NoOp if this transaction does not
+  /// write it. O(log |KeysWt|).
+  uint32_t writeKeySlot(Key K) const {
+    auto It = std::lower_bound(WriteKeys.begin(), WriteKeys.end(), K);
+    if (It == WriteKeys.end() || *It != K)
+      return NoOp;
+    return static_cast<uint32_t>(It - WriteKeys.begin());
+  }
+
+  /// Returns true if op \p OpIdx is the final write to \p K in this
+  /// transaction: the only write of \p K another transaction may observe.
+  /// O(1); needs the Overwritten flags (markOverwrittenWrites()).
+  bool isFinalWrite(uint32_t OpIdx, Key K) const {
+    return OpIdx < Ops.size() && Ops[OpIdx].isWrite() &&
+           Ops[OpIdx].K == K && !Ops[OpIdx].Overwritten;
+  }
+
+  /// Derives WriteKeys and the Overwritten flags of Ops.
+  void deriveWriteKeys() {
+    markOverwrittenWrites();
+    // Each written key has exactly one final write.
+    WriteKeys.clear();
+    for (const Operation &Op : Ops)
+      if (Op.isWrite() && !Op.Overwritten)
+        WriteKeys.push_back(Op.K);
+    std::sort(WriteKeys.begin(), WriteKeys.end());
+  }
+
+  /// Sets the Overwritten flag of every write in Ops. A checkpoint
+  /// restores WriteKeys but not the flags, so its loader calls this alone.
+  void markOverwrittenWrites() {
+    // (key, op index) of every write, sorted: within a key's run, every
+    // write but the last is overwritten.
+    std::vector<std::pair<Key, uint32_t>> Writes;
+    for (uint32_t OpIdx = 0; OpIdx < Ops.size(); ++OpIdx) {
+      if (!Ops[OpIdx].isWrite())
+        continue;
+      Ops[OpIdx].Overwritten = false;
+      Writes.emplace_back(Ops[OpIdx].K, OpIdx);
+    }
+    std::sort(Writes.begin(), Writes.end());
+    for (size_t I = 1; I < Writes.size(); ++I)
+      if (Writes[I].first == Writes[I - 1].first)
+        Ops[Writes[I - 1].second].Overwritten = true;
   }
 
   /// Number of operations (reads + writes).

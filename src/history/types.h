@@ -46,11 +46,20 @@ enum class OpKind : uint8_t { Read, Write };
 /// program order (po).
 struct Operation {
   OpKind Kind;
+  /// Derived with the transaction's indices (Transaction::deriveWriteKeys):
+  /// set on a write that a po-later write of its transaction to the same
+  /// key overwrites, so no other transaction may observe it. Fills padding;
+  /// never serialized and ignored by ==.
+  bool Overwritten = false;
   Key K;
   Value V;
 
-  static Operation read(Key K, Value V) { return {OpKind::Read, K, V}; }
-  static Operation write(Key K, Value V) { return {OpKind::Write, K, V}; }
+  static Operation read(Key K, Value V) {
+    return {OpKind::Read, false, K, V};
+  }
+  static Operation write(Key K, Value V) {
+    return {OpKind::Write, false, K, V};
+  }
 
   bool isRead() const { return Kind == OpKind::Read; }
   bool isWrite() const { return Kind == OpKind::Write; }

@@ -256,6 +256,41 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 96),      // window size
                        ::testing::Bool()));           // inject an anomaly
 
+/// Which writes are final is derived state a checkpoint does not carry:
+/// a read after the resume that observes the overwritten write of a
+/// transaction restored from the checkpoint must still be reported.
+TEST(Checkpoint, ReadOfRestoredNonFinalWriteIsReported) {
+  constexpr Key X = 1;
+  std::vector<TxnSpec> Specs = {{0, {W(X, 1), W(X, 2)}}};
+  for (Value V = 1; V <= 12; ++V)
+    Specs.push_back({static_cast<SessionId>(1 + V % 2), {W(100 + V, V)}});
+  Specs.push_back({1, {R(X, 1)}});
+  HistoryBuilder B;
+  for (SessionId S = 0; S < 3; ++S)
+    B.addSession();
+  for (const TxnSpec &T : Specs) {
+    TxnId Id = B.beginTxn(T.S);
+    for (const Operation &Op : T.Ops)
+      B.append(Id, Op);
+  }
+  std::optional<History> H = B.build();
+  ASSERT_TRUE(H);
+  std::string Text = writeTextHistory(*H);
+
+  MonitorOptions Options;
+  Options.Level = IsolationLevel::ReadCommitted;
+  Options.Check.Threads = 1;
+  Options.CheckIntervalTxns = 4;
+  ReferenceRun Ref = runWithSnapshots(Text, "native", Options);
+  ASSERT_FALSE(Ref.Report.Violations.empty());
+  EXPECT_EQ(Ref.Report.Violations[0].Kind,
+            ViolationKind::NotLatestWriteOtherTxn);
+  ASSERT_GE(Ref.Snapshots.size(), 2u);
+  for (size_t Idx = 0; Idx + 1 < Ref.Snapshots.size(); ++Idx)
+    resumeAndCompare(Ref, Ref.Snapshots[Idx], Text, "native", Options,
+                     /*Threads=*/1, "snapshot " + std::to_string(Idx));
+}
+
 /// Foreign formats checkpoint their parser-machine state too: a plume
 /// snapshot can land mid-pair, a dbcop snapshot mid-block.
 TEST(Checkpoint, ForeignFormatMachineStateRoundTrips) {

@@ -101,6 +101,27 @@ TEST(HistoryBuilder, WriteKeysSortedAndDeduped) {
   EXPECT_FALSE(T.writesKey(4));
 }
 
+TEST(HistoryBuilder, MarksOverwrittenWrites) {
+  History H = makeHistory({
+      {0, {W(5, 1), R(5, 1), W(3, 2), W(5, 3), W(9, 4), W(3, 5)}},
+  });
+  const Transaction &T = H.txn(0);
+  std::vector<bool> Overwritten;
+  for (const Operation &Op : T.Ops)
+    Overwritten.push_back(Op.Overwritten);
+  EXPECT_EQ(Overwritten,
+            (std::vector<bool>{true, false, true, false, false, false}));
+  EXPECT_EQ(T.WriteKeys, (std::vector<Key>{3, 5, 9}));
+  EXPECT_TRUE(T.isFinalWrite(3, 5));
+  EXPECT_TRUE(T.isFinalWrite(5, 3));
+  EXPECT_FALSE(T.isFinalWrite(0, 5)); // overwritten by op 3
+  EXPECT_FALSE(T.isFinalWrite(1, 5)); // a read
+  EXPECT_FALSE(T.isFinalWrite(4, 3)); // a write of another key
+  EXPECT_FALSE(T.isFinalWrite(NoOp, 3));
+  EXPECT_EQ(T.writeKeySlot(9), 2u);
+  EXPECT_EQ(T.writeKeySlot(4), NoOp);
+}
+
 TEST(HistoryBuilder, ImplicitInitialStateCreatesInitTxn) {
   HistoryBuilder B;
   SessionId S = B.addSession();
