@@ -203,9 +203,9 @@ public:
   /// Moves the fully derived ingested history out of the monitor without
   /// running any check, ending the session. Every transaction must be
   /// closed and nothing may have been evicted. This makes the monitor
-  /// double as an incremental HistoryBuilder: parseTextHistory() is a
-  /// feed-then-take wrapper over the streaming parser, so the native
-  /// grammar exists in exactly one place.
+  /// double as an incremental HistoryBuilder: parseHistory()
+  /// (io/sharded_ingest.h) is a feed-then-take wrapper over the ingest
+  /// pipeline, so each format's grammar exists in exactly one place.
   History takeHistory();
 
   // --- Checking. ---

@@ -2,119 +2,9 @@
 
 #include "io/dbcop_format.h"
 
-#include "history/history_builder.h"
-#include "history/wr_resolver.h"
-#include "io/token_util.h"
-
 #include <sstream>
 
 using namespace awdit;
-using awdit::io::parseInt;
-using awdit::io::TokenCursor;
-
-namespace {
-
-bool setErr(std::string *Err, size_t LineNo, const std::string &Msg) {
-  if (Err)
-    *Err = "line " + std::to_string(LineNo) + ": " + Msg;
-  return false;
-}
-
-} // namespace
-
-std::optional<History> awdit::parseDbcopHistory(std::string_view Text,
-                                                std::string *Err) {
-  HistoryBuilder B;
-  // Duplicate writes are a build()-level invariant, but detecting them
-  // here attributes the error to its line.
-  WriteSiteIndex SeenWrites;
-  bool SeenHeader = false;
-  size_t DeclaredSessions = 0;
-  TxnId Open = NoTxn;
-  size_t OpsLeft = 0;
-
-  size_t LineNo = 0;
-  size_t Pos = 0;
-  while (Pos <= Text.size()) {
-    size_t End = Text.find('\n', Pos);
-    std::string_view Line = End == std::string_view::npos
-                                ? Text.substr(Pos)
-                                : Text.substr(Pos, End - Pos);
-    Pos = End == std::string_view::npos ? Text.size() + 1 : End + 1;
-    ++LineNo;
-    TokenCursor C(Line);
-    std::string_view Dir = C.next();
-    if (Dir.empty() || Dir.front() == '#')
-      continue;
-
-    if (Dir == "sessions") {
-      if (SeenHeader || !C.nextInt(DeclaredSessions) ||
-          !C.atEnd()) {
-        setErr(Err, LineNo, "expected a single 'sessions <k>' header");
-        return std::nullopt;
-      }
-      for (size_t I = 0; I < DeclaredSessions; ++I)
-        B.addSession();
-      SeenHeader = true;
-      continue;
-    }
-    if (!SeenHeader) {
-      setErr(Err, LineNo, "missing 'sessions <k>' header");
-      return std::nullopt;
-    }
-
-    if (Dir == "txn") {
-      if (OpsLeft != 0) {
-        setErr(Err, LineNo, "previous transaction is missing operations");
-        return std::nullopt;
-      }
-      SessionId S;
-      int Committed;
-      size_t NumOps;
-      if (!C.nextInt(S) || !C.nextInt(Committed) ||
-          !C.nextInt(NumOps) || !C.atEnd() ||
-          S >= DeclaredSessions || (Committed != 0 && Committed != 1)) {
-        setErr(Err, LineNo, "expected 'txn <session> <0|1> <numops>'");
-        return std::nullopt;
-      }
-      Open = B.beginTxn(S);
-      if (Committed == 0)
-        B.abortTxn(Open);
-      OpsLeft = NumOps;
-      continue;
-    }
-    if (Dir == "R" || Dir == "W") {
-      if (Open == NoTxn || OpsLeft == 0) {
-        setErr(Err, LineNo, "operation outside a transaction block");
-        return std::nullopt;
-      }
-      Key K;
-      Value V;
-      if (!C.nextInt(K) || !C.nextInt(V) || !C.atEnd()) {
-        setErr(Err, LineNo, "expected '<R|W> <key> <value>'");
-        return std::nullopt;
-      }
-      if (Dir == "R") {
-        B.read(Open, K, V);
-      } else {
-        if (!SeenWrites.record(K, V, Open, 0)) {
-          setErr(Err, LineNo, duplicateWriteMessage(K, V));
-          return std::nullopt;
-        }
-        B.write(Open, K, V);
-      }
-      --OpsLeft;
-      continue;
-    }
-    setErr(Err, LineNo, "unknown directive '" + std::string(Dir) + "'");
-    return std::nullopt;
-  }
-  if (OpsLeft != 0) {
-    setErr(Err, LineNo, "unexpected end of input inside a transaction");
-    return std::nullopt;
-  }
-  return B.build(Err);
-}
 
 std::string awdit::writeDbcopHistory(const History &H) {
   std::ostringstream Out;

@@ -15,6 +15,9 @@
 ///   W <key> <value>
 /// \endcode
 ///
+/// parseHistory("dbcop", ...) (io/sharded_ingest.h) reads it; the grammar
+/// lives in io/stream_parser.cpp.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AWDIT_IO_DBCOP_FORMAT_H
@@ -22,15 +25,9 @@
 
 #include "history/history.h"
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace awdit {
-
-/// Parses the DBCop-style block format.
-std::optional<History> parseDbcopHistory(std::string_view Text,
-                                         std::string *Err = nullptr);
 
 /// Serializes \p H in the DBCop-style block format.
 std::string writeDbcopHistory(const History &H);

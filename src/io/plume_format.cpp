@@ -2,95 +2,9 @@
 
 #include "io/plume_format.h"
 
-#include "history/history_builder.h"
-#include "history/wr_resolver.h"
-#include "io/token_util.h"
-
 #include <sstream>
 
 using namespace awdit;
-using awdit::io::CsvCursor;
-using awdit::io::parseInt;
-
-namespace {
-
-bool setErr(std::string *Err, size_t LineNo, const std::string &Msg) {
-  if (Err)
-    *Err = "line " + std::to_string(LineNo) + ": " + Msg;
-  return false;
-}
-
-} // namespace
-
-std::optional<History> awdit::parsePlumeHistory(std::string_view Text,
-                                                std::string *Err) {
-  HistoryBuilder B;
-  // Duplicate writes are a build()-level invariant, but detecting them
-  // here attributes the error to its line.
-  WriteSiteIndex SeenWrites;
-  size_t NumSessions = 0;
-  // Current open transaction, identified by (session, txn id from file).
-  bool HasOpen = false;
-  SessionId OpenSession = 0;
-  uint64_t OpenFileTxn = 0;
-  TxnId Open = NoTxn;
-
-  size_t LineNo = 0;
-  size_t Pos = 0;
-  while (Pos <= Text.size()) {
-    size_t End = Text.find('\n', Pos);
-    std::string_view Line = End == std::string_view::npos
-                                ? Text.substr(Pos)
-                                : Text.substr(Pos, End - Pos);
-    Pos = End == std::string_view::npos ? Text.size() + 1 : End + 1;
-    ++LineNo;
-    // Trim trailing CR for Windows-style logs.
-    if (!Line.empty() && Line.back() == '\r')
-      Line.remove_suffix(1);
-    if (Line.empty() || Line.front() == '#')
-      continue;
-
-    CsvCursor C(Line);
-    std::string_view Op;
-    SessionId S;
-    uint64_t FileTxn;
-    if (!C.nextInt(S) || !C.nextInt(FileTxn) || !C.next(Op)) {
-      setErr(Err, LineNo, "expected '<session>,<txn>,...'");
-      return std::nullopt;
-    }
-    while (NumSessions <= S) {
-      B.addSession();
-      ++NumSessions;
-    }
-    if (!HasOpen || OpenSession != S || OpenFileTxn != FileTxn) {
-      Open = B.beginTxn(S);
-      HasOpen = true;
-      OpenSession = S;
-      OpenFileTxn = FileTxn;
-    }
-    if (Op == "abort") {
-      B.abortTxn(Open);
-      continue;
-    }
-    Key K;
-    Value V;
-    if (!C.nextInt(K) || !C.nextInt(V) || !C.atEnd() ||
-        (Op != "r" && Op != "w")) {
-      setErr(Err, LineNo, "expected '<session>,<txn>,<r|w>,<key>,<value>'");
-      return std::nullopt;
-    }
-    if (Op == "r") {
-      B.read(Open, K, V);
-    } else {
-      if (!SeenWrites.record(K, V, Open, 0)) {
-        setErr(Err, LineNo, duplicateWriteMessage(K, V));
-        return std::nullopt;
-      }
-      B.write(Open, K, V);
-    }
-  }
-  return B.build(Err);
-}
 
 std::string awdit::writePlumeHistory(const History &H) {
   std::ostringstream Out;

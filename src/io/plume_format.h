@@ -16,7 +16,9 @@
 /// \endcode
 ///
 /// Rows of one transaction must be contiguous; transactions of a session
-/// appear in session order.
+/// appear in session order. parseHistory("plume", ...)
+/// (io/sharded_ingest.h) reads it; the grammar lives in
+/// io/stream_parser.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,15 +27,9 @@
 
 #include "history/history.h"
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace awdit {
-
-/// Parses the Plume-style CSV format.
-std::optional<History> parsePlumeHistory(std::string_view Text,
-                                         std::string *Err = nullptr);
 
 /// Serializes \p H in the Plume-style CSV format.
 std::string writePlumeHistory(const History &H);

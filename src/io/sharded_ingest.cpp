@@ -7,6 +7,9 @@
 #include "obs/trace.h"
 #include "support/thread_pool.h"
 
+#include <algorithm>
+#include <cstring>
+
 using namespace awdit;
 
 namespace {
@@ -23,6 +26,25 @@ template <typename T> void pushMetered(SpscQueue<T> &Q, T &&Value) {
   size_t Depth = Q.size();
   obs::metrics().IngestQueueDepth.record(Depth);
   obs::traceCounter("ingest.queue_depth", static_cast<double>(Depth));
+}
+
+/// Calls \p Fn(Line, ByteLen) for each line of \p Buf in order, until it
+/// returns false: the line without its newline and trailing CR (a
+/// Windows-style stream's CR still counts toward the stream offset), and
+/// the stream bytes it consumed. Only the final line may lack a newline.
+template <typename FnT> void forEachLine(std::string_view Buf, FnT &&Fn) {
+  size_t Pos = 0;
+  while (Pos < Buf.size()) {
+    size_t LineEnd = io::scanToNewline(Buf, Pos);
+    std::string_view Line = Buf.substr(Pos, LineEnd - Pos);
+    uint32_t ByteLen = static_cast<uint32_t>(
+        LineEnd - Pos + (LineEnd == Buf.size() ? 0 : 1));
+    if (!Line.empty() && Line.back() == '\r')
+      Line.remove_suffix(1);
+    if (!Fn(Line, ByteLen))
+      return;
+    Pos = LineEnd + 1;
+  }
 }
 
 } // namespace
@@ -80,43 +102,46 @@ void ShardedMonitorIngest::primeResume(uint64_t StreamOffset,
 //===----------------------------------------------------------------------===//
 
 bool ShardedMonitorIngest::feed(std::string_view Chunk) {
-  if (!valid() || Finished)
+  // A piece at a time, dealing its whole lines before the next: appending
+  // the whole chunk first would carry everything still pending into each
+  // new page — quadratic in the chunk.
+  if (!accepting())
     return false;
-  if (FailedFlag.load(std::memory_order_acquire))
-    return false;
-  Writer.append(Chunk);
-  dealPending(/*Final=*/false);
-  return !FailedFlag.load(std::memory_order_acquire);
+  while (!Chunk.empty()) {
+    auto [Dst, Cap] = Writer.window();
+    size_t N = std::min({Chunk.size(), Cap, FeedPieceBytes});
+    std::memcpy(Dst, Chunk.data(), N);
+    Chunk.remove_prefix(N);
+    if (!dealCommitted(N))
+      return false;
+  }
+  return true;
 }
 
 bool ShardedMonitorIngest::commitBytes(size_t N) {
-  if (!valid() || Finished)
+  if (!accepting())
     return false;
-  if (FailedFlag.load(std::memory_order_acquire))
-    return false;
+  return dealCommitted(N);
+}
+
+bool ShardedMonitorIngest::dealCommitted(size_t N) {
   Writer.commit(N);
   dealPending(/*Final=*/false);
   return !FailedFlag.load(std::memory_order_acquire);
 }
 
 bool ShardedMonitorIngest::feedSpan(PageSpan Span) {
-  if (!valid() || Finished)
+  if (!accepting())
     return false;
-  if (FailedFlag.load(std::memory_order_acquire))
-    return false;
-  if (Span.size() == 0)
-    return true;
   std::string_view V = Span.view();
-  if (Writer.pendingBytes() != 0 || V.back() != '\n') {
-    // A previous feed() left a partial line staged (or the caller broke
-    // the whole-lines contract): fall back to the copy-in path so line
-    // assembly stays correct — zero-copy is an optimization, never a
-    // framing requirement.
-    Writer.append(V);
-    dealPending(/*Final=*/false);
-  } else {
-    dealSpan(std::move(Span));
-  }
+  if (V.empty())
+    return true;
+  // A partial line staged by an earlier feed(), or a span that breaks the
+  // whole-lines contract: copy in behind it so line assembly stays
+  // correct — zero-copy is an optimization, never a framing requirement.
+  if (Writer.pendingBytes() != 0 || V.back() != '\n')
+    return feed(V);
+  dealSpan(std::move(Span));
   return !FailedFlag.load(std::memory_order_acquire);
 }
 
@@ -140,17 +165,22 @@ void ShardedMonitorIngest::dealPending(bool Final) {
 
 void ShardedMonitorIngest::dealSpan(PageSpan Span) {
   if (NumShards == 0) {
-    // Synchronous mode: decode and apply inline, one code path with the
-    // threaded pipeline.
-    applyBatch(decodeBatch(RawBatch{std::move(Span)}));
+    // Inline: decode and apply line by line, the same decoder and applier
+    // the threads run.
+    AWDIT_SPAN("ingest.apply");
+    obs::ScopedLatency Lat(
+        obs::metrics().IngestStages[unsigned(obs::IngestStage::Apply)]);
+    forEachLine(Span.view(), [this](std::string_view Line, uint32_t Len) {
+      return applyLine(Decode(Line), Len);
+    });
     return;
   }
 
   // Deal the span's whole lines, cut into batches of at most ~BatchBytes,
   // round-robin. Nothing is held back waiting for a fuller batch: a
   // trickling tail (`tail -f | awdit monitor -`) must reach the applier —
-  // and emit its violations — with the same liveness as the
-  // single-threaded path. Steady streams arrive in large read chunks, so
+  // and emit its violations — with the same liveness as the inline
+  // path. Steady streams arrive in large read chunks, so
   // their batches are naturally full. Each cut is a sub-span of the same
   // page: the bytes never move, only refcounts do.
   AWDIT_SPAN("ingest.read");
@@ -180,20 +210,10 @@ void ShardedMonitorIngest::dealSpan(PageSpan Span) {
 ShardedMonitorIngest::DecodedBatch
 ShardedMonitorIngest::decodeBatch(const RawBatch &Raw) const {
   DecodedBatch Out;
-  std::string_view Buf = Raw.Span.view();
-  size_t Pos = 0;
-  while (Pos < Buf.size()) {
-    size_t LineEnd = io::scanToNewline(Buf, Pos);
-    std::string_view Line = Buf.substr(Pos, LineEnd - Pos);
-    uint32_t ByteLen = static_cast<uint32_t>(
-        LineEnd - Pos + (LineEnd == Buf.size() ? 0 : 1));
-    // Trim a trailing CR for Windows-style streams (the byte still counts
-    // toward the stream offset).
-    if (!Line.empty() && Line.back() == '\r')
-      Line.remove_suffix(1);
-    Out.Lines.push_back({Decode(Line), ByteLen});
-    Pos = LineEnd + 1;
-  }
+  forEachLine(Raw.Span.view(), [&](std::string_view Line, uint32_t Len) {
+    Out.Lines.push_back({Decode(Line), Len});
+    return true;
+  });
   return Out;
 }
 
@@ -217,29 +237,37 @@ void ShardedMonitorIngest::workerLoop(size_t Shard) {
 // Applier: global order restored, the one thread that owns the Monitor.
 //===----------------------------------------------------------------------===//
 
-void ShardedMonitorIngest::applyLine(const DecodedLine &L) {
-  ++Applier.LineNo;
-  Applier.Offset += L.ByteLen;
+bool ShardedMonitorIngest::applyLine(const LineEvent &E, uint32_t ByteLen) {
   if (Applier.Failed)
-    return; // drain without applying; the parser is wedged
+    return false; // drain without applying; the parser is wedged
+  ++Applier.LineNo;
   std::string Msg;
-  if (!Machine->apply(L.E, &Msg)) {
-    Applier.Failed = true;
-    Applier.Error = std::move(Msg);
-    Applier.ErrorLine = Applier.LineNo;
-    FailedFlag.store(true, std::memory_order_release);
-    return;
+  if (!Machine->apply(E, &Msg)) {
+    fail(Msg);
+    return false;
   }
+  Applier.Offset += ByteLen;
+  notifyFlush();
+  return true;
+}
+
+void ShardedMonitorIngest::fail(const std::string &Msg) {
+  Applier.Failed = true;
+  Applier.Error = "line " + std::to_string(Applier.LineNo) + ": " + Msg;
+  FailedFlag.store(true, std::memory_order_release);
+}
+
+void ShardedMonitorIngest::notifyFlush() {
   uint64_t F = M.flushCount();
-  if (F != Applier.LastFlushes) {
-    // A checking pass completed inside this commit: an epoch barrier. The
-    // hook sees a fully consistent state — monitor, machine, and stream
-    // cursor all agree on "everything through this line".
-    Applier.LastFlushes = F;
-    if (Hook)
-      Hook(IngestFlushPoint{M, *Machine, Applier.Offset, Applier.LineNo,
-                            Machine->committedTxns(), F});
-  }
+  if (F == Applier.LastFlushes)
+    return;
+  // A checking pass completed inside this line: an epoch barrier. The hook
+  // sees a fully consistent state — monitor, machine, and stream cursor
+  // all agree on "everything through this line".
+  Applier.LastFlushes = F;
+  if (Hook)
+    Hook(IngestFlushPoint{M, *Machine, Applier.Offset, Applier.LineNo,
+                          Machine->committedTxns(), F});
 }
 
 void ShardedMonitorIngest::applyBatch(const DecodedBatch &Batch) {
@@ -247,7 +275,8 @@ void ShardedMonitorIngest::applyBatch(const DecodedBatch &Batch) {
   obs::ScopedLatency Lat(
       obs::metrics().IngestStages[unsigned(obs::IngestStage::Apply)]);
   for (const DecodedLine &L : Batch.Lines)
-    applyLine(L);
+    if (!applyLine(L.E, L.ByteLen))
+      return;
 }
 
 void ShardedMonitorIngest::applierLoop() {
@@ -267,12 +296,8 @@ void ShardedMonitorIngest::applierLoop() {
 //===----------------------------------------------------------------------===//
 
 void ShardedMonitorIngest::closeAndJoin() {
-  if (Joined) {
-    if (Applier.Failed && ErrText.empty())
-      ErrText = "line " + std::to_string(Applier.ErrorLine) + ": " +
-                Applier.Error;
+  if (Joined)
     return;
-  }
   for (auto &Q : ToShard)
     Q->close();
   for (std::thread &W : Workers)
@@ -280,9 +305,6 @@ void ShardedMonitorIngest::closeAndJoin() {
   ApplierThread.join();
   Workers.clear();
   Joined = true;
-  if (Applier.Failed && ErrText.empty())
-    ErrText = "line " + std::to_string(Applier.ErrorLine) + ": " +
-              Applier.Error;
 }
 
 ShardedMonitorIngest::EndState ShardedMonitorIngest::finishStream() {
@@ -297,21 +319,12 @@ ShardedMonitorIngest::EndState ShardedMonitorIngest::finishStream() {
     return EndState::OpenTxn;
   std::string Msg;
   if (!Machine->atEnd(&Msg)) {
-    Applier.Failed = true;
-    Applier.Error = Msg;
-    Applier.ErrorLine = Applier.LineNo;
-    ErrText = "line " + std::to_string(Applier.LineNo) + ": " + Msg;
+    fail(Msg);
     return EndState::Error;
   }
   // atEnd may close a trailing transaction (plume) and trigger a final
   // cadence flush; surface it to the hook like any other epoch barrier.
-  uint64_t F = M.flushCount();
-  if (F != Applier.LastFlushes) {
-    Applier.LastFlushes = F;
-    if (Hook)
-      Hook(IngestFlushPoint{M, *Machine, Applier.Offset, Applier.LineNo,
-                            Machine->committedTxns(), F});
-  }
+  notifyFlush();
   return EndState::Clean;
 }
 
@@ -326,4 +339,38 @@ void ShardedMonitorIngest::abortStream() {
   // dropped with it.
   dealPending(/*Final=*/false);
   closeAndJoin();
+}
+
+//===----------------------------------------------------------------------===//
+// One-shot parsing.
+//===----------------------------------------------------------------------===//
+
+std::optional<History> awdit::parseHistory(const std::string &Format,
+                                           std::string_view Text,
+                                           std::string *Err) {
+  Monitor M;
+  ShardedMonitorIngest Ingest(M, Format, /*Threads=*/1);
+  if (!Ingest.valid()) {
+    if (Err)
+      *Err = "unknown format '" + Format + "'";
+    return std::nullopt;
+  }
+  Ingest.feed(Text);
+  std::string Msg;
+  switch (Ingest.finishStream()) {
+  case ShardedMonitorIngest::EndState::Clean:
+    return M.takeHistory();
+  case ShardedMonitorIngest::EndState::OpenTxn:
+    // A whole text must end at a transaction boundary: report what the
+    // format's end-of-input check says about the open one.
+    Ingest.machine().atEnd(&Msg);
+    Msg = "line " + std::to_string(Ingest.lineNumber()) + ": " + Msg;
+    break;
+  case ShardedMonitorIngest::EndState::Error:
+    Msg = Ingest.errorText();
+    break;
+  }
+  if (Err)
+    *Err = std::move(Msg);
+  return std::nullopt;
 }

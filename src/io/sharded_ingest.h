@@ -5,17 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The multi-core ingest pipeline of `awdit monitor`: one live stream is
-/// spread over all cores while the checking semantics stay exactly those of
-/// the single-threaded Monitor — reports are bit-identical at every flush
-/// cadence and window size (enforced by tests/test_sharded_monitor.cpp and
-/// the CI ThreadSanitizer job).
+/// The one path from bytes to a Monitor. Everything that reads a history
+/// goes through ShardedMonitorIngest: `check`, `batch`, `stats` and
+/// `shrink` parse with parseHistory() below, `awdit monitor` feeds it from
+/// a file or a pipe, and every `awdit serve` session feeds it the spans of
+/// its connection's read pages. The format grammars live only in the
+/// decoders and machines of io/stream_parser.h.
 ///
-/// With the delta-driven saturation engine (PR 3) flush cost is flat in the
-/// window size, which leaves tokenization and integer parsing — the
-/// context-free half of every format parser (io/stream_parser.h) — as the
-/// dominant per-byte cost of a live stream. That half is exactly what the
-/// pipeline shards:
+/// With Threads <= 1 (every caller except `awdit monitor --threads N`)
+/// the pipeline runs inline on the caller's thread: each whole line is
+/// decoded and applied before feed() returns, with no queue and no copy
+/// beyond the one into the arena. With N >= 2 one live stream is spread
+/// over N threads while the checking semantics stay exactly those of the
+/// inline path: reports are bit-identical at every flush cadence and
+/// window size (tests/test_sharded_monitor.cpp and the CI
+/// ThreadSanitizer job):
 ///
 ///    reader (caller thread)                 shard workers          applier
 ///    ┌────────────────────┐   SPSC    ┌───────────────────┐  SPSC  ┌─────┐
@@ -35,30 +39,24 @@
 ///    popped round-robin, mirroring the deal) and feeds the decoded events
 ///    through the format's StreamMachine into the one merged Monitor. All
 ///    stateful work — wr resolution, saturation deltas, flushes, eviction
-///    — happens here, on one thread, exactly as in the single-threaded
-///    path; that is what makes the output bit-identical by construction.
-///  - Since PR 6 the checking half of each flush is offloaded too: the
-///    pipeline installs a worker pool into the Monitor
-///    (Monitor::setSpeculation), and at every flush barrier the pool's
-///    workers speculatively compute the CC happens-before/inference delta
-///    against a read-only snapshot of the pre-merge rows. The applier then
-///    merges the speculative results in deterministic stream order,
-///    falling back to sequential re-derivation for exactly the
-///    transactions whose inputs an earlier merge step invalidated
-///    (support/epoch_snapshot.h is the validation oracle) — so the output
-///    stays bit-identical at every thread count, now enforced by CI
-///    rather than purely by construction.
+///    — happens here, on one thread, exactly as in the inline path; that
+///    is what makes the output bit-identical by construction.
+///  - The checking half of each flush is offloaded too: the pipeline
+///    installs a worker pool into the Monitor (Monitor::setSpeculation),
+///    and at every flush barrier the pool's workers speculatively compute
+///    the CC happens-before/inference delta against a read-only snapshot
+///    of the pre-merge rows. The applier merges the speculative results in
+///    deterministic stream order, falling back to sequential re-derivation
+///    for exactly the transactions whose inputs an earlier merge step
+///    invalidated (support/epoch_snapshot.h is the validation oracle).
 ///
 /// Flush boundaries are the pipeline's epoch barriers: after every
 /// incremental checking pass the applier invokes the FlushHook with a
 /// consistent cut of the world (monitor state, parser-machine state, and
-/// the byte offset of the last applied line). Persistent checkpoints
-/// (checker/checkpoint.h) are written from this hook, so a snapshot can
-/// never observe a half-applied transaction or a half-run flush.
-///
-/// Threads <= 1 selects the legacy single-threaded path: the same split /
-/// decode / apply code runs inline on the caller thread, no queues, no
-/// threads — `awdit monitor --threads 1`.
+/// the byte offset of the last applied line). `awdit monitor` writes its
+/// persistent checkpoints (checker/checkpoint.h) from this hook, so a
+/// snapshot can never observe a half-applied transaction or a half-run
+/// flush.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,6 +70,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -98,11 +97,12 @@ struct IngestFlushPoint {
   uint64_t Flushes;
 };
 
-/// Drives one Monitor from one byte stream using 1 reader + N shard
-/// workers + 1 applier (or everything inline when Threads <= 1). Exactly
-/// one thread (the owner) may call feed()/finishStream()/abortStream();
-/// the Monitor must not be touched by the owner between the first feed()
-/// and the return of finishStream()/abortStream().
+/// Drives one Monitor from one byte stream, inline when Threads <= 1 or
+/// with 1 reader + N shard workers + 1 applier. Exactly one thread (the
+/// owner) may call feed()/finishStream()/abortStream(). With threads the
+/// owner must not touch the Monitor between the first feed() and the
+/// return of finishStream()/abortStream(); inline, the Monitor is the
+/// owner's again whenever a feed call returns.
 class ShardedMonitorIngest {
 public:
   /// How the stream ended.
@@ -120,9 +120,9 @@ public:
   using FlushHook = std::function<void(const IngestFlushPoint &)>;
 
   /// \p Threads counts the extra threads the pipeline may spawn: 0 or 1
-  /// runs inline (the legacy single-threaded path); N >= 2 spawns one
-  /// applier and N-1 shard workers. \p Hook (optional) runs on the applier
-  /// thread after every completed checking pass.
+  /// runs inline on the owner's thread; N >= 2 spawns one applier and N-1
+  /// shard workers. \p Hook (optional) runs on the applier thread (the
+  /// owner's, inline) after every completed checking pass.
   ShardedMonitorIngest(Monitor &M, const std::string &Format,
                        unsigned Threads, FlushHook Hook = nullptr);
   ~ShardedMonitorIngest();
@@ -142,9 +142,11 @@ public:
   /// \p LineNo + 1. Call before the first feed().
   void primeResume(uint64_t StreamOffset, uint64_t LineNo);
 
-  /// Feeds one chunk (any size, any boundary) — one copy, into the arena.
-  /// Returns false once the pipeline has failed — the caller should stop
-  /// reading and call finishStream() to collect the error.
+  /// Feeds one chunk (any size, any boundary) — one copy, into the arena,
+  /// FeedPieceBytes at a time, dealing the whole lines of each piece
+  /// before the next. Returns false once the pipeline has failed — the
+  /// caller should stop reading and call finishStream() to collect the
+  /// error.
   bool feed(std::string_view Chunk);
 
   /// Zero-copy alternative to feed(): at least \p Min writable bytes of
@@ -160,10 +162,10 @@ public:
   bool commitBytes(size_t N);
 
   /// Zero-copy feed of whole lines already resident in a shared arena
-  /// page (the server's per-connection read buffers): every line in
-  /// \p Span must end in '\n'. If a prior feed() left a partial line
-  /// buffered, the span is copied in behind it instead — correctness
-  /// never depends on the caller's framing.
+  /// page (the server's per-connection read pages): every line in \p Span
+  /// must end in '\n'. If a prior feed() left a partial line buffered, or
+  /// the span breaks the whole-lines contract, it is fed() in behind it
+  /// instead — correctness never depends on the caller's framing.
   bool feedSpan(PageSpan Span);
 
   /// End of input: flushes the trailing partial line, drains and joins the
@@ -177,15 +179,18 @@ public:
   /// finalize(). After this call the Monitor is the owner's again.
   void abortStream();
 
-  // --- Valid after finishStream()/abortStream(). ---
+  // --- Valid after finishStream()/abortStream(); inline (Threads <= 1)
+  // --- also between calls.
 
-  /// The line-numbered error message, empty if none.
-  const std::string &errorText() const { return ErrText; }
+  /// The line-numbered error message ("line N: ..."), empty if none.
+  const std::string &errorText() const { return Applier.Error; }
 
-  /// 1-based number of the last processed line.
+  /// 1-based number of the last processed line (after an error, the
+  /// failing line).
   uint64_t lineNumber() const { return Applier.LineNo; }
 
-  /// Byte offset after the last applied line.
+  /// Byte offset after the last applied line (after an error, the start
+  /// of the failing line): where a resumed stream continues.
   uint64_t streamOffset() const { return Applier.Offset; }
 
   /// Committed transactions applied.
@@ -211,14 +216,13 @@ private:
   };
 
   /// Applier-side cursor and failure state. Written by the applier thread
-  /// (or inline in synchronous mode), read by the owner after the join.
+  /// (the owner's, inline), read by the owner after the join.
   struct ApplierState {
     uint64_t Offset = 0;
     uint64_t LineNo = 0;
     uint64_t LastFlushes = 0;
     bool Failed = false;
-    std::string Error; // without the "line N: " prefix
-    uint64_t ErrorLine = 0;
+    std::string Error; // "line N: ..."
   };
 
   void startThreads();
@@ -228,12 +232,24 @@ private:
   DecodedBatch decodeBatch(const RawBatch &Raw) const;
   /// Applies one decoded batch in stream order (applier side).
   void applyBatch(const DecodedBatch &Batch);
-  void applyLine(const DecodedLine &L);
+  /// Applies one line; false once the stream has failed.
+  bool applyLine(const LineEvent &E, uint32_t ByteLen);
+  /// Records a failure at the current line.
+  void fail(const std::string &Msg);
+  /// Runs the hook if a checking pass completed since the last call.
+  void notifyFlush();
+  /// Publishes \p N committed arena bytes and deals their whole lines.
+  bool dealCommitted(size_t N);
   /// Cuts the arena's pending bytes into batches of whole lines and deals
   /// them.
   void dealPending(bool Final);
-  /// Deals one span of whole lines, cutting at ~BatchBytes boundaries.
+  /// Deals one span of whole lines: decoded and applied on the spot
+  /// inline, else cut at ~BatchBytes boundaries and dealt round-robin.
   void dealSpan(PageSpan Span);
+  bool accepting() const {
+    return valid() && !Finished &&
+           !FailedFlag.load(std::memory_order_acquire);
+  }
   void closeAndJoin();
 
   Monitor &M;
@@ -267,7 +283,6 @@ private:
   std::atomic<bool> FailedFlag{false};
 
   ApplierState Applier;
-  std::string ErrText;
   bool Finished = false;
 
   /// Batch sizing: large enough that queue traffic is noise, small enough
@@ -277,7 +292,21 @@ private:
   /// Arena page size: several batches per page so span refcounting is
   /// cheap relative to the bytes it manages.
   static constexpr size_t PageBytes = 256 << 10;
+  /// The most feed() copies into the arena before dealing it: the size
+  /// `awdit monitor` reads, and still in cache when its lines are decoded
+  /// (whole-page pieces made one-shot parsing ~13 % slower).
+  static constexpr size_t FeedPieceBytes = 64 << 10;
 };
+
+/// Parses a whole history text in \p Format ("native", "plume" or
+/// "dbcop"): the inline pipeline over a Monitor that performs no checking
+/// (CheckIntervalTxns = 0, no sink) and serves as the HistoryBuilder,
+/// then Monitor::takeHistory(). Errors carry their line number, including
+/// the duplicate writes the monitor detects during ingestion. Returns
+/// std::nullopt and sets \p Err on malformed input or an unknown format.
+std::optional<History> parseHistory(const std::string &Format,
+                                    std::string_view Text,
+                                    std::string *Err = nullptr);
 
 } // namespace awdit
 

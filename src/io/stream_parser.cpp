@@ -10,67 +10,6 @@ using awdit::io::parseInt;
 using awdit::io::TokenCursor;
 
 //===----------------------------------------------------------------------===//
-// LineStreamParser: the shared chunking engine.
-//===----------------------------------------------------------------------===//
-
-bool LineStreamParser::fail(std::string *Err, const std::string &Msg) {
-  Stuck = true;
-  if (Err)
-    *Err = "line " + std::to_string(LineNo) + ": " + Msg;
-  return false;
-}
-
-bool LineStreamParser::dispatchLine(std::string_view Line, std::string *Err) {
-  ++LineNo;
-  // Trim a trailing CR for Windows-style streams.
-  if (!Line.empty() && Line.back() == '\r')
-    Line.remove_suffix(1);
-  return processLine(Line, Err);
-}
-
-bool LineStreamParser::feed(std::string_view Chunk, std::string *Err) {
-  if (Stuck)
-    return fail(Err, "parser stopped after an earlier error");
-  size_t Pos = 0;
-  while (Pos < Chunk.size()) {
-    size_t End = Chunk.find('\n', Pos);
-    if (End == std::string_view::npos) {
-      Partial.append(Chunk.substr(Pos));
-      return true;
-    }
-    std::string_view Line;
-    if (Partial.empty()) {
-      Line = Chunk.substr(Pos, End - Pos);
-    } else {
-      Partial.append(Chunk.substr(Pos, End - Pos));
-      Line = Partial;
-    }
-    bool Ok = dispatchLine(Line, Err);
-    Partial.clear();
-    if (!Ok)
-      return false;
-    Pos = End + 1;
-  }
-  return true;
-}
-
-bool LineStreamParser::flushPartialLine(std::string *Err) {
-  if (Stuck)
-    return fail(Err, "parser stopped after an earlier error");
-  if (Partial.empty())
-    return true;
-  std::string Line;
-  Line.swap(Partial);
-  return dispatchLine(Line, Err);
-}
-
-bool LineStreamParser::finish(std::string *Err) {
-  if (!flushPartialLine(Err))
-    return false;
-  return atEnd(Err);
-}
-
-//===----------------------------------------------------------------------===//
 // Context-free line decoders: tokenization and integer parsing, the
 // per-byte cost of ingestion, safe on any thread.
 //===----------------------------------------------------------------------===//
@@ -97,8 +36,7 @@ LineEvent awdit::decodeNativeLine(std::string_view Line) {
     switch (Dir.front()) {
     case 'b':
       // A malformed session keeps the Begin kind: the machine's open-
-      // transaction check takes precedence, as it did when parsing was
-      // inline.
+      // transaction check takes precedence.
       E.Kind = LineEvent::Type::Begin;
       if (!C.nextInt(E.Session) || !C.atEnd())
         E.Error = "expected 'b <session>'";
@@ -140,9 +78,8 @@ LineEvent awdit::decodePlumeLine(std::string_view Line) {
     E.Kind = LineEvent::Type::PlumeAbort;
     return E;
   }
-  // The (session, txn) prefix parsed: the machine opens the pair before a
-  // malformed operation fails, matching the inline parser (which closed
-  // the previous pair first).
+  // The (session, txn) prefix parsed: the machine closes the previous pair
+  // and opens this one before a malformed operation fails.
   E.Kind = LineEvent::Type::PlumeOp;
   if (!C.nextInt(E.K) || !C.nextInt(E.V) || !C.atEnd() ||
       (Op != "r" && Op != "w")) {
@@ -311,10 +248,9 @@ public:
       return true;
     case LineEvent::Type::PlumeAbort:
       ensureOpen(E);
-      // Deferred until the pair ends: the batch parser keeps appending
-      // operations that follow an abort line for the same (session, txn)
-      // pair to the aborted transaction, and the streaming parser must
-      // produce the identical history.
+      // Deferred until the pair ends: operations that follow an abort
+      // line for the same (session, txn) pair still belong to the aborted
+      // transaction.
       OpenAborted = true;
       return true;
     case LineEvent::Type::PlumeOp:
@@ -520,17 +456,4 @@ awdit::makeStreamMachine(const std::string &Format, Monitor &M) {
   if (Format == "dbcop")
     return std::make_unique<DbcopMachine>(M);
   return nullptr;
-}
-
-//===----------------------------------------------------------------------===//
-// Factory.
-//===----------------------------------------------------------------------===//
-
-std::unique_ptr<StreamParser> awdit::makeStreamParser(
-    const std::string &Format, Monitor &M) {
-  LineDecoder Decode = lineDecoderFor(Format);
-  if (!Decode)
-    return nullptr;
-  return std::make_unique<MachineStreamParser>(Decode,
-                                               makeStreamMachine(Format, M));
 }

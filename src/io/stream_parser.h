@@ -5,11 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Incremental parsers that feed a streaming Monitor as input arrives —
-/// from a file tail, a pipe, or stdin — instead of materializing the whole
-/// history first. All three on-disk formats are supported behind one
-/// interface (`awdit monitor --format native|plume|dbcop` is a thin loop
-/// around makeStreamParser()):
+/// The grammars of the three history formats, the only place each one
+/// lives:
 ///
 ///  - the native text format (io/text_format.h), including the streaming
 ///    extension `t <ticks>` that advances the monitor's stream clock for
@@ -17,15 +14,9 @@
 ///  - the Plume-style CSV format (io/plume_format.h);
 ///  - the DBCop-style block format (io/dbcop_format.h).
 ///
-/// Input may be fed in arbitrary chunks; partial trailing lines are
-/// buffered until their newline arrives (chunking-invariant, enforced by
-/// tests). Errors carry the 1-based line number, including the
-/// model-invariant errors (duplicate writes) the monitor detects during
-/// ingestion.
-///
-/// Each format is split into two halves so the sharded ingest pipeline
-/// (io/sharded_ingest.h) can spread the expensive half across worker
-/// threads:
+/// Each format is split into two halves so the ingest pipeline
+/// (io/sharded_ingest.h, the one driver of both) can spread the expensive
+/// half across worker threads:
 ///
 ///  - a *decoder* (decodeNativeLine & co.): a pure, context-free function
 ///    from one line to a LineEvent — tokenization and integer parsing,
@@ -38,9 +29,8 @@
 ///    (checker/checkpoint.h) so `awdit monitor --resume` can restart
 ///    mid-stream.
 ///
-/// The classic StreamParser classes below are thin single-threaded
-/// wrappers: split lines, decode, apply — one code path shared with the
-/// sharded pipeline.
+/// The pipeline handles chunking (partial trailing lines wait for their
+/// newline), line numbers and the trailing CR of Windows-style streams.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,8 +49,8 @@ namespace awdit {
 /// One decoded line of a streaming history format: the context-free part
 /// of parsing, produced by the per-format decoders below. A line that is
 /// structurally recognizable but malformed keeps its structural kind with
-/// Error set, so the machine can apply its state-dependent checks (which
-/// take precedence in the legacy parsers' diagnostics) before failing.
+/// Error set, so the machine can apply its state-dependent checks (whose
+/// diagnostics take precedence) before failing.
 struct LineEvent {
   enum class Type : uint8_t {
     /// Blank line or comment; ignored.
@@ -84,7 +74,7 @@ struct LineEvent {
     /// Plume `<session>,<txn>,<r|w>,<key>,<value>`; Num = file txn id,
     /// Flag = is-read. When only the (session, txn) prefix parsed, Error
     /// is set and K/V are meaningless — the machine still opens the pair
-    /// (matching the legacy parser) before failing.
+    /// before failing.
     PlumeOp,
     /// Plume `<session>,<txn>,abort`; Num = file txn id.
     PlumeAbort,
@@ -116,7 +106,7 @@ using LineDecoder = LineEvent (*)(std::string_view);
 /// unknown format.
 LineDecoder lineDecoderFor(const std::string &Format);
 
-/// The stateful half of a streaming parser: applies decoded LineEvents to
+/// The stateful half of a format's grammar: applies decoded LineEvents to
 /// a Monitor in stream order. Exactly one thread may call apply()/atEnd().
 /// The machine's state is small (open-transaction handle, session count)
 /// and serializes into checkpoints so a resumed monitor continues from the
@@ -149,143 +139,6 @@ public:
 /// format.
 std::unique_ptr<StreamMachine> makeStreamMachine(const std::string &Format,
                                                  Monitor &M);
-
-/// The streaming-parser interface shared by every input format.
-class StreamParser {
-public:
-  virtual ~StreamParser() = default;
-
-  /// Feeds one chunk of input (any size, any boundary). Returns false and
-  /// sets \p Err (with a line number) on the first malformed line; the
-  /// parser is then stuck and further calls keep failing.
-  virtual bool feed(std::string_view Chunk, std::string *Err = nullptr) = 0;
-
-  /// Processes a buffered trailing line that arrived without its newline.
-  /// Tail-mode callers must call this at end of input before consulting
-  /// hasOpenTxn(): the unterminated final line may hold the directive
-  /// that closes the last transaction.
-  virtual bool flushPartialLine(std::string *Err = nullptr) = 0;
-
-  /// Flushes a trailing line without newline and verifies the input ended
-  /// at a clean transaction boundary. Call once at end of input. Tail-mode
-  /// callers that want to salvage a truncated stream should
-  /// flushPartialLine() and consult hasOpenTxn() first, skipping finish()
-  /// when it is set (the monitor's finalize() treats the open transaction
-  /// as aborted).
-  virtual bool finish(std::string *Err = nullptr) = 0;
-
-  /// 1-based number of the line currently being (or last) processed.
-  virtual size_t lineNumber() const = 0;
-
-  /// Committed transactions fed to the monitor so far.
-  virtual uint64_t committedTxns() const = 0;
-
-  /// True while the stream is inside a transaction (finish() would fail).
-  virtual bool hasOpenTxn() const = 0;
-};
-
-/// Shared chunking engine: buffers partial lines across feed() calls and
-/// hands complete lines (without the newline) to processLine(). Keeps the
-/// chunking invariance in exactly one place.
-class LineStreamParser : public StreamParser {
-public:
-  bool feed(std::string_view Chunk, std::string *Err = nullptr) final;
-  bool flushPartialLine(std::string *Err = nullptr) final;
-  bool finish(std::string *Err = nullptr) final;
-  size_t lineNumber() const final { return LineNo; }
-
-protected:
-  /// Parses one complete line (trailing CR already stripped). Returns
-  /// false after calling fail().
-  virtual bool processLine(std::string_view Line, std::string *Err) = 0;
-
-  /// End-of-input hook, after the trailing partial line was processed.
-  virtual bool atEnd(std::string *Err) = 0;
-
-  /// Records a line-numbered error and wedges the parser.
-  bool fail(std::string *Err, const std::string &Msg);
-
-private:
-  bool dispatchLine(std::string_view Line, std::string *Err);
-
-  std::string Partial;
-  size_t LineNo = 0;
-  bool Stuck = false;
-};
-
-/// A single-threaded streaming parser over one decoder + one machine: the
-/// legacy decode-inline code path, and the reference the sharded pipeline
-/// must match bit-identically. makeStreamParser() instantiates one per
-/// format.
-class MachineStreamParser : public LineStreamParser {
-public:
-  MachineStreamParser(LineDecoder Decode,
-                      std::unique_ptr<StreamMachine> Machine)
-      : Decode(Decode), Machine(std::move(Machine)) {}
-
-  uint64_t committedTxns() const override {
-    return Machine->committedTxns();
-  }
-  bool hasOpenTxn() const override { return Machine->hasOpenTxn(); }
-
-protected:
-  bool processLine(std::string_view Line, std::string *Err) override {
-    std::string Msg;
-    if (Machine->apply(Decode(Line), &Msg))
-      return true;
-    return fail(Err, Msg);
-  }
-
-  bool atEnd(std::string *Err) override {
-    std::string Msg;
-    if (Machine->atEnd(&Msg))
-      return true;
-    return fail(Err, Msg);
-  }
-
-private:
-  LineDecoder Decode;
-  std::unique_ptr<StreamMachine> Machine;
-};
-
-/// Parses the native text format incrementally into a Monitor. Grammar:
-/// `b <session>`, `r <key> <value>`, `w <key> <value>`, `c`, `a`,
-/// comments (`# ...`), and the streaming-only clock directive `t <ticks>`.
-class StreamingTextParser final : public MachineStreamParser {
-public:
-  explicit StreamingTextParser(Monitor &M)
-      : MachineStreamParser(decodeNativeLine, makeStreamMachine("native", M)) {
-  }
-};
-
-/// Parses the Plume-style CSV format incrementally: lines are
-/// `<session>,<txn>,<r|w>,<key>,<value>` or `<session>,<txn>,abort`, with
-/// a transaction's lines contiguous. A transaction closes when the next
-/// (session, txn) pair starts or the stream ends — committing unless an
-/// abort line was seen for the pair (matching the batch parser, which
-/// also keeps appending post-abort operations to the aborted
-/// transaction).
-class StreamingPlumeParser final : public MachineStreamParser {
-public:
-  explicit StreamingPlumeParser(Monitor &M)
-      : MachineStreamParser(decodePlumeLine, makeStreamMachine("plume", M)) {}
-};
-
-/// Parses the DBCop-style block format incrementally: a `sessions <k>`
-/// header, then `txn <session> <0|1> <numops>` blocks followed by exactly
-/// numops `R <key> <value>` / `W <key> <value>` lines. The commit decision
-/// is declared up front, so a block closes the moment its last operation
-/// arrives.
-class StreamingDbcopParser final : public MachineStreamParser {
-public:
-  explicit StreamingDbcopParser(Monitor &M)
-      : MachineStreamParser(decodeDbcopLine, makeStreamMachine("dbcop", M)) {}
-};
-
-/// Creates the streaming parser for \p Format ("native", "plume",
-/// "dbcop"); nullptr for an unknown format.
-std::unique_ptr<StreamParser> makeStreamParser(const std::string &Format,
-                                               Monitor &M);
 
 } // namespace awdit
 

@@ -2,8 +2,7 @@
 
 #include "io/text_format.h"
 
-#include "checker/monitor.h"
-#include "io/stream_parser.h"
+#include "io/sharded_ingest.h"
 
 #include <fstream>
 #include <sstream>
@@ -12,17 +11,7 @@ using namespace awdit;
 
 std::optional<History> awdit::parseTextHistory(std::string_view Text,
                                                std::string *Err) {
-  // One-shot parsing is the streaming parser run to completion: the
-  // native grammar lives only in io/stream_parser.cpp, and errors —
-  // including duplicate writes — carry their line number. The monitor
-  // performs no checking here (CheckIntervalTxns = 0, no sink); it acts
-  // as an incremental HistoryBuilder whose result is bit-identical to the
-  // historical build() output (tests/test_monitor.cpp).
-  Monitor M;
-  StreamingTextParser Parser(M);
-  if (!Parser.feed(Text, Err) || !Parser.finish(Err))
-    return std::nullopt;
-  return M.takeHistory();
+  return parseHistory("native", Text, Err);
 }
 
 std::string awdit::writeTextHistory(const History &H) {

@@ -33,7 +33,8 @@
 
 namespace awdit {
 
-/// Parses the native text format. Returns std::nullopt and sets \p Err on
+/// Parses the native text format: parseHistory("native", ...)
+/// (io/sharded_ingest.h). Returns std::nullopt and sets \p Err on
 /// malformed input.
 std::optional<History> parseTextHistory(std::string_view Text,
                                         std::string *Err = nullptr);

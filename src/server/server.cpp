@@ -74,10 +74,10 @@ struct Server::Conn : ResponseWriter,
                       std::enable_shared_from_this<Server::Conn> {
   Socket Sock;
   /// Inbound byte staging: read(2) lands directly in refcounted arena
-  /// pages; whole lines are dispatched from the page (a hot connection's
-  /// data lines leave as zero-copy spans of it), the trailing partial line
-  /// simply stays staged — the writer keeps it contiguous across rolls, so
-  /// there is no separate assembly buffer.
+  /// pages; whole lines are dispatched from the page (data lines leave as
+  /// zero-copy spans of it, shared with the session pumps), the trailing
+  /// partial line simply stays staged — the writer keeps it contiguous
+  /// across rolls, so there is no separate assembly buffer.
   ArenaWriter Rx{256 << 10};
   std::shared_ptr<StreamSession> Session;
   /// Mux mode (`HELLO ... mux=on`): one connection, many tenants. The
@@ -89,15 +89,9 @@ struct Server::Conn : ResponseWriter,
       MuxSessions;
   std::string CurStream;
   std::string BatchStream;
-  /// Data-rate tracker (bytes within the current steady second). A
-  /// connection crossing the server's threshold turns Hot — sticky — and
-  /// ships spans, upgrading its session's pump to the sharded pipeline.
-  /// (Mux connections interleave tenants and never take the span path.)
-  uint64_t RateWindowSec = 0;
-  uint64_t RateBytes = 0;
-  bool Hot = false;
-  /// The batch of stream lines accumulated from the current read chunk
-  /// (flushed to the session's inbox at the next verb or end of chunk).
+  /// The data accumulated from the current read chunk, adjacent lines
+  /// merged into one span (flushed to the session's inbox at the next
+  /// verb, stream switch, or end of chunk).
   StreamSession::Item Batch;
   bool Dead = false;
   /// Set once a send failed or the output queue overflowed; the push
@@ -191,24 +185,11 @@ struct Server::MuxWriter final : ResponseWriter {
 
 namespace {
 
-/// Resolves the hot-session thread budget: explicit values win, -1 picks 4
-/// threads per hot session when the shared pool is big enough to spare
-/// them, and anything below 2 disables the upgrade (a sharded pipeline
-/// needs at least an applier and one shard worker).
-unsigned hotThreadsFor(int ShardHotSessions, size_t PoolThreads) {
-  if (ShardHotSessions >= 0)
-    return ShardHotSessions >= 2 ? static_cast<unsigned>(ShardHotSessions)
-                                 : 0;
-  return PoolThreads >= 4 ? 4u : 0u;
-}
-
-SessionEnv sessionEnvFor(const ServerOptions &O, size_t PoolThreads) {
+SessionEnv sessionEnvFor(const ServerOptions &O) {
   SessionEnv Env;
   Env.CheckpointDir = O.CheckpointDir;
   Env.SinkDir = O.SinkDir;
   Env.CheckpointIntervalFlushes = O.CheckpointIntervalFlushes;
-  Env.HotThreads = hotThreadsFor(O.ShardHotSessions, PoolThreads);
-  Env.HotBytesPerSec = O.HotBytesPerSec;
   Env.MaxInboxBytes = O.MaxInboxBytes;
   Env.MaxWindowBytes = O.MaxWindowBytes;
   return Env;
@@ -219,8 +200,8 @@ SessionEnv sessionEnvFor(const ServerOptions &O, size_t PoolThreads) {
 Server::Server(ServerOptions Options)
     : Options(std::move(Options)),
       Pool(std::make_unique<ThreadPool>(this->Options.Threads)),
-      Registry(std::make_unique<SessionRegistry>(
-          sessionEnvFor(this->Options, Pool->numThreads()), *Pool)) {}
+      Registry(std::make_unique<SessionRegistry>(sessionEnvFor(this->Options),
+                                                 *Pool)) {}
 
 Server::~Server() {
   // Join every pump before the registry (which the pumps' OnDead hooks
@@ -287,7 +268,7 @@ void Server::acceptClient() {
 }
 
 void Server::flushBatch(const std::shared_ptr<Conn> &C) {
-  if (C->Batch.Lines.empty() && C->Batch.Spans.empty())
+  if (C->Batch.Spans.empty())
     return;
   StreamSession::Item I;
   I.K = StreamSession::Item::Kind::Data;
@@ -454,7 +435,6 @@ std::string Server::serverStatsJson(bool Deep) const {
                     std::to_string(T.SessionsEvicted) +
                     ",\"sessions_ended\":" + std::to_string(T.SessionsEnded) +
                     ",\"checkpoints\":" + std::to_string(T.Checkpoints) +
-                    ",\"hot_upgrades\":" + std::to_string(T.HotUpgrades) +
                     ",\"quota_trips\":" + std::to_string(T.QuotaTrips) +
                     ",\"totals\":" + T.Counters.toJson();
   if (Deep) {
@@ -478,10 +458,23 @@ std::string Server::serverStatsJson(bool Deep) const {
   return Out;
 }
 
+void Server::appendData(const std::shared_ptr<Conn> &C,
+                        const ArenaPageRef &Page, std::string_view Payload) {
+  size_t Begin = static_cast<size_t>(Payload.data() - Page->data());
+  size_t End = Begin + Payload.size() + 1; // with its '\n'
+  std::vector<PageSpan> &Spans = C->Batch.Spans;
+  if (!Spans.empty() && Spans.back().Page == Page &&
+      Spans.back().End == Begin)
+    Spans.back().End = End;
+  else
+    Spans.push_back(PageSpan{Page, Begin, End});
+  C->Batch.Bytes += End - Begin;
+}
+
 void Server::handleLine(const std::shared_ptr<Conn> &C,
-                        std::string_view Line) {
+                        const ArenaPageRef &Page, std::string_view Line) {
   if (C->Mux) {
-    handleMuxLine(C, Line);
+    handleMuxLine(C, Page, Line);
     return;
   }
   switch (classifyLine(Line)) {
@@ -553,14 +546,13 @@ void Server::handleLine(const std::shared_ptr<Conn> &C,
       C->sendLine("ERR expected HELLO before stream data");
       return;
     }
-    C->Batch.Lines.emplace_back(Line);
-    C->Batch.Bytes += Line.size() + 1;
+    appendData(C, Page, Line);
     return;
   }
 }
 
 void Server::handleMuxLine(const std::shared_ptr<Conn> &C,
-                           std::string_view Line) {
+                           const ArenaPageRef &Page, std::string_view Line) {
   // The '@@' escape: a bare (current-stream) payload that itself starts
   // with '@', shipped with the '@' doubled.
   if (Line.size() >= 2 && Line[0] == '@' && Line[1] == '@') {
@@ -568,7 +560,7 @@ void Server::handleMuxLine(const std::shared_ptr<Conn> &C,
       C->sendLine("ERR mux: no current stream (switch with '@<stream>')");
       return;
     }
-    routeMuxPayload(C, C->CurStream, unescapeMuxPayload(Line));
+    routeMuxPayload(C, Page, C->CurStream, unescapeMuxPayload(Line));
     return;
   }
 
@@ -586,7 +578,7 @@ void Server::handleMuxLine(const std::shared_ptr<Conn> &C,
     }
     C->CurStream = Name;
     if (HasPayload)
-      routeMuxPayload(C, Name, Payload);
+      routeMuxPayload(C, Page, Name, Payload);
     return;
   }
 
@@ -623,10 +615,11 @@ void Server::handleMuxLine(const std::shared_ptr<Conn> &C,
     C->sendLine("ERR mux: no current stream (switch with '@<stream>')");
     return;
   }
-  routeMuxPayload(C, C->CurStream, Line);
+  routeMuxPayload(C, Page, C->CurStream, Line);
 }
 
 void Server::routeMuxPayload(const std::shared_ptr<Conn> &C,
+                             const ArenaPageRef &Page,
                              const std::string &Stream,
                              std::string_view Payload) {
   auto It = C->MuxSessions.find(Stream);
@@ -649,8 +642,7 @@ void Server::routeMuxPayload(const std::shared_ptr<Conn> &C,
       flushBatch(C);
       C->BatchStream = Stream;
     }
-    C->Batch.Lines.emplace_back(Payload);
-    C->Batch.Bytes += Payload.size() + 1;
+    appendData(C, Page, Payload);
     return;
 
   case Verb::Stats: {
@@ -699,9 +691,8 @@ void Server::routeMuxPayload(const std::shared_ptr<Conn> &C,
 }
 
 void Server::readConn(const std::shared_ptr<Conn> &C) {
-  // read(2) straight into the connection's arena page: for a hot
-  // connection these very bytes are what the session's shard workers
-  // decode — no copy in between.
+  // read(2) straight into the connection's arena page: these very bytes
+  // are what the session pumps decode — no copy in between.
   auto [Buf, Cap] = C->Rx.window(1 << 16);
   long N = C->Sock.readSome(Buf, Cap);
   if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
@@ -711,18 +702,6 @@ void Server::readConn(const std::shared_ptr<Conn> &C) {
     return;
   }
   C->Rx.commit(static_cast<size_t>(N));
-
-  // Rate tracking (bytes per steady second); crossing the threshold makes
-  // the connection hot for the rest of its life.
-  uint64_t Now = steadyNowSec();
-  if (Now != C->RateWindowSec) {
-    C->RateWindowSec = Now;
-    C->RateBytes = 0;
-  }
-  C->RateBytes += static_cast<uint64_t>(N);
-  if (!C->Hot && Registry->hotEnabled() &&
-      C->RateBytes >= Options.HotBytesPerSec)
-    C->Hot = true;
 
   std::string_view Pending = C->Rx.pending();
   size_t LastNl = Pending.rfind('\n');
@@ -735,7 +714,13 @@ void Server::readConn(const std::shared_ptr<Conn> &C) {
     }
     return;
   }
-  dispatchLines(C, C->Rx.take(LastNl + 1));
+  PageSpan Lines = C->Rx.take(LastNl + 1);
+  std::string_view V = Lines.view(); // whole lines; ends in '\n'
+  for (size_t Pos = 0; Pos < V.size() && !C->Dead;) {
+    size_t Nl = io::scanToNewline(V, Pos);
+    handleLine(C, Lines.Page, V.substr(Pos, Nl - Pos));
+    Pos = Nl + 1;
+  }
   if (C->Rx.pendingBytes() > MaxLineBytes) {
     C->sendLine("ERR line exceeds " + std::to_string(MaxLineBytes) +
                 " bytes");
@@ -743,37 +728,6 @@ void Server::readConn(const std::shared_ptr<Conn> &C) {
     return;
   }
   flushBatch(C);
-}
-
-void Server::dispatchLines(const std::shared_ptr<Conn> &C,
-                           const PageSpan &Span) {
-  std::string_view V = Span.view(); // whole lines; ends in '\n'
-  size_t RunBegin = std::string_view::npos;
-  auto FlushRun = [&](size_t RunEnd) {
-    if (RunBegin == std::string_view::npos)
-      return;
-    C->Batch.Spans.push_back(
-        PageSpan{Span.Page, Span.Begin + RunBegin, Span.Begin + RunEnd});
-    C->Batch.Bytes += RunEnd - RunBegin;
-    RunBegin = std::string_view::npos;
-  };
-  size_t Pos = 0;
-  while (Pos < V.size() && !C->Dead) {
-    size_t Nl = io::scanToNewline(V, Pos);
-    std::string_view Line = V.substr(Pos, Nl - Pos);
-    if (C->Hot && C->Session && classifyLine(Line) == Verb::None) {
-      // A data line on a hot connection: extend the current zero-copy run
-      // (newline included — the sharded pipeline wants verbatim bytes).
-      if (RunBegin == std::string_view::npos)
-        RunBegin = Pos;
-      Pos = Nl + 1;
-      continue;
-    }
-    FlushRun(Pos);
-    handleLine(C, Line);
-    Pos = Nl + 1;
-  }
-  FlushRun(Pos);
 }
 
 void Server::closeConn(const std::shared_ptr<Conn> &C) {
@@ -819,9 +773,6 @@ std::string Server::renderMetrics() const {
              "Sessions ended by the END verb.", "counter", T.SessionsEnded);
   metricLine(Out, "awdit_server_checkpoints_total",
              "Per-stream checkpoints written.", "counter", T.Checkpoints);
-  metricLine(Out, "awdit_server_hot_upgrades_total",
-             "Sessions upgraded to the sharded ingest pipeline.", "counter",
-             T.HotUpgrades);
   metricLine(Out, "awdit_server_quota_trips_total",
              "Tenants wedged for exceeding their window-bytes quota.",
              "counter", T.QuotaTrips);

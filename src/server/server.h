@@ -9,8 +9,9 @@
 /// A poll(2) event loop owns every socket — the line-protocol listener
 /// (server/protocol.h), an optional Prometheus-style /metrics HTTP
 /// listener, and the client connections — splits incoming bytes into
-/// lines, routes control verbs, and enqueues stream-line batches onto the
-/// per-stream sessions of a SessionRegistry. The actual checking runs on a
+/// lines, routes control verbs, and enqueues stream data, as zero-copy
+/// spans of its read pages, onto the per-stream sessions of a
+/// SessionRegistry. The actual checking runs on a
 /// shared ThreadPool (support/thread_pool.h): each session is a pinned
 /// single-writer actor, so hundreds of tenants share the cores while every
 /// Monitor keeps the single-threaded semantics its correctness proofs (and
@@ -80,15 +81,6 @@ struct ServerOptions {
   uint64_t IdleTimeoutSec = 300;
   /// Checkpoint cadence in checking passes.
   uint64_t CheckpointIntervalFlushes = 16;
-  /// Hot-session upgrade: extra threads a session crossing the data-rate
-  /// threshold may claim for a per-session sharded ingest pipeline
-  /// (io/sharded_ingest.h). -1 = auto (4 when the shared pool has >= 4
-  /// threads, else off), 0 = off, >= 2 = that many threads per hot
-  /// session. Output stays byte-identical either way.
-  int ShardHotSessions = -1;
-  /// A connection whose inbound data rate crosses this many bytes per
-  /// second is treated as hot and ships zero-copy spans.
-  uint64_t HotBytesPerSec = 8ull << 20;
   /// Shared-secret authentication: when non-empty, every HELLO must carry
   /// a matching `token=` or is rejected (`ERR auth ...`) before any
   /// session state is created.
@@ -144,18 +136,25 @@ private:
 
   void acceptClient();
   void serveMetricsConn();
+  /// Reads what the socket has into the connection's page and hands each
+  /// whole line to handleLine. A \p Line below always lies in \p Page
+  /// with its '\n' right behind it.
   void readConn(const std::shared_ptr<Conn> &C);
-  /// Walks the whole lines of \p Span: control verbs route through
-  /// handleLine; contiguous runs of data lines on a hot connection become
-  /// zero-copy PageSpans in the current batch.
-  void dispatchLines(const std::shared_ptr<Conn> &C, const PageSpan &Span);
-  void handleLine(const std::shared_ptr<Conn> &C, std::string_view Line);
+  void handleLine(const std::shared_ptr<Conn> &C, const ArenaPageRef &Page,
+                  std::string_view Line);
   /// The mux-mode line router: `@<stream> [line]` frames, `@@` payload
   /// escapes, bare lines to the current stream.
-  void handleMuxLine(const std::shared_ptr<Conn> &C, std::string_view Line);
+  void handleMuxLine(const std::shared_ptr<Conn> &C, const ArenaPageRef &Page,
+                     std::string_view Line);
   /// Routes one unframed payload line (verb or data) to a mux stream.
   void routeMuxPayload(const std::shared_ptr<Conn> &C,
-                       const std::string &Stream, std::string_view Payload);
+                       const ArenaPageRef &Page, const std::string &Stream,
+                       std::string_view Payload);
+  /// Adds the data line \p Payload — a suffix of a line of \p Page, so
+  /// its '\n' follows it — to the current batch as a span of the page,
+  /// extending the last span when the payload continues it.
+  void appendData(const std::shared_ptr<Conn> &C, const ArenaPageRef &Page,
+                  std::string_view Payload);
   void flushBatch(const std::shared_ptr<Conn> &C);
   void handleHello(const std::shared_ptr<Conn> &C, std::string_view Line);
   /// The connection-level `TRACE on|off|dump` verb (tracing is process

@@ -2,7 +2,6 @@
 
 #include "server/session_registry.h"
 
-#include "io/token_util.h"
 #include "obs/trace.h"
 #include "support/serialize.h"
 
@@ -34,9 +33,7 @@ StreamSession::StreamSession(std::string Name, std::string Format,
                              MonitorOptions Options, const SessionEnv &Env)
     : Name(std::move(Name)), Format(std::move(Format)),
       Options(std::move(Options)), Env(Env),
-      M(this->Options, &ViolationsOut),
-      Decode(lineDecoderFor(this->Format)),
-      Machine(makeStreamMachine(this->Format, M)) {
+      M(this->Options, &ViolationsOut), Ingest(M, this->Format, /*Threads=*/1) {
   touch();
 }
 
@@ -92,9 +89,7 @@ StatsSnapshot StreamSession::counters() const {
 }
 
 void StreamSession::publishCounters() {
-  // While upgraded the pipeline's applier thread owns the Monitor; the
-  // mirror is published from its flush barriers (hotFlushPoint) instead.
-  if (CountersFrozen || Sharded)
+  if (CountersFrozen)
     return;
   const MonitorStats &S = M.stats();
   CTxns.store(S.IngestedTxns, std::memory_order_relaxed);
@@ -110,8 +105,14 @@ void StreamSession::publishCounters() {
   for (unsigned I = 0; I < obs::NumFlushPhases; ++I)
     CPhaseMicros[I].store(Ph[I], std::memory_order_relaxed);
   WindowBytesApprox.store(approxWindowBytes(S), std::memory_order_relaxed);
-  OffsetAtomic.store(Offset, std::memory_order_release);
-  LineNoAtomic.store(LineNo, std::memory_order_release);
+  OffsetAtomic.store(Ingest.streamOffset(), std::memory_order_release);
+  LineNoAtomic.store(Ingest.lineNumber(), std::memory_order_release);
+}
+
+void StreamSession::wedge(const std::string &Reply) {
+  PhaseLocal = Phase::Failed;
+  PhaseAtomic.store(Phase::Failed, std::memory_order_release);
+  sendToClient(Reply);
 }
 
 void StreamSession::enforceWindowQuota() {
@@ -122,17 +123,11 @@ void StreamSession::enforceWindowQuota() {
   if (Approx <= Quota)
     return;
   // Over quota: wedge this stream (further data is dropped, exactly like
-  // a parse error) without touching any other tenant. Quiesce first so
-  // the machine state is back in the pump for the detach checkpoint.
-  quiesceHot();
-  PhaseLocal = Phase::Failed;
-  PhaseAtomic.store(Phase::Failed, std::memory_order_release);
+  // a parse error) without touching any other tenant.
   QuotaTripsAtomic.fetch_add(1, std::memory_order_relaxed);
-  sendToClient("ERR quota " + Name + " window-bytes: ~" +
-               std::to_string(Approx) +
-               " bytes of window state exceeds quota " +
-               std::to_string(Quota) +
-               " (raise window-bytes= or tighten window=/window-age=)");
+  wedge("ERR quota " + Name + " window-bytes: ~" + std::to_string(Approx) +
+        " bytes of window state exceeds quota " + std::to_string(Quota) +
+        " (raise window-bytes= or tighten window=/window-age=)");
 }
 
 void StreamSession::enqueue(Item I, ThreadPool &P) {
@@ -214,145 +209,22 @@ void StreamSession::pump() {
     OnDead(*this);
 }
 
-void StreamSession::applyDataLine(std::string_view Raw) {
-  if (PhaseLocal != Phase::Active)
-    return; // wedged or closed: drop quietly
-  ++LineNo;
-  std::string_view Line = Raw;
-  size_t RawLen = Raw.size() + 1; // the connection stripped the '\n'
-  if (!Line.empty() && Line.back() == '\r')
-    Line.remove_suffix(1);
-  LineEvent E = Decode(Line);
-  std::string Err;
-  if (!Machine->apply(E, &Err)) {
-    PhaseLocal = Phase::Failed;
-    PhaseAtomic.store(Phase::Failed, std::memory_order_release);
-    sendToClient("ERR " + Name + " line " + std::to_string(LineNo) + ": " +
-                 Err);
-    return;
-  }
-  Offset += RawLen;
-}
-
-void StreamSession::applyDataSpan(const PageSpan &S) {
-  // Inline fallback for a span reaching a pump that cannot (or need not)
-  // upgrade: split it back into lines. The span's bytes are verbatim
-  // stream bytes, newlines included.
-  std::string_view V = S.view();
-  size_t Pos = 0;
-  while (Pos < V.size()) {
-    size_t Nl = io::scanToNewline(V, Pos);
-    applyDataLine(V.substr(Pos, Nl - Pos));
-    Pos = Nl + 1;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// The hot-session upgrade: a pump that sees zero-copy span batches hands
-// its stream to a per-session sharded ingest pipeline. Ownership contract:
-// while Sharded is set, the pipeline's applier thread owns the Monitor and
-// the live machine state; the pump touches neither, and every control verb
-// quiesces first. Checkpoints and the counter mirror ride the pipeline's
-// flush barriers (hotFlushPoint, applier thread) instead of the pump.
-//===----------------------------------------------------------------------===//
-
-void StreamSession::maybeUpgradeHot() {
-  if (Sharded || PhaseLocal != Phase::Active || Env.HotThreads < 2)
-    return;
-  auto Upgraded = std::make_unique<ShardedMonitorIngest>(
-      M, Format, Env.HotThreads,
-      [this](const IngestFlushPoint &P) { hotFlushPoint(P); });
-  if (!Upgraded->valid())
-    return; // unreachable (the session's own decoder exists), but cheap
-  // Move the live parser state into the pipeline's machine and line the
-  // stream cursor up; from here the pump only forwards bytes.
-  std::string Blob;
-  ByteWriter W(Blob);
-  Machine->saveState(W);
-  ByteReader R(Blob);
-  if (!Upgraded->machine().loadState(R))
-    return;
-  Upgraded->primeResume(Offset, LineNo);
-  Sharded = std::move(Upgraded);
-  HotAtomic.store(true, std::memory_order_release);
-  HotUpgradesAtomic.fetch_add(1, std::memory_order_relaxed);
-}
-
-void StreamSession::quiesceHot() {
-  if (!Sharded)
-    return;
-  // Lossless teardown: connections only ship whole lines, so there is no
-  // partial tail to lose and abortStream() applies everything fed.
-  Sharded->abortStream();
-  Offset = Sharded->streamOffset();
-  LineNo = Sharded->lineNumber();
-  if (!Sharded->errorText().empty() && PhaseLocal == Phase::Active) {
-    PhaseLocal = Phase::Failed;
-    PhaseAtomic.store(Phase::Failed, std::memory_order_release);
-    sendToClient("ERR " + Name + " " + Sharded->errorText());
-  }
-  // Move the machine state back so the pump's own machine is live again.
-  std::string Blob;
-  ByteWriter W(Blob);
-  Sharded->machine().saveState(W);
-  ByteReader R(Blob);
-  Machine->loadState(R);
-  Sharded.reset(); // joins threads, detaches the speculation pool
-  HotAtomic.store(false, std::memory_order_release);
-  // The flush-barrier mirror may trail the true cursor; re-publish now so
-  // a detach-then-re-HELLO sees the exact resume offset.
-  publishCounters();
-}
-
-void StreamSession::hotFlushPoint(const IngestFlushPoint &P) {
-  // Applier thread. A flush barrier is a consistent cut: monitor, machine,
-  // and stream cursor agree on "everything through this line" — the same
-  // guarantee the pump-side checkpoint path has after a Data item.
-  if (!Env.CheckpointDir.empty() &&
-      P.Flushes - LastCkptFlushes >= Env.CheckpointIntervalFlushes)
-    writeCheckpointNow(P.Machine, P.StreamOffset, P.LineNo, P.Flushes);
-  if (CountersFrozen)
-    return;
-  const MonitorStats &S = M.stats();
-  CTxns.store(S.IngestedTxns, std::memory_order_relaxed);
-  CCommitted.store(S.CommittedTxns, std::memory_order_relaxed);
-  COps.store(S.IngestedOps, std::memory_order_relaxed);
-  CLive.store(S.LiveTxns, std::memory_order_relaxed);
-  CViolations.store(S.ReportedViolations, std::memory_order_relaxed);
-  CFlushes.store(S.Flushes, std::memory_order_relaxed);
-  CEvicted.store(S.EvictedTxns, std::memory_order_relaxed);
-  CForced.store(S.ForcedAborts, std::memory_order_relaxed);
-  CFlushMicros.store(S.FlushMicros, std::memory_order_relaxed);
-  const uint64_t *Ph = M.flushPhaseMicros();
-  for (unsigned I = 0; I < obs::NumFlushPhases; ++I)
-    CPhaseMicros[I].store(Ph[I], std::memory_order_relaxed);
-  WindowBytesApprox.store(approxWindowBytes(S), std::memory_order_relaxed);
-  OffsetAtomic.store(P.StreamOffset, std::memory_order_release);
-  LineNoAtomic.store(P.LineNo, std::memory_order_release);
-}
-
 void StreamSession::maybeCheckpoint(bool Force) {
   if (Env.CheckpointDir.empty() || PhaseLocal != Phase::Active)
     return;
   uint64_t Flushes = M.flushCount();
   if (!Force && Flushes - LastCkptFlushes < Env.CheckpointIntervalFlushes)
     return;
-  writeCheckpointNow(*Machine, Offset, LineNo, Flushes);
-}
-
-void StreamSession::writeCheckpointNow(const StreamMachine &Mach,
-                                       uint64_t AtOffset, uint64_t AtLineNo,
-                                       uint64_t Flushes) {
   CheckpointMeta Meta;
   Meta.Format = Format;
   Meta.Options = Options;
-  Meta.StreamOffset = AtOffset;
-  Meta.LineNo = AtLineNo;
-  Meta.CommittedTxns = Mach.committedTxns();
+  Meta.StreamOffset = Ingest.streamOffset();
+  Meta.LineNo = Ingest.lineNumber();
+  Meta.CommittedTxns = Ingest.committedTxns();
   Meta.Flushes = Flushes;
   std::string MachineBlob;
   ByteWriter W(MachineBlob);
-  Mach.saveState(W);
+  Ingest.machine().saveState(W);
   std::string Err;
   if (!StoreCkpt) {
     StoreCkpt = std::make_unique<StoreCheckpointer>();
@@ -393,35 +265,13 @@ void StreamSession::finalizeSession(bool ToSinkFile, const char *ReplyVerb) {
 void StreamSession::processItem(const Item &I) {
   switch (I.K) {
   case Item::Kind::Data: {
-    // The first span batch is the upgrade signal: the connection's rate
-    // tracker decided this stream is hot.
-    if (!I.Spans.empty())
-      maybeUpgradeHot();
-    if (Sharded && PhaseLocal == Phase::Active) {
-      bool Ok = true;
-      for (const std::string &Line : I.Lines) {
-        // Lines queued before the upgrade (newline stripped): re-frame.
-        Ok = Sharded->feed(Line) && Sharded->feed(std::string_view("\n", 1));
-        if (!Ok)
+    // A wedged or closed stream drops its data quietly.
+    if (PhaseLocal == Phase::Active)
+      for (const PageSpan &S : I.Spans)
+        if (!Ingest.feedSpan(S)) {
+          wedge("ERR " + Name + " " + Ingest.errorText());
           break;
-      }
-      for (const PageSpan &S : I.Spans) {
-        if (!Ok)
-          break;
-        Ok = Sharded->feedSpan(S);
-      }
-      InboxBytes.fetch_sub(I.Bytes, std::memory_order_relaxed);
-      if (!Ok)
-        quiesceHot(); // surfaces the pipeline error, fails the phase
-      // Checkpoints and the counter mirror ride the flush barriers; the
-      // quota check reads that mirror (it may trail by one barrier).
-      enforceWindowQuota();
-      return;
-    }
-    for (const std::string &Line : I.Lines)
-      applyDataLine(Line);
-    for (const PageSpan &S : I.Spans)
-      applyDataSpan(S);
+        }
     InboxBytes.fetch_sub(I.Bytes, std::memory_order_relaxed);
     maybeCheckpoint(/*Force=*/false);
     publishCounters();
@@ -432,15 +282,9 @@ void StreamSession::processItem(const Item &I) {
   case Item::Kind::Stats: {
     if (PhaseLocal == Phase::Dead)
       return;
-    // While upgraded the Monitor belongs to the applier thread: serve the
-    // last flush barrier's mirror instead of racing it.
-    StatsSnapshot Snap = Sharded ? counters() : StatsSnapshot::of(M.stats());
-    std::string Json = Snap.toJson();
+    std::string Json = StatsSnapshot::of(M.stats()).toJson();
     if (I.Deep) {
-      // Splice the deep section in before the closing brace. The flush
-      // histogram is lock-free and safe to snapshot even while the hot
-      // pipeline's applier records into it; the phase breakdown reads the
-      // atomic mirror (may trail the live monitor by one flush barrier).
+      // Splice the deep section in before the closing brace.
       Json.pop_back();
       Json += ",\"flush_latency\":";
       Json += M.flushLatency().snapshot().percentilesJson();
@@ -451,7 +295,7 @@ void StreamSession::processItem(const Item &I) {
         Json += '"';
         Json += obs::flushPhaseName(static_cast<obs::FlushPhase>(P));
         Json += "\":";
-        Json += std::to_string(flushPhaseMicros(P));
+        Json += std::to_string(M.flushPhaseMicros()[P]);
       }
       Json += "}}";
     }
@@ -462,7 +306,6 @@ void StreamSession::processItem(const Item &I) {
   case Item::Kind::Detach: {
     if (PhaseLocal == Phase::Dead)
       return;
-    quiesceHot();
     // Capture the latest lines so an idle-evicted or killed server can
     // still resume this tenant from its detach point.
     maybeCheckpoint(/*Force=*/true);
@@ -483,14 +326,10 @@ void StreamSession::processItem(const Item &I) {
   case Item::Kind::End: {
     if (PhaseLocal == Phase::Dead)
       return;
-    quiesceHot();
     if (PhaseLocal == Phase::Active) {
       std::string Err;
-      if (!Machine->atEnd(&Err)) {
-        PhaseLocal = Phase::Failed;
-        PhaseAtomic.store(Phase::Failed, std::memory_order_release);
-        sendToClient("ERR " + Name + ": " + Err);
-      }
+      if (!Ingest.machine().atEnd(&Err))
+        wedge("ERR " + Name + ": " + Err);
     }
     // Finalize and report even for a wedged stream: what was ingested was
     // still checked (the standalone CLI does the same on a parse error).
@@ -521,7 +360,6 @@ void StreamSession::processItem(const Item &I) {
   case Item::Kind::Evict:
     if (PhaseLocal == Phase::Dead)
       return;
-    quiesceHot();
     maybeCheckpoint(/*Force=*/true);
     RetireReason = Retire::Evicted;
     PhaseLocal = Phase::Dead;
@@ -532,7 +370,6 @@ void StreamSession::processItem(const Item &I) {
   case Item::Kind::Drain:
     if (PhaseLocal == Phase::Dead)
       return;
-    quiesceHot();
     if (PhaseLocal == Phase::Active) {
       // Checkpoint first: the snapshot is the resumable state. The
       // finalize after it is a courtesy report for the attached client —
@@ -540,7 +377,7 @@ void StreamSession::processItem(const Item &I) {
       // sink, which a resumed session must continue exactly-once.
       maybeCheckpoint(/*Force=*/true);
       sendToClient("DRAINING " + Name +
-                   " offset=" + std::to_string(Offset));
+                   " offset=" + std::to_string(Ingest.streamOffset()));
     }
     // Freeze the metrics mirror at the checkpointed state: the courtesy
     // finalize's extra violations are in neither the durable record nor
@@ -670,7 +507,7 @@ SessionRegistry::hello(const HelloRequest &Req,
     // Before any dereference: a checkpoint with an unknown format name
     // (foreign writer, hand-edited but checksum-valid) must be an ERR,
     // not a null-machine crash.
-    if (!S->Decode || !S->Machine) {
+    if (!S->Ingest.valid()) {
       R.Err = "checkpoint " + CkptPath + ": unknown format '" +
               Meta.Format + "'";
       return R;
@@ -681,21 +518,20 @@ SessionRegistry::hello(const HelloRequest &Req,
       return R;
     }
     ByteReader MR(MachineState);
-    if (!S->Machine->loadState(MR)) {
+    if (!S->Ingest.machine().loadState(MR)) {
       R.Err = "checkpoint " + CkptPath + ": corrupted parser state";
       return R;
     }
+    S->Ingest.primeResume(Meta.StreamOffset, Meta.LineNo);
     // Keep committing into the store just restored from.
     S->StoreCkpt = std::move(ResumeStore);
-    S->Offset = Meta.StreamOffset;
-    S->LineNo = Meta.LineNo;
     S->LastCkptFlushes = Meta.Flushes;
     R.Status = "resumed";
   } else {
     S = std::make_shared<StreamSession>(Req.Stream, Req.Format, Req.Options,
                                         Env);
     R.Status = "new";
-    if (!S->Decode || !S->Machine) {
+    if (!S->Ingest.valid()) {
       R.Err = "unknown format '" + Req.Format + "'";
       return R;
     }
@@ -750,7 +586,6 @@ void SessionRegistry::fold(StreamSession &S) {
   Last.LiveTxns = 0;
   Retired.add(Last);
   RetiredCheckpoints += S.checkpointsWritten();
-  RetiredHotUpgrades += S.hotUpgrades();
   RetiredQuotaTrips += S.quotaTrips();
   switch (S.RetireReason) {
   case StreamSession::Retire::Ended:
@@ -831,14 +666,12 @@ SessionRegistry::Totals SessionRegistry::totals() const {
   T.SessionsEnded = Ended;
   T.Counters = Retired;
   T.Checkpoints = RetiredCheckpoints;
-  T.HotUpgrades = RetiredHotUpgrades;
   T.QuotaTrips = RetiredQuotaTrips;
   for (const auto &[Name, S] : Sessions) {
     if (S->phase() != StreamSession::Phase::Dead)
       ++T.SessionsLive;
     T.Counters.add(S->countersSinceCreation());
     T.Checkpoints += S->checkpointsWritten();
-    T.HotUpgrades += S->hotUpgrades();
     T.QuotaTrips += S->quotaTrips();
   }
   return T;

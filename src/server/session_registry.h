@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The tenant layer of `awdit serve`: a SessionRegistry owns one
-/// StreamSession — Monitor + format StreamMachine + sinks + counters — per
-/// named stream. Sessions are created lazily on the first HELLO, restored
+/// StreamSession — Monitor + one-thread ingest pipeline + sinks + counters
+/// — per named stream. Sessions are created lazily on the first HELLO, restored
 /// from their per-stream checkpoint store (checker/checkpoint.h) when one
 /// exists, detached when their client disconnects, evicted (with
 /// a final checkpoint) after an idle timeout, and drained — checkpoint,
@@ -17,8 +17,9 @@
 /// relies on):
 ///
 ///  - the event loop thread is the only *producer*: it appends work items
-///    (line batches, control verbs) to a session's inbox and schedules a
-///    pump task on the shared thread pool when none is running;
+///    (spans of stream bytes, control verbs) to a session's inbox and
+///    schedules a pump task on the shared thread pool when none is
+///    running;
 ///  - at most one pump task per session runs at a time (the Running flag,
 ///    set and cleared under the inbox mutex), so the Monitor, the machine,
 ///    and the sink files are single-writer — exactly the contract the
@@ -38,7 +39,6 @@
 #include "checker/stats_snapshot.h"
 #include "checker/violation_sink.h"
 #include "io/sharded_ingest.h"
-#include "io/stream_parser.h"
 #include "server/protocol.h"
 #include "support/byte_arena.h"
 #include "support/thread_pool.h"
@@ -93,13 +93,6 @@ struct SessionEnv {
   /// Write a checkpoint every this many checking passes (and always at
   /// detach, idle eviction, and drain).
   uint64_t CheckpointIntervalFlushes = 16;
-  /// Extra threads a hot session's pump may spawn when it upgrades to the
-  /// sharded ingest pipeline (io/sharded_ingest.h); < 2 disables the
-  /// upgrade and every session stays on the inline decoder.
-  unsigned HotThreads = 0;
-  /// A connection whose data rate crosses this (bytes per steady second)
-  /// starts shipping zero-copy page spans, upgrading its session.
-  uint64_t HotBytesPerSec = 8ull << 20;
   /// Per-session inbox quota (bytes of enqueued-but-unprocessed data):
   /// both the default and the hard cap a HELLO `inbox-bytes=` request may
   /// not exceed. The event loop stops reading a client whose session is
@@ -120,7 +113,7 @@ struct SessionEnv {
 /// cheap enough for every flush.
 uint64_t approxWindowBytes(const MonitorStats &S);
 
-/// One tenant: a named stream with its own Monitor, format machine, and
+/// One tenant: a named stream with its own Monitor, ingest pipeline, and
 /// sinks. Created/attached only through SessionRegistry.
 class StreamSession : public std::enable_shared_from_this<StreamSession> {
 public:
@@ -144,13 +137,9 @@ public:
     /// For Stats: the `STATS deep` form — add flush-latency percentiles
     /// and the per-phase breakdown to the reply.
     bool Deep = false;
-    /// For Data: raw lines (newline stripped, CR kept; byte accounting
-    /// adds the newline back).
-    std::vector<std::string> Lines;
-    /// For Data from a hot connection: verbatim stream bytes (newlines
-    /// included) as refcounted spans of the connection's read pages —
-    /// zero-copy from read(2) to the shard workers. The first Spans item a
-    /// pump sees upgrades the session to the sharded pipeline.
+    /// For Data: verbatim stream bytes, whole lines with their newlines,
+    /// as refcounted spans of the connection's read pages — zero-copy from
+    /// read(2) to the decoder.
     std::vector<PageSpan> Spans;
     size_t Bytes = 0;
     /// For Detach: true when the client just vanished (no reply).
@@ -199,7 +188,8 @@ public:
   void touch();
 
   /// Stream cursor as of session creation/restore plus applied lines —
-  /// what a (re)attaching client must seek its input to.
+  /// what a (re)attaching client must seek its input to. Published after
+  /// every pump item.
   uint64_t streamOffset() const {
     return OffsetAtomic.load(std::memory_order_acquire);
   }
@@ -218,20 +208,10 @@ public:
   uint64_t checkpointsWritten() const {
     return CheckpointsAtomic.load(std::memory_order_relaxed);
   }
-  /// Times this session upgraded its pump to the sharded ingest pipeline
-  /// (0 or more; a session downgraded by a control verb can re-upgrade).
-  uint64_t hotUpgrades() const {
-    return HotUpgradesAtomic.load(std::memory_order_relaxed);
-  }
-  /// True while the sharded pipeline is driving the stream.
-  bool hotUpgraded() const {
-    return HotAtomic.load(std::memory_order_acquire);
-  }
 
   /// Cumulative micros the stream's flushes spent in phase \p I (an
   /// obs::FlushPhase index) — the per-stream breakdown /metrics renders.
-  /// Mirror semantics like counters(): published at pump idle and at hot
-  /// flush barriers.
+  /// Mirror semantics like counters().
   uint64_t flushPhaseMicros(unsigned I) const {
     return CPhaseMicros[I].load(std::memory_order_relaxed);
   }
@@ -252,34 +232,17 @@ private:
 
   void pump();
   void processItem(const Item &I);
-  void applyDataLine(std::string_view Raw);
-  /// Cold-path fallback for a Spans item when the upgrade is unavailable:
-  /// splits the span and applies line by line.
-  void applyDataSpan(const PageSpan &S);
-  /// Upgrades the pump to a per-session sharded ingest pipeline: the
-  /// session's machine state moves into the pipeline and subsequent data
-  /// feeds it (zero-copy for spans). No-op unless Active, configured
-  /// (Env.HotThreads >= 2), and not already upgraded.
-  void maybeUpgradeHot();
-  /// Tears the sharded pipeline down (lossless: server feeds are always
-  /// whole lines) and moves the machine state and stream cursor back into
-  /// the pump. Surfaces any pipeline error as the usual ERR + Failed
-  /// phase. Must run before any verb that reads the machine or monitor.
-  void quiesceHot();
-  /// Flush-barrier callback while upgraded; runs on the pipeline's applier
-  /// thread, which owns the Monitor at that point. Handles the checkpoint
-  /// cadence and the counter mirror — the pump skips both while upgraded.
-  void hotFlushPoint(const IngestFlushPoint &P);
+  /// Wedges the stream (Failed phase: further data is dropped) and tells
+  /// the client \p Reply.
+  void wedge(const std::string &Reply);
   void publishCounters();
-  /// Pump-side window-memory quota check (reads the mirror published by
-  /// publishCounters()/hotFlushPoint(), so it works in both pump modes):
-  /// over quota → quiesce, typed `ERR quota`, Failed phase.
+  /// Pump-side window-memory quota check against the mirror
+  /// publishCounters() just wrote: over quota → typed `ERR quota`, Failed
+  /// phase.
   void enforceWindowQuota();
+  /// Writes a checkpoint at the current Data-item boundary when the
+  /// cadence (or \p Force) asks for one.
   void maybeCheckpoint(bool Force);
-  /// Writes one checkpoint of \p Machine at the given stream cut (shared
-  /// by the pump path and the hot flush hook).
-  void writeCheckpointNow(const StreamMachine &Machine, uint64_t AtOffset,
-                          uint64_t AtLineNo, uint64_t Flushes);
   void finalizeSession(bool ToSinkFile, const char *ReplyVerb);
   void sendToClient(const std::string &Line);
   std::string taggedJson(const char *Verb, const std::string &Json) const;
@@ -314,15 +277,16 @@ private:
 
   Sink ViolationsOut{*this};
   Monitor M;
-  LineDecoder Decode = nullptr;
-  std::unique_ptr<StreamMachine> Machine;
+  /// The stream's one-thread ingest pipeline over M: it holds the format
+  /// machine and the stream cursor (offset and line of the last applied
+  /// line), both valid between pump items. Declared after M, which it
+  /// drives.
+  ShardedMonitorIngest Ingest;
   std::unique_ptr<std::ofstream> SinkFile;
   /// The stream's checkpoint store. Set by the registry on a resume,
   /// opened lazily by the first checkpoint of a fresh stream; pump-thread
   /// only after hello() publishes the session.
   std::unique_ptr<StoreCheckpointer> StoreCkpt;
-  uint64_t Offset = 0;
-  uint64_t LineNo = 0;
   uint64_t LastCkptFlushes = 0;
   uint64_t Checkpoints = 0;
   Phase PhaseLocal = Phase::Active;
@@ -335,11 +299,6 @@ private:
   /// The restored checkpoint's counters (zero for a fresh stream); see
   /// countersSinceCreation().
   StatsSnapshot Base;
-  /// The hot-session upgrade: while set, this pipeline owns the Monitor
-  /// and the live machine state (the Machine member is stale until
-  /// quiesceHot() moves the state back). Declared after M/Machine so it is
-  /// destroyed — joining its threads — before them.
-  std::unique_ptr<ShardedMonitorIngest> Sharded;
 
   // --- Inbox (event loop -> pump). ---
   mutable std::mutex InboxMu;
@@ -362,8 +321,6 @@ private:
   std::atomic<uint64_t> CTxns{0}, CCommitted{0}, COps{0}, CLive{0},
       CViolations{0}, CFlushes{0}, CEvicted{0}, CForced{0}, CFlushMicros{0};
   std::atomic<uint64_t> CPhaseMicros[obs::NumFlushPhases] = {};
-  std::atomic<bool> HotAtomic{false};
-  std::atomic<uint64_t> HotUpgradesAtomic{0};
   /// The latest approxWindowBytes() estimate (published with the counter
   /// mirror) and the quota it is checked against. The quota is written by
   /// the registry on (re-)attach and read by the pump, hence atomic.
@@ -397,9 +354,6 @@ public:
   HelloResult hello(const HelloRequest &Req,
                     std::shared_ptr<ResponseWriter> Writer);
 
-  /// True when sessions may upgrade to the sharded ingest pipeline.
-  bool hotEnabled() const { return Env.HotThreads >= 2; }
-
   /// Sweeps Dead sessions out of the map and schedules eviction of
   /// detached sessions idle for more than \p IdleTimeoutSec (0 disables).
   /// \p NowSec is the steady clock in seconds. Returns the number of
@@ -423,7 +377,6 @@ public:
     uint64_t SessionsEvicted = 0;
     uint64_t SessionsEnded = 0;
     uint64_t Checkpoints = 0;
-    uint64_t HotUpgrades = 0;
     uint64_t QuotaTrips = 0;
     StatsSnapshot Counters;
   };
@@ -455,7 +408,6 @@ private:
   uint64_t Created = 0, Resumed = 0, Evicted = 0, Ended = 0;
   StatsSnapshot Retired;
   uint64_t RetiredCheckpoints = 0;
-  uint64_t RetiredHotUpgrades = 0;
   uint64_t RetiredQuotaTrips = 0;
 };
 

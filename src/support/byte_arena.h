@@ -65,10 +65,10 @@ struct PageSpan {
   }
 };
 
-/// The single-writer front of the arena: append bytes at the tail (either
-/// by copy via append(), or zero-copy by read(2)-ing into window() and
-/// commit()-ing), take refcounted whole-line spans off the front. Rolls to
-/// a fresh page when the current one fills, carrying the unconsumed tail.
+/// The single-writer front of the arena: append bytes at the tail (by
+/// copying or read(2)-ing into window() and commit()-ing), take refcounted
+/// whole-line spans off the front. Rolls to a fresh page when the current
+/// one fills, carrying the unconsumed tail.
 class ArenaWriter {
 public:
   explicit ArenaWriter(size_t PageBytes) : PageBytes(PageBytes) {}
@@ -84,17 +84,6 @@ public:
 
   /// Publishes \p N bytes written into the last window().
   void commit(size_t N) { WritePos += N; }
-
-  /// Copy-in convenience for callers that already own a buffer.
-  void append(std::string_view Chunk) {
-    while (!Chunk.empty()) {
-      auto [P, Len] = window();
-      size_t N = std::min(Chunk.size(), Len);
-      std::memcpy(P, Chunk.data(), N);
-      commit(N);
-      Chunk.remove_prefix(N);
-    }
-  }
 
   /// The committed-but-untaken bytes (whole lines plus a trailing partial
   /// line). Valid until the next window()/append().
@@ -115,15 +104,22 @@ public:
 private:
   void roll(size_t Min) {
     size_t Tail = WritePos - ReadPos;
-    if (Page && Tail == 0 && Page.use_count() == 1 &&
-        Page->capacity() >= Min) {
-      // No outstanding spans and nothing to carry: recycle in place.
-      ReadPos = WritePos = 0;
-      return;
+    if (Page && Tail == 0 && Page->capacity() >= Min) {
+      // Spans may have been dropped on other threads. Taking a reference
+      // is an acq_rel increment of the same count their drops decremented,
+      // so it orders their reads before the writes that recycle the page;
+      // a plain use_count() load would not.
+      ArenaPageRef Probe = Page;
+      if (Probe.use_count() == 2) {
+        // No outstanding spans and nothing to carry: recycle in place.
+        ReadPos = WritePos = 0;
+        return;
+      }
     }
-    // An oversized line gets an oversized page; everything else gets the
-    // standard size. Headroom past Min avoids rolling again immediately.
-    size_t Cap = std::max(PageBytes, Tail + Min);
+    // A line longer than half a page gets a page twice its size, so a
+    // line that keeps growing is copied O(1) times per byte; everything
+    // else gets the standard size.
+    size_t Cap = std::max(PageBytes, 2 * Tail + Min);
     ArenaPageRef Next = std::make_shared<ArenaPage>(Cap);
     if (Tail)
       std::memcpy(Next->data(), Page->data() + ReadPos, Tail);

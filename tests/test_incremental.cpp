@@ -19,7 +19,7 @@
 #include "checker/violation_sink.h"
 #include "io/dbcop_format.h"
 #include "io/plume_format.h"
-#include "io/stream_parser.h"
+#include "io/sharded_ingest.h"
 #include "sim/anomaly_injector.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
@@ -442,8 +442,8 @@ TEST(IncrementalEviction, AgeHorizonEvicts) {
   EXPECT_TRUE(Sink.Violations.empty());
 }
 
-/// Streaming foreign-format parsers: chunking-invariant and equal to the
-/// batch parser + one-shot checker end to end.
+/// Foreign formats streamed through a checking Monitor: chunking-invariant
+/// and equal to parseHistory() + the one-shot checker end to end.
 class StreamingForeignFormats : public ::testing::TestWithParam<int> {};
 
 TEST_P(StreamingForeignFormats, ChunkingInvariantAndBatchEquivalent) {
@@ -458,8 +458,8 @@ TEST_P(StreamingForeignFormats, ChunkingInvariantAndBatchEquivalent) {
   std::string Text = Plume ? writePlumeHistory(H) : writeDbcopHistory(H);
 
   std::string Err;
-  std::optional<History> Batch = Plume ? parsePlumeHistory(Text, &Err)
-                                       : parseDbcopHistory(Text, &Err);
+  std::string Format = Plume ? "plume" : "dbcop";
+  std::optional<History> Batch = parseHistory(Format, Text, &Err);
   ASSERT_TRUE(Batch) << Err;
   CheckOptions Ref;
   Ref.Threads = 1;
@@ -471,19 +471,17 @@ TEST_P(StreamingForeignFormats, ChunkingInvariantAndBatchEquivalent) {
     Options.Level = IsolationLevel::CausalConsistency;
     Options.Check = Ref;
     Monitor M(Options);
-    std::unique_ptr<StreamParser> Parser =
-        makeStreamParser(Plume ? "plume" : "dbcop", M);
-    ASSERT_TRUE(Parser);
+    ShardedMonitorIngest Ingest(M, Format, /*Threads=*/1);
+    ASSERT_TRUE(Ingest.valid());
     for (size_t Pos = 0; Pos < Text.size(); Pos += Chunk)
-      ASSERT_TRUE(Parser->feed(
-          std::string_view(Text).substr(Pos, Chunk), &Err))
-          << Err;
-    ASSERT_TRUE(Parser->finish(&Err)) << Err;
-    EXPECT_EQ(Parser->committedTxns(),
+      ASSERT_TRUE(Ingest.feed(std::string_view(Text).substr(Pos, Chunk)))
+          << Ingest.errorText();
+    ASSERT_EQ(Ingest.finishStream(), ShardedMonitorIngest::EndState::Clean)
+        << Ingest.errorText();
+    EXPECT_EQ(Ingest.committedTxns(),
               static_cast<uint64_t>(Batch->numCommitted()));
     expectSameReport(Expected, M.finalize(),
-                     std::string(Plume ? "plume" : "dbcop") + " chunk " +
-                         std::to_string(Chunk));
+                     Format + " chunk " + std::to_string(Chunk));
   }
 }
 
@@ -493,38 +491,26 @@ INSTANTIATE_TEST_SUITE_P(Formats, StreamingForeignFormats,
 /// Foreign-format streaming errors carry line numbers, including the
 /// duplicate-write model invariant.
 TEST(StreamingForeignFormats, ErrorsCarryLineNumbers) {
-  {
+  auto ErrorOf = [](const std::string &Format, std::string_view Text) {
     Monitor M;
-    StreamingPlumeParser Parser(M);
-    std::string Err;
-    EXPECT_FALSE(Parser.feed("0,0,w,1,10\n0,0,r\n", &Err));
-    EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
-  }
-  {
-    Monitor M;
-    StreamingPlumeParser Parser(M);
-    std::string Err;
-    EXPECT_FALSE(Parser.feed("0,0,w,1,10\n1,1,w,1,10\n", &Err));
-    EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
-    EXPECT_NE(Err.find("duplicate write"), std::string::npos) << Err;
-  }
-  {
-    Monitor M;
-    StreamingDbcopParser Parser(M);
-    std::string Err;
-    EXPECT_FALSE(Parser.feed("sessions 1\ntxn 0 1 2\nW 1 10\nW 1 10\n",
-                             &Err));
-    EXPECT_NE(Err.find("line 4"), std::string::npos) << Err;
-    EXPECT_NE(Err.find("duplicate write"), std::string::npos) << Err;
-  }
-  {
-    Monitor M;
-    StreamingDbcopParser Parser(M);
-    std::string Err;
-    EXPECT_FALSE(Parser.feed("txn 0 1 1\n", &Err));
-    EXPECT_NE(Err.find("line 1"), std::string::npos) << Err;
-    EXPECT_NE(Err.find("header"), std::string::npos) << Err;
-  }
+    ShardedMonitorIngest Ingest(M, Format, /*Threads=*/1);
+    EXPECT_FALSE(Ingest.feed(Text));
+    return Ingest.errorText();
+  };
+  std::string Err = ErrorOf("plume", "0,0,w,1,10\n0,0,r\n");
+  EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
+
+  Err = ErrorOf("plume", "0,0,w,1,10\n1,1,w,1,10\n");
+  EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("duplicate write"), std::string::npos) << Err;
+
+  Err = ErrorOf("dbcop", "sessions 1\ntxn 0 1 2\nW 1 10\nW 1 10\n");
+  EXPECT_NE(Err.find("line 4"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("duplicate write"), std::string::npos) << Err;
+
+  Err = ErrorOf("dbcop", "txn 0 1 1\n");
+  EXPECT_NE(Err.find("line 1"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("header"), std::string::npos) << Err;
 }
 
 /// The native streaming clock directive drives the monitor clock.
@@ -534,15 +520,15 @@ TEST(StreamingForeignFormats, NativeClockDirective) {
   Options.CheckIntervalTxns = 1;
   Options.WindowAgeTicks = 10;
   Monitor M(Options);
-  StreamingTextParser Parser(M);
-  std::string Err;
+  ShardedMonitorIngest Ingest(M, "native", /*Threads=*/1);
   std::string Stream;
   for (int I = 0; I < 50; ++I) {
     Stream += "t " + std::to_string(I * 5) + "\n";
     Stream += "b 0\nw " + std::to_string(I) + " " + std::to_string(I + 1) +
               "\nc\n";
   }
-  ASSERT_TRUE(Parser.feed(Stream, &Err)) << Err;
-  ASSERT_TRUE(Parser.finish(&Err)) << Err;
+  ASSERT_TRUE(Ingest.feed(Stream)) << Ingest.errorText();
+  ASSERT_EQ(Ingest.finishStream(), ShardedMonitorIngest::EndState::Clean)
+      << Ingest.errorText();
   EXPECT_GT(M.stats().AgeEvictedTxns, 0u);
 }

@@ -2,6 +2,7 @@
 
 #include "io/dbcop_format.h"
 #include "io/plume_format.h"
+#include "io/sharded_ingest.h"
 #include "io/text_format.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
@@ -15,20 +16,6 @@ using namespace awdit;
 using namespace awdit::test;
 
 namespace {
-
-void expectSameHistory(const History &A, const History &B) {
-  ASSERT_EQ(A.numTxns(), B.numTxns());
-  ASSERT_EQ(A.numSessions(), B.numSessions());
-  ASSERT_EQ(A.numOps(), B.numOps());
-  for (TxnId Id = 0; Id < A.numTxns(); ++Id) {
-    const Transaction &TA = A.txn(Id), &TB = B.txn(Id);
-    EXPECT_EQ(TA.Session, TB.Session);
-    EXPECT_EQ(TA.Committed, TB.Committed);
-    ASSERT_EQ(TA.Ops.size(), TB.Ops.size());
-    for (size_t O = 0; O < TA.Ops.size(); ++O)
-      EXPECT_TRUE(TA.Ops[O] == TB.Ops[O]);
-  }
-}
 
 History sampleHistory(uint64_t Seed) {
   GenerateParams P;
@@ -103,7 +90,7 @@ TEST(PlumeFormat, RoundTripsGeneratedHistories) {
     History H = sampleHistory(Seed);
     std::string Err;
     std::optional<History> Back =
-        parsePlumeHistory(writePlumeHistory(H), &Err);
+        parseHistory("plume", writePlumeHistory(H), &Err);
     ASSERT_TRUE(Back) << Err;
     expectSameHistory(H, *Back);
   }
@@ -116,7 +103,7 @@ TEST(PlumeFormat, ParsesHandWrittenInput) {
                       "1,2,r,6,60\n"
                       "1,2,abort\n";
   std::string Err;
-  std::optional<History> H = parsePlumeHistory(Input, &Err);
+  std::optional<History> H = parseHistory("plume", Input, &Err);
   ASSERT_TRUE(H) << Err;
   EXPECT_EQ(H->numTxns(), 3u);
   EXPECT_EQ(H->txn(0).Ops.size(), 2u);
@@ -125,14 +112,15 @@ TEST(PlumeFormat, ParsesHandWrittenInput) {
 
 TEST(PlumeFormat, RejectsMalformedInput) {
   std::string Err;
-  EXPECT_FALSE(parsePlumeHistory("0,0,q,1,2\n", &Err));
-  EXPECT_FALSE(parsePlumeHistory("0,w,1,2\n", &Err));
-  EXPECT_FALSE(parsePlumeHistory("zero,0,w,1,2\n", &Err));
+  EXPECT_FALSE(parseHistory("plume", "0,0,q,1,2\n", &Err));
+  EXPECT_FALSE(parseHistory("plume", "0,w,1,2\n", &Err));
+  EXPECT_FALSE(parseHistory("plume", "zero,0,w,1,2\n", &Err));
 }
 
 TEST(PlumeFormat, HandlesCrLf) {
   std::string Err;
-  std::optional<History> H = parsePlumeHistory("0,0,w,1,10\r\n", &Err);
+  std::optional<History> H =
+      parseHistory("plume", "0,0,w,1,10\r\n", &Err);
   ASSERT_TRUE(H) << Err;
   EXPECT_EQ(H->numTxns(), 1u);
 }
@@ -142,7 +130,7 @@ TEST(DbcopFormat, RoundTripsGeneratedHistories) {
     History H = sampleHistory(Seed);
     std::string Err;
     std::optional<History> Back =
-        parseDbcopHistory(writeDbcopHistory(H), &Err);
+        parseHistory("dbcop", writeDbcopHistory(H), &Err);
     ASSERT_TRUE(Back) << Err;
     expectSameHistory(H, *Back);
   }
@@ -156,7 +144,7 @@ TEST(DbcopFormat, ParsesHandWrittenInput) {
                       "txn 1 0 1\n"
                       "R 1 10\n";
   std::string Err;
-  std::optional<History> H = parseDbcopHistory(Input, &Err);
+  std::optional<History> H = parseHistory("dbcop", Input, &Err);
   ASSERT_TRUE(H) << Err;
   EXPECT_EQ(H->numTxns(), 2u);
   EXPECT_FALSE(H->txn(1).Committed);
@@ -164,16 +152,21 @@ TEST(DbcopFormat, ParsesHandWrittenInput) {
 
 TEST(DbcopFormat, RejectsMalformedInput) {
   std::string Err;
-  EXPECT_FALSE(parseDbcopHistory("txn 0 1 0\n", &Err)); // missing header
-  EXPECT_FALSE(parseDbcopHistory("sessions 1\ntxn 5 1 0\n", &Err));
-  EXPECT_FALSE(parseDbcopHistory("sessions 1\ntxn 0 1 2\nW 1 10\n", &Err));
-  EXPECT_FALSE(parseDbcopHistory("sessions 1\nW 1 10\n", &Err));
+  EXPECT_FALSE(parseHistory("dbcop", "txn 0 1 0\n", &Err)); // no header
+  EXPECT_FALSE(parseHistory("dbcop", "sessions 1\ntxn 5 1 0\n", &Err));
+  EXPECT_FALSE(
+      parseHistory("dbcop", "sessions 1\ntxn 0 1 2\nW 1 10\n", &Err));
+  // A block cut short is reported at the last line of the input.
+  EXPECT_EQ(Err.rfind("line 3: ", 0), 0u) << Err;
+  EXPECT_FALSE(parseHistory("dbcop", "sessions 1\nW 1 10\n", &Err));
 }
 
 TEST(Formats, CrossFormatConversionPreservesVerdicts) {
   History H = sampleHistory(12);
-  std::optional<History> ViaPlume = parsePlumeHistory(writePlumeHistory(H));
-  std::optional<History> ViaDbcop = parseDbcopHistory(writeDbcopHistory(H));
+  std::optional<History> ViaPlume =
+      parseHistory("plume", writePlumeHistory(H));
+  std::optional<History> ViaDbcop =
+      parseHistory("dbcop", writeDbcopHistory(H));
   ASSERT_TRUE(ViaPlume && ViaDbcop);
   for (IsolationLevel Level : AllIsolationLevels) {
     bool Expected = consistent(H, Level);
@@ -190,22 +183,28 @@ TEST(Formats, DuplicateWriteErrorsCarryLineNumbers) {
   EXPECT_NE(Err.find("line 5"), std::string::npos) << Err;
   EXPECT_NE(Err.find("duplicate write"), std::string::npos) << Err;
 
-  EXPECT_FALSE(parsePlumeHistory("0,0,w,1,10\n0,1,w,1,10\n", &Err));
+  EXPECT_FALSE(parseHistory("plume", "0,0,w,1,10\n0,1,w,1,10\n", &Err));
   EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
   EXPECT_NE(Err.find("duplicate write"), std::string::npos) << Err;
 
-  EXPECT_FALSE(parseDbcopHistory(
-      "sessions 1\ntxn 0 1 1\nW 1 10\ntxn 0 1 1\nW 1 10\n", &Err));
+  EXPECT_FALSE(parseHistory(
+      "dbcop", "sessions 1\ntxn 0 1 1\nW 1 10\ntxn 0 1 1\nW 1 10\n", &Err));
   EXPECT_NE(Err.find("line 5"), std::string::npos) << Err;
   EXPECT_NE(Err.find("duplicate write"), std::string::npos) << Err;
+}
+
+TEST(Formats, UnknownFormatIsRefused) {
+  std::string Err;
+  EXPECT_FALSE(parseHistory("csv", "0,0,w,1,10\n", &Err));
+  EXPECT_EQ(Err, "unknown format 'csv'");
 }
 
 TEST(Formats, SyntaxErrorsCarryLineNumbers) {
   std::string Err;
   EXPECT_FALSE(parseTextHistory("b 0\nw 1\nc\n", &Err));
   EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
-  EXPECT_FALSE(parsePlumeHistory("0,0,w,1,10\ngarbage\n", &Err));
+  EXPECT_FALSE(parseHistory("plume", "0,0,w,1,10\ngarbage\n", &Err));
   EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
-  EXPECT_FALSE(parseDbcopHistory("sessions 1\nboom\n", &Err));
+  EXPECT_FALSE(parseHistory("dbcop", "sessions 1\nboom\n", &Err));
   EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
 }

@@ -13,7 +13,9 @@
 #include "checker/checker.h"
 #include "checker/monitor.h"
 #include "checker/violation_sink.h"
-#include "io/stream_parser.h"
+#include "io/dbcop_format.h"
+#include "io/plume_format.h"
+#include "io/sharded_ingest.h"
 #include "io/text_format.h"
 #include "sim/anomaly_injector.h"
 #include "tests/test_util.h"
@@ -355,28 +357,58 @@ TEST(MonitorIngestion, OpenTxnAtFinalizeIsAborted) {
   EXPECT_TRUE(hasViolation(Report, ViolationKind::AbortedRead));
 }
 
-/// The streaming parser must be invariant to chunk boundaries and agree
-/// with the one-shot parser end to end.
+/// The ingest pipeline must be invariant to chunk boundaries in every
+/// format: chunks of 1, 7 and 4096 bytes and one whole-text feed() build
+/// the History parseHistory() builds from the whole text, field by field,
+/// with the same stream cursor; and streaming the native text through a
+/// checking Monitor agrees with the one-shot checker.
 TEST(StreamingParser, ChunkingInvariant) {
   GenerateParams P;
   P.Bench = Benchmark::Tpcc;
   P.Sessions = 4;
   P.Txns = 150;
   P.Seed = 3;
+  P.AbortProbability = 0.1;
   History H = generateHistory(P);
-  std::string Text = writeTextHistory(H);
 
+  for (auto [Format, Text] :
+       {std::pair<std::string, std::string>{"native", writeTextHistory(H)},
+        std::pair<std::string, std::string>{"plume", writePlumeHistory(H)},
+        std::pair<std::string, std::string>{"dbcop",
+                                            writeDbcopHistory(H)}}) {
+    std::string Err;
+    std::optional<History> Whole = parseHistory(Format, Text, &Err);
+    ASSERT_TRUE(Whole) << Format << ": " << Err;
+    for (size_t Chunk : {size_t(1), size_t(7), size_t(4096), Text.size()}) {
+      std::string Context = Format + " chunk " + std::to_string(Chunk);
+      Monitor M;
+      ShardedMonitorIngest Ingest(M, Format, /*Threads=*/1);
+      for (size_t Pos = 0; Pos < Text.size(); Pos += Chunk)
+        ASSERT_TRUE(Ingest.feed(std::string_view(Text).substr(Pos, Chunk)))
+            << Context << ": " << Ingest.errorText();
+      ASSERT_EQ(Ingest.finishStream(), ShardedMonitorIngest::EndState::Clean)
+          << Context << ": " << Ingest.errorText();
+      EXPECT_EQ(Ingest.streamOffset(), Text.size()) << Context;
+      EXPECT_EQ(Ingest.lineNumber(),
+                static_cast<uint64_t>(
+                    std::count(Text.begin(), Text.end(), '\n')))
+          << Context;
+      EXPECT_EQ(Ingest.committedTxns(), Whole->numCommitted()) << Context;
+      expectSameHistory(*Whole, M.takeHistory(), Context);
+    }
+  }
+
+  std::string Text = writeTextHistory(H);
   for (size_t Chunk : {size_t(1), size_t(7), size_t(4096)}) {
     MonitorOptions Options;
     Options.Level = IsolationLevel::CausalConsistency;
     Monitor M(Options);
-    StreamingTextParser Parser(M);
-    std::string Err;
+    ShardedMonitorIngest Ingest(M, "native", /*Threads=*/1);
     for (size_t Pos = 0; Pos < Text.size(); Pos += Chunk)
-      ASSERT_TRUE(Parser.feed(
-          std::string_view(Text).substr(Pos, Chunk), &Err))
-          << Err;
-    ASSERT_TRUE(Parser.finish(&Err)) << Err;
+      ASSERT_TRUE(Ingest.feed(std::string_view(Text).substr(Pos, Chunk)))
+          << Ingest.errorText();
+    ASSERT_EQ(Ingest.finishStream(), ShardedMonitorIngest::EndState::Clean)
+        << Ingest.errorText();
     CheckReport Streamed = M.finalize();
 
     CheckOptions Ref;
@@ -387,23 +419,27 @@ TEST(StreamingParser, ChunkingInvariant) {
   }
 }
 
-/// Streaming parser errors carry the offending line number — including the
-/// duplicate-write model invariant the monitor detects during ingestion.
+/// Pipeline errors carry the offending line number — including the
+/// duplicate-write model invariant the monitor detects during ingestion —
+/// and the feed that hits them fails on the spot.
 TEST(StreamingParser, ErrorsCarryLineNumbers) {
   {
     Monitor M;
-    StreamingTextParser Parser(M);
-    std::string Err;
-    EXPECT_FALSE(Parser.feed("b 0\nw 1 10\nxyz\n", &Err));
-    EXPECT_NE(Err.find("line 3"), std::string::npos) << Err;
+    ShardedMonitorIngest Ingest(M, "native", /*Threads=*/1);
+    EXPECT_FALSE(Ingest.feed("b 0\nw 1 10\nxyz\n"));
+    EXPECT_EQ(Ingest.errorText().rfind("line 3: ", 0), 0u)
+        << Ingest.errorText();
+    // The cursor stops at the failing line.
+    EXPECT_EQ(Ingest.lineNumber(), 3u);
+    EXPECT_EQ(Ingest.streamOffset(), 11u);
   }
   {
     Monitor M;
-    StreamingTextParser Parser(M);
-    std::string Err;
-    EXPECT_FALSE(
-        Parser.feed("b 0\nw 1 10\nc\nb 1\nw 1 10\n", &Err));
-    EXPECT_NE(Err.find("line 5"), std::string::npos) << Err;
-    EXPECT_NE(Err.find("duplicate write"), std::string::npos) << Err;
+    ShardedMonitorIngest Ingest(M, "native", /*Threads=*/1);
+    EXPECT_FALSE(Ingest.feed("b 0\nw 1 10\nc\nb 1\nw 1 10\n"));
+    EXPECT_NE(Ingest.errorText().find("line 5"), std::string::npos)
+        << Ingest.errorText();
+    EXPECT_NE(Ingest.errorText().find("duplicate write"), std::string::npos)
+        << Ingest.errorText();
   }
 }

@@ -14,7 +14,7 @@
 #include "checker/monitor.h"
 #include "checker/stats_snapshot.h"
 #include "checker/violation_sink.h"
-#include "io/stream_parser.h"
+#include "io/sharded_ingest.h"
 #include "io/text_format.h"
 #include "obs/trace.h"
 #include "server/protocol.h"
@@ -377,10 +377,10 @@ Reference referenceRun(const std::string &Text,
   std::ostringstream Out;
   JsonLinesSink Sink(Out);
   Monitor M(Options, &Sink);
-  StreamingTextParser Parser(M);
-  std::string Err;
-  EXPECT_TRUE(Parser.feed(Text, &Err)) << Err;
-  EXPECT_TRUE(Parser.finish(&Err)) << Err;
+  ShardedMonitorIngest Ingest(M, "native", /*Threads=*/1);
+  EXPECT_TRUE(Ingest.feed(Text)) << Ingest.errorText();
+  EXPECT_EQ(Ingest.finishStream(), ShardedMonitorIngest::EndState::Clean)
+      << Ingest.errorText();
   CheckReport Report = M.finalize();
   Ref.Summary = monitorSummaryJson(Report, M.stats(), Options.Level);
   std::istringstream Lines(Out.str());
@@ -694,9 +694,24 @@ TEST(ServerEndToEnd, ProtocolErrors) {
             std::string::npos);
 
   // A malformed stream line wedges the session with a line-numbered ERR.
-  ASSERT_TRUE(C.send("b 0\nw 1 1\nbogus 9 9\n"));
+  ASSERT_TRUE(C.send("b 0\nw 1 1\nbogus 9 9\nw 2 2\n"));
   std::string Err = C.readUntil("ERR ");
-  EXPECT_NE(Err.find("s1 line 3:"), std::string::npos) << Err;
+  EXPECT_EQ(Err.rfind("ERR s1 line 3: ", 0), 0u) << Err;
+  // The wedged stream still finalizes what it checked, and says goodbye.
+  ASSERT_TRUE(C.sendLine("END"));
+  EXPECT_FALSE(C.readUntil("FINAL ").empty());
+  EXPECT_EQ(C.readUntil("BYE"), "BYE");
+
+  // END inside a transaction: the format's end-of-input text, no line.
+  TestClient C3;
+  ASSERT_TRUE(C3.connect(H.port()));
+  ASSERT_TRUE(C3.sendLine("HELLO s3 cc"));
+  ASSERT_EQ(C3.readLine().rfind("OK s3 new", 0), 0u);
+  ASSERT_TRUE(C3.send("b 0\nw 1 1\nEND\n"));
+  EXPECT_EQ(C3.readUntil("ERR "),
+            "ERR s3: unterminated transaction at end of input");
+  EXPECT_FALSE(C3.readUntil("FINAL ").empty());
+  EXPECT_EQ(C3.readUntil("BYE"), "BYE");
   H.stop();
 }
 
@@ -910,126 +925,6 @@ TEST(ServerEndToEnd, ReusedStreamIdStartsAFreshRecord) {
   H.stop();
 }
 
-//===----------------------------------------------------------------------===//
-// Hot-session upgrade: a connection crossing the data-rate threshold ships
-// zero-copy spans and its session's pump upgrades to the sharded ingest
-// pipeline. The invariant under test: output stays byte-identical to the
-// inline decoder (and to a standalone monitor) through the upgrade, every
-// control verb, and reattach.
-//===----------------------------------------------------------------------===//
-
-/// Options that force the upgrade deterministically: an explicit thread
-/// budget and a 1-byte/sec threshold, so the very first data read flips
-/// the connection hot.
-ServerOptions hotOptions() {
-  ServerOptions Base;
-  Base.Threads = 4;
-  Base.ShardHotSessions = 3;
-  Base.HotBytesPerSec = 1;
-  return Base;
-}
-
-TEST(ServerEndToEnd, HotSessionUpgradeMatchesStandaloneMonitor) {
-  ServerHarness H(hotOptions());
-  History Hist = generated(41, 400, /*Inject=*/true);
-  std::string Text = writeTextHistory(Hist);
-
-  MonitorOptions Options;
-  Options.Level = IsolationLevel::CausalConsistency;
-  Options.CheckIntervalTxns = 32;
-  Options.Check.MaxWitnesses = 4;
-  Reference Ref = referenceRun(Text, Options);
-  ASSERT_FALSE(Ref.ViolationLines.empty());
-
-  TestClient C;
-  ASSERT_TRUE(C.connect(H.port()));
-  ASSERT_TRUE(C.sendLine("HELLO hot1 cc interval=32"));
-  EXPECT_EQ(C.readLine(), "OK hot1 new offset=0 line=0");
-  ASSERT_TRUE(C.send(Text));
-  ASSERT_TRUE(C.sendLine("END"));
-  std::vector<std::string> Pushed;
-  std::string Final = C.readUntil("FINAL ", &Pushed);
-  ASSERT_FALSE(Final.empty());
-  EXPECT_EQ(C.readUntil("BYE"), "BYE");
-
-  // Byte-identical everywhere: push channel, FINAL summary, durable sink.
-  ASSERT_EQ(Pushed.size(), Ref.ViolationLines.size());
-  for (size_t I = 0; I < Pushed.size(); ++I)
-    EXPECT_EQ(stripStreamTag(Pushed[I], "hot1"), Ref.ViolationLines[I]);
-  EXPECT_EQ(stripStreamTag(Final.substr(6), "hot1"), Ref.Summary);
-  EXPECT_EQ(fileLines(H.sinkDir() + "/hot1.jsonl"), Ref.ViolationLines);
-
-  // And the upgrade really happened (not a silently-cold run).
-  std::string Metrics = H.server().renderMetrics();
-  EXPECT_NE(Metrics.find("awdit_server_hot_upgrades_total 1"),
-            std::string::npos)
-      << Metrics;
-  H.stop();
-}
-
-TEST(ServerEndToEnd, HotUpgradeDetachReattachContinuesWithOffset) {
-  ServerHarness H(hotOptions());
-  History Hist = generated(43, 300, /*Inject=*/true);
-  std::string Text = writeTextHistory(Hist);
-  MonitorOptions Options;
-  Options.Level = IsolationLevel::CausalConsistency;
-  Options.CheckIntervalTxns = 16;
-  Options.Check.MaxWitnesses = 4;
-  Reference Ref = referenceRun(Text, Options);
-
-  size_t Cut = Text.find('\n', Text.size() / 2);
-  ASSERT_NE(Cut, std::string::npos);
-  ++Cut;
-
-  TestClient C;
-  ASSERT_TRUE(C.connect(H.port()));
-  ASSERT_TRUE(C.sendLine("HELLO hot2 cc interval=16"));
-  ASSERT_EQ(C.readLine().rfind("OK hot2 new offset=0", 0), 0u);
-  ASSERT_TRUE(C.send(Text.substr(0, Cut)));
-  ASSERT_TRUE(C.sendLine("DETACH"));
-  // DETACH quiesces the pipeline losslessly: every byte sent before it
-  // must be applied, and the resume offset must be exact — not the last
-  // flush barrier's.
-  EXPECT_EQ(C.readUntil("OK detached"), "OK detached hot2");
-  C.close();
-
-  TestClient C2;
-  ASSERT_TRUE(C2.connect(H.port()));
-  ASSERT_TRUE(C2.sendLine("HELLO hot2 cc"));
-  std::string Ok = C2.readLine();
-  ASSERT_EQ(Ok.rfind("OK hot2 attached offset=" + std::to_string(Cut), 0),
-            0u)
-      << Ok;
-  ASSERT_TRUE(C2.send(Text.substr(Cut)));
-  ASSERT_TRUE(C2.sendLine("END"));
-  std::string Final = C2.readUntil("FINAL ");
-  C2.readUntil("BYE");
-
-  EXPECT_EQ(fileLines(H.sinkDir() + "/hot2.jsonl"), Ref.ViolationLines);
-  EXPECT_EQ(stripStreamTag(Final.substr(6), "hot2"), Ref.Summary);
-  H.stop();
-}
-
-TEST(ServerEndToEnd, HotUpgradeParseErrorReportsLineNumber) {
-  ServerHarness H(hotOptions());
-  TestClient C;
-  ASSERT_TRUE(C.connect(H.port()));
-  ASSERT_TRUE(C.sendLine("HELLO hot3 cc"));
-  ASSERT_EQ(C.readLine().rfind("OK hot3 new", 0), 0u);
-  // Two good lines, then garbage. The pipelined decoder surfaces the
-  // failure asynchronously: the ERR lands at the next quiesce point (here,
-  // END) but must keep the same "ERR <stream> line N: ..." shape as the
-  // inline decoder.
-  ASSERT_TRUE(C.send("b 0\nw 1 1\nbogus line\nw 2 2\n"));
-  ASSERT_TRUE(C.sendLine("END"));
-  std::string Err = C.readUntil("ERR ");
-  ASSERT_EQ(Err.rfind("ERR hot3 line 3: ", 0), 0u) << Err;
-  // The wedged stream still finalizes what it checked.
-  EXPECT_FALSE(C.readUntil("FINAL ").empty());
-  EXPECT_EQ(C.readUntil("BYE"), "BYE");
-  H.stop();
-}
-
 TEST(ServerEndToEnd, ShutdownVerbDrainsTheServer) {
   ServerHarness H;
   TestClient C;
@@ -1232,13 +1127,16 @@ TEST(ServerEndToEnd, MuxConnectionHostsManyTenantsByteIdentical) {
   ServerHarness H;
   std::string T1 = writeTextHistory(generated(71, 250, /*Inject=*/true));
   std::string T2 = writeTextHistory(generated(72, 250, /*Inject=*/false));
+  std::string T3 = writeTextHistory(generated(73, 250, /*Inject=*/true));
   MonitorOptions Options;
   Options.Level = IsolationLevel::CausalConsistency;
   Options.CheckIntervalTxns = 16;
   Options.Check.MaxWitnesses = 4;
   Reference Ref1 = referenceRun(T1, Options);
   Reference Ref2 = referenceRun(T2, Options);
+  Reference Ref3 = referenceRun(T3, Options);
   ASSERT_FALSE(Ref1.ViolationLines.empty());
+  ASSERT_FALSE(Ref3.ViolationLines.empty());
 
   TestClient C;
   ASSERT_TRUE(C.connect(H.port()));
@@ -1265,10 +1163,31 @@ TEST(ServerEndToEnd, MuxConnectionHostsManyTenantsByteIdentical) {
   EXPECT_EQ(C.readUntil("ERR mux: unknown"),
             "ERR mux: unknown stream 'nosuch'");
 
+  // A third tenant fed one explicitly-routed frame per line, with CRLF
+  // endings: every payload is its own slice of the read page, and the CR
+  // bytes count toward the stream offset a re-attaching client is told.
+  ASSERT_TRUE(C.sendLine("HELLO m3 cc interval=16 mux=on"));
+  EXPECT_EQ(C.readUntil("@m3 OK "), "@m3 OK m3 new offset=0 line=0");
+  std::string Frames;
+  uint64_t Lines3 = 0;
+  for (size_t Pos = 0; Pos < T3.size(); ++Lines3) {
+    size_t Nl = T3.find('\n', Pos);
+    Frames += "@m3 " + T3.substr(Pos, Nl - Pos) + "\r\n";
+    Pos = Nl + 1;
+  }
+  ASSERT_TRUE(C.send(Frames));
+  ASSERT_TRUE(C.sendLine("@m3 DETACH"));
+  EXPECT_EQ(C.readUntil("@m3 OK detached"), "@m3 OK detached m3");
+  ASSERT_TRUE(C.sendLine("HELLO m3 cc mux=on"));
+  EXPECT_EQ(C.readUntil("@m3 OK "),
+            "@m3 OK m3 attached offset=" + std::to_string(T3.size() + Lines3) +
+                " line=" + std::to_string(Lines3));
+
   ASSERT_TRUE(C.sendLine("@m1 END"));
   ASSERT_TRUE(C.sendLine("@m2 END"));
-  std::string Final1, Final2;
-  int ByesLeft = 2;
+  ASSERT_TRUE(C.sendLine("@m3 END"));
+  std::string Final1, Final2, Final3;
+  int ByesLeft = 3;
   while (ByesLeft > 0) {
     std::string Line = C.readLine();
     ASSERT_FALSE(Line.empty());
@@ -1276,15 +1195,19 @@ TEST(ServerEndToEnd, MuxConnectionHostsManyTenantsByteIdentical) {
       Final1 = Line.substr(10);
     else if (Line.rfind("@m2 FINAL ", 0) == 0)
       Final2 = Line.substr(10);
-    else if (Line == "@m1 BYE" || Line == "@m2 BYE")
+    else if (Line.rfind("@m3 FINAL ", 0) == 0)
+      Final3 = Line.substr(10);
+    else if (Line == "@m1 BYE" || Line == "@m2 BYE" || Line == "@m3 BYE")
       --ByesLeft;
   }
 
   // Each multiplexed tenant's record equals its standalone run.
   EXPECT_EQ(stripStreamTag(Final1, "m1"), Ref1.Summary);
   EXPECT_EQ(stripStreamTag(Final2, "m2"), Ref2.Summary);
+  EXPECT_EQ(stripStreamTag(Final3, "m3"), Ref3.Summary);
   EXPECT_EQ(fileLines(H.sinkDir() + "/m1.jsonl"), Ref1.ViolationLines);
   EXPECT_EQ(fileLines(H.sinkDir() + "/m2.jsonl"), Ref2.ViolationLines);
+  EXPECT_EQ(fileLines(H.sinkDir() + "/m3.jsonl"), Ref3.ViolationLines);
   EXPECT_NE(Final2.find("\"consistent\":true"), std::string::npos);
   H.stop();
 }

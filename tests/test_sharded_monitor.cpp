@@ -2,8 +2,8 @@
 //
 // The acceptance battery of the multi-core sharded monitor pipeline
 // (io/sharded_ingest.h): driving the same byte stream through the pipeline
-// with any thread count must produce output bit-identical to the legacy
-// single-threaded path — the same finalize report, the same violation
+// with any thread count must produce output bit-identical to the inline
+// one-thread path — the same finalize report, the same violation
 // stream in the same order with the same rendered descriptions, at every
 // flush cadence and window size, on clean and anomaly-injected histories
 // and in all three input formats. These tests are also the core workload
@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -47,6 +48,8 @@ struct RunResult {
   std::string Error;
   ShardedMonitorIngest::EndState End =
       ShardedMonitorIngest::EndState::Clean;
+  uint64_t LineNo = 0;
+  uint64_t Offset = 0;
 };
 
 /// Feeds \p Text through the sharded pipeline with \p Threads extra
@@ -64,6 +67,8 @@ RunResult runPipeline(const std::string &Text, const std::string &Format,
       break;
   R.End = Ingest.finishStream();
   R.Error = Ingest.errorText();
+  R.LineNo = Ingest.lineNumber();
+  R.Offset = Ingest.streamOffset();
   R.Report = M.finalize();
   R.Stats = M.stats();
   R.Streamed = std::move(Sink.Violations);
@@ -231,6 +236,38 @@ TEST(ShardedIngest, ChunkingInvariant) {
                     "chunk " + std::to_string(Chunk) + " threads " +
                         std::to_string(Threads));
     }
+}
+
+/// One feed() of a multi-megabyte text costs what 64 KiB feeds cost: the
+/// pipeline deals each piece's whole lines before copying the next,
+/// instead of carrying every pending byte into each new page (quadratic in
+/// the chunk — minutes for this text). A line longer than a page grows
+/// its page geometrically instead of a byte at a time.
+TEST(ShardedIngest, WholeTextFeedMatchesPagedFeeds) {
+  GenerateParams P;
+  P.Bench = Benchmark::CTwitter;
+  P.Mode = ConsistencyMode::Causal;
+  P.Sessions = 16;
+  P.Txns = 24000;
+  P.Seed = 5;
+  std::string Text = "# " + std::string(1 << 20, 'x') + "\n" +
+                     writeTextHistory(generateHistory(P));
+  ASSERT_GE(Text.size(), 4u << 20);
+  MonitorOptions Options;
+  Options.Level = IsolationLevel::ReadCommitted;
+  Options.Check.Threads = 1;
+  for (unsigned Threads : {1u, 2u}) {
+    std::string Context = "threads " + std::to_string(Threads);
+    RunResult Paged = runPipeline(Text, "native", Threads, Options, 64 << 10);
+    RunResult Whole =
+        runPipeline(Text, "native", Threads, Options, Text.size());
+    expectSameRun(Paged, Whole, Context);
+    EXPECT_EQ(Paged.LineNo, Whole.LineNo) << Context;
+    EXPECT_EQ(Whole.Offset, Text.size()) << Context;
+    EXPECT_EQ(Whole.LineNo, static_cast<uint64_t>(std::count(
+                                Text.begin(), Text.end(), '\n')))
+        << Context;
+  }
 }
 
 /// Parse errors surface with the same line number from any thread count,

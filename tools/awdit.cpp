@@ -31,7 +31,6 @@
 #include "io/dbcop_format.h"
 #include "io/plume_format.h"
 #include "io/sharded_ingest.h"
-#include "io/stream_parser.h"
 #include "io/text_format.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
@@ -77,9 +76,8 @@ const std::map<std::string, std::set<std::string>> CommandFlags = {
       "stats-interval", "trace", "json"}},
     {"serve",
      {"host", "port", "metrics-port", "checkpoint-store-dir", "sink-dir",
-      "trace-dir", "threads", "shard-hot-sessions", "hot-bytes-per-sec",
-      "idle-timeout", "checkpoint-interval", "auth-token",
-      "max-inbox-bytes", "max-outq-bytes", "max-window-bytes",
+      "trace-dir", "threads", "idle-timeout", "checkpoint-interval",
+      "auth-token", "max-inbox-bytes", "max-outq-bytes", "max-window-bytes",
       "sock-sndbuf"}},
     {"stats", {"format"}},
     {"generate",
@@ -161,8 +159,8 @@ int usage() {
       "                 [--interval N] [--window N] [--window-edges N]\n"
       "                 [--window-age TICKS] [--force-abort TICKS]"
       " [--witnesses N] [--json]\n"
-      "                 [--threads N (0 = auto, 1 = the legacy"
-      " single-threaded path;\n"
+      "                 [--threads N (0 = auto, 1 = inline, the path"
+      " every command uses;\n"
       "                  N >= 2 shards parsing across N-1 workers +"
       " 1 applier)]\n"
       "                 [--checkpoint-store DIR (checkpoint the monitor"
@@ -203,10 +201,6 @@ int usage() {
       "                  violation logs)] [--threads N] [--idle-timeout"
       " SEC (default 300)]\n"
       "                 [--checkpoint-interval FLUSHES (default 16)]\n"
-      "                 [--shard-hot-sessions N (threads per hot session;"
-      " 0 off,\n"
-      "                  default auto: 4 when the pool has >= 4)]"
-      " [--hot-bytes-per-sec B]\n"
       "                 [--auth-token SECRET (require HELLO ..."
       " token=SECRET; rejected\n"
       "                  sessions never create state)]\n"
@@ -253,15 +247,7 @@ std::optional<History> loadHistory(const std::string &Path,
   }
   std::ostringstream Buf;
   Buf << In.rdbuf();
-  std::string Text = Buf.str();
-  if (Format == "native")
-    return parseTextHistory(Text, Err);
-  if (Format == "plume")
-    return parsePlumeHistory(Text, Err);
-  if (Format == "dbcop")
-    return parseDbcopHistory(Text, Err);
-  *Err = "unknown format '" + Format + "'";
-  return std::nullopt;
+  return parseHistory(Format, Buf.str(), Err);
 }
 
 bool saveHistory(const History &H, const std::string &Path,
@@ -865,11 +851,6 @@ int cmdServe(const Flags &F) {
   Options.SinkDir = F.getOr("sink-dir", "");
   Options.TraceDir = F.getOr("trace-dir", "");
   Options.Threads = static_cast<unsigned>(numFlag(F, "threads", "0"));
-  if (F.get("shard-hot-sessions"))
-    Options.ShardHotSessions =
-        static_cast<int>(numFlag(F, "shard-hot-sessions", "0"));
-  if (F.get("hot-bytes-per-sec"))
-    Options.HotBytesPerSec = numFlag(F, "hot-bytes-per-sec", "8388608");
   Options.IdleTimeoutSec = numFlag(F, "idle-timeout", "300");
   Options.CheckpointIntervalFlushes =
       numFlag(F, "checkpoint-interval", "16");
