@@ -5,6 +5,7 @@
 //   - per-level AWDIT throughput vs the exhaustive baselines (the
 //     "minimal saturation" ablation);
 //   - Read Consistency and ComputeHB in isolation;
+//   - the CC kernel's emission redundancy (raw vs distinct edges);
 //   - the single-session RA fast path vs the general algorithm
 //     (Theorem 1.6 ablation).
 //
@@ -18,8 +19,10 @@
 #include "checker/check_ra_single_session.h"
 #include "checker/check_rc.h"
 #include "checker/checker.h"
+#include "checker/commit_graph.h"
 #include "checker/monitor.h"
 #include "checker/read_consistency.h"
+#include "checker/saturation_impl.h"
 #include "io/sharded_ingest.h"
 #include "io/text_format.h"
 #include "server/server.h"
@@ -144,6 +147,35 @@ static void BM_AwditCc(benchmark::State &State) {
   reportOps(State, H);
 }
 BENCHMARK(BM_AwditCc)->Arg(1024)->Arg(4096)->Arg(16384);
+
+// Emission redundancy of the one-shot CC kernel (Algorithm 3 lines 5-15):
+// every raw emit is buffered and later sorted away by the canonical pass,
+// so distinct_over_raw is the share of that work that was needed. Pure
+// counts of a seeded history: the value cannot drift with host speed.
+static void BM_CcKernelEmits(benchmark::State &State) {
+  const History &H = cachedHistory(static_cast<size_t>(State.range(0)));
+  std::vector<uint64_t> Emitted;
+  for (auto _ : State) {
+    HappensBefore HB;
+    benchmark::DoNotOptimize(computeHappensBefore(H, HB));
+    Emitted.clear();
+    detail::saturateCc(H, HB, [&](TxnId From, TxnId To) {
+      Emitted.push_back(CommitGraph::packEdge(From, To));
+    });
+    benchmark::DoNotOptimize(Emitted.data());
+    benchmark::ClobberMemory();
+  }
+  size_t Raw = Emitted.size();
+  std::sort(Emitted.begin(), Emitted.end());
+  size_t Distinct = static_cast<size_t>(
+      std::unique(Emitted.begin(), Emitted.end()) - Emitted.begin());
+  State.counters["raw_emits"] = static_cast<double>(Raw);
+  State.counters["distinct_edges"] = static_cast<double>(Distinct);
+  State.counters["distinct_over_raw"] =
+      Raw ? static_cast<double>(Distinct) / static_cast<double>(Raw) : 0.0;
+  reportOps(State, H);
+}
+BENCHMARK(BM_CcKernelEmits)->Arg(16384);
 
 // Ablation: minimal saturation (AWDIT) vs exhaustive TAP sweep (Plume
 // class) vs exhaustive inference with backward searches (naive class).

@@ -7,9 +7,156 @@
 #include "checker/saturation_impl.h"
 #include "graph/topo_sort.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
 
 using namespace awdit;
+
+namespace {
+
+/// Key -> dense id: open addressing with linear probing over (key, id)
+/// slots, kept at most half full. Ids count up from 0 in order of first
+/// sight; KeyOf maps them back.
+class DenseKeyIds {
+public:
+  /// Sized for \p ExpectedKeys; History::numKeys() counts the keys of
+  /// every operation, so growing is a fallback.
+  explicit DenseKeyIds(size_t ExpectedKeys) {
+    resize(std::bit_ceil(std::max<size_t>(16, 2 * ExpectedKeys)));
+  }
+
+  uint32_t intern(Key K, std::vector<Key> &KeyOf) {
+    Slot *S = probe(K);
+    if (S->Id == NoId) {
+      if (2 * (KeyOf.size() + 1) > Table.size()) {
+        resize(2 * Table.size());
+        S = probe(K);
+      }
+      *S = {K, static_cast<uint32_t>(KeyOf.size())};
+      KeyOf.push_back(K);
+    }
+    return S->Id;
+  }
+
+private:
+  static constexpr uint32_t NoId = ~uint32_t(0);
+
+  struct Slot {
+    Key K;
+    uint32_t Id;
+  };
+
+  Slot *probe(Key K) {
+    size_t Mask = Table.size() - 1;
+    size_t I = static_cast<size_t>((K * 0x9e3779b97f4a7c15ull) >> Shift);
+    while (Table[I].Id != NoId && Table[I].K != K)
+      I = (I + 1) & Mask;
+    return &Table[I];
+  }
+
+  void resize(size_t Capacity) {
+    std::vector<Slot> Old(Capacity, Slot{0, NoId});
+    Old.swap(Table);
+    Shift = 64 - std::countr_zero(Capacity);
+    for (const Slot &S : Old)
+      if (S.Id != NoId)
+        *probe(S.K) = S;
+  }
+
+  std::vector<Slot> Table;
+  unsigned Shift = 64;
+};
+
+/// Stable counting sort of \p Vals by the key id beside each in \p Ids:
+/// returns them grouped by id, in their original order within a group, and
+/// sets \p Begin to the NumKeys + 1 group offsets.
+template <typename T>
+std::vector<T> groupByKey(const std::vector<uint32_t> &Ids,
+                          const std::vector<T> &Vals, size_t NumKeys,
+                          std::vector<uint32_t> &Begin) {
+  Begin.assign(NumKeys + 1, 0);
+  for (uint32_t Id : Ids)
+    ++Begin[Id + 1];
+  for (size_t Id = 0; Id < NumKeys; ++Id)
+    Begin[Id + 1] += Begin[Id];
+  std::vector<uint32_t> Pos(Begin.begin(), Begin.end() - 1);
+  std::vector<T> Grouped(Vals.size());
+  for (size_t I = 0; I < Vals.size(); ++I)
+    Grouped[Pos[Ids[I]]++] = Vals[I];
+  return Grouped;
+}
+
+} // namespace
+
+detail::CcKeyIndex::CcKeyIndex(const History &H) {
+  // One pass in kernel scan order (session, so, then WriteKeys / po) gives
+  // every writer and external-read occurrence its key id; the counting
+  // sorts by id keep that order within each key.
+  struct SessionWriter {
+    SessionId S;
+    CcWriterEntry E;
+  };
+  std::vector<uint32_t> WriteIds, ReadIds;
+  std::vector<SessionWriter> Writes;
+  std::vector<CcKeyRead> ExtReads;
+  DenseKeyIds Ids(H.numKeys());
+  for (SessionId S = 0; S < H.numSessions(); ++S)
+    for (TxnId T : H.sessionTxns(S)) {
+      const Transaction &Txn = H.txn(T);
+      for (Key X : Txn.WriteKeys) {
+        WriteIds.push_back(Ids.intern(X, KeyOf));
+        Writes.push_back({S, {T, Txn.SoIndex}});
+      }
+      // An external read's writer is committed and writes the key, so
+      // interning here adds no key that no committed transaction writes.
+      for (uint32_t ReadIdx : Txn.ExtReads) {
+        const ReadInfo &RI = Txn.Reads[ReadIdx];
+        ReadIds.push_back(Ids.intern(RI.K, KeyOf));
+        ExtReads.push_back({T, RI.Writer, S});
+      }
+    }
+  Reads = groupByKey(ReadIds, ExtReads, numKeys(), ReadBegin);
+
+  // Each key's writers split into one slot per writing session.
+  std::vector<uint32_t> WriterBegin;
+  std::vector<SessionWriter> ByKey =
+      groupByKey(WriteIds, Writes, numKeys(), WriterBegin);
+  Writers.reserve(ByKey.size());
+  SlotBegin.assign(1, 0);
+  for (size_t Id = 0; Id < numKeys(); ++Id) {
+    for (uint32_t At = WriterBegin[Id]; At < WriterBegin[Id + 1]; ++At) {
+      if (At == WriterBegin[Id] || ByKey[At].S != ByKey[At - 1].S)
+        Slots.push_back({ByKey[At].S, At, At});
+      ++Slots.back().End;
+      Writers.push_back(ByKey[At].E);
+    }
+    SlotBegin.push_back(static_cast<uint32_t>(Slots.size()));
+  }
+}
+
+std::vector<uint32_t>
+detail::CcKeyIndex::splitByWork(size_t Parts) const {
+  auto Work = [&](uint32_t Id) {
+    return static_cast<uint64_t>(ReadBegin[Id + 1] - ReadBegin[Id]) *
+           (SlotBegin[Id + 1] - SlotBegin[Id]);
+  };
+  uint32_t NumKeys = static_cast<uint32_t>(numKeys());
+  uint64_t Total = 0;
+  for (uint32_t Id = 0; Id < NumKeys; ++Id)
+    Total += Work(Id);
+  std::vector<uint32_t> Bounds(1, 0);
+  uint64_t Done = 0;
+  uint32_t Id = 0;
+  for (size_t Part = 1; Part < Parts; ++Part) {
+    // Close the range once it reaches its share of the total work.
+    uint64_t Target = Total * Part / Parts;
+    while (Id < NumKeys && Done < Target)
+      Done += Work(Id++);
+    Bounds.push_back(Id);
+  }
+  Bounds.push_back(NumKeys);
+  return Bounds;
+}
 
 /// Fills the exclusive happens-before clock rows, processing committed
 /// transactions in the topological order \p Order of so ∪ wr (Algorithm 3,

@@ -258,8 +258,17 @@ History Monitor::takeHistory() {
   Finalized = true;
   for (size_t L = 0; L < Meta.size(); ++L)
     AWDIT_ASSERT(!Meta[L].Open, "takeHistory: transaction still open");
-  for (TxnId L : Dirty)
-    deriveTxn(L);
+  // Every transaction was derived when it closed. Its result can only have
+  // changed since if a writer was still open then (Deferred) or a read was
+  // unresolved, which a later write may have resolved.
+  for (TxnId L : Dirty) {
+    const std::vector<ReadInfo> &Reads = Live.Txns[L].Reads;
+    if (Meta[L].Deferred ||
+        std::any_of(Reads.begin(), Reads.end(), [](const ReadInfo &RI) {
+          return RI.Writer == NoTxn;
+        }))
+      deriveTxn(L);
+  }
   Dirty.clear();
   return std::move(Live);
 }
@@ -617,6 +626,7 @@ CheckReport Monitor::finalize() {
       closeTxn(static_cast<TxnId>(L), /*Committed=*/false);
 
   if (Stats.EvictedTxns == 0) {
+    AWDIT_SPAN("checker.finalize");
     // Exact mode: bring every derived index to its final state, then run
     // the canonical one-shot engine over the full ingested history, so the
     // report is bit-identical to checking the replayed history in one shot.

@@ -8,7 +8,6 @@
 #include "checker/read_consistency.h"
 #include "checker/saturation_impl.h"
 #include "checker/saturation_state.h"
-#include "history/key_shard_index.h"
 #include "support/thread_pool.h"
 
 #include <algorithm>
@@ -149,63 +148,25 @@ bool awdit::checkCcParallel(const History &H, ThreadPool &Pool,
     Merged.finalizeAcyclic(H, Out, MaxWitnesses, nullptr);
     return false;
   }
-  HappensBefore HB;
-  fillHappensBefore(H, *Order, HB);
-
-  // Shard the per-key last-writer inference (Algorithm 3, lines 5-15).
-  // Keys are independent: all cross-key coupling goes through the read-only
-  // HB matrix. 2x oversharding smooths out hot keys while keeping the
-  // build (one filtered history scan per shard) cheap.
-  size_t NumShards = std::max<size_t>(1, Pool.numThreads() * 2);
-  KeyShardIndex Index(H, NumShards, Pool);
-  size_t K = H.numSessions();
-
-  Pool.parallelFor(0, NumShards, 1, [&](size_t Begin, size_t End) {
-    StripedEdgeSink Infer(Merged);
-    // Scan pointer and dedup state of the key currently being processed
-    // (Algorithm 3, lastWrite); sized to its writing-session count.
-    std::vector<uint32_t> Consumed;
-    std::vector<uint64_t> LastEmit;
-    for (size_t Shard = Begin; Shard < End; ++Shard) {
-      for (const KeyEntry &E : Index.shard(Shard)) {
-        size_t Slots = E.WriterSessions.size();
-        if (Slots == 0 || E.Reads.empty())
-          continue;
-        Consumed.assign(Slots, 0);
-        LastEmit.assign(Slots, ~uint64_t(0));
-        SessionId Current = static_cast<SessionId>(-1);
-        for (const KeyReadRef &R : E.Reads) {
-          // Reads arrive grouped by scanning session in ascending order;
-          // pointer state resets at each session boundary, exactly like
-          // the sequential pass's per-key epoch stamp.
-          if (R.Session != Current) {
-            Current = R.Session;
-            std::fill(Consumed.begin(), Consumed.end(), 0);
-            std::fill(LastEmit.begin(), LastEmit.end(), ~uint64_t(0));
-          }
-          const uint32_t *Row =
-              &HB.Rows[static_cast<size_t>(R.Reader) * K];
-          for (size_t Slot = 0; Slot < Slots; ++Slot) {
-            const std::vector<KeyWriterRef> &List = E.WriterLists[Slot];
-            uint32_t Frontier = Row[E.WriterSessions[Slot]];
-            uint32_t &C = Consumed[Slot];
-            while (C < List.size() && List[C].SoIndex < Frontier)
-              ++C;
-            if (C == 0)
-              continue;
-            TxnId T2 = List[C - 1].T;
-            if (T2 == R.Writer)
-              continue;
-            uint64_t Emit = (static_cast<uint64_t>(C) << 32) | R.Writer;
-            if (LastEmit[Slot] == Emit)
-              continue;
-            LastEmit[Slot] = Emit;
-            Infer(T2, R.Writer);
-          }
-        }
-      }
-    }
-  });
+  {
+    HappensBefore HB;
+    fillHappensBefore(H, *Order, HB);
+    // The per-key last-writer inference (Algorithm 3, lines 5-15) over
+    // contiguous key-id ranges of one shared index. Keys are independent:
+    // all cross-key coupling goes through the read-only HB matrix. Ranges
+    // carry about equal kernel work, four per worker so a hot key does not
+    // leave the others idle.
+    detail::CcKeyIndex Index(H);
+    std::vector<uint32_t> Bounds =
+        Index.splitByWork(std::max<size_t>(1, Pool.numThreads() * 4));
+    Pool.parallelFor(0, Bounds.size() - 1, 1, [&](size_t Begin, size_t End) {
+      detail::CcScratch Scratch;
+      StripedEdgeSink Infer(Merged);
+      for (size_t Range = Begin; Range < End; ++Range)
+        detail::saturateCcKeys(Index, HB, Bounds[Range], Bounds[Range + 1],
+                               Scratch, Infer);
+    });
+  } // HB and the index are freed before the canonical pass allocates.
 
   return Merged.finalizeAcyclic(H, Out, MaxWitnesses, Stats);
 }

@@ -9,9 +9,10 @@
 /// CheckOptions::Threads through checkIsolation(). The engine runs the same
 /// saturation kernels as the sequential checkers (checker/saturation_impl.h)
 /// over independent units of work — transaction ranges for RC and the Read
-/// Consistency pass, sessions for RA, key shards (history/key_shard_index.h)
-/// for CC — and has every shard feed its inferred edges into one merged
-/// SaturationState (checker/saturation_state.h) through striped buffers.
+/// Consistency pass, sessions for RA, work-balanced key-id ranges of one
+/// shared key index for CC — and has every unit feed its inferred edges
+/// into one merged SaturationState (checker/saturation_state.h) through
+/// striped buffers.
 /// The state's canonical finalize (SCC pass and witness extraction) stays
 /// sequential on the merged edge set.
 ///
@@ -55,7 +56,7 @@ bool checkRaParallel(const History &H, ThreadPool &Pool,
 
 /// Parallel Causal Consistency (Algorithm 3) on \p Pool: happens-before is
 /// filled sequentially (it is a chain computation along the topological
-/// order), then per-key last-writer inference runs over key shards in
+/// order), then the per-key last-writer kernel runs over key-id ranges in
 /// parallel. Same contract and results as checkCc.
 bool checkCcParallel(const History &H, ThreadPool &Pool,
                      std::vector<Violation> &Out, size_t MaxWitnesses = 16,

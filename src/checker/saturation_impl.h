@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The co'-saturation loop bodies of Algorithms 1 and 2, factored out of
+/// The co'-saturation loop bodies of Algorithms 1, 2 and 3, factored out of
 /// the sequential checkers so the parallel engine and the streaming
 /// Monitor run the *same* kernels over transaction ranges / single
-/// sessions / the live window and merely swap the edge sink (direct
-/// CommitGraph::inferEdge, a per-worker batch buffer, or the monitor's
-/// refcounted edge set). Implementation-detail header: include only from
-/// checker code.
+/// sessions / key-id ranges / the live window and merely swap the edge
+/// sink (direct CommitGraph::inferEdge, a per-worker batch buffer, or the
+/// monitor's refcounted edge set). Implementation-detail header: include
+/// only from checker code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +19,12 @@
 #define AWDIT_CHECKER_SATURATION_IMPL_H
 
 #include "checker/check_cc.h"
+#include "checker/commit_graph.h"
 #include "history/history.h"
 #include "support/hybrid_map.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <unordered_map>
 #include <vector>
 
@@ -200,8 +202,8 @@ void saturateRaSession(const History &H, SessionId S, RaScratch &Scratch,
                          std::forward<Sink>(Infer));
 }
 
-/// A writer entry of the CC kernel: transaction id plus its cached session
-/// position so the monotone scan stays on contiguous memory.
+/// A writer entry of the CC writer indexes: transaction id plus its cached
+/// session position so the frontier scans stay on contiguous memory.
 struct CcWriterEntry {
   TxnId T;
   uint32_t SoIndex;
@@ -225,98 +227,197 @@ inline TxnId ccFrontierWriter(const std::vector<CcWriterEntry> &List,
   return std::prev(It)->T;
 }
 
-/// Per-key writer index of the CC kernel (Algorithm 3, lastWrite / Writes):
-/// for each key, the sessions writing it and their so-ordered writer lists,
-/// plus the monotone scan pointers of the session currently being
-/// processed. Only sessions that actually write the key are visited, which
-/// preserves the O(n·k) bound while skipping the (common) all-bottom
-/// entries.
-struct CcKeyWriters {
-  std::vector<SessionId> Sessions;
-  std::vector<std::vector<CcWriterEntry>> Lists;
-  /// Scan pointers, valid for the session stamped in Epoch.
-  std::vector<uint32_t> Consumed;
-  /// Last (pointer, reader-writer) emitted per slot, packed; suppresses
-  /// the long runs of duplicate inferences hot keys otherwise produce.
-  std::vector<uint64_t> LastEmit;
-  SessionId Epoch = static_cast<SessionId>(-1);
+/// The writers of one key in one session (Algorithm 3, Writes_s'[x]): the
+/// run [Begin, End) of CcKeyIndex::Writers.
+struct CcWriterSlot {
+  SessionId Session;
+  uint32_t Begin;
+  uint32_t End;
 };
 
-/// Algorithm 3 lines 5-15: the per-key monotone last-writer scans under the
-/// happens-before frontier \p HB, emitting inferred co' edges into
-/// \p Infer. Exactly the loop checkCc runs; factored out so the streaming
-/// Monitor re-saturates its window with the same kernel. Re-processing a
-/// repeated (x, t1) pair is idempotent (the scan pointers are already
-/// advanced), so no dedup pass is needed.
+/// One external read of a key, t1 wr_x-> t3: the reader t3, the writer t1
+/// it observes, and t3's session.
+struct CcKeyRead {
+  TxnId Reader;
+  TxnId Writer;
+  SessionId Session;
+};
+
+/// The per-key input of Algorithm 3 lines 5-15 as flat CSR arrays over
+/// dense key ids, built by counting sort with no node hashing. Every key a
+/// committed transaction writes gets one id, in order of first occurrence
+/// along (session, so). Key Id owns the writer slots [SlotBegin[Id],
+/// SlotBegin[Id + 1]), ascending by session, each a so-ordered run of
+/// Writers, and the external reads [ReadBegin[Id], ReadBegin[Id + 1]) in
+/// (session, so, po) order: the order the kernel scans them in.
+struct CcKeyIndex {
+  explicit CcKeyIndex(const History &H);
+
+  size_t numKeys() const { return KeyOf.size(); }
+
+  /// Cuts [0, numKeys()) into \p Parts contiguous key-id ranges of about
+  /// equal kernel work, a key's reads times its writer slots. Returns the
+  /// Parts + 1 ascending bounds; a range may be empty when one key
+  /// outweighs a share.
+  std::vector<uint32_t> splitByWork(size_t Parts) const;
+
+  /// Dense id -> key.
+  std::vector<Key> KeyOf;
+  std::vector<uint32_t> SlotBegin;
+  std::vector<CcWriterSlot> Slots;
+  /// Every key's writers, grouped by key, then session, then so.
+  std::vector<CcWriterEntry> Writers;
+  std::vector<uint32_t> ReadBegin;
+  std::vector<CcKeyRead> Reads;
+};
+
+/// The exact per-key dedupe of the CC kernel's emitted (t2, t1) pairs: an
+/// open-addressing set of packed edges that doubles when half full and is
+/// emptied between keys through its list of used slots, so a cold key
+/// costs what it inserted, not the table size.
+class CcEmitSet {
+public:
+  static constexpr unsigned InitialBits = 10;
+  static constexpr size_t InitialCapacity = size_t(1) << InitialBits;
+
+  /// Inserts \p Packed (a CommitGraph::packEdge, never ~0); true iff it
+  /// was absent.
+  bool insert(uint64_t Packed) {
+    if ((Used.size() + 1) * 2 > Table.size())
+      grow();
+    size_t Mask = Table.size() - 1;
+    // Fibonacci hashing: the top bits of the product mix both halves.
+    size_t I = static_cast<size_t>((Packed * 0x9e3779b97f4a7c15ull) >> Shift);
+    for (;; I = (I + 1) & Mask) {
+      if (Table[I] == Packed)
+        return false;
+      if (Table[I] == Empty) {
+        Table[I] = Packed;
+        Used.push_back(static_cast<uint32_t>(I));
+        return true;
+      }
+    }
+  }
+
+  void clear() {
+    for (uint32_t I : Used)
+      Table[I] = Empty;
+    Used.clear();
+  }
+
+  size_t capacity() const { return Table.size(); }
+
+private:
+  static constexpr uint64_t Empty = ~uint64_t(0);
+
+  void grow() {
+    std::vector<uint64_t> Old;
+    Old.swap(Table);
+    Table.assign(Old.size() * 2, Empty);
+    --Shift;
+    Used.clear();
+    for (uint64_t Packed : Old)
+      if (Packed != Empty)
+        insert(Packed);
+  }
+
+  std::vector<uint64_t> Table = std::vector<uint64_t>(InitialCapacity, Empty);
+  std::vector<uint32_t> Used;
+  unsigned Shift = 64 - InitialBits;
+};
+
+/// Reusable scratch of the CC kernel: the scan state of each writer slot
+/// of the key being scanned, and the key's emitted-pair set.
+struct CcScratch {
+  struct SlotScan {
+    SessionId Session;
+    uint32_t Begin;
+    uint32_t End;
+    /// One past the slot's last writer under the current frontier;
+    /// monotone within one reading session.
+    uint32_t Cursor;
+    /// The last (cursor, t1) pair handled, packed. It names one (t2, t1)
+    /// edge, so a repeat skips the writer load and the set probe.
+    uint64_t LastEmit;
+  };
+  std::vector<SlotScan> Slots;
+  CcEmitSet Emitted;
+};
+
+/// Algorithm 3 lines 5-15 for the key ids [\p KeyBegin, \p KeyEnd) of
+/// \p Index: per key, the monotone last-writer scans under the
+/// happens-before frontier \p HB, emitting each inferred co' edge (t2, t1)
+/// into \p Infer once per key. The scan cursors are monotone along so
+/// within one reading session and reset when the next session's reads
+/// begin (the paper keeps them per session of t3). Keys are independent,
+/// so any partition of the key ids yields the same edges.
+template <typename Sink>
+void saturateCcKeys(const CcKeyIndex &Index, const HappensBefore &HB,
+                    uint32_t KeyBegin, uint32_t KeyEnd, CcScratch &Scratch,
+                    Sink &&Infer) {
+  // Reads ahead whose clock rows are fetched while the current one scans:
+  // a key's readers are scattered over the HB matrix.
+  constexpr size_t PrefetchAhead = 4;
+  size_t K = HB.NumSessions;
+  for (uint32_t Id = KeyBegin; Id < KeyEnd; ++Id) {
+    const CcKeyRead *Read = Index.Reads.data() + Index.ReadBegin[Id];
+    const CcKeyRead *ReadEnd = Index.Reads.data() + Index.ReadBegin[Id + 1];
+    if (Read == ReadEnd || Index.SlotBegin[Id] == Index.SlotBegin[Id + 1])
+      continue;
+    Scratch.Slots.clear();
+    for (uint32_t Slot = Index.SlotBegin[Id]; Slot < Index.SlotBegin[Id + 1];
+         ++Slot) {
+      const CcWriterSlot &WS = Index.Slots[Slot];
+      Scratch.Slots.push_back(
+          {WS.Session, WS.Begin, WS.End, WS.Begin, ~uint64_t(0)});
+    }
+    SessionId Current = Read->Session;
+    for (; Read != ReadEnd; ++Read) {
+      if (ReadEnd - Read > static_cast<ptrdiff_t>(PrefetchAhead)) {
+        const uint32_t *Next =
+            &HB.Rows[static_cast<size_t>(Read[PrefetchAhead].Reader) * K];
+        for (size_t S = 0; S < K; S += 64 / sizeof(uint32_t))
+          __builtin_prefetch(Next + S);
+      }
+      if (Read->Session != Current) {
+        Current = Read->Session;
+        for (CcScratch::SlotScan &Scan : Scratch.Slots)
+          Scan.Cursor = Scan.Begin;
+      }
+      const uint32_t *Row = &HB.Rows[static_cast<size_t>(Read->Reader) * K];
+      TxnId T1 = Read->Writer;
+      // Lines 9-15: advance each writing session's last-writer cursor
+      // under the happens-before frontier of t3 and emit the edge.
+      for (CcScratch::SlotScan &Scan : Scratch.Slots) {
+        uint32_t Frontier = Row[Scan.Session];
+        uint32_t C = Scan.Cursor;
+        while (C < Scan.End && Index.Writers[C].SoIndex < Frontier)
+          ++C;
+        Scan.Cursor = C;
+        if (C == Scan.Begin)
+          continue;
+        uint64_t Emit = (static_cast<uint64_t>(C) << 32) | T1;
+        if (Scan.LastEmit == Emit)
+          continue;
+        Scan.LastEmit = Emit;
+        TxnId T2 = Index.Writers[C - 1].T;
+        if (T2 != T1 && Scratch.Emitted.insert(CommitGraph::packEdge(T2, T1)))
+          Infer(T2, T1);
+      }
+    }
+    Scratch.Emitted.clear();
+  }
+}
+
+/// Algorithm 3 lines 5-15 over every key of \p H: builds the key index and
+/// runs the kernel once. The one-shot CC checkers call this; the parallel
+/// engine runs saturateCcKeys over key-id ranges of one shared index.
 template <typename Sink>
 void saturateCc(const History &H, const HappensBefore &HB, Sink &&Infer) {
-  size_t K = H.numSessions();
-  // Writes_s'[x] for all s' at once, grouped by key.
-  std::unordered_map<Key, CcKeyWriters> Writers;
-  Writers.reserve(H.numKeys() * 2);
-  for (SessionId S = 0; S < K; ++S) {
-    for (TxnId T : H.sessionTxns(S)) {
-      const Transaction &Txn = H.txn(T);
-      for (Key X : Txn.WriteKeys) {
-        CcKeyWriters &KW = Writers[X];
-        if (KW.Sessions.empty() || KW.Sessions.back() != S) {
-          KW.Sessions.push_back(S);
-          KW.Lists.emplace_back();
-        }
-        KW.Lists.back().push_back({T, Txn.SoIndex});
-      }
-    }
-  }
-  for (auto &[X, KW] : Writers) {
-    KW.Consumed.assign(KW.Sessions.size(), 0);
-    KW.LastEmit.assign(KW.Sessions.size(), ~uint64_t(0));
-  }
-
-  for (SessionId S = 0; S < K; ++S) {
-    for (TxnId T3 : H.sessionTxns(S)) {
-      const Transaction &T = H.txn(T3);
-      if (T.ExtReads.empty())
-        continue;
-      const uint32_t *Row = &HB.Rows[static_cast<size_t>(T3) * K];
-
-      // Line 8: iterate t1 wr_x-> t3.
-      for (uint32_t ReadIdx : T.ExtReads) {
-        const ReadInfo &RI = T.Reads[ReadIdx];
-        TxnId T1 = RI.Writer;
-        auto WIt = Writers.find(RI.K);
-        if (WIt == Writers.end())
-          continue;
-        CcKeyWriters &KW = WIt->second;
-        // Scan pointers are monotone along so within one scanning
-        // session; entering a new session resets them (the paper keeps
-        // them per session of t3).
-        if (KW.Epoch != S) {
-          KW.Epoch = S;
-          std::fill(KW.Consumed.begin(), KW.Consumed.end(), 0);
-          std::fill(KW.LastEmit.begin(), KW.LastEmit.end(), ~uint64_t(0));
-        }
-        // Lines 9-15: advance each writing session's last-writer pointer
-        // under the happens-before frontier of t3 and emit the edge.
-        for (size_t Slot = 0; Slot < KW.Sessions.size(); ++Slot) {
-          const std::vector<CcWriterEntry> &List = KW.Lists[Slot];
-          uint32_t Frontier = Row[KW.Sessions[Slot]];
-          uint32_t &C = KW.Consumed[Slot];
-          while (C < List.size() && List[C].SoIndex < Frontier)
-            ++C;
-          if (C == 0)
-            continue;
-          TxnId T2 = List[C - 1].T;
-          if (T2 == T1)
-            continue;
-          uint64_t Emit = (static_cast<uint64_t>(C) << 32) | T1;
-          if (KW.LastEmit[Slot] == Emit)
-            continue;
-          KW.LastEmit[Slot] = Emit;
-          Infer(T2, T1);
-        }
-      }
-    }
-  }
+  CcKeyIndex Index(H);
+  CcScratch Scratch;
+  saturateCcKeys(Index, HB, 0, static_cast<uint32_t>(Index.numKeys()),
+                 Scratch, Infer);
 }
 
 } // namespace awdit::detail

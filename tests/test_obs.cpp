@@ -530,9 +530,9 @@ TEST(Trace, WriteTraceFileReportsBadPath) {
 
 //===----------------------------------------------------------------------===//
 // The whole pipeline under trace: a sharded run must leave spans from the
-// reader, the shard workers, the applier, the flush phases, and a
-// checkpoint write — and the dump must stay valid JSON while threads are
-// still recording.
+// reader, the shard workers, the applier, the flush phases, a checkpoint
+// write and the end-of-stream verdict — and the dump must stay valid JSON
+// while threads are still recording.
 //===----------------------------------------------------------------------===//
 
 TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
@@ -594,7 +594,7 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
   for (const char *Span :
        {"\"ingest.read\"", "\"ingest.decode\"", "\"ingest.apply\"",
         "\"flush\"", "\"flush.delta\"", "\"flush.finalize\"",
-        "\"checkpoint.store\""})
+        "\"checkpoint.store\"", "\"checker.finalize\""})
     EXPECT_NE(Json.find(Span), std::string::npos) << "missing " << Span;
   // Worker threads named their tracks.
   EXPECT_NE(Json.find("\"applier\""), std::string::npos);

@@ -4,22 +4,28 @@
 // (clean, across consistency modes, and with injected anomalies), the
 // sharded parallel engine must produce verdicts, violation lists, stats,
 // and witness cycles identical to the sequential engine at every isolation
-// level and thread count. Also covers the per-key shard index invariants.
+// level and thread count. Also covers the CC key index invariants and the
+// CC kernel's invariance under any split of the key-id range.
 //
 //===----------------------------------------------------------------------===//
 
+#include "checker/check_cc.h"
 #include "checker/checker.h"
-#include "history/key_shard_index.h"
+#include "checker/commit_graph.h"
+#include "checker/saturation_impl.h"
 #include "sim/anomaly_injector.h"
-#include "support/thread_pool.h"
+#include "support/rng.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 
 using namespace awdit;
 using namespace awdit::test;
@@ -173,42 +179,147 @@ TEST(ParallelDefaults, MaxWitnessesHonored) {
   }
 }
 
-/// Key shard index invariants: shards partition the keys; writer lists are
-/// grouped by ascending session and so-ordered; reads are in scan order.
-TEST(KeyShardIndex, ShardsPartitionKeysWithOrderedEntries) {
+/// CC key index invariants: every written key has exactly one dense id;
+/// each key's writer slots ascend by session and hold that session's
+/// writers of the key in so order; its reads come in (session, so, po)
+/// order. Checked against lists gathered straight from the history.
+TEST(CcKeyIndex, DenseIdsWithOrderedSlotsAndReads) {
   GenerateParams P;
   P.Bench = Benchmark::Tpcc;
   P.Sessions = 8;
   P.Txns = 600;
   P.Seed = 5;
   History H = generateHistory(P);
+  detail::CcKeyIndex Index(H);
 
-  constexpr size_t NumShards = 7;
-  ThreadPool Pool(4);
-  KeyShardIndex Parallel(H, NumShards, Pool);
-  KeyShardIndex Sequential(H, NumShards);
-  ASSERT_EQ(Parallel.numShards(), NumShards);
+  // Expected per key: writers as (session, so, txn) and reads as
+  // (session, reader, writer), both in scan order.
+  std::map<Key, std::vector<std::tuple<SessionId, uint32_t, TxnId>>> Writers;
+  std::map<Key, std::vector<std::tuple<SessionId, TxnId, TxnId>>> Reads;
+  for (SessionId S = 0; S < H.numSessions(); ++S)
+    for (TxnId T : H.sessionTxns(S)) {
+      const Transaction &Txn = H.txn(T);
+      for (Key X : Txn.WriteKeys)
+        Writers[X].emplace_back(S, Txn.SoIndex, T);
+      for (uint32_t ReadIdx : Txn.ExtReads)
+        Reads[Txn.Reads[ReadIdx].K].emplace_back(S, T,
+                                                 Txn.Reads[ReadIdx].Writer);
+    }
 
+  ASSERT_EQ(Index.numKeys(), Writers.size());
+  ASSERT_EQ(Index.SlotBegin.size(), Index.numKeys() + 1);
+  ASSERT_EQ(Index.ReadBegin.size(), Index.numKeys() + 1);
+  EXPECT_EQ(Index.SlotBegin.back(), Index.Slots.size());
+  EXPECT_EQ(Index.ReadBegin.back(), Index.Reads.size());
   std::set<Key> Seen;
-  for (size_t S = 0; S < NumShards; ++S) {
-    const std::vector<KeyEntry> &Par = Parallel.shard(S);
-    const std::vector<KeyEntry> &Seq = Sequential.shard(S);
-    ASSERT_EQ(Par.size(), Seq.size()) << "shard " << S;
-    for (size_t I = 0; I < Par.size(); ++I) {
-      const KeyEntry &E = Par[I];
-      EXPECT_EQ(E.K, Seq[I].K);
-      EXPECT_EQ(KeyShardIndex::shardOf(E.K, NumShards), S);
-      EXPECT_TRUE(Seen.insert(E.K).second) << "key in two shards";
-      ASSERT_EQ(E.WriterSessions.size(), E.WriterLists.size());
-      for (size_t W = 0; W + 1 < E.WriterSessions.size(); ++W)
-        EXPECT_LT(E.WriterSessions[W], E.WriterSessions[W + 1]);
-      for (const std::vector<KeyWriterRef> &List : E.WriterLists) {
-        EXPECT_FALSE(List.empty());
-        for (size_t W = 0; W + 1 < List.size(); ++W)
-          EXPECT_LT(List[W].SoIndex, List[W + 1].SoIndex);
+  size_t ReadsSeen = 0;
+  for (uint32_t Id = 0; Id < Index.numKeys(); ++Id) {
+    Key X = Index.KeyOf[Id];
+    EXPECT_TRUE(Seen.insert(X).second) << "key " << X << " has two ids";
+    ASSERT_TRUE(Writers.count(X)) << "unwritten key " << X << " has an id";
+
+    std::vector<std::tuple<SessionId, uint32_t, TxnId>> Got;
+    for (uint32_t Slot = Index.SlotBegin[Id]; Slot < Index.SlotBegin[Id + 1];
+         ++Slot) {
+      const detail::CcWriterSlot &WS = Index.Slots[Slot];
+      EXPECT_LT(WS.Begin, WS.End) << "empty slot of key " << X;
+      if (Slot > Index.SlotBegin[Id]) {
+        EXPECT_LT(Index.Slots[Slot - 1].Session, WS.Session);
       }
-      for (size_t R = 0; R + 1 < E.Reads.size(); ++R)
-        EXPECT_LE(E.Reads[R].Session, E.Reads[R + 1].Session);
+      for (uint32_t At = WS.Begin; At < WS.End; ++At) {
+        const detail::CcWriterEntry &E = Index.Writers[At];
+        if (At > WS.Begin) {
+          EXPECT_LT(Index.Writers[At - 1].SoIndex, E.SoIndex);
+        }
+        Got.emplace_back(WS.Session, E.SoIndex, E.T);
+      }
+    }
+    EXPECT_EQ(Got, Writers[X]) << "writers of key " << X;
+
+    std::vector<std::tuple<SessionId, TxnId, TxnId>> GotReads;
+    for (uint32_t R = Index.ReadBegin[Id]; R < Index.ReadBegin[Id + 1]; ++R) {
+      const detail::CcKeyRead &Read = Index.Reads[R];
+      GotReads.emplace_back(Read.Session, Read.Reader, Read.Writer);
+    }
+    EXPECT_EQ(GotReads, Reads[X]) << "reads of key " << X;
+    ReadsSeen += GotReads.size();
+  }
+  // Every external read is of a written key, so none is dropped.
+  size_t ExtReads = 0;
+  for (const auto &[X, List] : Reads)
+    ExtReads += List.size();
+  EXPECT_EQ(ReadsSeen, ExtReads);
+}
+
+/// The CC kernel over any partition of the key-id range — the parallel
+/// engine's work-balanced split, one key per range, random cuts — emits
+/// the same edges as one pass over all keys, with one scratch or a fresh
+/// one per range.
+TEST(CcKernel, KeyRangeSplitInvariance) {
+  for (Benchmark Bench : {Benchmark::CTwitter, Benchmark::Random}) {
+    GenerateParams P;
+    P.Bench = Bench;
+    P.Sessions = 12;
+    P.Txns = 1500;
+    P.Seed = 9;
+    History H = generateHistory(P);
+    HappensBefore HB;
+    ASSERT_TRUE(computeHappensBefore(H, HB));
+    detail::CcKeyIndex Index(H);
+    uint32_t NumKeys = static_cast<uint32_t>(Index.numKeys());
+    ASSERT_GT(NumKeys, 2u);
+
+    auto Run = [&](const std::vector<uint32_t> &Bounds, bool FreshScratch) {
+      std::vector<uint64_t> Raw;
+      detail::CcScratch Shared;
+      for (size_t I = 0; I + 1 < Bounds.size(); ++I) {
+        detail::CcScratch Fresh;
+        detail::saturateCcKeys(Index, HB, Bounds[I], Bounds[I + 1],
+                               FreshScratch ? Fresh : Shared,
+                               [&](TxnId From, TxnId To) {
+                                 Raw.push_back(CommitGraph::packEdge(From, To));
+                               });
+      }
+      std::sort(Raw.begin(), Raw.end());
+      return Raw;
+    };
+    std::vector<uint64_t> Whole = Run({0, NumKeys}, false);
+    ASSERT_FALSE(Whole.empty());
+    std::vector<uint64_t> Distinct = Whole;
+    Distinct.erase(std::unique(Distinct.begin(), Distinct.end()),
+                   Distinct.end());
+    auto DistinctOf = [](std::vector<uint64_t> Raw) {
+      Raw.erase(std::unique(Raw.begin(), Raw.end()), Raw.end());
+      return Raw;
+    };
+
+    std::vector<std::vector<uint32_t>> Partitions;
+    for (size_t Parts : {1u, 2u, 3u, 8u, 64u})
+      Partitions.push_back(Index.splitByWork(Parts));
+    std::vector<uint32_t> EachKey;
+    for (uint32_t Id = 0; Id <= NumKeys; ++Id)
+      EachKey.push_back(Id);
+    Partitions.push_back(EachKey);
+    Rng Rand(17);
+    for (int Trial = 0; Trial < 4; ++Trial) {
+      std::vector<uint32_t> Cuts{0, NumKeys};
+      for (int C = 0; C < 5; ++C)
+        Cuts.push_back(static_cast<uint32_t>(Rand.nextBelow(NumKeys + 1)));
+      std::sort(Cuts.begin(), Cuts.end());
+      Partitions.push_back(Cuts);
+    }
+
+    for (const std::vector<uint32_t> &Bounds : Partitions) {
+      ASSERT_EQ(Bounds.front(), 0u);
+      ASSERT_EQ(Bounds.back(), NumKeys);
+      ASSERT_TRUE(std::is_sorted(Bounds.begin(), Bounds.end()));
+      for (bool Fresh : {false, true}) {
+        std::vector<uint64_t> Split = Run(Bounds, Fresh);
+        EXPECT_EQ(DistinctOf(Split), Distinct)
+            << benchmarkName(Bench) << ", " << Bounds.size() - 1 << " ranges";
+        // Whole keys per range: the raw emits match too.
+        EXPECT_EQ(Split, Whole) << benchmarkName(Bench);
+      }
     }
   }
 }
