@@ -14,6 +14,11 @@
 //  - BM_IngestBytesPerSec/<threads>: end-to-end ShardedMonitorIngest
 //    throughput (arena reader, worker decode, applier), bytes/second.
 //    CI floors this counter with `compare_bench.py --counter-gate`.
+//  - BM_ParseDecodeShare: parseTextHistory over the same corpus, with
+//    `decode_share_pct` = 100 x decode / parse, the median over
+//    alternating in-process pairs of a decode-only pass and a full parse.
+//    What is not decode is building the History (the Monitor's apply
+//    path), so the counter shows the Amdahl gap of parsing; CI floors it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +37,7 @@
 #include <charconv>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,7 +71,8 @@ std::vector<std::string_view> tokenize(std::string_view Line) {
   return Tokens;
 }
 
-template <typename IntT> bool parseInt(std::string_view Token, IntT &Out) {
+template <typename IntT>
+bool parseInt(std::string_view Token, IntT &Out) {
   auto [Ptr, Ec] =
       std::from_chars(Token.data(), Token.data() + Token.size(), Out);
   return Ec == std::errc() && Ptr == Token.data() + Token.size();
@@ -265,6 +272,43 @@ void BM_IngestBytesPerSec(benchmark::State &State) {
 }
 
 BENCHMARK(BM_IngestBytesPerSec)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+//===----------------------------------------------------------------------===//
+// The Amdahl gap of parsing: the share of parseTextHistory's time that is
+// line decode. Everything else is building the History through the
+// Monitor's apply path.
+//===----------------------------------------------------------------------===//
+
+void BM_ParseDecodeShare(benchmark::State &State) {
+  const Corpus &C = corpusFor("native");
+  LineDecoder Decode = lineDecoderFor("native");
+  auto Secs = [](auto T0, auto T1) {
+    return std::chrono::duration<double>(T1 - T0).count();
+  };
+  for (auto _ : State) {
+    std::optional<History> H = parseTextHistory(C.Text);
+    benchmark::DoNotOptimize(H);
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(C.Bytes));
+  // Decode-only pass and full parse back to back, nine times: each pair
+  // sees the same host speed, so the median of the pair ratios is steady
+  // where either absolute time drifts.
+  std::vector<double> Shares;
+  for (int I = 0; I < 9; ++I) {
+    auto T0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(decodeAll(Decode, C));
+    auto T1 = std::chrono::steady_clock::now();
+    std::optional<History> H = parseTextHistory(C.Text);
+    auto T2 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(H);
+    Shares.push_back(100.0 * Secs(T0, T1) / Secs(T1, T2));
+  }
+  std::sort(Shares.begin(), Shares.end());
+  State.counters["decode_share_pct"] = Shares[Shares.size() / 2];
+}
+
+BENCHMARK(BM_ParseDecodeShare)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

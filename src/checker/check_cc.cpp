@@ -6,66 +6,13 @@
 #include "checker/read_consistency.h"
 #include "checker/saturation_impl.h"
 #include "graph/topo_sort.h"
+#include "support/dense_key_ids.h"
 
 #include <algorithm>
-#include <bit>
 
 using namespace awdit;
 
 namespace {
-
-/// Key -> dense id: open addressing with linear probing over (key, id)
-/// slots, kept at most half full. Ids count up from 0 in order of first
-/// sight; KeyOf maps them back.
-class DenseKeyIds {
-public:
-  /// Sized for \p ExpectedKeys; History::numKeys() counts the keys of
-  /// every operation, so growing is a fallback.
-  explicit DenseKeyIds(size_t ExpectedKeys) {
-    resize(std::bit_ceil(std::max<size_t>(16, 2 * ExpectedKeys)));
-  }
-
-  uint32_t intern(Key K, std::vector<Key> &KeyOf) {
-    Slot *S = probe(K);
-    if (S->Id == NoId) {
-      if (2 * (KeyOf.size() + 1) > Table.size()) {
-        resize(2 * Table.size());
-        S = probe(K);
-      }
-      *S = {K, static_cast<uint32_t>(KeyOf.size())};
-      KeyOf.push_back(K);
-    }
-    return S->Id;
-  }
-
-private:
-  static constexpr uint32_t NoId = ~uint32_t(0);
-
-  struct Slot {
-    Key K;
-    uint32_t Id;
-  };
-
-  Slot *probe(Key K) {
-    size_t Mask = Table.size() - 1;
-    size_t I = static_cast<size_t>((K * 0x9e3779b97f4a7c15ull) >> Shift);
-    while (Table[I].Id != NoId && Table[I].K != K)
-      I = (I + 1) & Mask;
-    return &Table[I];
-  }
-
-  void resize(size_t Capacity) {
-    std::vector<Slot> Old(Capacity, Slot{0, NoId});
-    Old.swap(Table);
-    Shift = 64 - std::countr_zero(Capacity);
-    for (const Slot &S : Old)
-      if (S.Id != NoId)
-        *probe(S.K) = S;
-  }
-
-  std::vector<Slot> Table;
-  unsigned Shift = 64;
-};
 
 /// Stable counting sort of \p Vals by the key id beside each in \p Ids:
 /// returns them grouped by id, in their original order within a group, and
@@ -100,18 +47,24 @@ detail::CcKeyIndex::CcKeyIndex(const History &H) {
   std::vector<SessionWriter> Writes;
   std::vector<CcKeyRead> ExtReads;
   DenseKeyIds Ids(H.numKeys());
+  auto Intern = [&](Key K) {
+    uint32_t Id = Ids.intern(K);
+    if (Id == KeyOf.size())
+      KeyOf.push_back(K);
+    return Id;
+  };
   for (SessionId S = 0; S < H.numSessions(); ++S)
     for (TxnId T : H.sessionTxns(S)) {
       const Transaction &Txn = H.txn(T);
       for (Key X : Txn.WriteKeys) {
-        WriteIds.push_back(Ids.intern(X, KeyOf));
+        WriteIds.push_back(Intern(X));
         Writes.push_back({S, {T, Txn.SoIndex}});
       }
       // An external read's writer is committed and writes the key, so
       // interning here adds no key that no committed transaction writes.
       for (uint32_t ReadIdx : Txn.ExtReads) {
         const ReadInfo &RI = Txn.Reads[ReadIdx];
-        ReadIds.push_back(Ids.intern(RI.K, KeyOf));
+        ReadIds.push_back(Intern(RI.K));
         ExtReads.push_back({T, RI.Writer, S});
       }
     }

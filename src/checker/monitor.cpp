@@ -30,6 +30,25 @@ const char *edgeKindName(EdgeKind Kind) {
 
 } // namespace
 
+void Monitor::IdSet::prune(const std::vector<TxnMeta> &Meta) const {
+  Ids.erase(std::remove_if(Ids.begin(), Ids.end(),
+                           [&](TxnId L) { return !(Meta[L].*Flag); }),
+            Ids.end());
+  if (!std::is_sorted(Ids.begin(), Ids.end()))
+    std::sort(Ids.begin(), Ids.end());
+  // An id erased and inserted again is listed twice.
+  Ids.erase(std::unique(Ids.begin(), Ids.end()), Ids.end());
+}
+
+void Monitor::IdSet::rebase(const std::vector<TxnMeta> &Meta, TxnId Cut) {
+  prune(Meta);
+  for (TxnId &L : Ids) {
+    AWDIT_ASSERT(L >= Cut, "compact: dirty or open transaction in evicted "
+                           "prefix");
+    L -= Cut;
+  }
+}
+
 Monitor::Monitor(const MonitorOptions &Options, ViolationSink *Sink)
     : Opts(Options), Sink(Sink),
       Saturation(Options.Level, SaturationState::Mode::Streaming) {}
@@ -56,10 +75,9 @@ TxnId Monitor::beginTxn(SessionId S) {
   // Open transactions are not yet part of T_c: Committed flips on commit().
   T.Committed = false;
   Live.Txns.push_back(std::move(T));
-  Meta.push_back(TxnMeta{/*Open=*/true, /*Deferred=*/false,
-                         /*Ts=*/CurrentTime});
+  Meta.emplace_back().Ts = CurrentTime;
   TxnId Local = static_cast<TxnId>(Live.Txns.size() - 1);
-  OpenTxns.insert(Local);
+  OpenTxns.insert(Meta, Local);
   ++Stats.IngestedTxns;
   return toMonitorId(Local);
 }
@@ -73,29 +91,23 @@ bool Monitor::write(TxnId T, Key K, Value V) {
 }
 
 bool Monitor::append(TxnId T, Operation Op) {
-  if (ForceAbortedIds.count(T))
+  if (forceAborted(T))
     return true; // the hung transaction was force-aborted; drop quietly
   TxnId L = toLocal(T);
   AWDIT_ASSERT(Meta[L].Open, "append: transaction already closed");
-  Keys.insert(Op.K);
+  Keys.intern(Op.K);
   Live.KeyCount = Keys.size();
   if (Op.isWrite()) {
     uint32_t OpIdx = static_cast<uint32_t>(Live.Txns[L].Ops.size());
-    if (!Writes.record(Op.K, Op.V, L, OpIdx)) {
+    // Retroactive resolution: readers that closed before this write
+    // arrived re-derive at the next checking pass.
+    if (!Writes.record(Op.K, Op.V, L, OpIdx, [&](const ParkedRead &P) {
+          Dirty.insert(Meta, P.Reader);
+          --Stats.UnresolvedReads;
+        })) {
       if (ErrText.empty())
         ErrText = duplicateWriteMessage(Op.K, Op.V);
       return false;
-    }
-    // Retroactive resolution: readers that closed before this write
-    // arrived re-derive at the next checking pass.
-    auto It = PendingReads.find(KeyValue{Op.K, Op.V});
-    if (It != PendingReads.end()) {
-      for (auto [Reader, ReadOp] : It->second) {
-        (void)ReadOp;
-        Dirty.insert(Reader);
-        --Stats.UnresolvedReads;
-      }
-      PendingReads.erase(It);
     }
   }
   Live.Txns[L].Ops.push_back(Op);
@@ -105,13 +117,13 @@ bool Monitor::append(TxnId T, Operation Op) {
 }
 
 void Monitor::commit(TxnId T) {
-  if (ForceAbortedIds.count(T))
+  if (forceAborted(T))
     return; // already aborted by the force-abort policy
   closeTxn(toLocal(T), /*Committed=*/true);
 }
 
 void Monitor::abortTxn(TxnId T) {
-  if (ForceAbortedIds.count(T))
+  if (forceAborted(T))
     return; // already aborted by the force-abort policy
   closeTxn(toLocal(T), /*Committed=*/false);
 }
@@ -135,11 +147,12 @@ void Monitor::advanceTime(uint64_t Now) {
 
 void Monitor::closeTxn(TxnId Local, bool Committed) {
   AWDIT_ASSERT(Meta[Local].Open, "closeTxn: transaction already closed");
-  Meta[Local].Open = false;
+  OpenTxns.erase(Meta, Local);
   Meta[Local].Ts = CurrentTime;
-  OpenTxns.erase(Local);
   Transaction &Txn = Live.Txns[Local];
   Txn.Committed = Committed;
+  // The operations are final: drop the growth slack.
+  Txn.Ops.shrink_to_fit();
   if (Committed) {
     std::vector<TxnId> &Sess = Live.Sessions[Txn.Session];
     Txn.SoIndex = static_cast<uint32_t>(Sess.size());
@@ -149,17 +162,19 @@ void Monitor::closeTxn(TxnId Local, bool Committed) {
   }
 
   // Resolve this transaction's reads and schedule its checking.
-  if (!deriveTxn(Local))
+  if (!deriveTxn(Local, /*First=*/true))
     Meta[Local].Deferred = true;
-  Dirty.insert(Local);
+  Dirty.insert(Meta, Local);
 
   // Wake readers that resolved to this transaction while it was open:
   // its commit status is now known.
-  auto It = WaitersOnClose.find(Local);
-  if (It != WaitersOnClose.end()) {
-    for (TxnId Reader : It->second)
-      Dirty.insert(Reader);
-    WaitersOnClose.erase(It);
+  if (!WaitersOnClose.empty()) {
+    auto It = WaitersOnClose.find(Local);
+    if (It != WaitersOnClose.end()) {
+      for (TxnId Reader : It->second)
+        Dirty.insert(Meta, Reader);
+      WaitersOnClose.erase(It);
+    }
   }
 
   if (Committed && Opts.CheckIntervalTxns &&
@@ -167,73 +182,95 @@ void Monitor::closeTxn(TxnId Local, bool Committed) {
     flush(/*Final=*/false);
 }
 
-bool Monitor::deriveTxn(TxnId Local) {
+bool Monitor::deriveTxn(TxnId Local, bool First) {
   Transaction &T = Live.Txns[Local];
-  T.Reads.clear();
-
-  bool AllWritersClosed = true;
   uint64_t ReaderTag = static_cast<uint64_t>(toMonitorId(Local)) << 32;
+  // A read whose writer was evicted stays unresolved and is never parked.
+  auto Masked = [&](uint32_t OpIdx) {
+    return !EvictedWriterMask.empty() &&
+           EvictedWriterMask.count(ReaderTag | OpIdx) != 0;
+  };
 
-  for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
-    const Operation &Op = T.Ops[OpIdx];
-    if (Op.isWrite())
-      continue;
-    ReadInfo RI{OpIdx, Op.K, Op.V, NoTxn, NoOp};
-    bool Masked = EvictedWriterMask.count(ReaderTag | OpIdx) != 0;
-    if (!Masked) {
+  if (First) {
+    T.deriveWriteKeys(WriteScratch);
+    T.Reads.clear();
+    T.Reads.reserve(T.Ops.size() - WriteScratch.size());
+    for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
+      const Operation &Op = T.Ops[OpIdx];
+      if (Op.isWrite())
+        continue;
+      ReadInfo &RI =
+          T.Reads.emplace_back(ReadInfo{OpIdx, Op.K, Op.V, NoTxn, NoOp});
+      if (Masked(OpIdx))
+        continue;
       if (const WriteSite *Site = Writes.find(Op.K, Op.V)) {
+        RI.Writer = Site->T;
+        RI.WriterOp = Site->Op;
+      } else {
+        // No write site yet: park the read for retroactive resolution.
+        Writes.park(Op.K, Op.V, Local, OpIdx);
+        ++Stats.UnresolvedReads;
+      }
+    }
+  } else {
+    // Still parked if still unresolved: the write wakes it.
+    for (ReadInfo &RI : T.Reads) {
+      if (RI.Writer != NoTxn || Masked(RI.OpIndex))
+        continue;
+      if (const WriteSite *Site = Writes.find(RI.K, RI.V)) {
         RI.Writer = Site->T;
         RI.WriterOp = Site->Op;
       }
     }
-    T.Reads.push_back(RI);
-
-    if (RI.Writer == NoTxn) {
-      if (!Masked) {
-        // No write site yet: park the read for retroactive resolution.
-        std::vector<std::pair<TxnId, uint32_t>> &Waiters =
-            PendingReads[KeyValue{Op.K, Op.V}];
-        if (std::find(Waiters.begin(), Waiters.end(),
-                      std::make_pair(Local, OpIdx)) == Waiters.end()) {
-          Waiters.emplace_back(Local, OpIdx);
-          ++Stats.UnresolvedReads;
-        }
-      }
-      continue;
-    }
-    if (RI.Writer == Local)
-      continue; // Internal read; never external.
-    if (Meta[RI.Writer].Open) {
-      // The writer's commit status is unknown; re-derive when it closes.
-      AllWritersClosed = false;
-      std::vector<TxnId> &Waiters = WaitersOnClose[RI.Writer];
-      if (std::find(Waiters.begin(), Waiters.end(), Local) == Waiters.end())
-        Waiters.push_back(Local);
-    }
   }
 
-  T.deriveWriteKeys();
+  bool AllWritersClosed = true;
+  Meta[Local].Unresolved = false;
+  for (const ReadInfo &RI : T.Reads) {
+    Meta[Local].Unresolved |= RI.Writer == NoTxn;
+    if (RI.Writer == NoTxn || RI.Writer == Local || !Meta[RI.Writer].Open)
+      continue;
+    // The writer's commit status is unknown; re-derive when it closes.
+    AllWritersClosed = false;
+    std::vector<TxnId> &Waiters = WaitersOnClose[RI.Writer];
+    if (std::find(Waiters.begin(), Waiters.end(), Local) == Waiters.end())
+      Waiters.push_back(Local);
+  }
+
   classifyExternalReads(Local);
   return AllWritersClosed;
 }
 
+bool Monitor::refreshDerived(TxnId Local) {
+  if (!Meta[Local].Deferred && !Meta[Local].Unresolved)
+    return true;
+  Meta[Local].Deferred = !deriveTxn(Local, /*First=*/false);
+  return !Meta[Local].Deferred;
+}
+
 void Monitor::classifyExternalReads(TxnId Local) {
   Transaction &T = Live.Txns[Local];
-  T.ExtReads.clear();
-  T.ReadFroms.clear();
-  std::vector<TxnId> SeenWriters;
+  if (++WriterStamp == 0) {
+    for (TxnMeta &M : Meta)
+      M.Stamp = 0;
+    WriterStamp = 1;
+  }
+  // Gathered in scratch, then copied out at their exact size.
+  ExtScratch.clear();
+  FromScratch.clear();
   for (uint32_t ReadIdx = 0; ReadIdx < T.Reads.size(); ++ReadIdx) {
     const ReadInfo &RI = T.Reads[ReadIdx];
     if (RI.Writer == NoTxn || RI.Writer == Local ||
         Meta[RI.Writer].Open || !Live.Txns[RI.Writer].Committed)
       continue;
-    T.ExtReads.push_back(ReadIdx);
-    if (std::find(SeenWriters.begin(), SeenWriters.end(), RI.Writer) ==
-        SeenWriters.end()) {
-      SeenWriters.push_back(RI.Writer);
-      T.ReadFroms.push_back(RI.Writer);
+    ExtScratch.push_back(ReadIdx);
+    if (Meta[RI.Writer].Stamp != WriterStamp) {
+      Meta[RI.Writer].Stamp = WriterStamp;
+      FromScratch.push_back(RI.Writer);
     }
   }
+  T.ExtReads.assign(ExtScratch.begin(), ExtScratch.end());
+  T.ReadFroms.assign(FromScratch.begin(), FromScratch.end());
 }
 
 void Monitor::replay(const History &H) {
@@ -258,18 +295,8 @@ History Monitor::takeHistory() {
   Finalized = true;
   for (size_t L = 0; L < Meta.size(); ++L)
     AWDIT_ASSERT(!Meta[L].Open, "takeHistory: transaction still open");
-  // Every transaction was derived when it closed. Its result can only have
-  // changed since if a writer was still open then (Deferred) or a read was
-  // unresolved, which a later write may have resolved.
-  for (TxnId L : Dirty) {
-    const std::vector<ReadInfo> &Reads = Live.Txns[L].Reads;
-    if (Meta[L].Deferred ||
-        std::any_of(Reads.begin(), Reads.end(), [](const ReadInfo &RI) {
-          return RI.Writer == NoTxn;
-        }))
-      deriveTxn(L);
-  }
-  Dirty.clear();
+  for (TxnId L : Dirty.members(Meta))
+    refreshDerived(L);
   return std::move(Live);
 }
 
@@ -282,7 +309,7 @@ void Monitor::forceAbortHung() {
   if (!Opts.ForceAbortOpenTicks || !HasTime)
     return;
   std::vector<TxnId> Hung;
-  for (TxnId L : OpenTxns)
+  for (TxnId L : OpenTxns.members(Meta))
     if (CurrentTime - Meta[L].Ts >= Opts.ForceAbortOpenTicks)
       Hung.push_back(L);
   for (TxnId L : Hung) {
@@ -304,19 +331,16 @@ void Monitor::flush(bool Final) {
   CommitsSinceFlush = 0;
   forceAbortHung();
 
-  // Re-derive dirty transactions; those with a still-open writer stay
-  // dirty until it closes.
-  std::vector<TxnId> Ready;
-  std::vector<TxnId> DirtyNow(Dirty.begin(), Dirty.end());
-  for (TxnId L : DirtyNow) {
-    if (Meta[L].Open)
-      continue;
-    if (!deriveTxn(L)) {
-      Meta[L].Deferred = true;
+  // Bring dirty transactions up to date; those with a still-open writer
+  // stay dirty until it closes.
+  std::vector<TxnId> &Ready = ReadyScratch;
+  Ready.clear();
+  Dirty.take(Meta, DirtyScratch);
+  for (TxnId L : DirtyScratch) {
+    if (Meta[L].Open || !refreshDerived(L)) {
+      Dirty.insert(Meta, L);
       continue;
     }
-    Meta[L].Deferred = false;
-    Dirty.erase(L);
     if (Live.Txns[L].Committed)
       Ready.push_back(L);
   }
@@ -325,7 +349,7 @@ void Monitor::flush(bool Final) {
 
   // Read-level axioms for the affected transactions. Thin-air reads are
   // withheld until the stream ends: the write may simply not have arrived
-  // yet (they are tracked in PendingReads meanwhile).
+  // yet (their reads stay parked in the write index meanwhile).
   for (TxnId L : Ready) {
     std::vector<Violation> Tmp;
     checkReadConsistencyRange(Live, L, L + 1, Tmp);
@@ -456,7 +480,8 @@ void Monitor::maybeEvict() {
   // Only a prefix of fully processed transactions can leave: stop at the
   // first still-open or still-dirty one.
   size_t Evictable = Dirty.empty() ? LiveTxns
-                                   : static_cast<size_t>(*Dirty.begin());
+                                   : static_cast<size_t>(
+                                         Dirty.members(Meta).front());
   size_t ClosedPrefix = 0;
   while (ClosedPrefix < Evictable && !Meta[ClosedPrefix].Open)
     ++ClosedPrefix;
@@ -485,26 +510,16 @@ void Monitor::compact(size_t Count) {
       --Live.CommittedCount;
   }
 
-  // Write index: entries of evicted writers vanish; the rest rebase.
-  Writes.remapTxns([Cut](TxnId T) {
-    return T < Cut ? NoTxn : static_cast<TxnId>(T - Cut);
-  });
-
-  // Pending reads: evicted readers are dropped (counted), others rebase.
-  for (auto It = PendingReads.begin(); It != PendingReads.end();) {
-    std::vector<std::pair<TxnId, uint32_t>> &Waiters = It->second;
-    size_t Kept = 0;
-    for (auto &[Reader, OpIdx] : Waiters) {
-      if (Reader < Cut) {
+  // Write index: entries of evicted writers vanish and parked reads of
+  // evicted readers are dropped (counted); the rest rebase.
+  Writes.remapTxns(
+      [Cut](TxnId T) {
+        return T < Cut ? NoTxn : static_cast<TxnId>(T - Cut);
+      },
+      [&](const ParkedRead &) {
         ++Stats.EvictedUnresolvedReads;
         --Stats.UnresolvedReads;
-        continue;
-      }
-      Waiters[Kept++] = {static_cast<TxnId>(Reader - Cut), OpIdx};
-    }
-    Waiters.resize(Kept);
-    It = Waiters.empty() ? PendingReads.erase(It) : std::next(It);
-  }
+      });
 
   // Close-waiters: keys are open transactions and thus never evicted.
   {
@@ -520,6 +535,11 @@ void Monitor::compact(size_t Count) {
     }
     WaitersOnClose = std::move(NewWaiters);
   }
+
+  // Dirty and open transactions are never evicted (the prefix stops at
+  // the first); rebase the sets while their flags are still in place.
+  Dirty.rebase(Meta, Cut);
+  OpenTxns.rebase(Meta, Cut);
 
   // Drop the prefix and rebase the survivors' resolved state. Reads whose
   // writer left the window are masked: excluded from checking, never
@@ -539,6 +559,7 @@ void Monitor::compact(size_t Count) {
             (static_cast<uint64_t>(Base + RI.Writer) << 32) | RI.WriterOp);
         RI.Writer = NoTxn;
         RI.WriterOp = NoOp;
+        Meta[L].Unresolved = true;
         ++Stats.EvictedWriterReads;
         Changed = true;
       } else {
@@ -570,23 +591,6 @@ void Monitor::compact(size_t Count) {
     SessionSoBase[S] += Removed;
   }
 
-  // Dirty and open transactions are never evicted (the prefix stops at
-  // the first); rebase the sets.
-  {
-    std::set<TxnId> NewDirty;
-    for (TxnId L : Dirty) {
-      AWDIT_ASSERT(L >= Cut, "compact: dirty transaction in evicted prefix");
-      NewDirty.insert(L - Cut);
-    }
-    Dirty = std::move(NewDirty);
-    std::set<TxnId> NewOpen;
-    for (TxnId L : OpenTxns) {
-      AWDIT_ASSERT(L >= Cut, "compact: open transaction in evicted prefix");
-      NewOpen.insert(L - Cut);
-    }
-    OpenTxns = std::move(NewOpen);
-  }
-
   // Mask entries of evicted readers can never be consulted again.
   for (auto It = EvictedWriterMask.begin();
        It != EvictedWriterMask.end();) {
@@ -610,7 +614,7 @@ void Monitor::compact(size_t Count) {
   Keys.clear();
   for (const Transaction &T : Live.Txns)
     for (const Operation &Op : T.Ops)
-      Keys.insert(Op.K);
+      Keys.intern(Op.K);
   Live.KeyCount = Keys.size();
 
   Base = static_cast<TxnId>(NewBase);
@@ -630,12 +634,11 @@ CheckReport Monitor::finalize() {
     // Exact mode: bring every derived index to its final state, then run
     // the canonical one-shot engine over the full ingested history, so the
     // report is bit-identical to checking the replayed history in one shot.
-    for (TxnId L : Dirty) {
-      bool Derived = deriveTxn(L);
+    for (TxnId L : Dirty.members(Meta)) {
+      bool Derived = refreshDerived(L);
       AWDIT_ASSERT(Derived, "finalize: writer still open after close-all");
       (void)Derived;
     }
-    Dirty.clear();
     CheckReport Report = checkIsolation(Live, Opts.Level, Opts.Check);
     // Deliver anything the incremental passes had not yet surfaced.
     // Monitor ids equal history ids here (nothing was evicted).
@@ -751,11 +754,11 @@ bool loadViolation(ByteReader &R, Violation &V) {
   return R.ok();
 }
 
-template <typename Container>
-void saveU32Sequence(ByteWriter &W, const Container &C) {
+template <typename Container, typename MapFn>
+void saveU32Sequence(ByteWriter &W, const Container &C, MapFn &&Map) {
   W.u64(C.size());
   for (uint32_t V : C)
-    W.u32(V);
+    W.u32(Map(V));
 }
 
 } // namespace
@@ -848,53 +851,50 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords &C) const {
 
   Saturation.saveState(W, C);
 
-  // wr resolution: the write-site index, sorted by (key, value).
+  // wr resolution: the write sites, sorted by (key, value).
   {
-    std::vector<std::pair<KeyValue, WriteSite>> Sorted;
+    struct SiteEntry {
+      Key K;
+      Value V;
+      WriteSite Site;
+    };
+    std::vector<SiteEntry> Sorted;
     Sorted.reserve(Writes.size());
-    Writes.forEach([&](const KeyValue &KV, const WriteSite &Site) {
-      Sorted.emplace_back(KV, Site);
+    Writes.forEachSite([&](Key K, Value V, const WriteSite &Site) {
+      Sorted.push_back({K, V, Site});
     });
     std::sort(Sorted.begin(), Sorted.end(),
-              [](const auto &A, const auto &B) {
-                return A.first.K != B.first.K ? A.first.K < B.first.K
-                                              : A.first.V < B.first.V;
+              [](const SiteEntry &A, const SiteEntry &B) {
+                return A.K != B.K ? A.K < B.K : A.V < B.V;
               });
     W.chunk(chunkId(ckchunk::MWrites));
     W.u64(Sorted.size());
-    for (const auto &[KV, Site] : Sorted) {
-      W.chunk(chunkId(ckchunk::MWrites, 1 + (KV.K >> 4)));
-      W.u64(KV.K);
-      W.i64(KV.V);
-      W.u32(GT(Site.T));
-      W.u32(Site.Op);
+    for (const SiteEntry &E : Sorted) {
+      W.chunk(chunkId(ckchunk::MWrites, 1 + (E.K >> 4)));
+      W.u64(E.K);
+      W.i64(E.V);
+      W.u32(GT(E.Site.T));
+      W.u32(E.Site.Op);
     }
   }
 
-  // Pending (unresolved) reads, sorted by (key, value); waiter lists
-  // verbatim.
+  // Pending (parked) reads, sorted by (key, value); each pair's reads in
+  // parking order.
   {
-    std::vector<const std::pair<const KeyValue,
-                                std::vector<std::pair<TxnId, uint32_t>>> *>
-        Sorted;
-    Sorted.reserve(PendingReads.size());
-    for (const auto &Entry : PendingReads)
-      Sorted.push_back(&Entry);
-    std::sort(Sorted.begin(), Sorted.end(), [](const auto *A, const auto *B) {
-      return A->first.K != B->first.K ? A->first.K < B->first.K
-                                      : A->first.V < B->first.V;
-    });
+    std::vector<std::pair<Key, Value>> Sorted;
+    Writes.forEachParked([&](Key K, Value V) { Sorted.emplace_back(K, V); });
+    std::sort(Sorted.begin(), Sorted.end());
     W.chunk(chunkId(ckchunk::MPending));
     W.u64(Sorted.size());
-    for (const auto *Entry : Sorted) {
-      W.chunk(chunkId(ckchunk::MPending, 1 + (Entry->first.K >> 4)));
-      W.u64(Entry->first.K);
-      W.i64(Entry->first.V);
-      W.u64(Entry->second.size());
-      for (const auto &[Reader, OpIdx] : Entry->second) {
-        W.u32(GT(Reader));
-        W.u32(OpIdx);
-      }
+    for (auto [K, V] : Sorted) {
+      W.chunk(chunkId(ckchunk::MPending, 1 + (K >> 4)));
+      W.u64(K);
+      W.i64(V);
+      W.u64(Writes.forEachParkedRead(K, V, [](const ParkedRead &) {}));
+      Writes.forEachParkedRead(K, V, [&](const ParkedRead &P) {
+        W.u32(GT(P.Reader));
+        W.u32(P.Op);
+      });
     }
   }
 
@@ -919,19 +919,16 @@ void Monitor::saveStateImpl(ByteWriter &W, const StateCoords &C) const {
   }
 
   W.chunk(chunkId(ckchunk::MDirty));
-  W.u64(Dirty.size());
-  for (TxnId T : Dirty)
-    W.u32(GT(T));
+  saveU32Sequence(W, Dirty.members(Meta), GT);
   W.chunk(chunkId(ckchunk::MOpen));
-  W.u64(OpenTxns.size());
-  for (TxnId T : OpenTxns)
-    W.u32(GT(T));
+  saveU32Sequence(W, OpenTxns.members(Meta), GT);
   {
     std::vector<TxnId> Sorted(ForceAbortedIds.begin(),
                               ForceAbortedIds.end());
     std::sort(Sorted.begin(), Sorted.end());
     W.chunk(chunkId(ckchunk::MForced));
-    saveU32Sequence(W, Sorted); // monitor (global) ids: no transform
+    // Monitor (global) ids: no transform.
+    saveU32Sequence(W, Sorted, [](TxnId T) { return T; });
   }
 
   W.chunk(chunkId(ckchunk::MSoBase));
@@ -1066,7 +1063,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     T.WriteKeys.resize(NumWk);
     for (Key &K : T.WriteKeys)
       K = R.u64();
-    T.markOverwrittenWrites();
+    T.markOverwrittenWrites(WriteScratch);
   }
 
   uint64_t NumSessions = R.u64();
@@ -1095,8 +1092,13 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     return Fail("truncated checkpoint (window)");
   // ExtReads/ReadFroms are not serialized: both are pure functions of the
   // reads, open flags, and commit bits, all of which are loaded by now.
-  for (uint64_t I = 0; I < NumTxns; ++I)
+  for (uint64_t I = 0; I < NumTxns; ++I) {
     classifyExternalReads(static_cast<TxnId>(I));
+    const std::vector<ReadInfo> &Reads = Live.Txns[I].Reads;
+    Meta[I].Unresolved =
+        std::any_of(Reads.begin(), Reads.end(),
+                    [](const ReadInfo &RI) { return RI.Writer == NoTxn; });
+  }
   if (!Saturation.loadState(R, Err, C))
     return false;
 
@@ -1108,7 +1110,11 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     Value V = R.i64();
     TxnId T = LT(R.u32());
     uint32_t Op = R.u32();
-    if (R.ok() && !Writes.record(K, V, T, Op))
+    if (!R.ok())
+      break;
+    if (T >= NumTxns)
+      return Fail("corrupted checkpoint (write-site transaction)");
+    if (!Writes.record(K, V, T, Op))
       return Fail("corrupted checkpoint (duplicate write-site entry)");
   }
 
@@ -1121,12 +1127,17 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 8))
       return Fail("corrupted checkpoint (pending-read list)");
-    std::vector<std::pair<TxnId, uint32_t>> Waiters(Len);
-    for (auto &[Reader, OpIdx] : Waiters) {
-      Reader = LT(R.u32());
-      OpIdx = R.u32();
+    for (uint64_t J = 0; J < Len; ++J) {
+      TxnId Reader = LT(R.u32());
+      uint32_t OpIdx = R.u32();
+      if (!R.ok())
+        break;
+      // A write of (K, V) wakes the reader: it must be in the window.
+      if (Reader >= NumTxns)
+        return Fail("corrupted checkpoint (pending-read transaction)");
+      if (!Writes.park(K, V, Reader, OpIdx))
+        return Fail("corrupted checkpoint (pending read of a written value)");
     }
-    PendingReads.emplace(KeyValue{K, V}, std::move(Waiters));
   }
 
   uint64_t NumWaiters = R.u64();
@@ -1143,17 +1154,31 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
     WaitersOnClose.emplace(Writer, std::move(Readers));
   }
 
-  auto LoadTxnSet = [&](std::set<TxnId> &Set) {
+  // Local ids of the window, ascending.
+  auto LoadTxnIds = [&](std::vector<TxnId> &Ids) {
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 4))
       return false;
-    for (uint64_t I = 0; I < Len; ++I)
-      Set.insert(LT(R.u32()));
-    return true;
+    Ids.resize(Len);
+    for (TxnId &L : Ids)
+      L = LT(R.u32());
+    return R.ok() && std::is_sorted(Ids.begin(), Ids.end()) &&
+           std::adjacent_find(Ids.begin(), Ids.end()) == Ids.end() &&
+           (Ids.empty() || Ids.back() < NumTxns);
   };
-  if (!LoadTxnSet(Dirty))
+  std::vector<TxnId> Ids;
+  if (!LoadTxnIds(Ids))
     return Fail("corrupted checkpoint (dirty set)");
-  if (!LoadTxnSet(OpenTxns))
+  for (TxnId L : Ids)
+    Dirty.insert(Meta, L);
+  // The open set is what the Open flags of the window say; the list must
+  // agree.
+  if (!LoadTxnIds(Ids))
+    return Fail("corrupted checkpoint (open set)");
+  for (TxnId L = 0; L < NumTxns; ++L)
+    if (std::exchange(Meta[L].Open, false))
+      OpenTxns.insert(Meta, L);
+  if (OpenTxns.members(Meta) != Ids)
     return Fail("corrupted checkpoint (open set)");
   uint64_t NumForced = R.u64();
   if (!R.checkCount(NumForced, 4))
@@ -1211,7 +1236,7 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   // Derived state not worth serializing: the key universe of the window.
   for (const Transaction &T : Live.Txns)
     for (const Operation &Op : T.Ops)
-      Keys.insert(Op.K);
+      Keys.intern(Op.K);
   Live.KeyCount = Keys.size();
 
   if (Base != IdBase)

@@ -42,13 +42,13 @@
 #include "history/history.h"
 #include "history/wr_resolver.h"
 #include "obs/histogram.h"
+#include "support/dense_key_ids.h"
 
-#include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace awdit {
@@ -317,13 +317,78 @@ private:
   bool loadStateImpl(ByteReader &R, std::string *Err, const StateCoords &C);
 
   struct TxnMeta {
-    bool Open = true;
+    /// Member of OpenTxns: begun and not yet committed or aborted.
+    bool Open = false;
     /// True while some read of this (closed) transaction resolves to a
     /// still-open writer; checking is deferred until all writers close.
     bool Deferred = false;
+    /// Member of Dirty.
+    bool Dirty = false;
+    /// Some read has no writer (yet, or its writer was evicted).
+    bool Unresolved = false;
+    /// The classifyExternalReads() call that last met this transaction as
+    /// a writer (see WriterStamp).
+    uint32_t Stamp = 0;
     /// Stream time of the last lifecycle event: begin while open, close
     /// once closed. Drives the age horizon and the force-abort policy.
     uint64_t Ts = 0;
+  };
+
+  /// A set of local transaction ids kept flat: the ids in a vector, the
+  /// membership in a TxnMeta flag. insert() appends a non-member and
+  /// erase() only clears the flag, so the vector may hold stale and
+  /// repeated ids until members() drops them and sorts on demand.
+  class IdSet {
+  public:
+    explicit IdSet(bool TxnMeta::*Flag) : Flag(Flag) {}
+
+    void insert(std::vector<TxnMeta> &Meta, TxnId L) {
+      if (Meta[L].*Flag)
+        return;
+      Meta[L].*Flag = true;
+      Ids.push_back(L);
+      ++Count;
+    }
+
+    void erase(std::vector<TxnMeta> &Meta, TxnId L) {
+      if (!(Meta[L].*Flag))
+        return;
+      Meta[L].*Flag = false;
+      --Count;
+      // Stale ids stay a bounded share of the vector, at O(1) amortized.
+      if (Ids.size() > 2 * Count + 64)
+        prune(Meta);
+    }
+
+    bool empty() const { return Count == 0; }
+
+    /// The members, ascending.
+    const std::vector<TxnId> &members(const std::vector<TxnMeta> &Meta) const {
+      prune(Meta);
+      return Ids;
+    }
+
+    /// Moves the members, ascending, into \p Out and empties the set.
+    void take(std::vector<TxnMeta> &Meta, std::vector<TxnId> &Out) {
+      prune(Meta);
+      Out.swap(Ids);
+      Ids.clear();
+      for (TxnId L : Out)
+        Meta[L].*Flag = false;
+      Count = 0;
+    }
+
+    /// Shifts every member down by \p Cut, which none is below. Call
+    /// before the first \p Cut entries of \p Meta are erased.
+    void rebase(const std::vector<TxnMeta> &Meta, TxnId Cut);
+
+  private:
+    /// Drops stale and repeated ids and sorts; the members stay the same.
+    void prune(const std::vector<TxnMeta> &Meta) const;
+
+    mutable std::vector<TxnId> Ids;
+    size_t Count = 0;
+    bool TxnMeta::*Flag;
   };
 
   TxnId toLocal(TxnId MonitorId) const;
@@ -333,15 +398,29 @@ private:
   /// readers, and schedules checking.
   void closeTxn(TxnId Local, bool Committed);
 
-  /// Recomputes \p Local's resolved reads and derived indices from its
-  /// ops against the current write index. Returns false when some read
-  /// resolves to a still-open writer (checking must wait).
-  bool deriveTxn(TxnId Local);
+  /// Derives \p Local's resolved reads and indices against the current
+  /// write index. The \p First derivation, at close, builds them from the
+  /// ops and parks every unresolved read; a later one only looks up the
+  /// still-unresolved reads again. Returns false when some read resolves
+  /// to a still-open writer (checking must wait).
+  bool deriveTxn(TxnId Local, bool First);
+
+  /// The one re-derive rule of flush, finalize and takeHistory: \p Local
+  /// was derived when it closed, and only a writer that was still open
+  /// then (Deferred) or a read that was unresolved can have changed the
+  /// result since. Re-derives in those cases and returns false while a
+  /// writer is still open (Deferred stays set).
+  bool refreshDerived(TxnId Local);
 
   /// Rebuilds \p Local's ExtReads/ReadFroms from its (resolved) Reads:
   /// the external reads are exactly those from a distinct, closed,
   /// committed writer. Shared by deriveTxn and compact.
   void classifyExternalReads(TxnId Local);
+
+  /// True when \p T (a monitor id) was closed by the force-abort policy.
+  bool forceAborted(TxnId T) const {
+    return !ForceAbortedIds.empty() && ForceAbortedIds.count(T);
+  }
 
   /// One incremental checking pass: force-abort hung transactions, derive
   /// dirty transactions, run the read-level checks over the delta, hand
@@ -381,20 +460,17 @@ private:
   TxnId Base = 0;
   std::vector<TxnMeta> Meta;
   /// Distinct keys seen in the window's operations (History::KeyCount).
-  std::unordered_set<Key> Keys;
+  DenseKeyIds Keys;
 
   /// The incremental saturation engine: persisted happens-before facts,
   /// per-key write index, refcounted source-tagged edges, dynamic
   /// topological order.
   SaturationState Saturation;
 
-  /// Incremental wr resolution (local ids).
+  /// Incremental wr resolution (local ids): the write sites, plus the
+  /// reads of closed transactions with no write site yet, parked on the
+  /// (key, value) they wait for and woken when its write arrives.
   WriteSiteIndex Writes;
-  /// Reads of closed transactions with no write site yet: (key, value) ->
-  /// readers. Retroactively resolved when the write arrives.
-  std::unordered_map<KeyValue, std::vector<std::pair<TxnId, uint32_t>>,
-                     KeyValueHash>
-      PendingReads;
   /// Readers to re-derive when an open writer closes (local ids).
   std::unordered_map<TxnId, std::vector<TxnId>> WaitersOnClose;
   /// Reads whose writer was evicted, keyed by (monitor id << 32 | op):
@@ -406,11 +482,11 @@ private:
   std::unordered_map<uint64_t, uint64_t> EvictedWriterMask;
 
   /// Closed transactions whose checking state is stale (newly closed or
-  /// retroactively re-resolved). Ordered for deterministic flushes.
-  std::set<TxnId> Dirty;
+  /// retroactively re-resolved), flushed in ascending order.
+  IdSet Dirty{&TxnMeta::Dirty};
 
   /// Currently open transactions (local ids), for the force-abort scan.
-  std::set<TxnId> OpenTxns;
+  IdSet OpenTxns{&TxnMeta::Open};
   /// Monitor ids closed by the force-abort policy while their session
   /// still holds the handle: later operations and the eventual
   /// commit/abort on them are dropped. Never pruned (one entry per
@@ -437,6 +513,15 @@ private:
   /// Host-local flush telemetry (see flushLatency()); never serialized.
   obs::LatencyHistogram FlushHist;
   uint64_t PhaseMicros[obs::NumFlushPhases] = {};
+  /// Reused working space: the ready and dirty lists of a flush, the
+  /// sorted writes of deriveWriteKeys, and the lists classifyExternalReads
+  /// gathers.
+  std::vector<TxnId> ReadyScratch, DirtyScratch, FromScratch;
+  std::vector<std::pair<Key, uint32_t>> WriteScratch;
+  std::vector<uint32_t> ExtScratch;
+  /// Bumped per classifyExternalReads() call; a writer whose
+  /// TxnMeta::Stamp equals it was already listed in ReadFroms.
+  uint32_t WriterStamp = 0;
   size_t CommitsSinceFlush = 0;
   /// Latest stream timestamp seen by advanceTime().
   uint64_t CurrentTime = 0;

@@ -4,8 +4,7 @@
 
 #include "history/wr_resolver.h"
 #include "support/assert.h"
-
-#include <unordered_set>
+#include "support/dense_key_ids.h"
 
 using namespace awdit;
 
@@ -59,6 +58,7 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
   // Copy the raw transactions; an optional synthetic initial transaction is
   // appended at the end so user-visible TxnIds are stable.
   size_t NumUserTxns = Txns.size();
+  size_t NumWrites = 0;
   H.Txns.resize(NumUserTxns);
   H.Sessions.resize(NumSessions);
   for (size_t I = 0; I < NumUserTxns; ++I) {
@@ -66,16 +66,18 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
     T.Session = Txns[I].Session;
     T.Committed = !Txns[I].Aborted;
     T.Ops = Txns[I].Ops;
+    for (const Operation &Op : T.Ops)
+      NumWrites += Op.isWrite();
   }
 
-  // Index every write site by (key, value) and collect all written keys.
-  WriteSiteIndex WriteIndex;
-  std::unordered_set<Key> AllKeys;
+  // Index every write site by (key, value) and collect all keys.
+  WriteSiteIndex WriteIndex(NumWrites);
+  DenseKeyIds AllKeys;
   for (size_t I = 0; I < NumUserTxns; ++I) {
     const Transaction &T = H.Txns[I];
     for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
       const Operation &Op = T.Ops[OpIdx];
-      AllKeys.insert(Op.K);
+      AllKeys.intern(Op.K);
       if (!Op.isWrite())
         continue;
       if (!WriteIndex.record(Op.K, Op.V, static_cast<TxnId>(I), OpIdx)) {
@@ -89,14 +91,14 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
   // that nothing writes.
   if (ImplicitInit) {
     std::vector<Key> InitKeys;
-    std::unordered_set<Key> Seen;
+    DenseKeyIds Seen;
     for (size_t I = 0; I < NumUserTxns; ++I) {
       for (const Operation &Op : H.Txns[I].Ops) {
         if (!Op.isRead() || Op.V != 0)
           continue;
         if (WriteIndex.find(Op.K, 0))
           continue;
-        if (Seen.insert(Op.K).second)
+        if (Seen.intern(Op.K) == InitKeys.size())
           InitKeys.push_back(Op.K);
       }
     }
@@ -126,16 +128,20 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
     Sess.push_back(static_cast<TxnId>(I));
   }
 
-  // Resolve reads and derive per-transaction indices.
+  // Resolve reads and derive per-transaction indices. Stamp[W] == I + 1
+  // marks writer W as already listed in transaction I's ReadFroms.
   size_t TotalOps = 0;
   size_t CommittedCount = 0;
+  std::vector<TxnId> Stamp(H.Txns.size(), 0);
+  std::vector<std::pair<Key, uint32_t>> WriteScratch;
   for (size_t I = 0; I < H.Txns.size(); ++I) {
     Transaction &T = H.Txns[I];
     TotalOps += T.Ops.size();
     if (T.Committed)
       ++CommittedCount;
 
-    std::unordered_set<TxnId> SeenWriters;
+    T.deriveWriteKeys(WriteScratch);
+    T.Reads.reserve(T.Ops.size() - WriteScratch.size());
     for (uint32_t OpIdx = 0; OpIdx < T.Ops.size(); ++OpIdx) {
       const Operation &Op = T.Ops[OpIdx];
       if (Op.isWrite())
@@ -152,11 +158,12 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
       if (RI.Writer != NoTxn && RI.Writer != static_cast<TxnId>(I) &&
           H.Txns[RI.Writer].Committed) {
         T.ExtReads.push_back(ReadIdx);
-        if (SeenWriters.insert(RI.Writer).second)
+        if (Stamp[RI.Writer] != static_cast<TxnId>(I + 1)) {
+          Stamp[RI.Writer] = static_cast<TxnId>(I + 1);
           T.ReadFroms.push_back(RI.Writer);
+        }
       }
     }
-    T.deriveWriteKeys();
   }
 
   H.TotalOps = TotalOps;

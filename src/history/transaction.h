@@ -88,23 +88,28 @@ struct Transaction {
            Ops[OpIdx].K == K && !Ops[OpIdx].Overwritten;
   }
 
-  /// Derives WriteKeys and the Overwritten flags of Ops.
-  void deriveWriteKeys() {
-    markOverwrittenWrites();
-    // Each written key has exactly one final write.
+  /// Derives WriteKeys and the Overwritten flags of Ops. \p Scratch is
+  /// working space the caller reuses across transactions.
+  void deriveWriteKeys(std::vector<std::pair<Key, uint32_t>> &Scratch) {
+    markOverwrittenWrites(Scratch);
+    // Scratch holds (key, op index) of every write sorted by key, and each
+    // written key has exactly one final write.
     WriteKeys.clear();
-    for (const Operation &Op : Ops)
-      if (Op.isWrite() && !Op.Overwritten)
-        WriteKeys.push_back(Op.K);
-    std::sort(WriteKeys.begin(), WriteKeys.end());
+    WriteKeys.reserve(std::count_if(Ops.begin(), Ops.end(),
+                                    [](const Operation &Op) {
+                                      return Op.isWrite() && !Op.Overwritten;
+                                    }));
+    for (auto [K, OpIdx] : Scratch)
+      if (!Ops[OpIdx].Overwritten)
+        WriteKeys.push_back(K);
   }
 
-  /// Sets the Overwritten flag of every write in Ops. A checkpoint
-  /// restores WriteKeys but not the flags, so its loader calls this alone.
-  void markOverwrittenWrites() {
-    // (key, op index) of every write, sorted: within a key's run, every
-    // write but the last is overwritten.
-    std::vector<std::pair<Key, uint32_t>> Writes;
+  /// Sets the Overwritten flag of every write in Ops, leaving (key, op
+  /// index) of every write in \p Writes, sorted. A checkpoint restores
+  /// WriteKeys but not the flags, so its loader calls this alone.
+  void markOverwrittenWrites(std::vector<std::pair<Key, uint32_t>> &Writes) {
+    // Within a key's run, every write but the last is overwritten.
+    Writes.clear();
     for (uint32_t OpIdx = 0; OpIdx < Ops.size(); ++OpIdx) {
       if (!Ops[OpIdx].isWrite())
         continue;

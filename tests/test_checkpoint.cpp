@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "checker/checkpoint.h"
+#include "checker/checkpoint_chunks.h"
 #include "checker/monitor.h"
 #include "checker/violation_sink.h"
 #include "io/dbcop_format.h"
@@ -22,12 +23,15 @@
 #include "io/text_format.h"
 #include "sim/anomaly_injector.h"
 #include "store/segment_store.h"
+#include "support/rng.h"
 #include "support/serialize.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -531,6 +535,50 @@ TEST(Checkpoint, CorruptedAndTruncatedFailCleanly) {
   }
 }
 
+/// Transaction ids in the write-site and pending-read records name a
+/// transaction of the window: one outside it is a typed error at load, not
+/// an index past the window when its read is later woken.
+TEST(Checkpoint, OutOfWindowWriteAndPendingIdsFailCleanly) {
+  MonitorOptions Options;
+  Monitor M(Options);
+  SessionId S = M.addSession();
+  TxnId Writer = M.beginTxn(S);
+  M.write(Writer, 4, 40);
+  M.commit(Writer);
+  TxnId Reader = M.beginTxn(S);
+  M.read(Reader, 5, 50); // parked: nothing wrote (5, 50)
+  M.commit(Reader);
+  std::string Bytes;
+  std::vector<ChunkMark> Marks;
+  uint32_t IdBase = 0;
+  std::vector<uint64_t> SoBase;
+  M.saveStateChunked(Bytes, Marks, IdBase, SoBase);
+
+  // Each record's first bucket chunk starts at its key; the transaction
+  // id follows the key and value (a write site) or the key, value and
+  // list length (a pending read).
+  struct Case {
+    ckchunk::Kind Kind;
+    size_t IdOffset;
+    const char *Want;
+  };
+  for (Case C : {Case{ckchunk::MWrites, 16, "write-site transaction"},
+                 Case{ckchunk::MPending, 24, "pending-read transaction"}}) {
+    auto Mark =
+        std::find_if(Marks.begin(), Marks.end(), [&](const ChunkMark &K) {
+          return K.Id == chunkId(C.Kind, 1 + (4 >> 4));
+        });
+    ASSERT_NE(Mark, Marks.end());
+    std::string Bad = Bytes;
+    uint32_t Foreign = 7; // the window holds ids 0 and 1
+    std::memcpy(&Bad[Mark->Offset + C.IdOffset], &Foreign, sizeof(Foreign));
+    Monitor Restored(Options);
+    std::string Err;
+    EXPECT_FALSE(Restored.loadStateChunked(Bad, IdBase, SoBase, &Err));
+    EXPECT_NE(Err.find(C.Want), std::string::npos) << Err;
+  }
+}
+
 /// Many independent monitors checkpointed and restored in one process —
 /// the multi-tenant server's resume path: distinct levels, cadences, and
 /// windows, interleaved save/load and interleaved replay, with every
@@ -1009,4 +1057,122 @@ TEST(StoreCheckpoint, RestoresSnapshotAndFailsCleanly) {
   EXPECT_FALSE(removeStoreDir(NotAStore.str(), &Err));
   ASSERT_TRUE(removeStoreDir(Dir.str(), &Err)) << Err;
   EXPECT_FALSE(fs::exists(Dir.Path));
+}
+
+namespace {
+
+/// FNV-1a over \p N bytes, folded into \p H.
+uint64_t fnv1a(uint64_t H, const void *Data, size_t N) {
+  const unsigned char *P = static_cast<const unsigned char *>(Data);
+  for (size_t I = 0; I < N; ++I)
+    H = (H ^ P[I]) * 0x100000001b3ull;
+  return H;
+}
+
+} // namespace
+
+/// The checkpoint layout (CheckpointStoreVersion 3) pinned byte for byte: a
+/// seeded interleaved stream fed straight through the ingestion API, with
+/// transactions of six sessions open at once, reads of still-open writers
+/// (close-waiters), reads of values written only later (pending reads),
+/// force-aborted hung transactions and a 64-transaction window. The hash
+/// folds the chunked bytes, marks and coordinate bases of a snapshot taken
+/// every 97 steps. Its value was taken before the write-site index, the
+/// key set and the dirty/open sets moved to flat structures, so any change
+/// to what those serialize shows up here.
+TEST(Checkpoint, ChunkedBytesMatchGoldenHash) {
+  MonitorOptions Options;
+  Options.Level = IsolationLevel::CausalConsistency;
+  Options.Check.Threads = 1;
+  Options.CheckIntervalTxns = 7;
+  Options.WindowTxns = 64;
+  Options.ForceAbortOpenTicks = 90;
+  Monitor M(Options);
+  constexpr size_t Sessions = 6;
+  for (size_t S = 0; S < Sessions; ++S)
+    M.addSession();
+
+  Rng R(20261018);
+  std::vector<TxnId> Open(Sessions, NoTxn);
+  std::vector<std::vector<std::pair<Key, Value>>> OpenWrites(Sessions);
+  std::vector<std::pair<Key, Value>> Readable; // committed writes
+  std::vector<std::pair<Key, Value>> Planned;  // read before written
+  Value NextVal = 1;
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  size_t ReadsOfOpenWriters = 0, Snapshots = 0;
+  size_t WithPending = 0, WithWaiters = 0;
+  for (uint64_t Step = 0; Step < 6000; ++Step) {
+    M.advanceTime(Step);
+    SessionId S = static_cast<SessionId>(R.nextBelow(Sessions));
+    if (Open[S] == NoTxn) {
+      Open[S] = M.beginTxn(S);
+    } else if (uint64_t Dice = R.nextBelow(16); Dice < 2) {
+      if (Dice == 0 && R.nextBelow(4) == 0) {
+        M.abortTxn(Open[S]);
+      } else {
+        M.commit(Open[S]);
+        Readable.insert(Readable.end(), OpenWrites[S].begin(),
+                        OpenWrites[S].end());
+      }
+      OpenWrites[S].clear();
+      Open[S] = NoTxn;
+    } else if (Dice < 8) {
+      Key K = R.nextBelow(24);
+      Value V = NextVal++;
+      if (!Planned.empty() && R.nextBelow(2) == 0) {
+        std::tie(K, V) = Planned.back();
+        Planned.pop_back();
+      }
+      ASSERT_TRUE(M.write(Open[S], K, V)) << M.errorText();
+      OpenWrites[S].emplace_back(K, V);
+    } else {
+      uint64_t Kind = R.nextBelow(8);
+      SessionId O = static_cast<SessionId>(R.nextBelow(Sessions));
+      if (Kind == 0) {
+        Key K = R.nextBelow(24);
+        Value V = NextVal++;
+        Planned.emplace_back(K, V);
+        M.read(Open[S], K, V);
+      } else if (Kind == 1 && O != S && !OpenWrites[O].empty()) {
+        auto [K, V] = OpenWrites[O][R.nextBelow(OpenWrites[O].size())];
+        M.read(Open[S], K, V);
+        ++ReadsOfOpenWriters;
+      } else if (!Readable.empty()) {
+        size_t Recent = std::min<size_t>(Readable.size(), 64);
+        auto [K, V] = Readable[Readable.size() - 1 - R.nextBelow(Recent)];
+        M.read(Open[S], K, V);
+      }
+    }
+    if (Step % 97 != 96)
+      continue;
+    std::string Bytes;
+    std::vector<ChunkMark> Marks;
+    uint32_t IdBase = 0;
+    std::vector<uint64_t> SoBase;
+    M.saveStateChunked(Bytes, Marks, IdBase, SoBase);
+    Hash = fnv1a(Hash, Bytes.data(), Bytes.size());
+    for (const ChunkMark &Mark : Marks) {
+      uint64_t Fields[2] = {Mark.Offset, Mark.Id};
+      Hash = fnv1a(Hash, Fields, sizeof(Fields));
+    }
+    Hash = fnv1a(Hash, &IdBase, sizeof(IdBase));
+    Hash = fnv1a(Hash, SoBase.data(), SoBase.size() * sizeof(uint64_t));
+    // A section's bucket chunks exist only when it holds records.
+    auto HasRecords = [&](ckchunk::Kind Kind) {
+      return std::any_of(Marks.begin(), Marks.end(), [&](const ChunkMark &K) {
+        return K.Id > chunkId(Kind) && K.Id < chunkId(Kind + 1);
+      });
+    };
+    WithPending += HasRecords(ckchunk::MPending);
+    WithWaiters += HasRecords(ckchunk::MWaiters);
+    ++Snapshots;
+  }
+  const MonitorStats &Stats = M.stats();
+  EXPECT_EQ(Snapshots, 61u);
+  EXPECT_GT(WithPending, 0u) << "no snapshot held a pending read";
+  EXPECT_GT(WithWaiters, 0u) << "no snapshot held a close-waiter";
+  EXPECT_GT(ReadsOfOpenWriters, 0u);
+  EXPECT_GT(Stats.EvictedTxns, 0u);
+  EXPECT_GT(Stats.ForcedAborts, 0u);
+  EXPECT_EQ(Hash, 0x0123352b65669cc6ull) << std::hex << "0x" << Hash;
 }

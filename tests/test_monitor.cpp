@@ -443,3 +443,333 @@ TEST(StreamingParser, ErrorsCarryLineNumbers) {
         << Ingest.errorText();
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Derive-once: a transaction is derived when it closes, and flush,
+// finalize and takeHistory re-derive only a transaction that waited on a
+// still-open writer (Deferred) or has a read with no writer. Scripted
+// interleavings put every such case through a monitor at check intervals
+// 1, 7 and 256 and compare it with HistoryBuilder and the one-shot engine.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// An interleaved stream, recorded once and fed to monitors and to a
+/// HistoryBuilder. Handles count transactions in begin order, which is
+/// also their monitor and builder id. A session has at most one open
+/// transaction at a time, so commit order is begin order per session.
+class Script {
+public:
+  explicit Script(size_t Sessions) : Sessions(Sessions) {}
+
+  uint32_t begin(SessionId S) {
+    Events.push_back({Ev::Begin, S, 0});
+    Txns.push_back({S, {}, Close::Open});
+    return static_cast<uint32_t>(Txns.size() - 1);
+  }
+  void read(uint32_t H, Key K, Value V) { op(H, Operation::read(K, V)); }
+  void write(uint32_t H, Key K, Value V) { op(H, Operation::write(K, V)); }
+  void commit(uint32_t H) { close(H, Ev::Commit, Close::Committed); }
+  void abort(uint32_t H) { close(H, Ev::Abort, Close::Aborted); }
+  void time(uint64_t Now) { Events.push_back({Ev::Time, 0, 0, Now}); }
+  void check() { Events.push_back({Ev::Check, 0, 0}); }
+  /// \p H is expected to be force-aborted by then: the builder aborts it
+  /// and the monitor must drop everything fed on it from here on.
+  void forceAborted(uint32_t H) { Txns[H].End = Close::Aborted; }
+
+  void feed(Monitor &M) const {
+    for (size_t S = 0; S < Sessions; ++S)
+      M.addSession();
+    for (const Ev &E : Events) {
+      switch (E.Kind) {
+      case Ev::Begin:
+        M.beginTxn(E.A);
+        break;
+      case Ev::Op:
+        ASSERT_TRUE(M.append(E.A, Txns[E.A].Ops[E.B])) << M.errorText();
+        break;
+      case Ev::LateOp:
+        ASSERT_TRUE(M.append(E.A, Operation::write(0, -1)));
+        break;
+      case Ev::Commit:
+        M.commit(E.A);
+        break;
+      case Ev::Abort:
+        M.abortTxn(E.A);
+        break;
+      case Ev::Time:
+        M.advanceTime(E.Now);
+        break;
+      case Ev::Check:
+        M.check();
+        break;
+      }
+    }
+  }
+
+  History build() const {
+    HistoryBuilder B;
+    for (size_t S = 0; S < Sessions; ++S)
+      B.addSession();
+    for (const Txn &T : Txns) {
+      TxnId Id = B.beginTxn(T.Session);
+      for (const Operation &Op : T.Ops)
+        B.append(Id, Op);
+      if (T.End != Close::Committed)
+        B.abortTxn(Id);
+    }
+    std::string Err;
+    std::optional<History> H = B.build(&Err);
+    EXPECT_TRUE(H) << Err;
+    return H ? std::move(*H) : History();
+  }
+
+private:
+  enum class Close { Open, Committed, Aborted };
+  struct Ev {
+    enum Type { Begin, Op, LateOp, Commit, Abort, Time, Check } Kind;
+    uint32_t A; // session (Begin) or handle
+    uint32_t B; // op index (Op)
+    uint64_t Now = 0;
+  };
+  struct Txn {
+    SessionId Session;
+    std::vector<Operation> Ops;
+    Close End;
+  };
+
+  void op(uint32_t H, Operation Op) {
+    if (Txns[H].End == Close::Aborted) {
+      // Fed after a force-abort: a write the monitor must drop (its
+      // unique value collides with nothing else in the scripts).
+      Events.push_back({Ev::LateOp, H, 0});
+      return;
+    }
+    Events.push_back({Ev::Op, H, static_cast<uint32_t>(Txns[H].Ops.size())});
+    Txns[H].Ops.push_back(Op);
+  }
+  void close(uint32_t H, Ev::Type Kind, Close End) {
+    Events.push_back({Kind, H, 0});
+    if (Txns[H].End == Close::Open)
+      Txns[H].End = End;
+  }
+
+  size_t Sessions;
+  std::vector<Ev> Events;
+  std::vector<Txn> Txns;
+};
+
+/// A violation as a comparable string (kind, ids, op, witness edges). A
+/// cycle found by an incremental pass may start elsewhere than the
+/// one-shot engine's, so the witness is rotated to its smallest id.
+std::string violationKey(const Violation &V) {
+  std::string Key = std::to_string(static_cast<int>(V.Kind)) + ":" +
+                    std::to_string(V.T) + ":" + std::to_string(V.OpIndex) +
+                    ":" + std::to_string(V.Other);
+  auto First = std::min_element(V.Cycle.begin(), V.Cycle.end(),
+                                [](const WitnessEdge &A, const WitnessEdge &B) {
+                                  return A.From < B.From;
+                                });
+  for (size_t I = 0; I < V.Cycle.size(); ++I) {
+    const WitnessEdge &E =
+        V.Cycle[(I + (First - V.Cycle.begin())) % V.Cycle.size()];
+    Key += " " + std::to_string(E.From) + ">" + std::to_string(E.To);
+  }
+  return Key;
+}
+
+std::vector<std::string> violationKeys(const std::vector<Violation> &Vs) {
+  std::vector<std::string> Keys;
+  for (const Violation &V : Vs)
+    Keys.push_back(violationKey(V));
+  std::sort(Keys.begin(), Keys.end());
+  return Keys;
+}
+
+/// The script's monitors, at check intervals 1, 7 and 256: takeHistory()
+/// equals the builder's history field by field, and at every level the
+/// streamed violations and the finalize report equal the one-shot
+/// result. Returns the violations the one-shot engine found (all levels).
+size_t expectDeriveOnce(const Script &S, MonitorOptions Options,
+                        const std::string &Name) {
+  History Expected = S.build();
+  size_t Found = 0;
+  for (size_t Interval : {size_t(1), size_t(7), size_t(256)}) {
+    std::string Context = Name + " interval " + std::to_string(Interval);
+    Options.CheckIntervalTxns = Interval;
+    {
+      Monitor M(Options);
+      S.feed(M);
+      expectSameHistory(Expected, M.takeHistory(), Context);
+    }
+    for (IsolationLevel Level : AllIsolationLevels) {
+      std::string At = Context + " " + isolationLevelName(Level);
+      Options.Level = Level;
+      Options.Check.Threads = 1;
+      CollectingSink Sink;
+      Monitor M(Options, &Sink);
+      S.feed(M);
+      CheckReport Report = M.finalize();
+      CheckReport OneShot = checkIsolation(Expected, Level, Options.Check);
+      expectSameReport(OneShot, Report, At);
+      EXPECT_EQ(violationKeys(Sink.Violations),
+                violationKeys(OneShot.Violations))
+          << At;
+      Found += OneShot.Violations.size();
+    }
+  }
+  return Found;
+}
+
+} // namespace
+
+/// Readers that commit while their writer is still open are Deferred;
+/// the writer's commit or abort wakes them (an abort makes aborted reads).
+TEST(MonitorDeriveOnce, ReadersCloseBeforeTheirWriters) {
+  Script S(3);
+  for (Value I = 0; I < 24; ++I) {
+    Key K = static_cast<Key>(I % 5) * 3;
+    uint32_t W = S.begin(0);
+    S.write(W, K, 100 + I);
+    S.write(W, K + 1, 100 + I);
+    uint32_t R = S.begin(1);
+    S.read(R, K, 100 + I);
+    S.commit(R); // deferred: W is open
+    uint32_t W2 = S.begin(2);
+    S.write(W2, K + 2, 100 + I);
+    uint32_t R2 = S.begin(1);
+    S.read(R2, K + 2, 100 + I);
+    S.read(R2, K + 1, 100 + I);
+    S.commit(R2); // deferred on both writers
+    S.commit(W);
+    if (I % 3 == 0)
+      S.abort(W2); // R2 read an aborted write
+    else
+      S.commit(W2);
+  }
+  EXPECT_GT(expectDeriveOnce(S, {}, "deferred readers"), 0u);
+}
+
+/// A read whose write arrives only later is parked when its reader
+/// closes, and the write wakes it; some of the writes abort.
+TEST(MonitorDeriveOnce, ReadsWhoseWriteArrivesLater) {
+  Script S(4);
+  for (Value I = 0; I < 30; ++I) {
+    uint32_t R = S.begin(static_cast<SessionId>(I % 3));
+    S.read(R, static_cast<Key>(I % 7), 1000 + I);
+    S.read(R, static_cast<Key>(I % 7), 1000 + I); // two parked reads
+    S.commit(R);
+  }
+  for (Value I = 0; I < 30; ++I) {
+    uint32_t W = S.begin(3);
+    S.write(W, static_cast<Key>(I % 7), 1000 + I);
+    if (I % 5 == 0)
+      S.abort(W);
+    else
+      S.commit(W);
+  }
+  EXPECT_GT(expectDeriveOnce(S, {}, "late writes"), 0u);
+}
+
+/// The initial-state transaction arrives last: every read of an initial
+/// value stays unresolved until then, and the history is still exact.
+TEST(MonitorDeriveOnce, InitialStateTransactionLast) {
+  Script S(5);
+  for (Value I = 0; I < 40; ++I) {
+    Key K = static_cast<Key>(I % 8);
+    uint32_t T = S.begin(static_cast<SessionId>(I % 4));
+    S.read(T, K, 0);
+    if (I >= 7) // the write of transaction I - 7
+      S.read(T, static_cast<Key>((I + 1) % 8), I - 6);
+    S.write(T, K, I + 1);
+    S.commit(T);
+  }
+  uint32_t Init = S.begin(4);
+  for (Key K = 0; K < 8; ++K)
+    S.write(Init, K, 0);
+  S.commit(Init);
+  expectDeriveOnce(S, {}, "initial state last");
+}
+
+/// A hung transaction is force-aborted at a checking pass: the reader
+/// that waited on it wakes to an aborted read, and what the hung session
+/// sends afterwards is dropped.
+TEST(MonitorDeriveOnce, ForceAbortWakesWaitingReaders) {
+  Script S(3);
+  S.time(0);
+  uint32_t Hung = S.begin(0);
+  S.write(Hung, 7, 70);
+  uint32_t R = S.begin(1);
+  S.read(R, 7, 70);
+  S.commit(R); // deferred on the hung writer
+  for (Value I = 0; I < 10; ++I) {
+    uint32_t T = S.begin(2);
+    S.write(T, 9, 90 + I);
+    S.read(T, 7, 70);
+    S.commit(T);
+  }
+  S.time(50);
+  S.check(); // force-aborts Hung
+  S.forceAborted(Hung);
+  S.write(Hung, 8, 80);
+  S.commit(Hung);
+  uint32_t After = S.begin(1);
+  S.read(After, 9, 95);
+  S.commit(After);
+  MonitorOptions Options;
+  Options.ForceAbortOpenTicks = 10;
+  EXPECT_GT(expectDeriveOnce(S, Options, "force-abort"), 0u);
+}
+
+/// Windowed eviction: the window slides over a long clean prefix while
+/// readers wait on open writers and late writes, and the anomalies at the
+/// end, all inside the window, stream exactly as the one-shot engine
+/// reports them.
+TEST(MonitorDeriveOnce, WindowEvictionKeepsInWindowVerdicts) {
+  Script S(4);
+  for (Value I = 0; I < 300; ++I) {
+    uint32_t W = S.begin(0);
+    S.write(W, static_cast<Key>(I % 5), I + 1);
+    uint32_t R = S.begin(1);
+    S.read(R, static_cast<Key>(I % 5), I + 1);
+    S.commit(R); // deferred on W
+    S.commit(W);
+    uint32_t Late = S.begin(2);
+    S.read(Late, 50, 5000 + I); // parked until the next write
+    S.commit(Late);
+    uint32_t Fill = S.begin(3);
+    S.write(Fill, 50, 5000 + I);
+    S.commit(Fill);
+  }
+  uint32_t Bad = S.begin(0);
+  S.write(Bad, 60, 6000);
+  uint32_t Reader = S.begin(1);
+  S.read(Reader, 60, 6000);
+  S.commit(Reader);
+  S.abort(Bad);
+  History Expected = S.build();
+  for (size_t Interval : {size_t(1), size_t(7), size_t(256)}) {
+    for (IsolationLevel Level : AllIsolationLevels) {
+      std::string At = "interval " + std::to_string(Interval) + " " +
+                       isolationLevelName(Level);
+      MonitorOptions Options;
+      Options.Level = Level;
+      Options.Check.Threads = 1;
+      Options.CheckIntervalTxns = Interval;
+      Options.WindowTxns = 64;
+      CollectingSink Sink;
+      Monitor M(Options, &Sink);
+      S.feed(M);
+      CheckReport Report = M.finalize();
+      EXPECT_GT(M.stats().EvictedTxns, 0u) << At;
+      CheckReport OneShot = checkIsolation(Expected, Level, Options.Check);
+      ASSERT_FALSE(OneShot.Violations.empty()) << At;
+      EXPECT_EQ(violationKeys(Sink.Violations),
+                violationKeys(OneShot.Violations))
+          << At;
+      EXPECT_EQ(violationKeys(Report.Violations),
+                violationKeys(OneShot.Violations))
+          << At;
+    }
+  }
+}
