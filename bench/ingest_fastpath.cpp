@@ -11,9 +11,9 @@
 //  - BM_DecodeLine/native_scalar_tail: the same decoder with the SIMD
 //    scanners forced off — isolates the SWAR fallback the fuzz tests
 //    exercise, and what non-SSE2/NEON builds run.
-//  - BM_IngestBytesPerSec/<threads>: end-to-end ShardedMonitorIngest
-//    throughput (arena reader, worker decode, applier), bytes/second.
-//    CI floors this counter with `compare_bench.py --counter-gate`.
+//  - BM_IngestBytesPerSec/1: end-to-end ShardedMonitorIngest throughput
+//    (arena reader, decode, apply, checking), bytes/second. CI floors
+//    this counter with `compare_bench.py --counter-gate`.
 //  - BM_ParseDecodeShare: parseTextHistory over the same corpus, with
 //    `decode_share_pct` = 100 x decode / parse, the median over
 //    alternating in-process pairs of a decode-only pass and a full parse.
@@ -236,21 +236,20 @@ BENCHMARK(BM_DecodeLine_plume)->Name("BM_DecodeLine/plume");
 BENCHMARK(BM_DecodeLine_dbcop)->Name("BM_DecodeLine/dbcop");
 
 //===----------------------------------------------------------------------===//
-// End-to-end ingest: stream bytes through the arena reader, sharded
-// decode, and the applier, exactly as `awdit monitor` and a hot server
-// session run it. bytes/second is the counter CI floors.
+// End-to-end ingest: stream bytes through the arena reader, decode and
+// apply, exactly as `awdit monitor` runs it. bytes/second is the counter
+// CI floors.
 //===----------------------------------------------------------------------===//
 
 void BM_IngestBytesPerSec(benchmark::State &State) {
   const Corpus &C = corpusFor("native");
-  unsigned Threads = static_cast<unsigned>(State.range(0));
   for (auto _ : State) {
     MonitorOptions Options;
     Options.Level = IsolationLevel::CausalConsistency;
     Options.Check.MaxWitnesses = 1;
     Options.CheckIntervalTxns = 256;
     Monitor M(Options);
-    ShardedMonitorIngest Ingest(M, "native", Threads);
+    ShardedMonitorIngest Ingest(M, "native", /*Threads=*/1);
     std::string_view Text = C.Text;
     constexpr size_t Chunk = 1 << 16;
     for (size_t Pos = 0; Pos < Text.size(); Pos += Chunk) {
@@ -271,7 +270,7 @@ void BM_IngestBytesPerSec(benchmark::State &State) {
                           static_cast<int64_t>(C.Bytes));
 }
 
-BENCHMARK(BM_IngestBytesPerSec)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_IngestBytesPerSec)->Arg(1)->UseRealTime();
 
 //===----------------------------------------------------------------------===//
 // The Amdahl gap of parsing: the share of parseTextHistory's time that is

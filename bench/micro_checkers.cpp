@@ -558,39 +558,6 @@ BENCHMARK(BM_CheckpointDelta)
     ->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 
-// Sharded stream ingest: the `awdit monitor --threads N` hot path — raw
-// text through the pipeline (line split -> sharded tokenization -> ordered
-// apply) at a realistic cadence. Arg: thread count; 1 is the legacy
-// synchronous path, the baseline the multi-core runs are compared to.
-// Output is bit-identical at every thread count (enforced by
-// tests/test_sharded_monitor.cpp), so this measures pure ingest
-// throughput. Note: multi-core gains only show on multi-core machines.
-static void BM_MonitorShardedIngest(benchmark::State &State) {
-  const History &H = cachedHistory(16384);
-  static const std::string Text = writeTextHistory(H);
-  unsigned Threads = static_cast<unsigned>(State.range(0));
-  for (auto _ : State) {
-    MonitorOptions Options;
-    Options.Level = IsolationLevel::CausalConsistency;
-    Options.Check.MaxWitnesses = 1;
-    Options.CheckIntervalTxns = 256;
-    Monitor M(Options);
-    ShardedMonitorIngest Ingest(M, "native", Threads);
-    constexpr size_t Chunk = 1 << 16;
-    for (size_t Pos = 0; Pos < Text.size(); Pos += Chunk)
-      Ingest.feed(std::string_view(Text).substr(Pos, Chunk));
-    Ingest.finishStream();
-    benchmark::DoNotOptimize(M.finalize());
-  }
-  reportOps(State, H);
-}
-BENCHMARK(BM_MonitorShardedIngest)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
 // Multi-tenant server fan-out: aggregate committed-transaction throughput
 // vs concurrent session count. Each iteration boots an `awdit serve`
 // instance on an ephemeral loopback port (no checkpoint/sink dirs — pure

@@ -62,9 +62,9 @@ const Corpus &corpus() {
   return C;
 }
 
-/// The batch size applyBatch sees from the sharded pipeline — spans in
-/// the product wrap batches and stages, never single lines, and the
-/// overhead claim is about that deployment granularity.
+/// A conservative span size: spans in the product wrap a whole read's
+/// worth of lines (`ingest.apply`) or a flush phase, never single lines,
+/// and the overhead claim is about that deployment granularity.
 constexpr size_t SpanBatchLines = 256;
 
 uint64_t decodePlain(LineDecoder Decode, const Corpus &C) {

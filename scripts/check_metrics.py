@@ -38,8 +38,6 @@ REQUIRED_DEFAULTS = [
     "awdit_flush_duration_seconds",
     "awdit_flush_phase_duration_seconds",
     "awdit_ingest_stage_duration_seconds",
-    "awdit_ingest_queue_wait_seconds",
-    "awdit_ingest_queue_depth",
     "awdit_checkpoint_write_seconds",
     "awdit_server_pump_seconds",
     "awdit_server_hello_seconds",

@@ -49,7 +49,7 @@ CheckReport awdit::checkIsolation(const History &H, IsolationLevel Level,
   SaturationStats Sat;
 
   // The parallel engine kicks in when more than one worker is requested
-  // (or available, with the Threads = 0 default) and the history is large
+  // (or available, with Threads = 0) and the history is large
   // enough to amortize thread startup. The OnTheFly CC variant is pinned
   // to the sequential path: its purpose is bounded memory.
   size_t Threads =

@@ -46,11 +46,11 @@ struct CheckOptions {
   /// to the sequential path regardless of Threads.
   CcVariant Cc = CcVariant::PointerScan;
   /// Worker threads of the sharded parallel engine (checker/parallel.h).
-  /// 0 selects one worker per hardware thread; 1 runs the exact legacy
-  /// sequential path. Both engines produce bit-identical verdicts,
+  /// 1 (the default) runs the sequential path; 0 selects one worker per
+  /// hardware thread. Both engines produce bit-identical verdicts,
   /// violation lists, statistics, and witness cycles on every history
   /// (enforced by tests/test_parallel.cpp).
-  unsigned Threads = 0;
+  unsigned Threads = 1;
   /// Histories with fewer transactions than this run sequentially even
   /// when Threads > 1 — below it, thread startup dominates the check.
   /// Set to 0 to force the parallel engine (tests do).

@@ -38,14 +38,8 @@
 /// after the chunks it references are durable, so a kill mid-write leaves
 /// the previous checkpoint intact.
 ///
-/// What counts as "layout": only durable logical state. The speculative
-/// saturation machinery (per-flush epoch stamps, speculative rows and edge
-/// buffers, adoption counters) is transient within one flush and
-/// deliberately serialized nowhere, so enabling or disabling speculation —
-/// or resuming on a machine with a different thread count — reads and
-/// writes the same bytes. If epoch metadata ever becomes persistent (e.g.
-/// cross-flush snapshot reuse), that is a layout change and must bump
-/// CheckpointStoreVersion.
+/// What counts as "layout": only durable logical state. Host-local
+/// telemetry (flush latencies, phase timings) is serialized nowhere.
 ///
 /// The monitor/machine serialization lives with the classes themselves
 /// (Monitor::saveStateChunked, StreamMachine::saveState); this header owns

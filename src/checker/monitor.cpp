@@ -393,7 +393,6 @@ void Monitor::flush(bool Final) {
   uint64_t Phases[obs::NumFlushPhases] = {};
   Phases[unsigned(obs::FlushPhase::DeltaBuild)] =
       (DeltaPreNs + Ph.DeltaBuild) / 1000;
-  Phases[unsigned(obs::FlushPhase::Speculate)] = Ph.Speculate / 1000;
   Phases[unsigned(obs::FlushPhase::Merge)] = Ph.Merge / 1000;
   Phases[unsigned(obs::FlushPhase::Pk)] = Ph.Pk / 1000;
   Phases[unsigned(obs::FlushPhase::Finalize)] =

@@ -55,7 +55,6 @@ namespace awdit {
 
 class ByteWriter;
 class ByteReader;
-class ThreadPool;
 struct ChunkMark;
 struct StateCoords;
 
@@ -235,30 +234,9 @@ public:
   /// True once any violation has been reported.
   bool hadViolation() const { return AnyViolation; }
 
-  /// Checking passes run so far (cheap; the sharded ingest pipeline polls
-  /// this after every applied event to detect flush boundaries).
+  /// Checking passes run so far (cheap; the ingest pipeline polls this
+  /// after every applied event to detect flush boundaries).
   uint64_t flushCount() const { return Stats.Flushes; }
-
-  /// Routes flush-time CC saturation speculation to \p Pool (non-owning;
-  /// nullptr disables). The sharded ingest pipeline installs its worker
-  /// pool here so the checking half of each flush runs speculatively in
-  /// parallel; verdicts, violation streams, and summaries stay
-  /// bit-identical to the sequential path (the merge adopts a speculative
-  /// delta only when its inputs provably did not change). The pool must
-  /// outlive the monitor or be detached with nullptr first.
-  void setSpeculation(ThreadPool *Pool, size_t MinBatch = 16) {
-    Saturation.setSpeculation(Pool, MinBatch);
-  }
-
-  /// Speculation telemetry (host-local: varies with thread count, so it is
-  /// excluded from checkpoints and summaries — those must stay
-  /// byte-identical across `--threads`).
-  uint64_t speculationAdoptedRows() const {
-    return Saturation.specAdoptedRows();
-  }
-  uint64_t speculationRecomputedRows() const {
-    return Saturation.specRecomputedRows();
-  }
 
   /// Host-local flush latency telemetry (obs/histogram.h). Like
   /// FlushMicros it is wall-clock state: excluded from checkpoints and

@@ -215,8 +215,7 @@ struct CcWriterEntry {
 /// streaming engine's per-reader re-runs use this instead of the batch
 /// kernel's monotone pointers (a re-run visits readers out of so order, so
 /// the pointers cannot stay monotone); the inference is identical. Pure
-/// over the (so-sorted) \p List — safe to call from concurrent speculation
-/// workers against a quiescent writer index.
+/// over the (so-sorted) \p List.
 inline TxnId ccFrontierWriter(const std::vector<CcWriterEntry> &List,
                               uint32_t Frontier) {
   auto It = std::lower_bound(

@@ -10,7 +10,6 @@
 #include "obs/trace.h"
 #include "support/assert.h"
 #include "support/serialize.h"
-#include "support/thread_pool.h"
 
 #include <algorithm>
 #include <optional>
@@ -368,134 +367,12 @@ bool SaturationState::recomputeHbRow(const History &H, TxnId L) {
   return true;
 }
 
-void SaturationState::speculateCc(const History &H,
-                                  const std::vector<TxnId> &Ready,
-                                  SpecMap &Spec) {
-  // Pre-create every entry: the parallel phase below only const-finds the
-  // map (no rehash under concurrent readers) and each worker writes only
-  // the values of its own bucket.
-  for (TxnId L : Ready)
-    Spec.emplace(L, CcSpeculation{});
-
-  // Partition by session: a session's rows chain along so, so one worker
-  // owning the whole (so-sorted) chain can speculate straight through it,
-  // reading sibling speculative rows instead of invalidating on them.
-  std::unordered_map<SessionId, size_t> BucketOf;
-  std::vector<std::vector<TxnId>> Buckets;
-  for (TxnId L : Ready) {
-    auto [It, IsNew] = BucketOf.emplace(H.txn(L).Session, Buckets.size());
-    if (IsNew)
-      Buckets.emplace_back();
-    Buckets[It->second].push_back(L);
-  }
-  for (std::vector<TxnId> &B : Buckets)
-    std::sort(B.begin(), B.end(), [&](TxnId A, TxnId C) {
-      return H.txn(A).SoIndex < H.txn(C).SoIndex;
-    });
-
-  // The speculation phase proper. The engine is quiescent: HbRows, the
-  // writer index, ReadersOf, and H are all read-only until the merge, so
-  // workers race with nothing. Results that chained a sibling row record
-  // it in BatchInputs; rows taken from the pre-merge snapshot go to
-  // ExternalInputs — the merge revalidates both.
-  SpecPool->parallelFor(0, Buckets.size(), 1, [&](size_t BLo, size_t BHi) {
-    std::unordered_set<TxnId> Computed;
-    for (size_t B = BLo; B < BHi; ++B) {
-      Computed.clear();
-      for (TxnId L : Buckets[B]) {
-        CcSpeculation &Sp = Spec.find(L)->second;
-        const Transaction &T = H.txn(L);
-        Sp.Row.assign(HbStride, 0);
-        auto InputRow = [&](TxnId Input) -> const uint32_t * {
-          if (Computed.count(Input)) {
-            Sp.BatchInputs.push_back(Input);
-            return Spec.find(Input)->second.Row.data();
-          }
-          Sp.ExternalInputs.push_back(Input);
-          return &HbRows[static_cast<size_t>(Input) * HbStride];
-        };
-        if (T.SoIndex > 0) {
-          const uint32_t *PredRow =
-              InputRow(H.sessionTxns(T.Session)[T.SoIndex - 1]);
-          std::copy(PredRow, PredRow + HbStride, Sp.Row.begin());
-          Sp.Row[T.Session] = T.SoIndex; // = SoIndex(Pred) + 1.
-        }
-        for (TxnId Writer : T.ReadFroms) {
-          const Transaction &W = H.txn(Writer);
-          const uint32_t *WRow = InputRow(Writer);
-          for (size_t I = 0; I < HbStride; ++I)
-            Sp.Row[I] = std::max(Sp.Row[I], WRow[I]);
-          Sp.Row[W.Session] = std::max(Sp.Row[W.Session], W.SoIndex + 1);
-        }
-        if (!T.ExtReads.empty()) {
-          runCcReaderRow(H, L, Sp.Row.data(), Sp.Edges);
-          std::sort(Sp.Edges.begin(), Sp.Edges.end());
-          Sp.Edges.erase(std::unique(Sp.Edges.begin(), Sp.Edges.end()),
-                         Sp.Edges.end());
-        }
-        Computed.insert(L);
-      }
-    }
-  });
-}
-
-bool SaturationState::mergeHbRow(const History &H, TxnId L, SpecMap *Spec) {
-  CcSpeculation *Sp = nullptr;
-  if (Spec) {
-    auto It = Spec->find(L);
-    if (It != Spec->end() && !It->second.Row.empty())
-      Sp = &It->second;
-  }
-  if (Sp) {
-    // Adopt only when every input the worker read provably still holds
-    // its speculated value: snapshot rows unstamped this merge, sibling
-    // rows merged to exactly their speculation. Then the speculative row
-    // *is* what recomputeHbRow would produce — bit-identical by
-    // construction, no comparison of outputs needed.
-    bool Valid = true;
-    for (TxnId E : Sp->ExternalInputs)
-      if (RowEpochs.touchedInCurrentEpoch(E)) {
-        Valid = false;
-        break;
-      }
-    if (Valid)
-      for (TxnId B : Sp->BatchInputs)
-        if (!Spec->find(B)->second.Matched) {
-          Valid = false;
-          break;
-        }
-    if (Valid) {
-      ++SpecAdoptedRows;
-      Sp->Matched = true;
-      uint32_t *Row = &HbRows[static_cast<size_t>(L) * HbStride];
-      if (std::equal(Row, Row + HbStride, Sp->Row.begin()))
-        return false;
-      std::copy(Sp->Row.begin(), Sp->Row.end(), Row);
-      RowEpochs.touch(L);
-      return true;
-    }
-  }
-  bool Changed = recomputeHbRow(H, L);
-  if (Changed)
-    RowEpochs.touch(L);
-  if (Sp) {
-    // A re-derived row that lands on the speculated value still validates
-    // the chains (and the edge set) built on it.
-    ++SpecRecomputedRows;
-    const uint32_t *Row = &HbRows[static_cast<size_t>(L) * HbStride];
-    Sp->Matched = std::equal(Row, Row + HbStride, Sp->Row.begin());
-  }
-  return Changed;
-}
-
 void SaturationState::propagateHappensBefore(const History &H,
                                              const std::vector<TxnId> &Ready,
-                                             std::vector<TxnId> &ChangedOut,
-                                             SpecMap *Spec) {
+                                             std::vector<TxnId> &ChangedOut) {
   // Worklist keyed by the maintained topological position: every
   // transaction is recomputed after all its so/wr predecessors, so one
-  // pass per dirty node reaches the fixpoint. A node revisited after an
-  // input changed revalidates (and usually drops) its speculation.
+  // pass per dirty node reaches the fixpoint.
   std::set<std::pair<uint32_t, TxnId>> Work;
   auto Push = [&](TxnId L) {
     if (H.txn(L).Committed)
@@ -513,7 +390,7 @@ void SaturationState::propagateHappensBefore(const History &H,
   while (!Work.empty()) {
     TxnId L = Work.begin()->second;
     Work.erase(Work.begin());
-    bool RowChanged = mergeHbRow(H, L, Spec);
+    bool RowChanged = recomputeHbRow(H, L);
     bool IsReady = std::binary_search(Ready.begin(), Ready.end(), L);
     if (RowChanged || IsReady)
       ChangedOut.push_back(L);
@@ -533,13 +410,8 @@ void SaturationState::propagateHappensBefore(const History &H,
 
 void SaturationState::runCcReader(const History &H, TxnId L,
                                   std::vector<uint64_t> &EdgesOut) const {
-  runCcReaderRow(H, L, &HbRows[static_cast<size_t>(L) * HbStride], EdgesOut);
-}
-
-void SaturationState::runCcReaderRow(const History &H, TxnId L,
-                                     const uint32_t *Row,
-                                     std::vector<uint64_t> &EdgesOut) const {
   const Transaction &T = H.txn(L);
+  const uint32_t *Row = &HbRows[static_cast<size_t>(L) * HbStride];
   for (uint32_t ReadIdx : T.ExtReads) {
     const ReadInfo &RI = T.Reads[ReadIdx];
     TxnId T1 = RI.Writer;
@@ -627,7 +499,6 @@ void SaturationState::flushDelta(const History &H,
   }
   uint64_t MergeT0 = obs::traceNowNanos();
   PhaseNs.DeltaBuild += MergeT0 - DeltaT0;
-  uint64_t SpecBeforeNs = PhaseNs.Speculate;
   AWDIT_SPAN("flush.merge");
 
   switch (Level) {
@@ -692,57 +563,23 @@ void SaturationState::flushDelta(const History &H,
     if (BaseCyclic)
       break; // so ∪ wr is cyclic; HB undefined (the batch checker stops too).
 
-    // Speculation phase: with a pool installed and a worthwhile delta,
-    // shard workers pre-compute rows and reader inferences against the
-    // pre-merge snapshot. The merge below adopts a result only when its
-    // inputs provably did not change, so the observable output is
-    // bit-identical to the sequential path at every thread count. A
-    // pending full-row recompute dirties far more than Ready — skip.
-    RowEpochs.ensureSlots(Processed.size());
-    RowEpochs.beginEpoch();
-    SpecMap Spec;
-    if (SpecPool && !NeedsFullHbRecompute && Ready.size() >= SpecMinBatch) {
-      AWDIT_SPAN("flush.speculate");
-      uint64_t SpecT0 = obs::traceNowNanos();
-      speculateCc(H, Ready, Spec);
-      PhaseNs.Speculate += obs::traceNowNanos() - SpecT0;
-    }
-
     std::vector<TxnId> Changed;
-    propagateHappensBefore(H, Ready, Changed, Spec.empty() ? nullptr : &Spec);
+    propagateHappensBefore(H, Ready, Changed);
     for (TxnId L : Changed) {
       clearSource(ccSource(L), /*IsBase=*/false);
       if (H.txn(L).ExtReads.empty())
         continue;
       std::vector<uint64_t> NewEdges;
-      CcSpeculation *Sp = nullptr;
-      if (!Spec.empty()) {
-        auto It = Spec.find(L);
-        if (It != Spec.end() && It->second.Matched)
-          Sp = &It->second;
-      }
-      if (Sp) {
-        // The row merged to exactly its speculation, so the speculative
-        // inference (already sorted and deduplicated) is the sequential
-        // result.
-        NewEdges = std::move(Sp->Edges);
-        ++SpecAdoptedEdgeSets;
-      } else {
-        runCcReader(H, L, NewEdges);
-        std::sort(NewEdges.begin(), NewEdges.end());
-        NewEdges.erase(std::unique(NewEdges.begin(), NewEdges.end()),
-                       NewEdges.end());
-      }
+      runCcReader(H, L, NewEdges);
+      std::sort(NewEdges.begin(), NewEdges.end());
+      NewEdges.erase(std::unique(NewEdges.begin(), NewEdges.end()),
+                     NewEdges.end());
       addSourceEdges(H, ccSource(L), /*IsBase=*/false, NewEdges, &Out);
     }
     break;
   }
   }
-  // Speculation ran inside the merge window on this thread; carve it out
-  // so the two phases stay disjoint in the breakdown.
-  uint64_t MergeNs = obs::traceNowNanos() - MergeT0;
-  uint64_t SpecNs = PhaseNs.Speculate - SpecBeforeNs;
-  PhaseNs.Merge += MergeNs > SpecNs ? MergeNs - SpecNs : 0;
+  PhaseNs.Merge += obs::traceNowNanos() - MergeT0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -981,7 +818,6 @@ void SaturationState::compact(const History &H, TxnId Cut) {
   InferredDistinct = 0;
   Order.clearEdgesAndCompact(Cut);
   Processed.erase(Processed.begin(), Processed.begin() + Cut);
-  RowEpochs.eraseFront(Cut);
   ReadersOf.assign(NewN, {});
   // Replay in sorted source order, not hash-table order: adjacency-list
   // order steers later witness extraction, and a canonical replay makes
@@ -1202,9 +1038,6 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
   NumSessions = R.u64();
   BaseCyclic = R.boolean();
   NeedsFullHbRecompute = R.boolean();
-  // Speculation bookkeeping is transient per-flush state: deliberately
-  // absent from checkpoints, reset here.
-  RowEpochs.clear();
 
   if (!Order.loadState(R, IdBase))
     return Fail("corrupted checkpoint (topological order)");

@@ -51,7 +51,6 @@
 #include "checker/violation.h"
 #include "graph/incremental_topo.h"
 #include "history/history.h"
-#include "support/epoch_snapshot.h"
 #include "support/packed_edge_map.h"
 
 #include <array>
@@ -67,7 +66,6 @@ namespace awdit {
 class ByteWriter;
 class ByteReader;
 struct StateCoords;
-class ThreadPool;
 
 /// The incremental saturation engine. One instance per checking session
 /// (a Monitor, one one-shot check, or one parallel check). Not thread-safe
@@ -101,39 +99,13 @@ public:
   void flushDelta(const History &H, const std::vector<TxnId> &Ready,
                   std::vector<Violation> &Out);
 
-  // --- Speculative parallel saturation (streaming, CC only). ---
-
-  /// Enables speculative offload of the CC happens-before/inference delta
-  /// to \p Pool's workers (non-owning; nullptr disables). At each flush
-  /// with at least \p MinBatch ready transactions, workers compute
-  /// speculative rows and reader inferences against a read-only snapshot
-  /// of the pre-merge state, and the sequential merge adopts a result only
-  /// when EpochTracker proves its inputs unchanged — so the output stays
-  /// bit-identical to the sequential path at every thread count, and the
-  /// speculation never touches checkpoints (it is transient per-flush
-  /// state). The pool must outlive the state or be reset to nullptr first.
-  void setSpeculation(ThreadPool *Pool, size_t MinBatch = 16) {
-    SpecPool = Pool;
-    SpecMinBatch = MinBatch;
-  }
-
-  /// Rows whose speculative result was adopted verbatim at the merge /
-  /// rows that fell back to sequential re-derivation. Host-local telemetry
-  /// (varies with thread count): never serialized, never in summaries.
-  uint64_t specAdoptedRows() const { return SpecAdoptedRows; }
-  uint64_t specRecomputedRows() const { return SpecRecomputedRows; }
-  /// Reader-inference edge sets adopted from speculation at the merge.
-  uint64_t specAdoptedEdgeSets() const { return SpecAdoptedEdgeSets; }
-
   /// Host-local wall-clock spent inside the current/last flushDelta, in
-  /// nanoseconds, split by phase. DeltaBuild/Speculate/Merge partition
-  /// the pass; Pk overlaps them (it accumulates inside the edge-insertion
-  /// / topological-order maintenance the other phases call into). Like
-  /// the speculation counters this is telemetry only: never serialized,
-  /// never part of a verdict or summary.
+  /// nanoseconds, split by phase. DeltaBuild/Merge partition the pass; Pk
+  /// overlaps them (it accumulates inside the edge-insertion /
+  /// topological-order maintenance the other phases call into). Telemetry
+  /// only: never serialized, never part of a verdict or summary.
   struct FlushPhaseNanos {
     uint64_t DeltaBuild = 0;
-    uint64_t Speculate = 0;
     uint64_t Merge = 0;
     uint64_t Pk = 0;
   };
@@ -301,47 +273,11 @@ private:
   bool recomputeHbRow(const History &H, TxnId L);
   void runCcReader(const History &H, TxnId L,
                    std::vector<uint64_t> &Edges) const;
-  /// The row-parameterized core of runCcReader: the per-key inference over
-  /// an explicit happens-before row. Pure; speculation workers call it
-  /// against their speculative rows while the writer index is quiescent.
-  void runCcReaderRow(const History &H, TxnId L, const uint32_t *Row,
-                      std::vector<uint64_t> &Edges) const;
   void setReaderWrEdges(const History &H, TxnId L,
                         std::vector<Violation> *Out);
-
-  // Speculative parallel CC saturation. One CcSpeculation per ready
-  // transaction of the flush; all state below is transient per-flush.
-  struct CcSpeculation {
-    /// The speculative happens-before row (HbStride entries).
-    std::vector<uint32_t> Row;
-    /// Speculative reader inferences over Row, sorted and deduplicated —
-    /// exactly what the sequential path would derive from an equal row.
-    std::vector<uint64_t> Edges;
-    /// Rows read from the pre-merge snapshot; the result is stale if any
-    /// of them was overwritten (epoch-stamped) before this merge step.
-    std::vector<TxnId> ExternalInputs;
-    /// Sibling speculations (same worker batch) whose rows were chained;
-    /// valid only if each merged to exactly its speculative value.
-    std::vector<TxnId> BatchInputs;
-    /// Set during the merge: the row merged to exactly Row, so Edges is
-    /// the sequential result and downstream chains stay valid.
-    bool Matched = false;
-  };
-  using SpecMap = std::unordered_map<TxnId, CcSpeculation>;
-
-  /// The speculation phase: partitions \p Ready by session, computes
-  /// speculative rows (chained within a session) and reader inferences on
-  /// the pool, against the quiescent pre-merge state. Runs strictly
-  /// between the base-edge/writer-index loop and the merge.
-  void speculateCc(const History &H, const std::vector<TxnId> &Ready,
-                   SpecMap &Spec);
-  /// The sequential merge step for one row: adopts the validated
-  /// speculative row or falls back to recomputeHbRow. Returns whether the
-  /// persisted row changed; stamps RowEpochs on change.
-  bool mergeHbRow(const History &H, TxnId L, SpecMap *Spec);
   void propagateHappensBefore(const History &H,
                               const std::vector<TxnId> &Ready,
-                              std::vector<TxnId> &ChangedOut, SpecMap *Spec);
+                              std::vector<TxnId> &ChangedOut);
 
   const IsolationLevel Level;
   const Mode EngineMode;
@@ -395,17 +331,7 @@ private:
   std::vector<RaSessionState> RaStates;
   detail::RcScratch RcScratchState;
 
-  // --- Speculation (transient; never serialized). ---
-
-  /// Non-owning executor for the speculation phase; nullptr = sequential.
-  ThreadPool *SpecPool = nullptr;
-  size_t SpecMinBatch = 16;
-  /// Which happens-before rows the current merge has overwritten — the
-  /// validation oracle for adopting speculative results.
-  EpochTracker RowEpochs;
-  uint64_t SpecAdoptedRows = 0;
-  uint64_t SpecRecomputedRows = 0;
-  uint64_t SpecAdoptedEdgeSets = 0;
+  /// Per-flush phase telemetry (transient; never serialized).
   FlushPhaseNanos PhaseNs;
 
   // --- Batch-mode edge collection. ---

@@ -14,20 +14,17 @@
 ///  - the Plume-style CSV format (io/plume_format.h);
 ///  - the DBCop-style block format (io/dbcop_format.h).
 ///
-/// Each format is split into two halves so the ingest pipeline
-/// (io/sharded_ingest.h, the one driver of both) can spread the expensive
-/// half across worker threads:
+/// Each format is split into two halves, both driven by the ingest
+/// pipeline (io/sharded_ingest.h):
 ///
 ///  - a *decoder* (decodeNativeLine & co.): a pure, context-free function
 ///    from one line to a LineEvent — tokenization and integer parsing,
-///    the per-byte cost of ingestion. Safe to run on any thread, in any
-///    order.
+///    the per-byte cost of ingestion.
 ///  - a *machine* (StreamMachine): the stateful half that applies decoded
 ///    events to a Monitor in stream order — open-transaction tracking,
-///    session creation, commit bookkeeping. Runs on exactly one thread
-///    (the applier), and its state serializes into checkpoints
-///    (checker/checkpoint.h) so `awdit monitor --resume` can restart
-///    mid-stream.
+///    session creation, commit bookkeeping. Its state serializes into
+///    checkpoints (checker/checkpoint.h) so `awdit monitor --resume` can
+///    restart mid-stream.
 ///
 /// The pipeline handles chunking (partial trailing lines wait for their
 /// newline), line numbers and the trailing CR of Windows-style streams.

@@ -9,10 +9,9 @@
 /// streaming alike — so the native/dbcop whitespace grammar and the plume
 /// CSV grammar each live in exactly one place.
 ///
-/// This is the hot ingest path: with flush cost flat in the window size and
-/// the checking half of every flush offloaded to shard workers, the
-/// context-free decode dominates a live stream's per-byte cost. Three
-/// things keep it branch-light and allocation-free:
+/// This is the hot ingest path: the context-free decode runs on every
+/// byte of every stream. Three things keep it branch-light and
+/// allocation-free:
 ///
 ///  - TokenCursor / CsvCursor walk a line's tokens in place — no per-line
 ///    std::vector, no heap traffic. The legacy tokenize()/splitCsv()
@@ -341,7 +340,7 @@ inline size_t scanPastSeparators(std::string_view Text, size_t Pos) {
 }
 
 /// Position of the first '\n' at or after \p Pos, or Text.size() — the
-/// batch splitter of the sharded ingest arena.
+/// line splitter of the ingest pipeline.
 inline size_t scanToNewline(std::string_view Text, size_t Pos) {
 #if AWDIT_TOKEN_SIMD
   if (detail::SimdEnabled.load(std::memory_order_relaxed))

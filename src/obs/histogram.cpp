@@ -173,8 +173,6 @@ const char *awdit::obs::flushPhaseName(FlushPhase P) {
   switch (P) {
   case FlushPhase::DeltaBuild:
     return "delta_build";
-  case FlushPhase::Speculate:
-    return "speculate";
   case FlushPhase::Merge:
     return "merge";
   case FlushPhase::Pk:
@@ -185,21 +183,9 @@ const char *awdit::obs::flushPhaseName(FlushPhase P) {
   return "unknown";
 }
 
-const char *awdit::obs::ingestStageName(IngestStage S) {
-  switch (S) {
-  case IngestStage::Reader:
-    return "reader";
-  case IngestStage::Decode:
-    return "decode";
-  case IngestStage::Apply:
-    return "apply";
-  }
-  return "unknown";
-}
-
 PipelineMetrics &awdit::obs::metrics() {
   static PipelineMetrics *M = new PipelineMetrics; // never destroyed:
-  return *M; // worker threads may record during static teardown
+  return *M; // pool threads may record during static teardown
 }
 
 uint64_t ScopedLatency::traceClockNanos() { return traceNowNanos(); }

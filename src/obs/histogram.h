@@ -7,8 +7,8 @@
 /// \file
 /// The histogram half of the observability core (docs/OBSERVABILITY.md):
 /// fixed-size, log-linear latency histograms with a lock-free record path
-/// — one relaxed fetch_add per sample — safe to hit from every pipeline
-/// stage concurrently. Values are microseconds (or unitless sample values
+/// — one relaxed fetch_add per sample — safe to hit from every thread
+/// concurrently. Values are microseconds (or unitless sample values
 /// for depth histograms).
 ///
 /// Bucketing is HDR-style log-linear: values below 2^SubBucketBits map
@@ -26,8 +26,8 @@
 /// internal, serving percentile() and the `STATS deep` JSON.
 ///
 /// All recorded state is host-local wall-clock telemetry: it is never
-/// checkpointed and never feeds a verdict, so resume byte-identity and
-/// cross-thread-count determinism are untouched.
+/// checkpointed and never feeds a verdict, so resume byte-identity is
+/// untouched.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,20 +127,9 @@ private:
 /// The flush phases metered by checker/monitor.cpp. Pk overlaps the
 /// others (it accumulates inside the topological-order maintenance that
 /// the delta/merge phases call into); the rest partition a flush.
-enum class FlushPhase : unsigned {
-  DeltaBuild = 0,
-  Speculate,
-  Merge,
-  Pk,
-  Finalize
-};
-inline constexpr unsigned NumFlushPhases = 5;
-const char *flushPhaseName(FlushPhase P); ///< "delta_build", "speculate", ...
-
-/// The sharded-ingest stages metered by io/sharded_ingest.cpp.
-enum class IngestStage : unsigned { Reader = 0, Decode, Apply };
-inline constexpr unsigned NumIngestStages = 3;
-const char *ingestStageName(IngestStage S); ///< "reader", "decode", "apply"
+enum class FlushPhase : unsigned { DeltaBuild = 0, Merge, Pk, Finalize };
+inline constexpr unsigned NumFlushPhases = 4;
+const char *flushPhaseName(FlushPhase P); ///< "delta_build", "merge", ...
 
 /// Process-wide histogram registry: every layer records into these, the
 /// server's /metrics renders them, `awdit monitor` dumps nothing (they
@@ -149,9 +138,7 @@ const char *ingestStageName(IngestStage S); ///< "reader", "decode", "apply"
 struct PipelineMetrics {
   LatencyHistogram FlushTotal;               ///< whole checking pass
   LatencyHistogram FlushPhases[NumFlushPhases];
-  LatencyHistogram IngestStages[NumIngestStages];
-  LatencyHistogram IngestQueueWait;          ///< SPSC push/pop block time
-  LatencyHistogram IngestQueueDepth;         ///< items, sampled at push
+  LatencyHistogram IngestApply;              ///< decode + apply of a span
   LatencyHistogram CheckpointStoreCommit;    ///< chunk + append + fsync
   LatencyHistogram ServerPump;               ///< one session actor item
   LatencyHistogram ServerHello;              ///< HELLO parse -> OK queued

@@ -99,7 +99,7 @@ ThreadRing &threadRing() {
       // Reuse a dead thread's allocation under a fresh identity — but
       // only once its window is empty (traceClear ran since it died):
       // a detached ring with events is a post-mortem record that a dump
-      // may still want (short-lived shard workers in an end-of-run
+      // may still want (short-lived pool workers in an end-of-run
       // trace), and wiping it here would race that dump.
       if (!P->Detached || P->Next.load(std::memory_order_acquire) !=
                               P->DroppedBefore.load(std::memory_order_acquire))

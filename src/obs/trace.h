@@ -15,14 +15,14 @@
 /// --trace FILE`, `awdit serve --trace-dir DIR` + the `TRACE` verb).
 ///
 /// Span names are string literals with a dotted `layer.phase` scheme
-/// ("ingest.decode", "flush.merge", "checkpoint.store", "server.pump");
+/// ("ingest.apply", "flush.merge", "checkpoint.store", "server.pump");
 /// the recorder stores the pointer, never the bytes, so a span is a
 /// handful of word-sized writes into thread-local storage. Each thread's
 /// ring holds the most recent TraceRingSlots events — a dump is a window
 /// onto the recent past, not an unbounded log. Ring storage is allocated
 /// lazily on the first recorded event (naming a thread while tracing is
 /// off costs bytes, not a ring), and rings with events outlive their
-/// threads so short-lived shard workers still appear in an end-of-run
+/// threads so short-lived pool workers still appear in an end-of-run
 /// dump; traceClear() retires dead threads' rings and new threads reuse
 /// cleared ones, so a long-running server (where every `TRACE on`
 /// clears) does not accumulate a ring per thread ever started.
@@ -71,8 +71,8 @@ void setTraceEnabled(bool On);
 /// Monotonic nanoseconds since the first trace call of the process.
 uint64_t traceNowNanos();
 
-/// Names the calling thread in dumps ("applier", "shard-worker-1", ...);
-/// emitted as Chrome thread_name metadata so Perfetto labels the track.
+/// Names the calling thread in dumps (e.g. "monitor"); emitted as Chrome
+/// thread_name metadata so Perfetto labels the track.
 void setTraceThreadName(std::string_view Name);
 
 /// Serializes every live ring into one Chrome-trace-event JSON object

@@ -451,7 +451,6 @@ std::string Server::serverStatsJson(bool Deep) const {
     Field("server_pump", PM.ServerPump);
     Field("server_hello", PM.ServerHello);
     Field("server_output_queue", PM.ServerOutputQueue);
-    Field("ingest_queue_wait", PM.IngestQueueWait);
     Field("checkpoint_store", PM.CheckpointStoreCommit);
   }
   Out += "}";
@@ -854,20 +853,10 @@ std::string Server::renderMetrics() const {
                   obs::flushPhaseName(static_cast<obs::FlushPhase>(I)) +
                   "\"",
               false, false);
-  metricHeader(Out, "awdit_ingest_stage_duration_seconds",
-               "Sharded-ingest batch time by pipeline stage.", "histogram");
-  for (unsigned I = 0; I < obs::NumIngestStages; ++I)
-    Histogram("awdit_ingest_stage_duration_seconds", "", PM.IngestStages[I],
-              std::string("stage=\"") +
-                  obs::ingestStageName(static_cast<obs::IngestStage>(I)) +
-                  "\"",
-              false, false);
-  Histogram("awdit_ingest_queue_wait_seconds",
-            "Producer block time on a full ingest SPSC queue.",
-            PM.IngestQueueWait, "");
-  Histogram("awdit_ingest_queue_depth",
-            "Ingest SPSC queue occupancy (items), sampled at enqueue.",
-            PM.IngestQueueDepth, "", /*Unitless=*/true);
+  Histogram("awdit_ingest_stage_duration_seconds",
+            "Ingest time by stage: decoding and applying one span of "
+            "whole lines.",
+            PM.IngestApply, "stage=\"apply\"");
   Histogram("awdit_checkpoint_write_seconds",
             "Checkpoint persistence: one segment-store commit.",
             PM.CheckpointStoreCommit, "format=\"store\"");

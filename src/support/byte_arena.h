@@ -7,14 +7,14 @@
 /// \file
 /// The zero-copy byte path of the ingest pipeline: stream bytes are written
 /// once into page-sized refcounted buffers, and everything downstream —
-/// batch dealing, shard-worker decoding, the server's per-connection line
-/// splitting — works on `{page ref, byte range}` spans of the same pages.
+/// line decoding, the server's per-connection line splitting — works on
+/// `{page ref, byte range}` spans of the same pages.
 /// No byte is copied after it leaves the read(2) buffer (or, with
 /// ArenaWriter::window(), after the read(2) itself lands in the page).
 ///
 /// Lifetime rules:
 ///  - a PageSpan's shared_ptr keeps its page alive; a page is freed when
-///    the last span over it drops (batches are decoded into self-contained
+///    the last span over it drops (lines are decoded into self-contained
 ///    LineEvents, so decoded output never pins pages);
 ///  - pages are immutable at and after any offset handed out in a span;
 ///    the writer only appends beyond them;

@@ -144,7 +144,7 @@ void expectSameViolation(const Violation &X, const Violation &Y,
 /// observable against the uninterrupted reference.
 void resumeAndCompare(const ReferenceRun &Ref, const Snapshot &S,
                       const std::string &Text, const std::string &Format,
-                      const MonitorOptions &Options, unsigned Threads,
+                      const MonitorOptions &Options,
                       const std::string &Context) {
   CollectingSink Sink;
   Monitor M(Options, &Sink);
@@ -152,7 +152,7 @@ void resumeAndCompare(const ReferenceRun &Ref, const Snapshot &S,
   ASSERT_TRUE(M.loadStateChunked(S.Bytes, S.IdBase, S.SoBase, &Err))
       << Context << ": " << Err;
 
-  ShardedMonitorIngest Ingest(M, Format, Threads);
+  ShardedMonitorIngest Ingest(M, Format, /*Threads=*/1);
   ByteReader MR(S.Machine);
   ASSERT_TRUE(Ingest.machine().loadState(MR)) << Context;
   Ingest.primeResume(S.Meta.StreamOffset, S.Meta.LineNo);
@@ -237,8 +237,7 @@ TEST_P(CheckpointRoundTrip, ResumeIsBitIdentical) {
 
   ReferenceRun Ref = runWithSnapshots(Text, "native", Options);
   ASSERT_FALSE(Ref.Snapshots.empty());
-  // Early, middle, and late crash points; resumed single- and
-  // multi-threaded.
+  // Early, middle, and late crash points.
   size_t Last = Ref.Snapshots.size() - 1;
   for (size_t Idx : {size_t(0), Last / 2, Last}) {
     std::string Context = "level " + std::to_string(LevelIdx) +
@@ -247,9 +246,7 @@ TEST_P(CheckpointRoundTrip, ResumeIsBitIdentical) {
                           (Inject ? " injected" : " clean") + " snapshot " +
                           std::to_string(Idx);
     resumeAndCompare(Ref, Ref.Snapshots[Idx], Text, "native", Options,
-                     /*Threads=*/1, Context + " threads 1");
-    resumeAndCompare(Ref, Ref.Snapshots[Idx], Text, "native", Options,
-                     /*Threads=*/3, Context + " threads 3");
+                     Context);
   }
 }
 
@@ -292,7 +289,7 @@ TEST(Checkpoint, ReadOfRestoredNonFinalWriteIsReported) {
   ASSERT_GE(Ref.Snapshots.size(), 2u);
   for (size_t Idx = 0; Idx + 1 < Ref.Snapshots.size(); ++Idx)
     resumeAndCompare(Ref, Ref.Snapshots[Idx], Text, "native", Options,
-                     /*Threads=*/1, "snapshot " + std::to_string(Idx));
+                     "snapshot " + std::to_string(Idx));
 }
 
 /// Foreign formats checkpoint their parser-machine state too: a plume
@@ -313,7 +310,6 @@ TEST(Checkpoint, ForeignFormatMachineStateRoundTrips) {
     size_t Last = Ref.Snapshots.size() - 1;
     for (size_t Idx : {Last / 3, Last / 2, Last})
       resumeAndCompare(Ref, Ref.Snapshots[Idx], Text, Format, Options,
-                       /*Threads=*/2,
                        Format + " snapshot " + std::to_string(Idx));
   }
 }
@@ -340,7 +336,7 @@ TEST(Checkpoint, StreamTimeAndAgeEvictionSurvive) {
   size_t Last = Ref.Snapshots.size() - 1;
   for (size_t Idx : {size_t(0), Last / 2, Last})
     resumeAndCompare(Ref, Ref.Snapshots[Idx], Text, "native", Options,
-                     /*Threads=*/1, "time snapshot " + std::to_string(Idx));
+                     "time snapshot " + std::to_string(Idx));
 }
 
 /// Force-abort bookkeeping (hung-transaction ids, open-transaction set,
@@ -768,7 +764,6 @@ void resumeFromStoreAndCompare(const ReferenceRun &Ref,
                                const std::string &Text,
                                const std::string &Format,
                                const MonitorOptions &Options,
-                               unsigned Threads,
                                const std::string &Context) {
   StoreCheckpointer Ckpt;
   std::string Err;
@@ -795,7 +790,7 @@ void resumeFromStoreAndCompare(const ReferenceRun &Ref,
   std::string MachineState;
   ASSERT_TRUE(Ckpt.restore(M, MachineState, &Err)) << Context << ": " << Err;
 
-  ShardedMonitorIngest Ingest(M, Format, Threads);
+  ShardedMonitorIngest Ingest(M, Format, /*Threads=*/1);
   ByteReader MR(MachineState);
   ASSERT_TRUE(Ingest.machine().loadState(MR)) << Context;
   Ingest.primeResume(Meta.StreamOffset, Meta.LineNo);
@@ -833,8 +828,8 @@ void resumeFromStoreAndCompare(const ReferenceRun &Ref,
 } // namespace
 
 /// The store-backed sweep: crash images photographed right after an early,
-/// middle, and late commit each resume bit-identically, single- and
-/// multi-threaded, windowed and unwindowed, clean and injected.
+/// middle, and late commit each resume bit-identically, windowed and
+/// unwindowed, clean and injected.
 class StoreCheckpointRoundTrip
     : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
 
@@ -866,9 +861,7 @@ TEST_P(StoreCheckpointRoundTrip, ResumeIsBitIdentical) {
                           (Inject ? " injected" : " clean") + " image " +
                           Image.filename().string();
     resumeFromStoreAndCompare(Ref, Owner.str(), Text, "native", Options,
-                              /*Threads=*/1, Context + " threads 1");
-    resumeFromStoreAndCompare(Ref, Owner.str(), Text, "native", Options,
-                              /*Threads=*/3, Context + " threads 3");
+                              Context);
   }
 }
 
@@ -916,7 +909,6 @@ TEST(StoreCheckpoint, TornRootLogResumesFromLastPublishedRoot) {
         Out.put(static_cast<char>(Rng()));
     }
     resumeFromStoreAndCompare(Ref, Image.str(), Text, "native", Options,
-                              /*Threads=*/1,
                               "torn trial " + std::to_string(Trial));
   }
 }

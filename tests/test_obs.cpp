@@ -256,9 +256,9 @@ TEST(Histogram, PercentilesJsonShape) {
 TEST(Histogram, PhaseAndStageNames) {
   EXPECT_STREQ(obs::flushPhaseName(obs::FlushPhase::DeltaBuild),
                "delta_build");
+  EXPECT_STREQ(obs::flushPhaseName(obs::FlushPhase::Merge), "merge");
+  EXPECT_STREQ(obs::flushPhaseName(obs::FlushPhase::Pk), "pk");
   EXPECT_STREQ(obs::flushPhaseName(obs::FlushPhase::Finalize), "finalize");
-  EXPECT_STREQ(obs::ingestStageName(obs::IngestStage::Reader), "reader");
-  EXPECT_STREQ(obs::ingestStageName(obs::IngestStage::Apply), "apply");
 }
 
 //===----------------------------------------------------------------------===//
@@ -529,10 +529,9 @@ TEST(Trace, WriteTraceFileReportsBadPath) {
 }
 
 //===----------------------------------------------------------------------===//
-// The whole pipeline under trace: a sharded run must leave spans from the
-// reader, the shard workers, the applier, the flush phases, a checkpoint
-// write and the end-of-stream verdict — and the dump must stay valid JSON
-// while threads are still recording.
+// The whole pipeline under trace: a monitored run must leave spans from
+// ingest, the flush phases, a checkpoint write and the end-of-stream
+// verdict — and a dump taken mid-stream must already be valid JSON.
 //===----------------------------------------------------------------------===//
 
 TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
@@ -545,7 +544,7 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
   std::string Text = writeTextHistory(generateHistory(P));
 
   TraceSession T;
-  obs::setTraceThreadName("reader");
+  obs::setTraceThreadName("monitor");
 
   MonitorOptions Options;
   Options.Level = IsolationLevel::CausalConsistency;
@@ -559,7 +558,7 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
   std::string Err;
   ASSERT_TRUE(Ckpt.open(Dir, &Err)) << Err;
   ShardedMonitorIngest Ingest(
-      M, "native", /*Threads=*/4, [&](const IngestFlushPoint &FP) {
+      M, "native", /*Threads=*/1, [&](const IngestFlushPoint &FP) {
         if (Ckpt.commits() > 0)
           return;
         CheckpointMeta Meta;
@@ -580,7 +579,7 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
     if (!Ingest.feed(std::string_view(Text).substr(Pos, 7777)))
       break;
 
-  // Dump while the pipeline is mid-flight: readers must never tear.
+  // Dump mid-stream, before the end-of-stream work.
   std::string MidFlight = obs::traceDumpJson();
   EXPECT_TRUE(JsonChecker(MidFlight).valid());
 
@@ -592,15 +591,12 @@ TEST(Trace, ShardedPipelineLeavesAllStageSpans) {
   std::string Json = obs::traceDumpJson();
   ASSERT_TRUE(JsonChecker(Json).valid());
   for (const char *Span :
-       {"\"ingest.read\"", "\"ingest.decode\"", "\"ingest.apply\"",
-        "\"flush\"", "\"flush.delta\"", "\"flush.finalize\"",
-        "\"checkpoint.store\"", "\"checker.finalize\""})
+       {"\"ingest.apply\"", "\"flush\"", "\"flush.delta\"",
+        "\"flush.merge\"", "\"flush.finalize\"", "\"checkpoint.store\"",
+        "\"checker.finalize\""})
     EXPECT_NE(Json.find(Span), std::string::npos) << "missing " << Span;
-  // Worker threads named their tracks.
-  EXPECT_NE(Json.find("\"applier\""), std::string::npos);
-  EXPECT_NE(Json.find("\"shard-0\""), std::string::npos);
-  // The SPSC depth counter track was sampled.
-  EXPECT_NE(Json.find("\"ingest.queue_depth\""), std::string::npos);
+  // The thread named its track.
+  EXPECT_NE(Json.find("\"monitor\""), std::string::npos);
 
   std::filesystem::remove_all(Dir);
 }
@@ -619,7 +615,7 @@ TEST(Metrics, PipelineRunFillsHistograms) {
   Options.Level = IsolationLevel::ReadCommitted;
   Options.CheckIntervalTxns = 64;
   Monitor M(Options);
-  ShardedMonitorIngest Ingest(M, "native", /*Threads=*/2);
+  ShardedMonitorIngest Ingest(M, "native", /*Threads=*/1);
   ASSERT_TRUE(Ingest.valid());
   Ingest.feed(Text);
   Ingest.finishStream();
@@ -630,11 +626,7 @@ TEST(Metrics, PipelineRunFillsHistograms) {
   for (unsigned I = 0; I < obs::NumFlushPhases; ++I)
     EXPECT_FALSE(Met.FlushPhases[I].empty())
         << obs::flushPhaseName(static_cast<obs::FlushPhase>(I));
-  EXPECT_FALSE(
-      Met.IngestStages[unsigned(obs::IngestStage::Decode)].empty());
-  EXPECT_FALSE(
-      Met.IngestStages[unsigned(obs::IngestStage::Apply)].empty());
-  EXPECT_FALSE(Met.IngestQueueDepth.empty());
+  EXPECT_FALSE(Met.IngestApply.empty());
 
   // The per-monitor cumulative histogram carries the same flushes.
   EXPECT_FALSE(M.flushLatency().empty());

@@ -129,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ParallelDifferentialInjected,
                          ::testing::Combine(::testing::Range(0, 7),
                                             ::testing::Range(1, 4)));
 
-/// The default configuration (Threads = 0 = hardware concurrency) must
+/// The automatic thread count (Threads = 0 = hardware concurrency) must
 /// agree with the sequential engine above the parallel threshold.
 TEST(ParallelDefaults, AutoThreadsMatchesSequentialAboveThreshold) {
   GenerateParams P;
@@ -139,9 +139,11 @@ TEST(ParallelDefaults, AutoThreadsMatchesSequentialAboveThreshold) {
   P.Seed = 99;
   History H = generateHistory(P);
   ASSERT_GE(H.numTxns(), CheckOptions().ParallelThreshold);
+  CheckOptions Auto;
+  Auto.Threads = 0;
   for (IsolationLevel Level : AllIsolationLevels) {
     CheckReport Seq = runWithThreads(H, Level, 1);
-    CheckReport Def = checkIsolation(H, Level); // default options
+    CheckReport Def = checkIsolation(H, Level, Auto);
     EXPECT_EQ(Seq.Consistent, Def.Consistent)
         << isolationLevelName(Level);
     EXPECT_EQ(Seq.Violations.size(), Def.Violations.size())

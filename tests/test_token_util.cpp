@@ -283,7 +283,8 @@ TEST(TokenizerFuzz, ScannersAgreeAtEveryOffset) {
 /// End to end: a chunked pipeline run must not care which scanner was
 /// active or where the chunk boundaries fell — same error, same cursor,
 /// same stats (the chunking-invariance pattern of test_sharded_monitor,
-/// pointed at the tokenizer dispatch).
+/// pointed at the tokenizer dispatch). A failure is synchronous, so the
+/// cursor after an error must agree too.
 TEST(TokenizerFuzz, ChunkedPipelineInvariantUnderDispatch) {
   SimdGuard Guard;
   std::mt19937_64 Rng(0xCAFEu);
@@ -306,21 +307,17 @@ TEST(TokenizerFuzz, ChunkedPipelineInvariantUnderDispatch) {
       std::string Error;
       uint64_t Offset, LineNo, Txns;
       bool operator==(const Outcome &O) const {
-        // The error text pins the failure position; the post-error cursor
-        // depends on how many bytes the feed loop pushed before noticing
-        // the (asynchronous) failure, so only compare it on clean runs.
-        if (End != O.End || Error != O.Error || Txns != O.Txns)
-          return false;
-        return !Error.empty() || (Offset == O.Offset && LineNo == O.LineNo);
+        return End == O.End && Error == O.Error && Txns == O.Txns &&
+               Offset == O.Offset && LineNo == O.LineNo;
       }
     };
-    auto Run = [&](bool Simd, unsigned Threads, size_t Chunk) {
+    auto Run = [&](bool Simd, size_t Chunk) {
       io::setSimdTokenizer(Simd);
       MonitorOptions Options;
       Options.Level = IsolationLevel::CausalConsistency;
       Options.CheckIntervalTxns = 16;
       Monitor M(Options);
-      ShardedMonitorIngest Ingest(M, "native", Threads);
+      ShardedMonitorIngest Ingest(M, "native", /*Threads=*/1);
       for (size_t Pos = 0; Pos < Text.size(); Pos += Chunk)
         if (!Ingest.feed(std::string_view(Text).substr(Pos, Chunk)))
           break;
@@ -333,16 +330,15 @@ TEST(TokenizerFuzz, ChunkedPipelineInvariantUnderDispatch) {
       return O;
     };
 
-    Outcome Ref = Run(true, 0, 4096);
-    for (unsigned Threads : {0u, 2u})
-      for (size_t Chunk : {1ul, 7ul, 333ul})
-        for (bool Simd : {true, false}) {
-          Outcome Got = Run(Simd, Threads, Chunk);
-          EXPECT_TRUE(Ref == Got)
-              << "iter " << Iter << " threads " << Threads << " chunk "
-              << Chunk << " simd " << Simd << " — ref error '" << Ref.Error
-              << "' line " << Ref.LineNo << ", got error '" << Got.Error
-              << "' line " << Got.LineNo;
-        }
+    Outcome Ref = Run(true, 4096);
+    for (size_t Chunk : {1ul, 7ul, 333ul})
+      for (bool Simd : {true, false}) {
+        Outcome Got = Run(Simd, Chunk);
+        EXPECT_TRUE(Ref == Got)
+            << "iter " << Iter << " chunk " << Chunk << " simd " << Simd
+            << " — ref error '" << Ref.Error << "' line " << Ref.LineNo
+            << " offset " << Ref.Offset << ", got error '" << Got.Error
+            << "' line " << Got.LineNo << " offset " << Got.Offset;
+      }
   }
 }

@@ -55,7 +55,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -71,7 +70,7 @@ const std::map<std::string, std::set<std::string>> CommandFlags = {
     {"batch", {"level", "format", "witnesses", "jobs", "json"}},
     {"monitor",
      {"level", "format", "interval", "window", "window-edges", "window-age",
-      "force-abort", "witnesses", "threads", "checkpoint-store",
+      "force-abort", "witnesses", "checkpoint-store",
       "checkpoint-interval", "resume", "kill-after-flushes",
       "stats-interval", "trace", "json"}},
     {"serve",
@@ -150,8 +149,8 @@ int usage() {
       "usage:\n"
       "  awdit check <file> --level rc|ra|cc [--format native|plume|dbcop]"
       " [--witnesses N]\n"
-      "                 [--threads N (0 = all cores, 1 = sequential)]"
-      " [--json]\n"
+      "                 [--threads N (default 1 = sequential; 0 = all"
+      " cores)] [--json]\n"
       "  awdit batch <file>... --level rc|ra|cc|all [--format F]"
       " [--jobs N] [--witnesses N] [--json]\n"
       "  awdit monitor <file|-> --level rc|ra|cc"
@@ -159,10 +158,6 @@ int usage() {
       "                 [--interval N] [--window N] [--window-edges N]\n"
       "                 [--window-age TICKS] [--force-abort TICKS]"
       " [--witnesses N] [--json]\n"
-      "                 [--threads N (0 = auto, 1 = inline, the path"
-      " every command uses;\n"
-      "                  N >= 2 shards parsing across N-1 workers +"
-      " 1 applier)]\n"
       "                 [--checkpoint-store DIR (checkpoint the monitor"
       " every K checking\n"
       "                  passes into an append-only segment store; each"
@@ -336,7 +331,7 @@ int cmdCheck(const std::string &Path, const Flags &F) {
   Options.MaxWitnesses =
       static_cast<size_t>(numFlag(F, "witnesses", "16"));
   Options.Threads =
-      static_cast<unsigned>(numFlag(F, "threads", "0"));
+      static_cast<unsigned>(numFlag(F, "threads", "1"));
   CheckReport Report = checkIsolation(*H, *Level, Options);
   if (F.get("json")) {
     std::printf("%s\n", reportToJson(Path, *Level, Report, *H).c_str());
@@ -472,13 +467,11 @@ bool resumeFlagConflict(const std::string &CkptFile, const Flags &F,
 /// Tails a history stream (native, plume, or dbcop format) from a file or
 /// stdin ("-"), feeding a streaming Monitor that emits violations live —
 /// human one-liners or JSON lines — while a window bounds memory if
-/// requested. `--threads N` shards the parsing work across cores
-/// (io/sharded_ingest.h) with bit-identical output; `--checkpoint-store
-/// DIR` checkpoints the full monitor state at flush boundaries so
-/// `--resume DIR` can restart mid-stream after a crash. EOF and SIGINT
-/// both finalize: trailing violations are flushed to the sink and the
-/// final stats line is emitted, so tail mode never drops what it already
-/// saw.
+/// requested. `--checkpoint-store DIR` checkpoints the full monitor state
+/// at flush boundaries so `--resume DIR` can restart mid-stream after a
+/// crash. EOF and SIGINT both finalize: trailing violations are flushed
+/// to the sink and the final stats line is emitted, so tail mode never
+/// drops what it already saw.
 int cmdMonitor(const std::string &Path, const Flags &F) {
   std::string Format = F.getOr("format", "native");
   MonitorOptions Options;
@@ -560,14 +553,6 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
     Options.ForceAbortOpenTicks = numFlag(F, "force-abort", "0");
   }
 
-  unsigned Threads = static_cast<unsigned>(numFlag(F, "threads", "0"));
-  if (Threads == 0) {
-    // Auto: one applier plus enough parsing shards to keep it fed; more
-    // than a handful of tokenizers just contend on the deal.
-    unsigned Hw = std::max(1u, std::thread::hardware_concurrency());
-    Threads = std::min(Hw, 8u);
-  }
-
   // A resumed run keeps checkpointing into its own store unless told
   // otherwise — restartability should survive the restart.
   const std::string *StoreDir = F.get("checkpoint-store");
@@ -588,7 +573,7 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
     // Record the whole run: clear any stale rings, flip the flag before
     // the first byte is read, and name the main thread for the viewer.
     obs::traceClear();
-    obs::setTraceThreadName("reader");
+    obs::setTraceThreadName("monitor");
     obs::setTraceEnabled(true);
   }
 
@@ -622,9 +607,9 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
     }
   }
 
-  // Epoch-barrier hook, run on the applier thread after every completed
-  // checking pass: write a checkpoint every CkptInterval flushes, then
-  // (testing aid) kill the process when asked to rehearse a crash.
+  // Epoch-barrier hook, run after every completed checking pass: write a
+  // checkpoint every CkptInterval flushes, then (testing aid) kill the
+  // process when asked to rehearse a crash.
   uint64_t LastCkptFlush = ResumeDir ? ResumeMeta.Flushes : 0;
   auto LastStatsPrint = std::chrono::steady_clock::now();
   obs::HistogramSnapshot LastFlushSnap;
@@ -680,7 +665,7 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
     };
   }
 
-  ShardedMonitorIngest Ingest(M, Format, Threads, std::move(Hook));
+  ShardedMonitorIngest Ingest(M, Format, /*Threads=*/1, std::move(Hook));
   if (!Ingest.valid()) {
     std::fprintf(stderr, "error: unknown format '%s'\n", Format.c_str());
     return 2;
@@ -734,8 +719,8 @@ int cmdMonitor(const std::string &Path, const Flags &F) {
     }
   }
   // Zero-copy ingest: read(2) lands directly in the pipeline's arena
-  // pages, where the shard workers decode in place — no byte is copied
-  // after it leaves the kernel.
+  // pages, where the lines are decoded in place — no byte is copied after
+  // it leaves the kernel.
   while (Ok && !MonitorInterrupted) {
     auto [Dst, Cap] = Ingest.writeWindow(sizeof(Buffer));
     ssize_t N = read(Fd, Dst, Cap);
