@@ -40,9 +40,9 @@ struct TimedResult {
 };
 
 /// Times an AWDIT check (witness extraction off: the paper measures the
-/// decision procedure). \p Threads picks the engine: the default 1 is the
-/// sequential algorithm the paper's figures measure; > 1 (or 0 = all
-/// cores) times the sharded parallel engine.
+/// decision procedure). \p Threads: the default 1 runs the checker inline,
+/// the algorithm the paper's figures measure; > 1 (or 0 = all cores) runs
+/// its units of work on a pool of that many workers.
 inline TimedResult timeAwdit(const History &H, IsolationLevel Level,
                              unsigned Threads = 1) {
   CheckOptions Options;

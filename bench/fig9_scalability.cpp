@@ -91,10 +91,10 @@ int main() {
     printRow(TxnSize, H);
   }
 
-  // (extra, beyond the paper) Parallel engine scaling: the same history
-  // checked by the sharded engine at increasing worker counts. threads=1
-  // is the exact sequential path, so each row's ratio to the first is the
-  // engine's speedup on this machine.
+  // (extra, beyond the paper) Pool scaling: the same history checked on a
+  // pool of increasing worker counts. threads=1 runs the checker inline,
+  // so each row's ratio to the first is the pool's speedup on this
+  // machine.
   std::printf("\n== Parallel engine: time vs threads (txns=%zu, k=100) ==\n",
               FixedTxns);
   std::printf("%10s %10s %10s %10s %10s\n", "threads", "ops", "RC(s)",

@@ -237,11 +237,11 @@ static void BM_AwditCcOnTheFly(benchmark::State &State) {
 }
 BENCHMARK(BM_AwditCcOnTheFly)->Arg(1024)->Arg(4096)->Arg(16384);
 
-// Parallel engine scaling: the same check at 1/2/4/8 workers on the large
-// generated history. Threads = 1 is the exact sequential legacy path, so
-// each family reports the single- vs multi-thread speedup directly
-// (items_per_second column). ParallelThreshold is forced to 0 so the
-// thread count, not the history size, selects the engine.
+// Pool scaling: the same check at 1/2/4/8 workers on the large generated
+// history. Threads = 1 runs the checker inline, so each family reports the
+// single- vs multi-thread speedup directly (items_per_second column).
+// ParallelThreshold is forced to 0 so the thread count, not the history
+// size, decides whether a pool is built.
 static void runParallelLevel(benchmark::State &State, IsolationLevel Level) {
   const History &H = cachedHistory(static_cast<size_t>(State.range(0)));
   CheckOptions Options;

@@ -67,15 +67,6 @@ const Corpus &corpus() {
 /// and the overhead claim is about that deployment granularity.
 constexpr size_t SpanBatchLines = 256;
 
-uint64_t decodePlain(LineDecoder Decode, const Corpus &C) {
-  uint64_t Sink = 0;
-  for (std::string_view Line : C.Lines) {
-    LineEvent E = Decode(Line);
-    Sink += static_cast<uint64_t>(E.Kind) + E.K + E.V + E.Num;
-  }
-  return Sink;
-}
-
 uint64_t decodeSpanned(LineDecoder Decode, const Corpus &C) {
   uint64_t Sink = 0;
   for (size_t Base = 0; Base < C.Lines.size(); Base += SpanBatchLines) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare google-benchmark JSON outputs; fail on regressions or poor scaling.
+"""Compare google-benchmark JSON outputs; fail on regressions or low counters.
 
 Compare mode (the default):
   compare_bench.py BASELINE.json CURRENT.json [--max-regression 0.20]
@@ -18,18 +18,6 @@ mid-write, a schema from another tool) is not this change's fault: the
 comparison is skipped with exit code 0 and a note, exactly like a missing
 baseline. The *current* results failing to parse is this build's problem
 and still fails the run.
-
-Scaling mode:
-  compare_bench.py --scaling CURRENT.json [--bench BM_MonitorShardedIngest]
-                   [--base-arg 1] [--test-arg 4] [--min-speedup 1.8]
-                   [--require-cores 4] [--summary-out FILE]
-
-Reads one results file containing a thread-count sweep (benchmark arg =
-thread count, e.g. BM_MonitorShardedIngest/4/real_time) and fails with exit
-code 1 if the test-arg run's throughput is below --min-speedup times the
-base-arg run's. On a machine with fewer than --require-cores CPUs the gate
-is meaningless (the threads time-slice) and is skipped with exit code 0,
-like the unusable-baseline skip above.
 
 Counter-gate mode:
   compare_bench.py --counter-gate CURRENT.json --bench BM_CheckpointDelta/65536
@@ -161,48 +149,6 @@ def run_compare(args, summary_path):
     return 0
 
 
-def run_scaling(args, summary_path):
-    cores = os.cpu_count() or 1
-    if cores < args.require_cores:
-        print(f"skipping scaling gate: runner has {cores} CPU(s), "
-              f"gate needs {args.require_cores}")
-        return 0
-    cur = load(args.files[0])
-
-    def metric_for(arg):
-        # UseRealTime and friends append suffixes: BM_Foo/4/real_time.
-        pat = re.compile(rf"^{re.escape(args.bench)}/{arg}(/|$)")
-        vals = [v for name, v in cur.items() if pat.search(name)]
-        return statistics.median(vals) if vals else None
-
-    base = metric_for(args.base_arg)
-    test = metric_for(args.test_arg)
-    if base is None or test is None:
-        print(f"FAIL: '{args.files[0]}' lacks {args.bench}/"
-              f"{args.base_arg if base is None else args.test_arg} results")
-        return 1
-    speedup = test / base if base else 0.0
-    ok = speedup >= args.min_speedup
-    print(f"  {args.bench}: {args.base_arg} thread(s) {base:.4g}, "
-          f"{args.test_arg} thread(s) {test:.4g} -> {speedup:.2f}x "
-          f"(gate {args.min_speedup:.2f}x, {cores} CPUs)")
-    append_summary(summary_path, [
-        f"### Scaling gate: `{args.bench}`", "",
-        "| threads | throughput | | |",
-        "|---:|---:|---|---|",
-        f"| {args.base_arg} | {base:.4g} | baseline | |",
-        f"| {args.test_arg} | {test:.4g} | {speedup:.2f}x | "
-        f"{'✅' if ok else '❌'} gate {args.min_speedup:.2f}x |",
-    ])
-    if not ok:
-        print(f"FAIL: {args.test_arg}-thread throughput is only "
-              f"{speedup:.2f}x the {args.base_arg}-thread baseline "
-              f"(gate: {args.min_speedup:.2f}x)")
-        return 1
-    print("scaling gate passed")
-    return 0
-
-
 def run_counter_gate(args, summary_path):
     try:
         cur = load_counter(args.files[0], args.counter)
@@ -241,23 +187,13 @@ def main():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("files", nargs="+",
                         help="BASELINE.json CURRENT.json (compare mode) or "
-                             "CURRENT.json (--scaling)")
+                             "CURRENT.json (--counter-gate)")
     parser.add_argument("--max-regression", type=float, default=0.20,
                         help="allowed fractional throughput drop (0.20 = 20%%)")
     parser.add_argument("--filter", default="",
                         help="only compare benchmarks matching this regex")
-    parser.add_argument("--scaling", action="store_true",
-                        help="multi-core scaling gate over one results file")
-    parser.add_argument("--bench", default="BM_MonitorShardedIngest",
-                        help="benchmark family for --scaling")
-    parser.add_argument("--base-arg", type=int, default=1,
-                        help="baseline thread count for --scaling")
-    parser.add_argument("--test-arg", type=int, default=4,
-                        help="tested thread count for --scaling")
-    parser.add_argument("--min-speedup", type=float, default=1.8,
-                        help="required test/base throughput ratio")
-    parser.add_argument("--require-cores", type=int, default=4,
-                        help="skip the scaling gate below this CPU count")
+    parser.add_argument("--bench",
+                        help="benchmark (name prefix) for --counter-gate")
     parser.add_argument("--counter-gate", action="store_true",
                         help="gate on a user counter in one results file")
     parser.add_argument("--counter", default="reduction_x",
@@ -270,14 +206,12 @@ def main():
     args = parser.parse_args()
 
     summary_path = args.summary_out or os.environ.get("GITHUB_STEP_SUMMARY")
-    if args.scaling and args.counter_gate:
-        parser.error("--scaling and --counter-gate are mutually exclusive")
-    expected = 1 if args.scaling or args.counter_gate else 2
+    if args.counter_gate and not args.bench:
+        parser.error("--counter-gate needs --bench")
+    expected = 1 if args.counter_gate else 2
     if len(args.files) != expected:
         parser.error(f"expected {expected} file(s) for this mode, "
                      f"got {len(args.files)}")
-    if args.scaling:
-        return run_scaling(args, summary_path)
     if args.counter_gate:
         return run_counter_gate(args, summary_path)
     return run_compare(args, summary_path)

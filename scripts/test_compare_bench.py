@@ -4,8 +4,8 @@
 Runs the script as a subprocess — the exit code *is* the CI contract — over
 temp-file benchmark JSON: added/removed benchmarks must be tolerated,
 regressions must fail, duplicate names must aggregate instead of
-last-one-wins, unusable baselines must skip cleanly, and the --scaling gate
-must pass/fail/skip by speedup and core count.
+last-one-wins, unusable baselines must skip cleanly, and the --counter-gate
+must pass/fail by the named counter's floor.
 """
 
 import json
@@ -125,54 +125,8 @@ class CompareBenchTest(unittest.TestCase):
         self.assertIn("`BM_A`", text)
         self.assertIn("+10.0%", text)
 
-    # --- scaling mode ---
-
-    def scaling_file(self, t1, t4):
-        return self.write("scale.json", bench_json(
-            [("BM_MonitorShardedIngest/1/real_time", t1, "iteration"),
-             ("BM_MonitorShardedIngest/2/real_time", (t1 + t4) / 2, "iteration"),
-             ("BM_MonitorShardedIngest/4/real_time", t4, "iteration")]))
-
-    def test_scaling_gate_passes(self):
-        cur = self.scaling_file(100.0, 250.0)
-        code, out = self.run_script("--scaling", cur, "--min-speedup", "1.8",
-                                    "--require-cores", "1")
-        self.assertEqual(code, 0, out)
-        self.assertIn("2.50x", out)
-
-    def test_scaling_gate_fails_below_threshold(self):
-        cur = self.scaling_file(100.0, 120.0)
-        code, out = self.run_script("--scaling", cur, "--min-speedup", "1.8",
-                                    "--require-cores", "1")
-        self.assertEqual(code, 1, out)
-        self.assertIn("FAIL", out)
-
-    def test_scaling_gate_skips_on_small_runner(self):
-        cur = self.scaling_file(100.0, 120.0)  # would fail if it ran
-        code, out = self.run_script("--scaling", cur, "--min-speedup", "1.8",
-                                    "--require-cores", "100000")
-        self.assertEqual(code, 0, out)
-        self.assertIn("skipping scaling gate", out)
-
-    def test_scaling_gate_fails_on_missing_entries(self):
-        cur = self.write("scale.json", bench_json(
-            [("BM_MonitorShardedIngest/1/real_time", 100.0, "iteration")]))
-        code, out = self.run_script("--scaling", cur, "--require-cores", "1")
-        self.assertEqual(code, 1, out)
-
-    def test_scaling_summary_written(self):
-        cur = self.scaling_file(100.0, 250.0)
-        summary = os.path.join(self.dir.name, "summary.md")
-        code, out = self.run_script("--scaling", cur, "--require-cores", "1",
-                                    summary=summary)
-        self.assertEqual(code, 0, out)
-        with open(summary) as f:
-            text = f.read()
-        self.assertIn("Scaling gate", text)
-        self.assertIn("2.50x", text)
-
     def test_wrong_file_count_is_a_usage_error(self):
-        cur = self.scaling_file(100.0, 250.0)
+        cur = self.write("cur.json", bench_json([("BM_A", 100.0, "iteration")]))
         code, _ = self.run_script(cur)  # compare mode wants two files
         self.assertEqual(code, 2)
 
@@ -219,6 +173,11 @@ class CompareBenchTest(unittest.TestCase):
             "--counter-gate", cur, "--bench", "BM_CheckpointDelta/65536")
         self.assertEqual(code, 1, out)
 
+    def test_counter_gate_without_bench_is_a_usage_error(self):
+        cur = self.counter_file(12.5)
+        code, _ = self.run_script("--counter-gate", cur)
+        self.assertEqual(code, 2)
+
     def test_counter_gate_summary_written(self):
         cur = self.counter_file(12.5)
         summary = os.path.join(self.dir.name, "summary.md")
@@ -230,11 +189,6 @@ class CompareBenchTest(unittest.TestCase):
             text = f.read()
         self.assertIn("Counter gate", text)
         self.assertIn("reduction_x", text)
-
-    def test_scaling_and_counter_gate_are_exclusive(self):
-        cur = self.counter_file(12.5)
-        code, _ = self.run_script("--scaling", "--counter-gate", cur)
-        self.assertEqual(code, 2)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@
 #include "checker/saturation_impl.h"
 #include "graph/topo_sort.h"
 #include "support/dense_key_ids.h"
+#include "support/thread_pool.h"
 
 #include <algorithm>
 
@@ -155,28 +156,45 @@ bool awdit::computeHappensBefore(const History &H, HappensBefore &HB) {
 }
 
 bool awdit::checkCc(const History &H, std::vector<Violation> &Out,
-                    size_t MaxWitnesses, SaturationStats *Stats) {
+                    size_t MaxWitnesses, SaturationStats *Stats,
+                    ThreadPool *Pool) {
   // Line 2: Read Consistency.
-  if (!checkReadConsistency(H, Out))
+  if (!checkReadConsistency(H, Out, Pool))
     return false;
 
   // Line 4 first: co' <- so ∪ wr; its graph doubles as the input of
   // ComputeHB (lines 3, 18-21) before any inferred edge is added.
   CommitGraph Co(H);
-  std::optional<std::vector<uint32_t>> Order = topologicalSort(Co.graph());
-  if (!Order) {
-    // so ∪ wr cycle: fails every level.
-    Co.checkAcyclic(Out, MaxWitnesses);
-    return false;
-  }
-  HappensBefore HB;
-  fillHappensBefore(H, *Order, HB);
+  std::vector<std::vector<uint64_t>> Inferred;
+  {
+    std::optional<std::vector<uint32_t>> Order = topologicalSort(Co.graph());
+    if (!Order) {
+      // so ∪ wr cycle: fails every level; no saturation, no stats.
+      Co.checkAcyclic(Out, MaxWitnesses);
+      return false;
+    }
+    HappensBefore HB;
+    fillHappensBefore(H, *Order, HB);
 
-  // Lines 5-15: the shared per-key monotone scan kernel (also run by the
-  // streaming Monitor over its window).
-  detail::saturateCc(H, HB, [&](TxnId From, TxnId To) {
-    Co.inferEdge(From, To);
-  });
+    // Lines 5-15: the per-key monotone scan kernel over contiguous key-id
+    // ranges of one shared index, each range into its own edge buffer.
+    // Keys are independent: all cross-key coupling goes through the
+    // read-only HB matrix. On a pool, ranges carry about equal kernel
+    // work, four per worker so a hot key does not leave the others idle.
+    detail::CcKeyIndex Index(H);
+    std::vector<uint32_t> Bounds =
+        Index.splitByWork(Pool ? 4 * Pool->numThreads() : 1);
+    Inferred = collectChunks<uint64_t>(
+        Pool, Bounds.size() - 1, 1,
+        [&](size_t Begin, size_t End, std::vector<uint64_t> &Buf) {
+          detail::CcScratch Scratch;
+          for (size_t Range = Begin; Range < End; ++Range)
+            detail::saturateCcKeys(Index, HB, Bounds[Range], Bounds[Range + 1],
+                                   Scratch, detail::appendPacked(Buf));
+        });
+  } // HB and the index are freed before the acyclicity pass allocates.
+  for (std::vector<uint64_t> &Buf : Inferred)
+    Co.adoptInferred(std::move(Buf));
 
   if (Stats) {
     Stats->InferredEdges = Co.numInferredEdges();

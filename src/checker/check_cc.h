@@ -8,7 +8,9 @@
 /// AWDIT's O(n·k) Causal Consistency checker (paper Algorithm 3 /
 /// Theorem 1.2): happens-before computed with session-indexed vector
 /// clocks, per-session last-writer tables advanced monotonically along so,
-/// and co' acyclicity.
+/// and co' acyclicity. checkCc is the one-shot CC implementation, inline
+/// or with work-balanced key-id ranges on a thread pool (see check_rc.h);
+/// checkCcOnTheFly is the paper's bounded-memory variant and runs inline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,16 +44,20 @@ bool computeHappensBefore(const History &H, HappensBefore &HB);
 
 /// Fills the exclusive happens-before clock rows given \p Order, a
 /// topological order of so ∪ wr (ComputeHB, lines 22-25). Exposed so the
-/// parallel engine can share one commit graph between ComputeHB and the
+/// CC checkers can share one commit graph between ComputeHB and the
 /// saturation pass instead of rebuilding it.
 void fillHappensBefore(const History &H, const std::vector<uint32_t> &Order,
                        HappensBefore &HB);
 
 /// Checks whether \p H satisfies Causal Consistency. Appends violations to
 /// \p Out (at most \p MaxWitnesses cycle witnesses) and returns true iff
-/// consistent.
+/// consistent. With \p Pool, the Read Consistency pass runs over
+/// transaction ranges and the per-key inference over work-balanced key-id
+/// ranges on it; happens-before is one sequential chain along the
+/// topological order either way.
 bool checkCc(const History &H, std::vector<Violation> &Out,
-             size_t MaxWitnesses = 16, SaturationStats *Stats = nullptr);
+             size_t MaxWitnesses = 16, SaturationStats *Stats = nullptr,
+             ThreadPool *Pool = nullptr);
 
 /// The paper's implementation variant of Algorithm 3 (§5): happens-before
 /// clocks computed on the fly in topological order with reference-counted

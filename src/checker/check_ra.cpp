@@ -5,15 +5,15 @@
 #include "checker/commit_graph.h"
 #include "checker/read_consistency.h"
 #include "checker/saturation_impl.h"
+#include "support/thread_pool.h"
 
 #include <algorithm>
 
 using namespace awdit;
 
-bool awdit::checkRepeatableReads(const History &H,
-                                 std::vector<Violation> &Out) {
-  return checkRepeatableReadsRange(H, 0, static_cast<TxnId>(H.numTxns()),
-                                   Out);
+bool awdit::checkRepeatableReads(const History &H, std::vector<Violation> &Out,
+                                 ThreadPool *Pool) {
+  return detail::runTxnRangePass(H, Pool, Out, checkRepeatableReadsRange);
 }
 
 bool awdit::checkRepeatableReadsRange(const History &H, TxnId Begin,
@@ -58,24 +58,31 @@ bool awdit::checkRepeatableReadsRange(const History &H, TxnId Begin,
 }
 
 bool awdit::checkRa(const History &H, std::vector<Violation> &Out,
-                    size_t MaxWitnesses, SaturationStats *Stats) {
+                    size_t MaxWitnesses, SaturationStats *Stats,
+                    ThreadPool *Pool) {
   // Lines 2-3: Read Consistency, then repeatable reads.
-  if (!checkReadConsistency(H, Out))
+  if (!checkReadConsistency(H, Out, Pool))
     return false;
-  if (!checkRepeatableReads(H, Out))
+  if (!checkRepeatableReads(H, Out, Pool))
     return false;
 
-  // Line 4: co' <- so ∪ wr.
+  // Lines 5-18: per-session saturation, each session's edges into its
+  // unit's own buffer. The so-case last-writer table is sequential along
+  // so, but sessions are independent.
+  std::vector<std::vector<uint64_t>> Inferred = collectChunks<uint64_t>(
+      Pool, H.numSessions(), 1,
+      [&H](size_t Begin, size_t End, std::vector<uint64_t> &Buf) {
+        detail::RaScratch Scratch;
+        for (size_t S = Begin; S < End; ++S)
+          detail::saturateRaSession(H, static_cast<SessionId>(S), Scratch,
+                                    detail::appendPacked(Buf));
+      });
+
+  // Line 4: co' <- so ∪ wr, built once the kernel is done (as in checkRc);
+  // it then adopts every session's edges.
   CommitGraph Co(H);
-
-  // Lines 5-18: per-session saturation (the shared kernel; the parallel
-  // engine runs the same kernel with one task per session).
-  detail::RaScratch Scratch;
-  for (SessionId S = 0; S < H.numSessions(); ++S)
-    detail::saturateRaSession(H, S, Scratch,
-                              [&](TxnId From, TxnId To) {
-                                Co.inferEdge(From, To);
-                              });
+  for (std::vector<uint64_t> &Buf : Inferred)
+    Co.adoptInferred(std::move(Buf));
 
   if (Stats) {
     Stats->InferredEdges = Co.numInferredEdges();

@@ -9,6 +9,8 @@
 /// Theorem 1.1): Read Consistency, the repeatable-reads property, and co'
 /// saturation handling the so ∪ wr premise as two separate cases (session
 /// last-writer table, and smaller-set intersection per wr predecessor).
+/// The one-shot RA implementation, inline or with one unit of work per
+/// session on a thread pool (see check_rc.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,21 +28,24 @@ namespace awdit {
 /// Checks the repeatable-reads property (Algorithm 2, lines 21-28): no
 /// committed transaction reads the same key from two different
 /// transactions. Appends NonRepeatableRead violations; returns true iff the
-/// property holds.
-bool checkRepeatableReads(const History &H, std::vector<Violation> &Out);
+/// property holds. With \p Pool, transaction ranges run on it; the
+/// violation list is the same.
+bool checkRepeatableReads(const History &H, std::vector<Violation> &Out,
+                          ThreadPool *Pool = nullptr);
 
-/// Range form of checkRepeatableReads over transactions [Begin, End), the
-/// unit of work of the parallel engine. Transactions are independent;
-/// concatenating range outputs in range order reproduces the sequential
-/// violation list.
+/// Range form of checkRepeatableReads over transactions [Begin, End).
+/// Transactions are independent; concatenating range outputs in range
+/// order reproduces the whole-history violation list.
 bool checkRepeatableReadsRange(const History &H, TxnId Begin, TxnId End,
                                std::vector<Violation> &Out);
 
 /// Checks whether \p H satisfies Read Atomic. Appends violations to \p Out
 /// (at most \p MaxWitnesses cycle witnesses) and returns true iff
-/// consistent.
+/// consistent. With \p Pool, the read-level passes run over transaction
+/// ranges and saturation over sessions on it.
 bool checkRa(const History &H, std::vector<Violation> &Out,
-             size_t MaxWitnesses = 16, SaturationStats *Stats = nullptr);
+             size_t MaxWitnesses = 16, SaturationStats *Stats = nullptr,
+             ThreadPool *Pool = nullptr);
 
 } // namespace awdit
 

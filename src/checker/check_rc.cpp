@@ -5,25 +5,33 @@
 #include "checker/commit_graph.h"
 #include "checker/read_consistency.h"
 #include "checker/saturation_impl.h"
+#include "support/thread_pool.h"
 
 using namespace awdit;
 
 bool awdit::checkRc(const History &H, std::vector<Violation> &Out,
-                    size_t MaxWitnesses, SaturationStats *Stats) {
+                    size_t MaxWitnesses, SaturationStats *Stats,
+                    ThreadPool *Pool) {
   // Line 2: Read Consistency (Algorithm 4).
-  if (!checkReadConsistency(H, Out))
+  if (!checkReadConsistency(H, Out, Pool))
     return false;
 
-  // Line 3: co' <- so ∪ wr.
-  CommitGraph Co(H);
+  // Lines 4-21: saturate co' over all transactions, each range into its
+  // own edge buffer (transactions are independent).
+  std::vector<std::vector<uint64_t>> Inferred = collectChunks<uint64_t>(
+      Pool, H.numTxns(), detail::TxnGrain,
+      [&H](size_t Begin, size_t End, std::vector<uint64_t> &Buf) {
+        detail::RcScratch Scratch;
+        detail::saturateRcRange(H, static_cast<TxnId>(Begin),
+                                static_cast<TxnId>(End), Scratch,
+                                detail::appendPacked(Buf));
+      });
 
-  // Lines 4-21: saturate co' over all transactions (the shared kernel; the
-  // parallel engine runs the same kernel over transaction ranges).
-  detail::RcScratch Scratch;
-  detail::saturateRcRange(H, 0, static_cast<TxnId>(H.numTxns()), Scratch,
-                          [&](TxnId From, TxnId To) {
-                            Co.inferEdge(From, To);
-                          });
+  // Line 3: co' <- so ∪ wr, built once the kernel is done; it then adopts
+  // every range's edges.
+  CommitGraph Co(H);
+  for (std::vector<uint64_t> &Buf : Inferred)
+    Co.adoptInferred(std::move(Buf));
 
   if (Stats) {
     Stats->InferredEdges = Co.numInferredEdges();

@@ -6,9 +6,6 @@
 #include "checker/check_ra.h"
 #include "checker/check_ra_single_session.h"
 #include "checker/check_rc.h"
-#include "checker/parallel.h"
-#include "checker/read_consistency.h"
-#include "checker/saturation_state.h"
 #include "support/assert.h"
 #include "support/thread_pool.h"
 
@@ -16,42 +13,15 @@
 
 using namespace awdit;
 
-namespace {
-
-/// The sequential engine path: the read-level axiom passes of the batch
-/// algorithms, then the incremental saturation engine run as one
-/// cold-start delta, then the canonical acyclicity pass. Structured
-/// exactly like checkRc/checkRa/checkCc (same passes, same kernels, same
-/// canonicalization), so verdicts, violation lists, statistics, and
-/// witness cycles are bit-identical to them on every history.
-bool checkSequentialViaEngine(const History &H, IsolationLevel Level,
-                              std::vector<Violation> &Out,
-                              size_t MaxWitnesses, SaturationStats *Stats) {
-  if (!checkReadConsistency(H, Out))
-    return false;
-  if (Level == IsolationLevel::ReadAtomic && !checkRepeatableReads(H, Out))
-    return false;
-  SaturationState Engine(Level, SaturationState::Mode::Batch);
-  Engine.coldStart(H);
-  // The batch CC checker never reports saturation stats when so ∪ wr is
-  // already cyclic (it stops before saturating); mirror that.
-  bool SkipStats =
-      Level == IsolationLevel::CausalConsistency && Engine.baseCyclic();
-  return Engine.finalizeAcyclic(H, Out, MaxWitnesses,
-                                SkipStats ? nullptr : Stats);
-}
-
-} // namespace
-
 CheckReport awdit::checkIsolation(const History &H, IsolationLevel Level,
                                   const CheckOptions &Options) {
   CheckReport Report;
   SaturationStats Sat;
 
-  // The parallel engine kicks in when more than one worker is requested
-  // (or available, with Threads = 0) and the history is large
-  // enough to amortize thread startup. The OnTheFly CC variant is pinned
-  // to the sequential path: its purpose is bounded memory.
+  // The level's checker runs its units of work on a pool when more than
+  // one worker is requested (or available, with Threads = 0) and the
+  // history is large enough to amortize thread startup. The OnTheFly CC
+  // variant is pinned inline: its purpose is bounded memory.
   size_t Threads =
       Options.Threads == 0 ? ThreadPool::defaultThreads() : Options.Threads;
   bool UseParallel =
@@ -61,38 +31,29 @@ CheckReport awdit::checkIsolation(const History &H, IsolationLevel Level,
   std::optional<ThreadPool> Pool;
   if (UseParallel)
     Pool.emplace(Threads);
+  ThreadPool *P = Pool ? &*Pool : nullptr;
 
   switch (Level) {
   case IsolationLevel::ReadCommitted:
-    Report.Consistent =
-        UseParallel
-            ? checkRcParallel(H, *Pool, Report.Violations,
-                              Options.MaxWitnesses, &Sat)
-            : checkSequentialViaEngine(H, Level, Report.Violations,
-                                       Options.MaxWitnesses, &Sat);
+    Report.Consistent = checkRc(H, Report.Violations, Options.MaxWitnesses,
+                                &Sat, P);
     break;
   case IsolationLevel::ReadAtomic:
     if (Options.UseSingleSessionFastPath && isSingleSession(H)) {
       Report.Consistent = checkRaSingleSession(H, Report.Violations);
       Report.Stats.UsedFastPath = true;
-    } else if (UseParallel) {
-      Report.Consistent = checkRaParallel(H, *Pool, Report.Violations,
-                                          Options.MaxWitnesses, &Sat);
     } else {
-      Report.Consistent = checkSequentialViaEngine(
-          H, Level, Report.Violations, Options.MaxWitnesses, &Sat);
+      Report.Consistent = checkRa(H, Report.Violations, Options.MaxWitnesses,
+                                  &Sat, P);
     }
     break;
   case IsolationLevel::CausalConsistency:
-    if (UseParallel)
-      Report.Consistent = checkCcParallel(H, *Pool, Report.Violations,
-                                          Options.MaxWitnesses, &Sat);
-    else if (Options.Cc == CcVariant::OnTheFly)
+    if (Options.Cc == CcVariant::OnTheFly)
       Report.Consistent = checkCcOnTheFly(H, Report.Violations,
                                           Options.MaxWitnesses, &Sat);
     else
-      Report.Consistent = checkSequentialViaEngine(
-          H, Level, Report.Violations, Options.MaxWitnesses, &Sat);
+      Report.Consistent = checkCc(H, Report.Violations, Options.MaxWitnesses,
+                                  &Sat, P);
     break;
   }
 

@@ -8,7 +8,9 @@
 /// The public entry point of the AWDIT library: check a history against a
 /// weak isolation level and obtain a verdict, violations with witnesses,
 /// and run statistics. This is the API the examples, the CLI tool, and the
-/// benchmark harness use.
+/// benchmark harness use. Each level has one one-shot implementation
+/// (check_rc.h, check_ra.h, check_cc.h) that runs inline or on a thread
+/// pool; this facade picks the checker and whether to build the pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,18 +44,18 @@ struct CheckOptions {
   /// history qualifies and the level is RA.
   bool UseSingleSessionFastPath = true;
   /// Which CC implementation to run. The OnTheFly variant is sequential by
-  /// design (its point is O(width·k) memory); selecting it pins the check
-  /// to the sequential path regardless of Threads.
+  /// design (its point is O(width·k) memory); selecting it runs the check
+  /// inline regardless of Threads.
   CcVariant Cc = CcVariant::PointerScan;
-  /// Worker threads of the sharded parallel engine (checker/parallel.h).
-  /// 1 (the default) runs the sequential path; 0 selects one worker per
-  /// hardware thread. Both engines produce bit-identical verdicts,
-  /// violation lists, statistics, and witness cycles on every history
-  /// (enforced by tests/test_parallel.cpp).
+  /// Workers of the pool the level's checker runs its units of work on
+  /// (see check_rc.h). 1 (the default) builds no pool and runs the check
+  /// inline; 0 selects one worker per hardware thread. Verdicts,
+  /// violation lists, statistics, and witness cycles are bit-identical
+  /// either way on every history (enforced by tests/test_parallel.cpp).
   unsigned Threads = 1;
-  /// Histories with fewer transactions than this run sequentially even
-  /// when Threads > 1 — below it, thread startup dominates the check.
-  /// Set to 0 to force the parallel engine (tests do).
+  /// Histories with fewer transactions than this run inline even when
+  /// Threads > 1 — below it, thread startup dominates the check. Set to 0
+  /// to force the pool (tests do).
   size_t ParallelThreshold = 4096;
 };
 
@@ -78,12 +80,14 @@ struct CheckReport {
 /// (Algorithm 1 for RC, Algorithm 2 for RA, Algorithm 3 for CC, and the
 /// Theorem 1.6 fast path for single-session RA).
 ///
-/// The one-shot engine: dispatches to the sequential or parallel RC/RA/CC
-/// algorithms over a complete history. Monitor::finalize() runs it as its
-/// canonical pass, so a monitor fed the same history reports bit-identical
-/// results (enforced by tests/test_monitor.cpp). Callers that receive
-/// transactions incrementally should use Monitor (checker/monitor.h)
-/// directly instead of materializing a History first.
+/// The one-shot entry point: builds a pool when Options ask for one and the
+/// history is large enough, then runs the level's checker over the
+/// complete history (checkRc, checkRa or checkCc; checkRaSingleSession or
+/// checkCcOnTheFly when Options select them). Monitor::finalize() runs it as its canonical pass, so a
+/// monitor fed the same history reports bit-identical results (enforced
+/// by tests/test_monitor.cpp). Callers that receive transactions
+/// incrementally should use Monitor (checker/monitor.h) directly instead
+/// of materializing a History first.
 CheckReport checkIsolation(const History &H, IsolationLevel Level,
                            const CheckOptions &Options = {});
 

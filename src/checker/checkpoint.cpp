@@ -15,6 +15,13 @@ namespace {
 
 constexpr uint32_t CheckpointMagic = 0x50435741; // "AWCP" little-endian
 
+/// What the layout's two slots for the one-shot check's Threads and
+/// ParallelThreshold always hold. Both are host-local knobs: a load reads
+/// and discards them, so a resumed stream runs with the resuming process's
+/// settings, and two stores of one stream agree in bytes.
+constexpr uint32_t StoredThreads = 1;
+constexpr uint64_t StoredParallelThreshold = 4096;
+
 void saveOptions(ByteWriter &W, const MonitorOptions &O) {
   W.u8(static_cast<uint8_t>(O.Level));
   W.u64(O.CheckIntervalTxns);
@@ -25,8 +32,8 @@ void saveOptions(ByteWriter &W, const MonitorOptions &O) {
   W.u64(O.Check.MaxWitnesses);
   W.boolean(O.Check.UseSingleSessionFastPath);
   W.u8(static_cast<uint8_t>(O.Check.Cc));
-  W.u32(O.Check.Threads);
-  W.u64(O.Check.ParallelThreshold);
+  W.u32(StoredThreads);
+  W.u64(StoredParallelThreshold);
 }
 
 void loadOptions(ByteReader &R, MonitorOptions &O) {
@@ -39,8 +46,8 @@ void loadOptions(ByteReader &R, MonitorOptions &O) {
   O.Check.MaxWitnesses = R.u64();
   O.Check.UseSingleSessionFastPath = R.boolean();
   O.Check.Cc = static_cast<CcVariant>(R.u8());
-  O.Check.Threads = R.u32();
-  O.Check.ParallelThreshold = R.u64();
+  (void)R.u32(); // StoredThreads
+  (void)R.u64(); // StoredParallelThreshold
 }
 
 void saveMeta(ByteWriter &W, const CheckpointMeta &Meta) {

@@ -65,7 +65,9 @@ struct CheckpointMeta {
   /// Stream format: "native", "plume", or "dbcop".
   std::string Format;
   /// The monitor configuration at checkpoint time. A resume must run with
-  /// exactly these options — the CLI rejects incompatible flags.
+  /// exactly these options — the CLI rejects incompatible flags — except
+  /// Check.Threads and Check.ParallelThreshold: they are host-local, so a
+  /// root stores fixed values for them and a load leaves the defaults.
   MonitorOptions Options;
   /// Bytes of the stream fully applied; resume seeks here.
   uint64_t StreamOffset = 0;

@@ -65,8 +65,9 @@ public:
   }
 
   /// Packs an inferred edge for inferEdge-style bulk storage. The shared
-  /// packed-edge convention of the whole checker layer (the parallel
-  /// engine's batches and the incremental saturation state use it too).
+  /// packed-edge convention of the whole checker layer (the one-shot
+  /// checkers' per-unit buffers and the incremental saturation state use
+  /// it too).
   static uint64_t packEdge(TxnId From, TxnId To) {
     return (static_cast<uint64_t>(From) << 32) | To;
   }

@@ -51,7 +51,7 @@ void Monitor::IdSet::rebase(const std::vector<TxnMeta> &Meta, TxnId Cut) {
 
 Monitor::Monitor(const MonitorOptions &Options, ViolationSink *Sink)
     : Opts(Options), Sink(Sink),
-      Saturation(Options.Level, SaturationState::Mode::Streaming) {}
+      Saturation(Options.Level) {}
 
 SessionId Monitor::addSession() {
   Live.Sessions.emplace_back();

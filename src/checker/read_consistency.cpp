@@ -2,12 +2,28 @@
 
 #include "checker/read_consistency.h"
 
+#include "support/thread_pool.h"
+
 using namespace awdit;
 
-bool awdit::checkReadConsistency(const History &H,
-                                 std::vector<Violation> &Out) {
-  return checkReadConsistencyRange(H, 0, static_cast<TxnId>(H.numTxns()),
-                                   Out);
+bool awdit::detail::runTxnRangePass(const History &H, ThreadPool *Pool,
+                                    std::vector<Violation> &Out,
+                                    TxnRangePass Pass) {
+  std::vector<std::vector<Violation>> Ranges = collectChunks<Violation>(
+      Pool, H.numTxns(), TxnGrain,
+      [&](size_t Begin, size_t End, std::vector<Violation> &Buf) {
+        Pass(H, static_cast<TxnId>(Begin), static_cast<TxnId>(End), Buf);
+      });
+  size_t Before = Out.size();
+  for (std::vector<Violation> &Range : Ranges)
+    Out.insert(Out.end(), std::make_move_iterator(Range.begin()),
+               std::make_move_iterator(Range.end()));
+  return Out.size() == Before;
+}
+
+bool awdit::checkReadConsistency(const History &H, std::vector<Violation> &Out,
+                                 ThreadPool *Pool) {
+  return detail::runTxnRangePass(H, Pool, Out, checkReadConsistencyRange);
 }
 
 bool awdit::checkReadConsistencyRange(const History &H, TxnId Begin,

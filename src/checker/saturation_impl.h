@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The co'-saturation loop bodies of Algorithms 1, 2 and 3, factored out of
-/// the sequential checkers so the parallel engine and the streaming
-/// Monitor run the *same* kernels over transaction ranges / single
-/// sessions / key-id ranges / the live window and merely swap the edge
-/// sink (direct CommitGraph::inferEdge, a per-worker batch buffer, or the
-/// monitor's refcounted edge set). Implementation-detail header: include
-/// only from checker code.
+/// The co'-saturation loop bodies of Algorithms 1, 2 and 3, shared by the
+/// one-shot checkers (checkRc/checkRa/checkCc, inline or one unit of work
+/// per pool chunk) and the streaming Monitor's saturation engine: the
+/// *same* kernels run over transaction ranges / single sessions / key-id
+/// ranges / the live window and merely swap the edge sink (a unit's
+/// packed-edge buffer, or the monitor's refcounted edge set).
+/// Implementation-detail header: include only from checker code.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +29,14 @@
 #include <vector>
 
 namespace awdit::detail {
+
+/// An edge sink for the kernels below: appends each inferred edge, packed
+/// (CommitGraph::packEdge), to \p Buf.
+inline auto appendPacked(std::vector<uint64_t> &Buf) {
+  return [&Buf](TxnId From, TxnId To) {
+    Buf.push_back(CommitGraph::packEdge(From, To));
+  };
+}
 
 /// The two-slot stack of earliest future writers per key (Algorithm 1,
 /// earliestWts). Slot Top is the most recently pushed (po-earliest below
@@ -193,7 +201,7 @@ void saturateRaSessionRange(const History &H, SessionId S, size_t BeginSo,
 }
 
 /// Algorithm 2 lines 5-18 for one whole session. Sessions are independent,
-/// so the parallel engine runs one call per session.
+/// so checkRa on a pool runs one call per session.
 template <typename Sink>
 void saturateRaSession(const History &H, SessionId S, RaScratch &Scratch,
                        Sink &&Infer) {
@@ -409,8 +417,8 @@ void saturateCcKeys(const CcKeyIndex &Index, const HappensBefore &HB,
 }
 
 /// Algorithm 3 lines 5-15 over every key of \p H: builds the key index and
-/// runs the kernel once. The one-shot CC checkers call this; the parallel
-/// engine runs saturateCcKeys over key-id ranges of one shared index.
+/// runs the kernel once, for callers that want the whole edge set of one
+/// pass. checkCc runs saturateCcKeys over key-id ranges of its index.
 template <typename Sink>
 void saturateCc(const History &H, const HappensBefore &HB, Sink &&Infer) {
   CcKeyIndex Index(H);

@@ -2,17 +2,14 @@
 
 #include "checker/saturation_state.h"
 
-#include "checker/check_cc.h"
 #include "checker/checkpoint_chunks.h"
 #include "checker/commit_graph.h"
 #include "graph/scc.h"
-#include "graph/topo_sort.h"
 #include "obs/trace.h"
 #include "support/assert.h"
 #include "support/serialize.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
 
 using namespace awdit;
@@ -45,15 +42,13 @@ constexpr size_t SccRetryRegionCap = 4096;
 void SaturationState::ensureSizes(const History &H) {
   size_t N = H.numTxns();
   if (Processed.size() < N) {
-    if (EngineMode == Mode::Streaming)
-      Order.addNodes(N - Processed.size());
+    Order.addNodes(N - Processed.size());
     Processed.resize(N, 0);
     ReadersOf.resize(N);
   }
   if (NumSessions < H.numSessions())
     NumSessions = H.numSessions();
-  if (Level != IsolationLevel::CausalConsistency ||
-      EngineMode != Mode::Streaming)
+  if (Level != IsolationLevel::CausalConsistency)
     return;
   if (NumSessions > HbStride) {
     size_t NewStride = 4;
@@ -132,7 +127,7 @@ void SaturationState::insertLive(const History &H, uint64_t Packed,
       ++InferredDistinct;
     ++Refs.Inferred;
   }
-  if (WasLive || EngineMode == Mode::Batch)
+  if (WasLive)
     return;
 
   uint32_t From = edgeFrom(Packed), To = edgeTo(Packed);
@@ -148,9 +143,9 @@ void SaturationState::insertLive(const History &H, uint64_t Packed,
     }
     // A base (so/wr) edge. If the cycle exists in so ∪ wr alone this is a
     // causality cycle and happens-before is undefined from here on —
-    // exactly the condition under which the batch CC checker stops
-    // saturating. Otherwise evict an inferred edge of the path instead so
-    // the structural relation stays ordered (it drives HB propagation).
+    // exactly the condition under which checkCc stops saturating.
+    // Otherwise evict an inferred edge of the path instead so the
+    // structural relation stays ordered (it drives HB propagation).
     if (baseReaches(To, From)) {
       BaseCyclic = true;
       Quarantined.insert(Packed);
@@ -190,8 +185,7 @@ void SaturationState::removeLive(uint64_t Packed, bool IsBase) {
   Edges.erase(Packed);
   if (Quarantined.erase(Packed))
     return;
-  if (EngineMode == Mode::Streaming)
-    Order.removeEdge(edgeFrom(Packed), edgeTo(Packed));
+  Order.removeEdge(edgeFrom(Packed), edgeTo(Packed));
 }
 
 void SaturationState::addSourceEdges(const History &H, uint64_t Source,
@@ -203,14 +197,13 @@ void SaturationState::addSourceEdges(const History &H, uint64_t Source,
   // Edge insertion is where the Pearce–Kelly order maintenance (and its
   // cycle extraction) runs; metered per source call, not per edge, so the
   // clock reads stay off the per-edge path.
-  uint64_t T0 = EngineMode == Mode::Streaming ? obs::traceNowNanos() : 0;
+  uint64_t T0 = obs::traceNowNanos();
   std::vector<uint64_t> &List = BySource[globalizeSource(Source)];
   for (uint64_t Packed : NewEdges) {
     List.push_back(globalizePacked(Packed));
     insertLive(H, Packed, IsBase, Out);
   }
-  if (EngineMode == Mode::Streaming)
-    PhaseNs.Pk += obs::traceNowNanos() - T0;
+  PhaseNs.Pk += obs::traceNowNanos() - T0;
 }
 
 void SaturationState::clearSource(uint64_t Source, bool IsBase) {
@@ -471,8 +464,6 @@ void SaturationState::setReaderWrEdges(const History &H, TxnId L,
 void SaturationState::flushDelta(const History &H,
                                  const std::vector<TxnId> &Ready,
                                  std::vector<Violation> &Out) {
-  AWDIT_ASSERT(EngineMode == Mode::Streaming,
-               "flushDelta: batch-mode state takes coldStart/batches");
   uint64_t DeltaT0 = obs::traceNowNanos();
   {
     AWDIT_SPAN("flush.delta");
@@ -508,9 +499,7 @@ void SaturationState::flushDelta(const History &H,
       clearSource(rcSource(L), /*IsBase=*/false);
       std::vector<uint64_t> NewEdges;
       detail::saturateRcRange(H, L, L + 1, RcScratchState,
-                              [&](TxnId From, TxnId To) {
-                                NewEdges.push_back(pack(From, To));
-                              });
+                              detail::appendPacked(NewEdges));
       std::sort(NewEdges.begin(), NewEdges.end());
       NewEdges.erase(std::unique(NewEdges.begin(), NewEdges.end()),
                      NewEdges.end());
@@ -543,9 +532,7 @@ void SaturationState::flushDelta(const History &H,
         continue;
       std::vector<uint64_t> NewEdges;
       detail::saturateRaSessionRange(H, S, St.NextSo, Size, St.Scratch,
-                                     [&](TxnId From, TxnId To) {
-                                       NewEdges.push_back(pack(From, To));
-                                     });
+                                     detail::appendPacked(NewEdges));
       St.NextSo = Size;
       std::sort(NewEdges.begin(), NewEdges.end());
       NewEdges.erase(std::unique(NewEdges.begin(), NewEdges.end()),
@@ -561,7 +548,7 @@ void SaturationState::flushDelta(const History &H,
     // the per-key inference for exactly the transactions whose frontier
     // (or read set) changed.
     if (BaseCyclic)
-      break; // so ∪ wr is cyclic; HB undefined (the batch checker stops too).
+      break; // so ∪ wr is cyclic; HB undefined (checkCc stops too).
 
     std::vector<TxnId> Changed;
     propagateHappensBefore(H, Ready, Changed);
@@ -583,94 +570,10 @@ void SaturationState::flushDelta(const History &H,
 }
 
 //===----------------------------------------------------------------------===//
-// Batch feeds: the one-shot cold start and the parallel shard merge.
-//===----------------------------------------------------------------------===//
-
-void SaturationState::coldStart(const History &H) {
-  AWDIT_ASSERT(EngineMode == Mode::Batch,
-               "coldStart: streaming state takes flushDelta");
-  auto Push = [this](TxnId From, TxnId To) {
-    BatchEdges.push_back(pack(From, To));
-  };
-  switch (Level) {
-  case IsolationLevel::ReadCommitted: {
-    detail::RcScratch Scratch;
-    detail::saturateRcRange(H, 0, static_cast<TxnId>(H.numTxns()), Scratch,
-                            Push);
-    break;
-  }
-  case IsolationLevel::ReadAtomic: {
-    detail::RaScratch Scratch;
-    for (SessionId S = 0; S < H.numSessions(); ++S)
-      detail::saturateRaSession(H, S, Scratch, Push);
-    break;
-  }
-  case IsolationLevel::CausalConsistency: {
-    std::optional<std::vector<uint32_t>> TopoOrder = computeBaseOrder(H);
-    if (!TopoOrder)
-      break; // so ∪ wr cycle: fails every level, no saturation.
-    HappensBefore HB;
-    fillHappensBefore(H, *TopoOrder, HB);
-    detail::saturateCc(H, HB, Push);
-    break;
-  }
-  }
-}
-
-std::optional<std::vector<uint32_t>> SaturationState::computeBaseOrder(
-    const History &H) {
-  AWDIT_ASSERT(EngineMode == Mode::Batch,
-               "computeBaseOrder: batch-mode helper");
-  CachedBase.emplace(H);
-  std::optional<std::vector<uint32_t>> TopoOrder =
-      topologicalSort(CachedBase->graph());
-  if (!TopoOrder)
-    BaseCyclic = true;
-  return TopoOrder;
-}
-
-void SaturationState::appendInferredBatch(const uint64_t *NewEdges,
-                                          size_t Count) {
-  if (Count == 0)
-    return;
-  size_t Idx = NextStripe.fetch_add(1, std::memory_order_relaxed);
-  Stripe &S = Stripes[Idx % NumStripes];
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  S.Buf.insert(S.Buf.end(), NewEdges, NewEdges + Count);
-}
-
-bool SaturationState::finalizeAcyclic(const History &H,
-                                      std::vector<Violation> &Out,
-                                      size_t MaxWitnesses,
-                                      SaturationStats *Stats) {
-  AWDIT_ASSERT(EngineMode == Mode::Batch,
-               "finalizeAcyclic: streaming state keeps its own order");
-  // One canonical pass over the complete edge set: the commit graph
-  // canonicalizes (sorts, deduplicates) the inferred edges, so the result
-  // is independent of which path or interleaving collected them — and
-  // bit-identical to the historical batch checkers. The CC paths already
-  // built the base graph for the topological sort; reuse it. The edge
-  // buffers are handed over, not copied.
-  std::optional<CommitGraph> Local;
-  CommitGraph &Co = CachedBase ? *CachedBase : Local.emplace(H);
-  Co.adoptInferred(std::move(BatchEdges));
-  for (Stripe &S : Stripes) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Co.adoptInferred(std::move(S.Buf));
-  }
-  if (Stats) {
-    Stats->InferredEdges = Co.numInferredEdges();
-    Stats->GraphEdges = Co.numEdges();
-  }
-  return Co.checkAcyclic(Out, MaxWitnesses);
-}
-
-//===----------------------------------------------------------------------===//
 // Eviction-aware compaction.
 //===----------------------------------------------------------------------===//
 
 void SaturationState::compact(const History &H, TxnId Cut) {
-  AWDIT_ASSERT(EngineMode == Mode::Streaming, "compact: streaming only");
   if (Cut == 0)
     return;
   ensureSizes(H);
@@ -871,8 +774,6 @@ void SaturationState::compact(const History &H, TxnId Cut) {
 //===----------------------------------------------------------------------===//
 
 void SaturationState::saveState(ByteWriter &W, const StateCoords &C) const {
-  AWDIT_ASSERT(EngineMode == Mode::Streaming,
-               "saveState: only streaming state checkpoints");
   // Local→global transforms (see StateCoords in support/serialize.h).
   uint32_t IdBase = C.IdBase;
   auto GT = [&](TxnId T) { return static_cast<TxnId>(T + IdBase); };
@@ -1027,8 +928,6 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
                                : So;
   };
 
-  if (EngineMode != Mode::Streaming)
-    return Fail("checkpoint restore requires a streaming-mode engine");
   EvictedBase = IdBase;
   uint8_t SavedLevel = R.u8();
   if (!R.ok())

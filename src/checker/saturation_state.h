@@ -5,29 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The incremental, delta-driven saturation engine shared by the three
-/// checking paths:
+/// The incremental, delta-driven saturation engine of the streaming Monitor
+/// (checker/monitor.h). One-shot checks do not run it: checkRc, checkRa and
+/// checkCc run the same kernels (saturation_impl.h) over a complete
+/// history. The Monitor drives true per-flush deltas: the state persists
+/// the derived happens-before rows, the per-key write index, and the
+/// refcounted source-tagged edge set across flushes, so each pass only
+/// propagates the consequences of newly committed or retroactively
+/// re-resolved transactions instead of re-scanning the whole live window.
 ///
-///  - checkIsolation() runs it as a single cold-start delta over a
-///    complete history (the batch kernels of saturation_impl.h, verbatim);
-///  - the parallel engine (checker/parallel.h) has its shard workers feed
-///    inferred-edge batches into one merged state through striped buffers;
-///  - the streaming Monitor (checker/monitor.h) drives true per-flush
-///    deltas: the state persists the derived happens-before rows, the
-///    per-key write index, and the refcounted source-tagged edge set
-///    across flushes, so each pass only propagates the consequences of
-///    newly committed or retroactively re-resolved transactions instead
-///    of re-scanning the whole live window.
-///
-/// In streaming mode the commit relation co' is kept topologically ordered
-/// with a Pearce–Kelly dynamic order (graph/incremental_topo.h): an edge
+/// The commit relation co' is kept topologically ordered with a
+/// Pearce–Kelly dynamic order (graph/incremental_topo.h): an edge
 /// insertion that would close a cycle is reported as a violation with the
 /// offending path extracted on the spot — no per-flush SCC pass — and the
 /// edge is quarantined so the order stays valid. The canonical verdict of
-/// a completed check still comes from finalizeAcyclic(), which rebuilds
-/// the commit graph once and runs the exact same SCC/witness extraction as
-/// the historical batch checkers, keeping verdicts, violation lists, and
-/// witnesses bit-identical to them.
+/// an exact-mode stream still comes from the one-shot checker the Monitor
+/// runs at finalize (checkIsolation), which keeps verdicts, violation
+/// lists, and witnesses bit-identical to a one-shot check.
 ///
 /// Every inferred or base edge is tagged with the unit of work that
 /// produced it (an RC transaction, an RA session, a CC reader, a reader's
@@ -44,8 +38,6 @@
 #ifndef AWDIT_CHECKER_SATURATION_STATE_H
 #define AWDIT_CHECKER_SATURATION_STATE_H
 
-#include "checker/check_rc.h"
-#include "checker/commit_graph.h"
 #include "checker/isolation_level.h"
 #include "checker/saturation_impl.h"
 #include "checker/violation.h"
@@ -53,10 +45,6 @@
 #include "history/history.h"
 #include "support/packed_edge_map.h"
 
-#include <array>
-#include <atomic>
-#include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -67,29 +55,17 @@ class ByteWriter;
 class ByteReader;
 struct StateCoords;
 
-/// The incremental saturation engine. One instance per checking session
-/// (a Monitor, one one-shot check, or one parallel check). Not thread-safe
-/// except for appendInferredBatch().
+/// The incremental saturation engine. One instance per Monitor; not
+/// thread-safe.
 class SaturationState {
 public:
-  enum class Mode : uint8_t {
-    /// One cold-start delta (or shard-fed batches): edges are only
-    /// collected; no dynamic order is maintained and the verdict comes
-    /// from finalizeAcyclic()'s canonical pass.
-    Batch,
-    /// Streaming deltas: persisted facts, dynamic topological order, and
-    /// cycle extraction on edge insertion.
-    Streaming,
-  };
+  explicit SaturationState(IsolationLevel Level) : Level(Level) {}
 
-  SaturationState(IsolationLevel Level, Mode M)
-      : Level(Level), EngineMode(M) {}
-
-  // --- Structure growth (streaming). ---
+  // --- Structure growth. ---
 
   void addSession() { ++NumSessions; }
 
-  // --- Streaming delta pass. ---
+  // --- Delta pass. ---
 
   /// One incremental pass. \p Ready lists the local ids of committed
   /// transactions that are newly closed or were retroactively re-resolved
@@ -118,35 +94,7 @@ public:
     return R;
   }
 
-  // --- Batch feeds. ---
-
-  /// Runs the batch saturation kernels over the whole history — the
-  /// single cold-start delta of the one-shot path. Level RC/RA/CC only;
-  /// read-level axioms are the caller's job (they precede saturation in
-  /// every algorithm).
-  void coldStart(const History &H);
-
-  /// Thread-safe bulk feed of packed inferred edges for the parallel
-  /// engine's shard workers. Stripes are picked round-robin so concurrent
-  /// workers rarely contend.
-  void appendInferredBatch(const uint64_t *Edges, size_t Count);
-
-  /// Batch CC helper: builds the base so ∪ wr commit graph of \p H —
-  /// cached so finalizeAcyclic() reuses it instead of rebuilding — and
-  /// returns a topological order of it, or nullopt (setting baseCyclic())
-  /// when so ∪ wr is cyclic. \p H must be the same history later passed
-  /// to finalizeAcyclic().
-  std::optional<std::vector<uint32_t>> computeBaseOrder(const History &H);
-
-  /// Canonical verdict over the complete history (batch mode): rebuilds
-  /// the commit graph from \p H, hands it every inferred edge buffer
-  /// collected so far (canonicalized there: sorted, deduplicated), and
-  /// runs the same SCC pass and witness extraction as the batch checkers.
-  /// Bit-identical to them for identical edge sets. Consumes the buffers.
-  bool finalizeAcyclic(const History &H, std::vector<Violation> &Out,
-                       size_t MaxWitnesses, SaturationStats *Stats);
-
-  // --- Eviction-aware compaction (streaming). ---
+  // --- Eviction-aware compaction. ---
 
   /// Drops the transaction prefix [0, \p Cut) from every persisted
   /// structure and rebases the rest. Must run while \p H still holds the
@@ -157,16 +105,12 @@ public:
 
   /// Distinct live inferred (non so/wr) co' edges.
   size_t numInferredEdges() const { return InferredDistinct; }
-  /// Distinct live edges of the maintained commit relation (streaming).
+  /// Distinct live edges of the maintained commit relation.
   size_t numGraphEdges() const {
     return Order.numEdges() + Quarantined.size();
   }
-  /// True once the base so ∪ wr relation itself closed a cycle (every
-  /// level is violated; CC saturation stops — happens-before is
-  /// undefined, exactly as in the batch checker).
-  bool baseCyclic() const { return BaseCyclic; }
 
-  // --- Checkpoint support (streaming; checker/checkpoint.h). ---
+  // --- Checkpoint support (checker/checkpoint.h). ---
 
   /// Serializes every persisted streaming fact — source lists, the dynamic
   /// order (verbatim: its internal positions steer later witness
@@ -178,7 +122,7 @@ public:
   /// of the source lists, re-derived on load.
   void saveState(ByteWriter &W, const StateCoords &C) const;
 
-  /// Restores a freshly constructed streaming state (same Level) from
+  /// Restores a freshly constructed state (same Level) from
   /// saveState() bytes written under \p C. Returns false (with \p Err
   /// set) on corrupted or level-mismatched input.
   bool loadState(ByteReader &R, std::string *Err, const StateCoords &C);
@@ -280,14 +224,16 @@ private:
                               std::vector<TxnId> &ChangedOut);
 
   const IsolationLevel Level;
-  const Mode EngineMode;
   size_t NumSessions = 0;
+  /// True once the base so ∪ wr relation itself closed a cycle: every
+  /// level is violated and CC saturation stops (happens-before is
+  /// undefined, exactly as in checkCc).
   bool BaseCyclic = false;
   /// Set by compact() when evictions broke a base cycle: every live row is
   /// recomputed at the next flush.
   bool NeedsFullHbRecompute = false;
 
-  // --- Persistent streaming state. ---
+  // --- Persistent state. ---
 
   /// The dynamically ordered commit relation (distinct live edges).
   IncrementalTopoOrder Order;
@@ -333,20 +279,6 @@ private:
 
   /// Per-flush phase telemetry (transient; never serialized).
   FlushPhaseNanos PhaseNs;
-
-  // --- Batch-mode edge collection. ---
-
-  std::vector<uint64_t> BatchEdges;
-  /// Base commit graph built by computeBaseOrder(), reused by
-  /// finalizeAcyclic() so the CC paths construct it only once.
-  std::optional<CommitGraph> CachedBase;
-  static constexpr size_t NumStripes = 64;
-  struct Stripe {
-    std::mutex Mutex;
-    std::vector<uint64_t> Buf;
-  };
-  std::array<Stripe, NumStripes> Stripes;
-  std::atomic<size_t> NextStripe{0};
 };
 
 } // namespace awdit

@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for the sharded checking engine. Each
-/// worker owns a deque: tasks submitted from a worker go to the front of its
-/// own deque (LIFO, cache-warm), external submissions are distributed round-
-/// robin, and idle workers steal from the back of their peers' deques.
+/// A small work-stealing thread pool: the one-shot checkers run their units
+/// of work on it, `awdit batch --jobs` its histories and `awdit serve` its
+/// sessions. Each worker owns a deque: tasks submitted from a worker go to
+/// the front of its own deque (LIFO, cache-warm), external submissions are
+/// distributed round-robin, and idle workers steal from the back of their
+/// peers' deques.
 ///
 /// parallelFor() is the primary entry point of the checkers: the calling
 /// thread participates in the loop and, while waiting for stragglers, helps
@@ -238,6 +240,29 @@ private:
   static inline thread_local ThreadPool *CurrentPool = nullptr;
   static inline thread_local size_t CurrentWorker = static_cast<size_t>(-1);
 };
+
+/// Runs Body(Begin, End, Buf) over [0, \p N) and returns every chunk's own
+/// output buffer, in chunk order. Without a pool (\p Pool null), [0, N) is
+/// one chunk run inline; with one, chunks of \p Grain (at least 1) indices
+/// run through parallelFor. A chunk fills a buffer local to its worker and
+/// moves it into place when done: neighbouring buffers' headers share
+/// cache lines.
+template <typename T, typename Fn>
+std::vector<std::vector<T>> collectChunks(ThreadPool *Pool, size_t N,
+                                          size_t Grain, Fn &&Body) {
+  if (!Pool) {
+    std::vector<std::vector<T>> One(1);
+    Body(size_t(0), N, One.front());
+    return One;
+  }
+  std::vector<std::vector<T>> Bufs((N + Grain - 1) / Grain);
+  Pool->parallelFor(0, N, Grain, [&](size_t Begin, size_t End) {
+    std::vector<T> Buf;
+    Body(Begin, End, Buf);
+    Bufs[Begin / Grain] = std::move(Buf);
+  });
+  return Bufs;
+}
 
 } // namespace awdit
 

@@ -913,6 +913,42 @@ TEST(StoreCheckpoint, TornRootLogResumesFromLastPublishedRoot) {
   }
 }
 
+/// The one-shot check's thread count and parallel threshold are host-local:
+/// a root stores fixed values for them, so a store written with Threads = 0
+/// (an all-cores pool) resumes with the resuming process's defaults, and
+/// its root meta bytes equal those of a default-options run of the stream.
+TEST(StoreCheckpoint, RootCarriesNoHostLocalCheckKnobs) {
+  History H = generated(41, 300, /*Inject=*/true);
+  std::string Text = writeTextHistory(H);
+  MonitorOptions Defaults;
+  Defaults.Level = IsolationLevel::CausalConsistency;
+  Defaults.CheckIntervalTxns = 16;
+  MonitorOptions HostLocal = Defaults;
+  HostLocal.Check.Threads = 0;
+  HostLocal.Check.ParallelThreshold = 0;
+
+  auto RootMeta = [&](const MonitorOptions &Options, const char *Tag) {
+    StoreTempDir Dir(Tag);
+    std::vector<fs::path> NoImages;
+    runWithStoreCommits(Text, "native", Options, Dir.str(), {}, NoImages);
+    std::string Err;
+    {
+      StoreCheckpointer Ckpt;
+      EXPECT_TRUE(Ckpt.open(Dir.str(), &Err)) << Err;
+      CheckpointMeta Meta;
+      EXPECT_TRUE(Ckpt.readMeta(Meta, &Err)) << Err;
+      EXPECT_EQ(Meta.Options.Check.Threads, 1u) << Tag;
+      EXPECT_EQ(Meta.Options.Check.ParallelThreshold, 4096u) << Tag;
+    }
+    store::SegmentStore Store;
+    EXPECT_TRUE(Store.open(Dir.str(), &Err)) << Err;
+    return Store.rootMeta();
+  };
+  std::string Written = RootMeta(HostLocal, "knobs_host");
+  ASSERT_FALSE(Written.empty());
+  EXPECT_EQ(Written, RootMeta(Defaults, "knobs_default"));
+}
+
 /// The reason the store exists: a commit appends what changed since the
 /// last flush, not the state — so as the state grows, the per-commit cost
 /// stays bounded while a full write of the state grows with it.

@@ -1,11 +1,12 @@
-//===- tests/test_parallel.cpp - Parallel vs sequential engine tests ---------===//
+//===- tests/test_parallel.cpp - Pool vs inline one-shot checker tests ----===//
 //
-// The parallel-engine battery: on generated CTwitter/TPC-C/RUBiS histories
-// (clean, across consistency modes, and with injected anomalies), the
-// sharded parallel engine must produce verdicts, violation lists, stats,
-// and witness cycles identical to the sequential engine at every isolation
-// level and thread count. Also covers the CC key index invariants and the
-// CC kernel's invariance under any split of the key-id range.
+// The pool-path battery: on generated CTwitter/TPC-C/RUBiS histories
+// (clean, across consistency modes, and with injected anomalies) and on
+// degenerate ones, checkRc/checkRa/checkCc run on a pool must produce
+// verdicts, violation lists, stats, and witness cycles identical to the
+// inline run at every isolation level and thread count. Also covers the
+// CC key index invariants and the CC kernel's invariance under any split
+// of the key-id range.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +36,7 @@ namespace {
 /// Runs one check with \p Threads workers, forcing the parallel path for
 /// Threads > 1 regardless of history size.
 CheckReport runWithThreads(const History &H, IsolationLevel Level,
-                           unsigned Threads) {
-  CheckOptions Options;
+                           unsigned Threads, CheckOptions Options = {}) {
   Options.Threads = Threads;
   Options.ParallelThreshold = 0;
   return checkIsolation(H, Level, Options);
@@ -64,11 +64,12 @@ void expectSameReport(const CheckReport &Seq, const CheckReport &Par,
   EXPECT_EQ(Seq.Stats.GraphEdges, Par.Stats.GraphEdges) << Context;
 }
 
-void expectParallelMatchesSequential(const History &H, const char *Context) {
+void expectParallelMatchesSequential(const History &H, const char *Context,
+                                     const CheckOptions &Options = {}) {
   for (IsolationLevel Level : AllIsolationLevels) {
-    CheckReport Seq = runWithThreads(H, Level, 1);
+    CheckReport Seq = runWithThreads(H, Level, 1, Options);
     for (unsigned Threads : {2u, 4u}) {
-      CheckReport Par = runWithThreads(H, Level, Threads);
+      CheckReport Par = runWithThreads(H, Level, Threads, Options);
       std::string Label = std::string(Context) + " level " +
                           isolationLevelName(Level) + " threads " +
                           std::to_string(Threads);
@@ -129,8 +130,49 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ParallelDifferentialInjected,
                          ::testing::Combine(::testing::Range(0, 7),
                                             ::testing::Range(1, 4)));
 
+/// Degenerate inputs through the pool path: no units of work at all, one
+/// unit, pool units with nothing to do, and more CC key ranges than keys.
+/// Single-session histories also run RA with its fast path off, so the
+/// session-unit saturation sees them.
+TEST(ParallelDifferentialDegenerate, MatchesSequential) {
+  constexpr Key X = 1, Y = 2;
+  History Single = makeHistory({
+      {0, {W(X, 1), R(X, 1)}},
+  });
+  // A stale read of x along so: an RA and CC violation.
+  History OneSession = makeHistory({
+      {0, {W(X, 1), W(Y, 1)}},
+      {0, {R(Y, 1), W(X, 2)}},
+      {0, {R(X, 1), R(Y, 1)}},
+  });
+  History AllAborted = makeHistory({
+      {0, {W(X, 1)}, true},
+      {1, {W(Y, 1), R(X, 1)}, true},
+  });
+  // Two written keys against 8 or 16 CC key ranges: t3 sees t1 through t2
+  // yet reads the x that t1 overwrote, a causal violation.
+  History FewKeys = makeHistory({
+      {0, {W(X, 1)}},
+      {0, {W(X, 2)}},
+      {1, {R(X, 2), W(Y, 1)}},
+      {2, {R(Y, 1), R(X, 1)}},
+  });
+  ASSERT_FALSE(consistent(OneSession, IsolationLevel::ReadAtomic));
+  ASSERT_FALSE(consistent(FewKeys, IsolationLevel::CausalConsistency));
+
+  CheckOptions NoFastPath;
+  NoFastPath.UseSingleSessionFastPath = false;
+  expectParallelMatchesSequential(History(), "empty");
+  expectParallelMatchesSequential(Single, "single committed txn");
+  expectParallelMatchesSequential(Single, "single committed txn", NoFastPath);
+  expectParallelMatchesSequential(OneSession, "one session");
+  expectParallelMatchesSequential(OneSession, "one session", NoFastPath);
+  expectParallelMatchesSequential(AllAborted, "all aborted");
+  expectParallelMatchesSequential(FewKeys, "fewer keys than CC ranges");
+}
+
 /// The automatic thread count (Threads = 0 = hardware concurrency) must
-/// agree with the sequential engine above the parallel threshold.
+/// agree with the inline run above the parallel threshold.
 TEST(ParallelDefaults, AutoThreadsMatchesSequentialAboveThreshold) {
   GenerateParams P;
   P.Bench = Benchmark::CTwitter;
@@ -153,7 +195,7 @@ TEST(ParallelDefaults, AutoThreadsMatchesSequentialAboveThreshold) {
   }
 }
 
-/// Witness-count limit must behave identically in both engines.
+/// Witness-count limit must behave identically with and without a pool.
 TEST(ParallelDefaults, MaxWitnessesHonored) {
   GenerateParams P;
   P.Bench = Benchmark::Rubis;
@@ -253,10 +295,10 @@ TEST(CcKeyIndex, DenseIdsWithOrderedSlotsAndReads) {
   EXPECT_EQ(ReadsSeen, ExtReads);
 }
 
-/// The CC kernel over any partition of the key-id range — the parallel
-/// engine's work-balanced split, one key per range, random cuts — emits
-/// the same edges as one pass over all keys, with one scratch or a fresh
-/// one per range.
+/// The CC kernel over any partition of the key-id range — the
+/// work-balanced split checkCc uses on a pool, one key per range, random
+/// cuts — emits the same edges as one pass over all keys, with one scratch
+/// or a fresh one per range.
 TEST(CcKernel, KeyRangeSplitInvariance) {
   for (Benchmark Bench : {Benchmark::CTwitter, Benchmark::Random}) {
     GenerateParams P;

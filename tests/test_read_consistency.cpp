@@ -446,7 +446,7 @@ TEST(ReadConsistencyDifferential, AllFormsMatchNaiveReference) {
     for (TxnId L = 0; L < N; ++L)
       checkReadConsistencyRange(H, L, L + 1, PerTxn);
     expectSameViolations(Want, PerTxn, "per transaction");
-    // The parallel engine's form: random ranges, concatenated in order.
+    // The pool form: random ranges, concatenated in order.
     Rng Cuts(Seed * 7919);
     std::vector<Violation> Ranged;
     for (TxnId Begin = 0; Begin < N;) {

@@ -1,6 +1,6 @@
 //===- tests/test_thread_pool.cpp - Work-stealing thread pool tests ----------===//
 //
-// Coverage for the parallel engine's substrate: task execution and results,
+// Coverage for the one-shot checkers' pool: task execution and results,
 // exception propagation through futures and parallelFor, nested submission
 // and nested parallel loops (the deadlock-prone cases), and the chunk
 // partition guarantees the checkers' merge order relies on.
