@@ -15,38 +15,36 @@ using namespace awdit;
 
 namespace {
 
-/// Stable counting sort of \p Vals by the key id beside each in \p Ids:
-/// returns them grouped by id, in their original order within a group, and
-/// sets \p Begin to the NumKeys + 1 group offsets.
-template <typename T>
-std::vector<T> groupByKey(const std::vector<uint32_t> &Ids,
-                          const std::vector<T> &Vals, size_t NumKeys,
-                          std::vector<uint32_t> &Begin) {
-  Begin.assign(NumKeys + 1, 0);
+/// The NumKeys + 1 group offsets of a stable counting sort by the key ids
+/// in \p Ids: the occurrences of key Id go to [Begin[Id], Begin[Id + 1]).
+std::vector<uint32_t> groupOffsets(const std::vector<uint32_t> &Ids,
+                                   size_t NumKeys) {
+  std::vector<uint32_t> Begin(NumKeys + 1, 0);
   for (uint32_t Id : Ids)
     ++Begin[Id + 1];
   for (size_t Id = 0; Id < NumKeys; ++Id)
     Begin[Id + 1] += Begin[Id];
-  std::vector<uint32_t> Pos(Begin.begin(), Begin.end() - 1);
-  std::vector<T> Grouped(Vals.size());
-  for (size_t I = 0; I < Vals.size(); ++I)
-    Grouped[Pos[Ids[I]]++] = Vals[I];
-  return Grouped;
+  return Begin;
 }
 
 } // namespace
 
 detail::CcKeyIndex::CcKeyIndex(const History &H) {
-  // One pass in kernel scan order (session, so, then WriteKeys / po) gives
-  // every writer and external-read occurrence its key id; the counting
-  // sorts by id keep that order within each key.
-  struct SessionWriter {
-    SessionId S;
-    CcWriterEntry E;
-  };
+  // Kernel scan order is (session, so, then WriteKeys / po). A first pass
+  // in that order gives every writer and external-read occurrence its key
+  // id; a second scatters each occurrence straight into its key's run (a
+  // stable counting sort), so only the ids are buffered. Every buffer is
+  // sized up front rather than grown by doubling.
+  size_t NumWrites = 0, NumReads = 0;
+  for (SessionId S = 0; S < H.numSessions(); ++S)
+    for (TxnId T : H.sessionTxns(S)) {
+      NumWrites += H.txn(T).WriteKeys.size();
+      NumReads += H.txn(T).ExtReads.size();
+    }
   std::vector<uint32_t> WriteIds, ReadIds;
-  std::vector<SessionWriter> Writes;
-  std::vector<CcKeyRead> ExtReads;
+  WriteIds.reserve(NumWrites);
+  ReadIds.reserve(NumReads);
+  KeyOf.reserve(H.numKeys());
   DenseKeyIds Ids(H.numKeys());
   auto Intern = [&](Key K) {
     uint32_t Id = Ids.intern(K);
@@ -57,32 +55,43 @@ detail::CcKeyIndex::CcKeyIndex(const History &H) {
   for (SessionId S = 0; S < H.numSessions(); ++S)
     for (TxnId T : H.sessionTxns(S)) {
       const Transaction &Txn = H.txn(T);
-      for (Key X : Txn.WriteKeys) {
+      for (Key X : Txn.WriteKeys)
         WriteIds.push_back(Intern(X));
-        Writes.push_back({S, {T, Txn.SoIndex}});
-      }
       // An external read's writer is committed and writes the key, so
       // interning here adds no key that no committed transaction writes.
-      for (uint32_t ReadIdx : Txn.ExtReads) {
-        const ReadInfo &RI = Txn.Reads[ReadIdx];
-        ReadIds.push_back(Intern(RI.K));
-        ExtReads.push_back({T, RI.Writer, S});
-      }
+      for (uint32_t ReadIdx : Txn.ExtReads)
+        ReadIds.push_back(Intern(Txn.Reads[ReadIdx].K));
     }
-  Reads = groupByKey(ReadIds, ExtReads, numKeys(), ReadBegin);
+
+  std::vector<uint32_t> WriterBegin = groupOffsets(WriteIds, numKeys());
+  ReadBegin = groupOffsets(ReadIds, numKeys());
+  std::vector<uint32_t> WriterAt(WriterBegin.begin(), WriterBegin.end() - 1);
+  std::vector<uint32_t> ReadAt(ReadBegin.begin(), ReadBegin.end() - 1);
+  std::vector<SessionId> WriterSession(NumWrites);
+  Writers.resize(NumWrites);
+  Reads.resize(NumReads);
+  size_t W = 0, R = 0;
+  for (SessionId S = 0; S < H.numSessions(); ++S)
+    for (TxnId T : H.sessionTxns(S)) {
+      const Transaction &Txn = H.txn(T);
+      for (size_t I = 0; I < Txn.WriteKeys.size(); ++I) {
+        uint32_t At = WriterAt[WriteIds[W++]]++;
+        Writers[At] = {T, Txn.SoIndex};
+        WriterSession[At] = S;
+      }
+      for (uint32_t ReadIdx : Txn.ExtReads)
+        Reads[ReadAt[ReadIds[R++]]++] = {T, Txn.Reads[ReadIdx].Writer, S};
+    }
 
   // Each key's writers split into one slot per writing session.
-  std::vector<uint32_t> WriterBegin;
-  std::vector<SessionWriter> ByKey =
-      groupByKey(WriteIds, Writes, numKeys(), WriterBegin);
-  Writers.reserve(ByKey.size());
+  Slots.reserve(NumWrites); // at most one slot per writer
+  SlotBegin.reserve(numKeys() + 1);
   SlotBegin.assign(1, 0);
   for (size_t Id = 0; Id < numKeys(); ++Id) {
     for (uint32_t At = WriterBegin[Id]; At < WriterBegin[Id + 1]; ++At) {
-      if (At == WriterBegin[Id] || ByKey[At].S != ByKey[At - 1].S)
-        Slots.push_back({ByKey[At].S, At, At});
+      if (At == WriterBegin[Id] || WriterSession[At] != WriterSession[At - 1])
+        Slots.push_back({WriterSession[At], At, At});
       ++Slots.back().End;
-      Writers.push_back(ByKey[At].E);
     }
     SlotBegin.push_back(static_cast<uint32_t>(Slots.size()));
   }
@@ -165,7 +174,7 @@ bool awdit::checkCc(const History &H, std::vector<Violation> &Out,
   // Line 4 first: co' <- so ∪ wr; its graph doubles as the input of
   // ComputeHB (lines 3, 18-21) before any inferred edge is added.
   CommitGraph Co(H);
-  std::vector<std::vector<uint64_t>> Inferred;
+  std::vector<detail::EdgeRuns> Inferred;
   {
     std::optional<std::vector<uint32_t>> Order = topologicalSort(Co.graph());
     if (!Order) {
@@ -184,17 +193,18 @@ bool awdit::checkCc(const History &H, std::vector<Violation> &Out,
     detail::CcKeyIndex Index(H);
     std::vector<uint32_t> Bounds =
         Index.splitByWork(Pool ? 4 * Pool->numThreads() : 1);
-    Inferred = collectChunks<uint64_t>(
+    Inferred = collectChunks<std::vector<uint64_t>>(
         Pool, Bounds.size() - 1, 1,
-        [&](size_t Begin, size_t End, std::vector<uint64_t> &Buf) {
+        [&](size_t Begin, size_t End, detail::EdgeRuns &Runs) {
           detail::CcScratch Scratch;
           for (size_t Range = Begin; Range < End; ++Range)
             detail::saturateCcKeys(Index, HB, Bounds[Range], Bounds[Range + 1],
-                                   Scratch, detail::appendPacked(Buf));
+                                   Scratch, detail::appendRuns(Runs));
         });
   } // HB and the index are freed before the acyclicity pass allocates.
-  for (std::vector<uint64_t> &Buf : Inferred)
-    Co.adoptInferred(std::move(Buf));
+  for (detail::EdgeRuns &Runs : Inferred)
+    for (std::vector<uint64_t> &Run : Runs)
+      Co.adoptInferred(std::move(Run));
 
   if (Stats) {
     Stats->InferredEdges = Co.numInferredEdges();

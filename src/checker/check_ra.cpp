@@ -69,20 +69,21 @@ bool awdit::checkRa(const History &H, std::vector<Violation> &Out,
   // Lines 5-18: per-session saturation, each session's edges into its
   // unit's own buffer. The so-case last-writer table is sequential along
   // so, but sessions are independent.
-  std::vector<std::vector<uint64_t>> Inferred = collectChunks<uint64_t>(
+  auto Inferred = collectChunks<std::vector<uint64_t>>(
       Pool, H.numSessions(), 1,
-      [&H](size_t Begin, size_t End, std::vector<uint64_t> &Buf) {
+      [&H](size_t Begin, size_t End, detail::EdgeRuns &Runs) {
         detail::RaScratch Scratch;
         for (size_t S = Begin; S < End; ++S)
           detail::saturateRaSession(H, static_cast<SessionId>(S), Scratch,
-                                    detail::appendPacked(Buf));
+                                    detail::appendRuns(Runs));
       });
 
   // Line 4: co' <- so ∪ wr, built once the kernel is done (as in checkRc);
   // it then adopts every session's edges.
   CommitGraph Co(H);
-  for (std::vector<uint64_t> &Buf : Inferred)
-    Co.adoptInferred(std::move(Buf));
+  for (detail::EdgeRuns &Runs : Inferred)
+    for (std::vector<uint64_t> &Run : Runs)
+      Co.adoptInferred(std::move(Run));
 
   if (Stats) {
     Stats->InferredEdges = Co.numInferredEdges();

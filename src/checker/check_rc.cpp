@@ -18,20 +18,21 @@ bool awdit::checkRc(const History &H, std::vector<Violation> &Out,
 
   // Lines 4-21: saturate co' over all transactions, each range into its
   // own edge buffer (transactions are independent).
-  std::vector<std::vector<uint64_t>> Inferred = collectChunks<uint64_t>(
+  auto Inferred = collectChunks<std::vector<uint64_t>>(
       Pool, H.numTxns(), detail::TxnGrain,
-      [&H](size_t Begin, size_t End, std::vector<uint64_t> &Buf) {
+      [&H](size_t Begin, size_t End, detail::EdgeRuns &Runs) {
         detail::RcScratch Scratch;
         detail::saturateRcRange(H, static_cast<TxnId>(Begin),
                                 static_cast<TxnId>(End), Scratch,
-                                detail::appendPacked(Buf));
+                                detail::appendRuns(Runs));
       });
 
   // Line 3: co' <- so ∪ wr, built once the kernel is done; it then adopts
   // every range's edges.
   CommitGraph Co(H);
-  for (std::vector<uint64_t> &Buf : Inferred)
-    Co.adoptInferred(std::move(Buf));
+  for (detail::EdgeRuns &Runs : Inferred)
+    for (std::vector<uint64_t> &Run : Runs)
+      Co.adoptInferred(std::move(Run));
 
   if (Stats) {
     Stats->InferredEdges = Co.numInferredEdges();

@@ -183,12 +183,8 @@ bool StoreCheckpointer::restore(Monitor &M, std::string &MachineState,
   // increasing, so concatenating the live chunks in ascending id order
   // reproduces the serialized state byte-for-byte.
   std::string Bytes;
-  std::string Chunk;
-  for (uint64_t Id : Store->chunkIds()) {
-    if (!Store->readChunk(Id, Chunk, Err))
-      return false;
-    Bytes += Chunk;
-  }
+  if (!Store->readAllChunks(Bytes, Err))
+    return false;
   return M.loadStateChunked(Bytes, IdBase, SoBase, Err);
 }
 
@@ -201,11 +197,21 @@ bool StoreCheckpointer::write(const Monitor &M, std::string_view MachineState,
       *Err = "checkpoint store not open";
     return false;
   }
-  std::string Bytes;
-  std::vector<ChunkMark> Marks;
+  // Stream the state into a commit: each chunk goes to the store the
+  // moment the serializer completes it, so the commit holds one chunk, not
+  // the state. A failed put dooms the commit, and finishCommit reports it.
+  struct StoreSink final : ChunkSink {
+    store::SegmentStore &Store;
+    explicit StoreSink(store::SegmentStore &S) : Store(S) {}
+    void put(uint64_t Id, std::string_view Bytes) override {
+      Store.putChunk(Id, Bytes, nullptr);
+    }
+  } Sink(*Store);
+  if (!Store->beginCommit(Err))
+    return false;
   uint32_t IdBase = 0;
   std::vector<uint64_t> SoBase;
-  M.saveStateChunked(Bytes, Marks, IdBase, SoBase);
+  M.saveStateChunked(Sink, IdBase, SoBase);
 
   std::string MetaBlob;
   ByteWriter W(MetaBlob);
@@ -217,24 +223,7 @@ bool StoreCheckpointer::write(const Monitor &M, std::string_view MachineState,
   W.u64(SoBase.size());
   for (uint64_t V : SoBase)
     W.u64(V);
-
-  // Slice the serialized state at its marks. A mark at offset X starts the
-  // chunk [X, next mark); marks are emitted at offset 0 first, but guard
-  // against an unmarked prefix anyway (chunk id 0 sorts before every real
-  // id, so reassembly order stays correct).
-  std::vector<std::pair<uint64_t, std::string_view>> Chunks;
-  Chunks.reserve(Marks.size() + 1);
-  std::string_view All(Bytes);
-  if (!Marks.empty() && Marks.front().Offset != 0)
-    Chunks.emplace_back(0, All.substr(0, Marks.front().Offset));
-  else if (Marks.empty() && !Bytes.empty())
-    Chunks.emplace_back(0, All);
-  for (size_t I = 0; I < Marks.size(); ++I) {
-    size_t End = I + 1 < Marks.size() ? Marks[I + 1].Offset : Bytes.size();
-    Chunks.emplace_back(Marks[I].Id,
-                        All.substr(Marks[I].Offset, End - Marks[I].Offset));
-  }
-  return Store->commit(MetaBlob, Chunks, Err);
+  return Store->finishCommit(MetaBlob, Err);
 }
 
 uint64_t StoreCheckpointer::bytesAppended() const {

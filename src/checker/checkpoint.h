@@ -15,14 +15,16 @@
 /// checkpoint (enforced by tests/test_checkpoint.cpp and the CI
 /// kill-and-resume smoke).
 ///
-/// Layout: one append-only mmap-backed segment store per checkpointed
+/// Layout: one append-only segment store of plain files per checkpointed
 /// stream (store/segment_store.h). The Monitor state is serialized in
 /// *global* stream coordinates (see StateCoords in support/serialize.h) and
-/// cut at stable chunk boundaries (ChunkMark), so window eviction's id
-/// rebasing does not dirty untouched chunks and a checkpoint appends only
-/// what changed — O(delta), not O(state). Each commit publishes an fsync'd
-/// root record whose meta blob carries everything restore needs
-/// out-of-band:
+/// cut at stable chunk boundaries (ByteWriter::chunk), so window eviction's
+/// id rebasing does not dirty untouched chunks and a checkpoint appends
+/// only what changed — O(delta) bytes written, not O(state). The chunks are
+/// streamed into the commit as the serializer completes them, so a commit
+/// holds one chunk in memory, never a copy of the state. Each commit
+/// publishes an fsync'd root record whose meta blob carries everything
+/// restore needs out-of-band:
 ///
 ///   [u32 magic "AWCP"] [u32 CheckpointStoreVersion] [meta: format string,
 ///   MonitorOptions, stream cursor] [str machine-state blob]
@@ -129,8 +131,10 @@ public:
   /// StreamMachine::loadState.
   bool restore(Monitor &M, std::string &MachineState, std::string *Err) const;
 
-  /// Checkpoints \p M: slices the chunked state at its marks, commits the
-  /// changed chunks plus a fresh root. Durable once it returns true.
+  /// Checkpoints \p M: streams its chunked state into a store commit (the
+  /// store appends only the changed chunks) and publishes a fresh root.
+  /// Durable once it returns true; on failure the previous checkpoint
+  /// stands.
   bool write(const Monitor &M, std::string_view MachineState,
              const CheckpointMeta &Meta, std::string *Err);
 

@@ -67,6 +67,7 @@ void CommitGraph::flushInferred() {
   // (Inferred is sorted the same way).
   std::vector<uint32_t> Seen(N, 0);
   std::vector<uint64_t> Added;
+  Added.reserve(Raw); // an upper bound; unused capacity is never touched
   size_t Old = 0;
   size_t Begin = 0;
   for (uint32_t From = 0; From < N; ++From) {

@@ -1249,17 +1249,24 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
   return true;
 }
 
+void Monitor::saveStateChunked(ChunkSink &Sink, uint32_t &IdBase,
+                               std::vector<uint64_t> &SoBase) const {
+  IdBase = Base;
+  SoBase = SessionSoBase;
+  std::string Chunk;
+  ByteWriter W(Chunk, Sink);
+  saveStateImpl(W, StateCoords{Base, SessionSoBase});
+  W.finish();
+}
+
 void Monitor::saveStateChunked(std::string &Bytes,
                                std::vector<ChunkMark> &Marks,
                                uint32_t &IdBase,
                                std::vector<uint64_t> &SoBase) const {
   Bytes.clear();
   Marks.clear();
-  IdBase = Base;
-  SoBase = SessionSoBase;
-  ByteWriter W(Bytes);
-  W.enableChunks(&Marks);
-  saveStateImpl(W, StateCoords{Base, SessionSoBase});
+  ChunkCollector Collect(Bytes, Marks);
+  saveStateChunked(Collect, IdBase, SoBase);
 }
 
 bool Monitor::loadStateChunked(std::string_view Bytes, uint32_t IdBase,

@@ -56,6 +56,7 @@ namespace awdit {
 class ByteWriter;
 class ByteReader;
 struct ChunkMark;
+class ChunkSink;
 struct StateCoords;
 
 /// Options of one monitoring session.
@@ -266,15 +267,22 @@ public:
   /// resolution, saturation engine, exactly-once delivery state, stats —
   /// so a restored monitor continues the stream emitting exactly the
   /// violations a never-stopped monitor would have emitted from this point
-  /// on. Transaction ids and so-indices are written in *global*
-  /// coordinates — rebase-invariant under windowed eviction — and \p Marks
-  /// receives the chunk boundaries (strictly increasing ids; see
-  /// support/serialize.h). \p IdBase and \p SoBase receive the coordinate
-  /// bases the bytes were written under; a restore needs them back to
-  /// invert the transform, so the store keeps them in the root's meta
-  /// blob. Unordered containers are written in sorted order and unchanged
-  /// state re-serializes into byte-identical chunks, which is what makes a
-  /// store commit O(delta). Must not be finalized.
+  /// on. The state is cut into chunks with strictly increasing ids (see
+  /// support/serialize.h), each handed to \p Sink as soon as it is
+  /// complete, so the serialization holds one chunk at a time.
+  /// Transaction ids and so-indices are written in *global* coordinates —
+  /// rebase-invariant under windowed eviction — and \p IdBase and
+  /// \p SoBase receive the coordinate bases the bytes were written under; a
+  /// restore needs them back to invert the transform, so the store keeps
+  /// them in the root's meta blob. Unordered containers are written in
+  /// sorted order and unchanged state re-serializes into byte-identical
+  /// chunks, which is what makes a store commit O(delta). Must not be
+  /// finalized.
+  void saveStateChunked(ChunkSink &Sink, uint32_t &IdBase,
+                        std::vector<uint64_t> &SoBase) const;
+
+  /// The same serialization collected in memory: the chunks concatenated
+  /// into \p Bytes, with \p Marks recording where each begins.
   void saveStateChunked(std::string &Bytes, std::vector<ChunkMark> &Marks,
                         uint32_t &IdBase,
                         std::vector<uint64_t> &SoBase) const;

@@ -38,6 +38,28 @@ inline auto appendPacked(std::vector<uint64_t> &Buf) {
   };
 }
 
+/// Packed edges in runs (appendRuns).
+using EdgeRuns = std::vector<std::vector<uint64_t>>;
+
+/// The edge sink of the one-shot checkers, whose edges go to
+/// CommitGraph::adoptInferred: packed edges appended to \p Runs, a new run
+/// started whenever the last one is full, each run twice the capacity of
+/// the one before up to 64Ki edges. Unlike one doubling buffer, nothing is
+/// copied and every page is touched once: a doubling buffer allocates and
+/// touches about twice its final size.
+inline auto appendRuns(EdgeRuns &Runs) {
+  return [&Runs](TxnId From, TxnId To) {
+    if (Runs.empty() || Runs.back().size() == Runs.back().capacity()) {
+      size_t Cap = size_t(1) << 10;
+      if (!Runs.empty())
+        Cap = std::min(2 * Runs.back().capacity(), size_t(1) << 16);
+      Runs.emplace_back();
+      Runs.back().reserve(Cap);
+    }
+    Runs.back().push_back(CommitGraph::packEdge(From, To));
+  };
+}
+
 /// The two-slot stack of earliest future writers per key (Algorithm 1,
 /// earliestWts). Slot Top is the most recently pushed (po-earliest below
 /// the scan point) distinct writer; Second the one pushed before it.

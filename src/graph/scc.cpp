@@ -22,6 +22,7 @@ SccResult awdit::computeScc(const Digraph &G) {
   std::vector<bool> OnStack(N, false);
   std::vector<uint32_t> Stack;
   std::vector<size_t> CompSize;
+  CompSize.reserve(N); // at most one component per node
   std::vector<bool> CompSelfLoop;
 
   // Explicit DFS frames: (node, next successor offset).

@@ -1,4 +1,4 @@
-//===- store/page_alloc.h - mmap'd page-granular segment files ---*- C++ -*-===//
+//===- store/page_alloc.h - append-once segment files ------------*- C++ -*-===//
 //
 // Part of the AWDIT reproduction. MIT licensed.
 //
@@ -6,14 +6,15 @@
 ///
 /// \file
 /// The lowest layer of the persistent state store (store/segment_store.h):
-/// a memory-mapped, fixed-capacity segment file with bump allocation.
-/// Bytes are written at most once — the store appends chunk extents with a
-/// strictly growing write cursor — and once every byte of a page has been
-/// written and synced, the page is sealed read-only with mprotect(), so a
-/// stray write through the mapping faults instead of corrupting committed
-/// state. Sealing is what makes a published root immutable by
-/// construction: everything a root record points at lives in sealed (or
-/// about-to-seal, already-synced) pages.
+/// a fixed-capacity segment file with bump allocation, written with
+/// pwrite() and read with pread() — nothing is memory-mapped, so no
+/// appended byte stays in the writer's resident set. Bytes are written at
+/// most once: the store appends chunk extents at a strictly growing
+/// cursor, staged in one bounded write buffer so a commit makes a few
+/// large writes, and sync() writes the buffer out and fdatasync()s before
+/// any root referencing the bytes is published. A published extent cannot
+/// change: writes below the cursor are refused, and files reopened for
+/// reading are opened read-only.
 ///
 /// The class is deliberately dumb: no free lists, no reuse, no interior
 /// mutation. Reclaiming space is the segment store's job (whole dead
@@ -26,21 +27,21 @@
 #ifndef AWDIT_STORE_PAGE_ALLOC_H
 #define AWDIT_STORE_PAGE_ALLOC_H
 
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace awdit {
 namespace store {
 
-/// The page granularity of sealing. Allocation alignment is finer
-/// (ChunkAlign) so small chunks do not waste a page each; sealing rounds
-/// down to whole pages.
+/// Segment capacities are whole pages.
 inline constexpr size_t PageSize = 4096;
 
 /// Alignment of chunk extents inside a segment: big enough that a chunk
@@ -48,124 +49,173 @@ inline constexpr size_t PageSize = 4096;
 /// small chunks stay compact.
 inline constexpr size_t ChunkAlign = 64;
 
+/// The write buffer of a segment being appended: bytes are staged here and
+/// reach the file in writes of about this size. Writes at least this large
+/// bypass it.
+inline constexpr size_t WriteBufferBytes = 256u << 10;
+
 inline size_t alignUp(size_t N, size_t A) { return (N + A - 1) & ~(A - 1); }
 
-/// One mmap'd segment file. Movable, not copyable. Two modes:
+/// One segment file. Movable, not copyable. Two modes:
 ///
-///  - create(): a fresh writable file of fixed capacity, mapped
-///    read-write; the owner appends via data() + advance(), syncs, and
-///    seals completed pages.
-///  - openExisting(): an existing file mapped read-only (resume and the
-///    awdit-store inspector). No writes are possible through the mapping.
-class MappedSegment {
+///  - create(): a fresh file of fixed capacity, opened read-write; the
+///    owner reserves extents with allocate(), fills them with write(), and
+///    makes them durable with sync().
+///  - openExisting(): an existing file opened read-only (resume and the
+///    awdit-store inspector); nothing can be allocated or written.
+///
+/// Both modes read with readv().
+class SegmentFile {
 public:
-  MappedSegment() = default;
-  MappedSegment(MappedSegment &&O) noexcept { *this = std::move(O); }
-  MappedSegment &operator=(MappedSegment &&O) noexcept {
+  SegmentFile() = default;
+  SegmentFile(SegmentFile &&O) noexcept { *this = std::move(O); }
+  SegmentFile &operator=(SegmentFile &&O) noexcept {
     if (this != &O) {
       reset();
-      Map = O.Map;
+      Fd = O.Fd;
       Capacity = O.Capacity;
       Used = O.Used;
-      Sealed = O.Sealed;
+      Written = O.Written;
       Writable = O.Writable;
-      O.Map = nullptr;
-      O.Capacity = O.Used = O.Sealed = 0;
+      Buf = std::move(O.Buf);
+      BufOff = O.BufOff;
+      O.Fd = -1;
+      O.Capacity = O.Used = O.Written = O.BufOff = 0;
+      O.Writable = false;
+      O.Buf.clear();
     }
     return *this;
   }
-  MappedSegment(const MappedSegment &) = delete;
-  MappedSegment &operator=(const MappedSegment &) = delete;
-  ~MappedSegment() { reset(); }
+  SegmentFile(const SegmentFile &) = delete;
+  SegmentFile &operator=(const SegmentFile &) = delete;
+  ~SegmentFile() { reset(); }
 
   /// Creates \p Path (failing if it exists — segments are written once) of
-  /// \p Bytes capacity, rounded up to whole pages, and maps it read-write.
+  /// \p Bytes capacity, rounded up to whole pages.
   bool create(const std::string &Path, size_t Bytes, std::string *Err) {
     reset();
     size_t Cap = alignUp(Bytes, PageSize);
-    int Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
-    if (Fd < 0)
+    int F = ::open(Path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+    if (F < 0)
       return fail(Err, "cannot create segment '" + Path + "'");
-    if (::ftruncate(Fd, static_cast<off_t>(Cap)) != 0) {
-      ::close(Fd);
+    if (::ftruncate(F, static_cast<off_t>(Cap)) != 0) {
+      ::close(F);
       ::unlink(Path.c_str());
       return fail(Err, "cannot size segment '" + Path + "'");
     }
-    void *M = ::mmap(nullptr, Cap, PROT_READ | PROT_WRITE, MAP_SHARED, Fd, 0);
-    ::close(Fd); // the mapping keeps the file alive
-    if (M == MAP_FAILED)
-      return fail(Err, "cannot map segment '" + Path + "'");
-    Map = static_cast<char *>(M);
+    Fd = F;
     Capacity = Cap;
-    Used = 0;
-    Sealed = 0;
     Writable = true;
     return true;
   }
 
-  /// Maps an existing segment read-only, its whole file size.
+  /// Opens an existing segment read-only; its capacity is the file size.
   bool openExisting(const std::string &Path, std::string *Err) {
     reset();
-    int Fd = ::open(Path.c_str(), O_RDONLY);
-    if (Fd < 0)
+    int F = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (F < 0)
       return fail(Err, "cannot open segment '" + Path + "'");
     struct stat St;
-    if (::fstat(Fd, &St) != 0 || St.st_size == 0) {
-      ::close(Fd);
+    if (::fstat(F, &St) != 0 || St.st_size == 0) {
+      ::close(F);
       return fail(Err, "cannot stat segment '" + Path + "'");
     }
-    size_t Cap = static_cast<size_t>(St.st_size);
-    void *M = ::mmap(nullptr, Cap, PROT_READ, MAP_SHARED, Fd, 0);
-    ::close(Fd);
-    if (M == MAP_FAILED)
-      return fail(Err, "cannot map segment '" + Path + "'");
-    Map = static_cast<char *>(M);
-    Capacity = Cap;
-    Used = Cap; // nothing further can be allocated
-    Sealed = Cap;
-    Writable = false;
+    Fd = F;
+    Capacity = static_cast<size_t>(St.st_size);
+    Used = Written = Capacity; // nothing further can be allocated
     return true;
   }
 
-  bool mapped() const { return Map != nullptr; }
   bool writable() const { return Writable; }
   size_t capacity() const { return Capacity; }
   size_t used() const { return Used; }
-  size_t remaining() const { return Capacity - Used; }
-
-  const char *data() const { return Map; }
-  char *writableData() { return Writable ? Map : nullptr; }
 
   /// Bump-allocates \p Bytes (aligned to ChunkAlign) and returns the
-  /// offset, or SIZE_MAX when the segment is full.
+  /// offset, or SIZE_MAX when the segment is full or read-only.
   size_t allocate(size_t Bytes) {
     size_t Off = alignUp(Used, ChunkAlign);
-    if (Off + Bytes > Capacity)
+    if (!Writable || Off + Bytes > Capacity)
       return SIZE_MAX;
     Used = Off + Bytes;
     return Off;
   }
 
-  /// msync()s [0, used()) so appended bytes are durable before the root
-  /// record referencing them is written.
-  bool sync(std::string *Err) {
-    if (!Writable || Used == 0)
+  /// Writes \p Bytes at \p Off, inside allocated space and at or past the
+  /// end of everything written before — bytes are written once. Small
+  /// writes are staged in the write buffer (the padding between extents
+  /// staged as the zeros the file already holds there); call sync() to get
+  /// them to the file.
+  bool write(size_t Off, std::string_view Bytes, std::string *Err) {
+    size_t End = BufOff + Buf.size();
+    if (!Writable || Off < End || Off + Bytes.size() > Used)
+      return fail(Err, "segment write outside its unwritten extents");
+    if (!Buf.empty() && Off + Bytes.size() - BufOff <= WriteBufferBytes) {
+      Buf.append(Off - End, '\0');
+      Buf.append(Bytes.data(), Bytes.size());
       return true;
-    if (::msync(Map, alignUp(Used, PageSize), MS_SYNC) != 0)
-      return fail(Err, "msync failed on segment");
+    }
+    if (!flushBuffer(Err))
+      return false;
+    if (Bytes.size() >= WriteBufferBytes)
+      return writeAt(Off, Bytes, Err);
+    Buf.reserve(WriteBufferBytes);
+    Buf.assign(Bytes.data(), Bytes.size());
+    BufOff = Off;
     return true;
   }
 
-  /// Seals every fully written page: mprotect(PROT_READ) on
-  /// [0, floor(used())). Idempotent; call after sync().
-  void sealWrittenPages() {
+  /// Writes out the staged bytes and fdatasync()s, so everything written
+  /// so far is durable before a root record referencing it. Releases the
+  /// write buffer: an idle segment holds no memory.
+  bool sync(std::string *Err) {
     if (!Writable)
-      return;
-    size_t UpTo = Used & ~(PageSize - 1);
-    if (UpTo > Sealed) {
-      ::mprotect(Map, UpTo, PROT_READ);
-      Sealed = UpTo;
+      return true;
+    if (!flushBuffer(Err))
+      return false;
+    std::string().swap(Buf);
+    if (::fdatasync(Fd) != 0)
+      return fail(Err, "fdatasync failed on segment");
+    return true;
+  }
+
+  /// sync(), then closes the file for writing: a full segment is never
+  /// appended again.
+  bool seal(std::string *Err) {
+    if (!sync(Err))
+      return false;
+    Writable = false;
+    return true;
+  }
+
+  /// Scatter read of consecutive file bytes at \p Off into \p Count
+  /// buffers — a chunk header and its payload in one call. Staged bytes are
+  /// not visible until sync().
+  bool readv(size_t Off, iovec *V, int Count, std::string *Err) const {
+    size_t Want = 0;
+    for (int I = 0; I < Count; ++I)
+      Want += V[I].iov_len;
+    if (Off > Written || Want > Written - Off)
+      return fail(Err, "segment read past the written bytes");
+    while (Want > 0) {
+      ssize_t N = ::preadv(Fd, V, Count, static_cast<off_t>(Off));
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0)
+        return fail(Err, "cannot read segment");
+      size_t Got = static_cast<size_t>(N);
+      Off += Got;
+      Want -= Got;
+      while (Count > 0 && Got >= V->iov_len) {
+        Got -= V->iov_len;
+        ++V;
+        --Count;
+      }
+      if (Count > 0) {
+        V->iov_base = static_cast<char *>(V->iov_base) + Got;
+        V->iov_len -= Got;
+      }
     }
+    return true;
   }
 
 private:
@@ -175,21 +225,50 @@ private:
     return false;
   }
 
-  void reset() {
-    if (Map)
-      ::munmap(Map, Capacity);
-    Map = nullptr;
-    Capacity = Used = Sealed = 0;
-    Writable = false;
+  bool flushBuffer(std::string *Err) {
+    if (Buf.empty())
+      return true;
+    if (!writeAt(BufOff, Buf, Err))
+      return false;
+    Buf.clear();
+    return true;
   }
 
-  char *Map = nullptr;
+  bool writeAt(size_t Off, std::string_view Bytes, std::string *Err) {
+    size_t Done = 0;
+    while (Done < Bytes.size()) {
+      ssize_t N = ::pwrite(Fd, Bytes.data() + Done, Bytes.size() - Done,
+                           static_cast<off_t>(Off + Done));
+      if (N < 0 && errno == EINTR)
+        continue;
+      if (N <= 0)
+        return fail(Err, "cannot write segment");
+      Done += static_cast<size_t>(N);
+    }
+    Written = Off + Bytes.size();
+    BufOff = Written;
+    return true;
+  }
+
+  void reset() {
+    if (Fd >= 0)
+      ::close(Fd);
+    Fd = -1;
+    Capacity = Used = Written = BufOff = 0;
+    Writable = false;
+    std::string().swap(Buf);
+  }
+
+  int Fd = -1;
   size_t Capacity = 0;
-  /// Write cursor: bytes [0, Used) are allocated.
+  /// Allocation cursor: bytes [0, Used) are allocated.
   size_t Used = 0;
-  /// Bytes [0, Sealed) are mprotect'd read-only.
-  size_t Sealed = 0;
+  /// Bytes [0, Written) are in the file (staged bytes excluded).
+  size_t Written = 0;
   bool Writable = false;
+  /// Staged bytes for file offsets [BufOff, BufOff + Buf.size()).
+  std::string Buf;
+  size_t BufOff = 0;
 };
 
 } // namespace store

@@ -29,16 +29,14 @@ bool setErr(std::string *Err, const std::string &Msg) {
   return false;
 }
 
-std::string frameRecord(uint64_t Seq, const std::string &Payload) {
+std::string recordHeader(uint64_t Seq, const std::string &Payload) {
   std::string Out;
-  Out.reserve(RecordHeaderBytes + Payload.size());
   ByteWriter W(Out);
   W.u32(RootMagic);
   W.u32(RootLogVersion);
   W.u64(Seq);
   W.u64(Payload.size());
   W.u64(fnv1a(Payload));
-  Out.append(Payload);
   return Out;
 }
 
@@ -117,10 +115,10 @@ bool fsyncDir(const std::string &Dir) {
   return Ok;
 }
 
-bool writeAll(int Fd, const char *Data, size_t Size) {
+bool writeAll(int Fd, std::string_view Bytes) {
   size_t Done = 0;
-  while (Done < Size) {
-    ssize_t N = ::write(Fd, Data + Done, Size - Done);
+  while (Done < Bytes.size()) {
+    ssize_t N = ::write(Fd, Bytes.data() + Done, Bytes.size() - Done);
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -129,6 +127,11 @@ bool writeAll(int Fd, const char *Data, size_t Size) {
     Done += static_cast<size_t>(N);
   }
   return true;
+}
+
+/// Writes one framed record: its header, then the payload in place.
+bool writeRecord(int Fd, uint64_t Seq, const std::string &Payload) {
+  return writeAll(Fd, recordHeader(Seq, Payload)) && writeAll(Fd, Payload);
 }
 
 } // namespace
@@ -206,18 +209,17 @@ bool RootLog::scanAndTruncate(std::string *Err) {
   return true;
 }
 
-bool RootLog::append(const std::string &Payload, std::string *Err) {
+bool RootLog::append(std::string Payload, std::string *Err) {
   if (Fd < 0 || ReadOnly)
     return setErr(Err, "root log not open for writing");
-  std::string Rec = frameRecord(LastSeq + 1, Payload);
-  if (!writeAll(Fd, Rec.data(), Rec.size()))
+  if (!writeRecord(Fd, LastSeq + 1, Payload))
     return setErr(Err, "cannot append to root log '" + Path + "'");
   if (::fsync(Fd) != 0)
     return setErr(Err, "fsync failed on root log '" + Path + "'");
   ++LastSeq;
-  LastPayload = Payload;
+  FileBytes += RecordHeaderBytes + Payload.size();
+  LastPayload = std::move(Payload);
   HasLast = true;
-  FileBytes += Rec.size();
   ++Records;
   return true;
 }
@@ -231,8 +233,7 @@ bool RootLog::rotate(std::string *Err) {
   int TmpFd = ::open(Tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (TmpFd < 0)
     return setErr(Err, "cannot create root-log temp '" + Tmp + "'");
-  std::string Rec = frameRecord(LastSeq, LastPayload);
-  bool Ok = writeAll(TmpFd, Rec.data(), Rec.size()) && ::fsync(TmpFd) == 0;
+  bool Ok = writeRecord(TmpFd, LastSeq, LastPayload) && ::fsync(TmpFd) == 0;
   if (!Ok) {
     ::close(TmpFd);
     ::unlink(Tmp.c_str());
@@ -250,7 +251,7 @@ bool RootLog::rotate(std::string *Err) {
   Fd = TmpFd;
   if (::lseek(Fd, 0, SEEK_END) < 0)
     return setErr(Err, "cannot seek rotated root log '" + Path + "'");
-  FileBytes = Rec.size();
+  FileBytes = RecordHeaderBytes + LastPayload.size();
   Records = 1;
   return true;
 }

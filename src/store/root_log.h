@@ -75,8 +75,9 @@ public:
   uint64_t recordCount() const { return Records; }
 
   /// Appends one record with seq = lastSeq()+1 and fsync()s. On success
-  /// the record is the published root.
-  bool append(const std::string &Payload, std::string *Err);
+  /// the record is the published root (and \p Payload is kept as
+  /// lastPayload()).
+  bool append(std::string Payload, std::string *Err);
 
   /// Rewrites the log as a single record (the current last root) via
   /// temp + rename + directory fsync, then continues appending to the new

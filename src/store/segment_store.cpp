@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <set>
 
@@ -25,6 +24,8 @@ namespace {
 
 constexpr uint32_t ChunkMagic = 0x4B435741; // "AWCK" little-endian
 constexpr size_t ChunkHeaderBytes = 4 + 4 + 8 + 8;
+/// One chunk-table entry of a root record: id, segment, offset, size, hash.
+constexpr size_t RootEntryBytes = 8 + 4 + 8 + 4 + 8;
 
 bool setErr(std::string *Err, const std::string &Msg) {
   if (Err)
@@ -72,8 +73,9 @@ listSegmentFiles(const std::string &Dir) {
 }
 
 std::string encodeRootPayload(const std::string &MetaBlob,
-                              const std::map<uint64_t, ChunkEntry> &Table) {
+                              const ChunkTable &Table) {
   std::string Out;
+  Out.reserve(8 + MetaBlob.size() + 8 + Table.size() * RootEntryBytes);
   ByteWriter W(Out);
   W.str(MetaBlob);
   W.u64(Table.size());
@@ -88,14 +90,14 @@ std::string encodeRootPayload(const std::string &MetaBlob,
 }
 
 bool decodeRootPayload(std::string_view Payload, std::string &MetaBlob,
-                       std::map<uint64_t, ChunkEntry> &Table,
-                       std::string *Err) {
+                       ChunkTable &Table, std::string *Err) {
   ByteReader R(Payload);
   MetaBlob = R.str();
   uint64_t N = R.u64();
   Table.clear();
-  if (!R.checkCount(N, 8 + 4 + 8 + 4 + 8))
+  if (!R.checkCount(N, RootEntryBytes))
     return setErr(Err, "root record chunk table overruns payload");
+  Table.reserve(N);
   for (uint64_t I = 0; I < N; ++I) {
     uint64_t Id = R.u64();
     ChunkEntry E;
@@ -103,24 +105,35 @@ bool decodeRootPayload(std::string_view Payload, std::string &MetaBlob,
     E.Offset = R.u64();
     E.Size = R.u32();
     E.Hash = R.u64();
-    if (!Table.emplace(Id, E).second)
+    if (!Table.empty() && Id == Table.back().first)
       return setErr(Err, "root record repeats chunk id");
+    if (!Table.empty() && Id < Table.back().first)
+      return setErr(Err, "root record chunk ids out of order");
+    Table.emplace_back(Id, E);
   }
   if (!R.ok() || R.remaining() != 0)
     return setErr(Err, "malformed root record payload");
   return true;
 }
 
-/// Validates one chunk extent against its segment mapping and reads the
-/// payload. Shared by readChunk and fsck.
-bool checkAndReadChunk(const MappedSegment &Seg, uint64_t Id,
-                       const ChunkEntry &E, std::string *Out,
-                       std::string *Err) {
+/// Orders a chunk table's entries against an id (for binary search).
+bool idBelow(const std::pair<uint64_t, ChunkEntry> &Entry, uint64_t Id) {
+  return Entry.first < Id;
+}
+
+/// Validates one chunk extent against its segment file and reads the
+/// payload into \p Dst (E.Size bytes), checksumming it there. Shared by
+/// the reads of a live store and by fsck.
+bool checkAndReadChunk(const SegmentFile &Seg, uint64_t Id,
+                       const ChunkEntry &E, char *Dst, std::string *Err) {
   if (E.Offset + ChunkHeaderBytes + E.Size > Seg.capacity() ||
       E.Offset + ChunkHeaderBytes + E.Size < E.Offset)
     return setErr(Err, "chunk extent out of segment bounds");
-  const char *P = Seg.data() + E.Offset;
-  ByteReader R(P, ChunkHeaderBytes);
+  char Header[ChunkHeaderBytes];
+  iovec V[2] = {{Header, ChunkHeaderBytes}, {Dst, E.Size}};
+  if (!Seg.readv(E.Offset, V, 2, Err))
+    return false;
+  ByteReader R(Header, ChunkHeaderBytes);
   if (R.u32() != ChunkMagic)
     return setErr(Err, "chunk header magic mismatch");
   if (R.u32() != E.Size)
@@ -130,11 +143,8 @@ bool checkAndReadChunk(const MappedSegment &Seg, uint64_t Id,
   uint64_t StoredHash = R.u64();
   if (StoredHash != E.Hash)
     return setErr(Err, "chunk header hash differs from root entry");
-  std::string_view Payload(P + ChunkHeaderBytes, E.Size);
-  if (fnv1a(Payload) != E.Hash)
+  if (fnv1a(std::string_view(Dst, E.Size)) != E.Hash)
     return setErr(Err, "chunk payload checksum mismatch");
-  if (Out)
-    Out->assign(Payload.data(), Payload.size());
   return true;
 }
 
@@ -158,7 +168,7 @@ bool SegmentStore::loadRootTable(std::string_view Payload, std::string *Err) {
   return decodeRootPayload(Payload, RootMetaBlob, Table, Err);
 }
 
-bool SegmentStore::mapReferencedSegments(std::string *Err) {
+bool SegmentStore::openReferencedSegments(std::string *Err) {
   std::set<uint32_t> Needed;
   for (const auto &[Id, E] : Table)
     Needed.insert(E.Seg);
@@ -166,7 +176,7 @@ bool SegmentStore::mapReferencedSegments(std::string *Err) {
     Segment S;
     S.Id = SegId;
     S.Path = segmentPath(SegId);
-    if (!S.Map.openExisting(S.Path, Err))
+    if (!S.File.openExisting(S.Path, Err))
       return false;
     Segments.emplace(SegId, std::move(S));
   }
@@ -186,7 +196,7 @@ bool SegmentStore::open(const std::string &D, std::string *Err) {
   if (Roots.hasRoot()) {
     if (!loadRootTable(Roots.lastPayload(), Err))
       return false;
-    if (!mapReferencedSegments(Err))
+    if (!openReferencedSegments(Err))
       return false;
   }
   // Collapse the log to the recovered root, then clear crash leftovers:
@@ -217,7 +227,7 @@ bool SegmentStore::openReadOnly(const std::string &D, std::string *Err) {
   if (Roots.hasRoot()) {
     if (!loadRootTable(Roots.lastPayload(), Err))
       return false;
-    if (!mapReferencedSegments(Err))
+    if (!openReferencedSegments(Err))
       return false;
   }
   recomputeLiveCounts();
@@ -241,33 +251,59 @@ SegmentStore::chunkEntries() const {
   return Entries;
 }
 
+const ChunkEntry *SegmentStore::findChunk(uint64_t Id) const {
+  auto It = std::lower_bound(Table.begin(), Table.end(), Id, idBelow);
+  return It != Table.end() && It->first == Id ? &It->second : nullptr;
+}
+
+bool SegmentStore::readChunkInto(uint64_t Id, const ChunkEntry &E, char *Dst,
+                                 std::string *Err) const {
+  auto SegIt = Segments.find(E.Seg);
+  if (SegIt == Segments.end())
+    return setErr(Err, "chunk references an unopened segment");
+  return checkAndReadChunk(SegIt->second.File, Id, E, Dst, Err);
+}
+
 bool SegmentStore::readChunk(uint64_t Id, std::string &Out,
                              std::string *Err) const {
-  auto It = Table.find(Id);
-  if (It == Table.end())
+  const ChunkEntry *E = findChunk(Id);
+  if (!E)
     return setErr(Err, "chunk not present under the current root");
-  auto SegIt = Segments.find(It->second.Seg);
-  if (SegIt == Segments.end())
-    return setErr(Err, "chunk references an unmapped segment");
-  return checkAndReadChunk(SegIt->second.Map, Id, It->second, &Out, Err);
+  Out.resize(E->Size);
+  return readChunkInto(Id, *E, Out.data(), Err);
+}
+
+bool SegmentStore::readAllChunks(std::string &Out, std::string *Err) const {
+  size_t Total = 0;
+  for (const auto &[Id, E] : Table)
+    Total += E.Size;
+  Out.clear();
+  Out.reserve(Total);
+  for (const auto &[Id, E] : Table) {
+    size_t At = Out.size();
+    Out.resize(At + E.Size);
+    if (!readChunkInto(Id, E, Out.data() + At, Err))
+      return false;
+  }
+  return true;
 }
 
 bool SegmentStore::ensureOpenSegment(size_t Need, std::string *Err) {
   size_t Framed = alignUp(Need, ChunkAlign);
   if (OpenSeg != UINT32_MAX) {
     Segment &S = Segments.at(OpenSeg);
-    if (alignUp(S.Map.used(), ChunkAlign) + Framed <= S.Map.capacity())
+    if (alignUp(S.File.used(), ChunkAlign) + Framed <= S.File.capacity())
       return true;
-    // Full: make it durable and immutable, then start a fresh file.
-    if (!S.Map.sync(Err))
+    // Full: make it durable and close it for writing, then start a fresh
+    // file.
+    if (!S.File.seal(Err))
       return false;
-    S.Map.sealWrittenPages();
     OpenSeg = UINT32_MAX;
   }
   Segment S;
   S.Id = NextSegId++;
   S.Path = segmentPath(S.Id);
-  if (!S.Map.create(S.Path, std::max(Framed, SegmentTargetBytes), Err))
+  if (!S.File.create(S.Path, std::max(Framed, SegmentTargetBytes), Err))
     return false;
   uint32_t Id = S.Id;
   Segments.emplace(Id, std::move(S));
@@ -284,7 +320,7 @@ bool SegmentStore::appendChunk(uint64_t Id, std::string_view Bytes,
   if (!ensureOpenSegment(Need, Err))
     return false;
   Segment &S = Segments.at(OpenSeg);
-  size_t Off = S.Map.allocate(Need);
+  size_t Off = S.File.allocate(Need);
   if (Off == SIZE_MAX)
     return setErr(Err, "segment allocation failed after ensure");
   std::string Header;
@@ -293,10 +329,10 @@ bool SegmentStore::appendChunk(uint64_t Id, std::string_view Bytes,
   W.u32(static_cast<uint32_t>(Bytes.size()));
   W.u64(Id);
   W.u64(Hash);
-  char *P = S.Map.writableData() + Off;
-  std::memcpy(P, Header.data(), Header.size());
-  std::memcpy(P + ChunkHeaderBytes, Bytes.data(), Bytes.size());
-  S.EndBytes = S.Map.used();
+  if (!S.File.write(Off, Header, Err) ||
+      !S.File.write(Off + ChunkHeaderBytes, Bytes, Err))
+    return false;
+  S.EndBytes = S.File.used();
   E.Seg = S.Id;
   E.Offset = Off;
   E.Size = static_cast<uint32_t>(Bytes.size());
@@ -322,16 +358,24 @@ void SegmentStore::recomputeLiveCounts() {
   }
 }
 
-bool SegmentStore::commit(
-    const std::string &MetaBlob,
-    const std::vector<std::pair<uint64_t, std::string_view>> &Chunks,
-    std::string *Err) {
+bool SegmentStore::failCommit(const std::string &Msg, std::string *Err) {
+  if (CommitErr.empty())
+    CommitErr = Msg;
+  return setErr(Err, CommitErr);
+}
+
+bool SegmentStore::beginCommit(std::string *Err) {
   if (ReadOnly)
     return setErr(Err, "store opened read-only");
+  Committing = true;
+  CommitErr.clear();
+  NewTable.clear();
+  NewTable.reserve(Table.size());
+  OldCursor = 0;
 
   // Pick at most one mostly-dead sealed segment to vacate this commit: its
   // surviving chunks are treated as changed so nothing live remains in it.
-  uint32_t Victim = UINT32_MAX;
+  Victim = UINT32_MAX;
   for (const auto &[SegId, S] : Segments) {
     if (SegId == OpenSeg || S.LiveChunks == 0 || S.EndBytes == 0)
       continue;
@@ -341,43 +385,78 @@ bool SegmentStore::commit(
       break;
     }
   }
+  return true;
+}
 
-  std::map<uint64_t, ChunkEntry> NewTable;
-  for (const auto &[Id, Bytes] : Chunks) {
-    uint64_t Hash = fnv1a(Bytes);
-    ChunkEntry E;
-    auto It = Table.find(Id);
-    if (It != Table.end() && It->second.Hash == Hash &&
-        It->second.Size == Bytes.size() && It->second.Seg != Victim) {
-      E = It->second; // unchanged: carry by reference, no bytes written
-    } else if (!appendChunk(Id, Bytes, Hash, E, Err)) {
-      return false;
-    }
-    if (!NewTable.emplace(Id, E).second)
-      return setErr(Err, "duplicate chunk id in commit");
+bool SegmentStore::putChunk(uint64_t Id, std::string_view Bytes,
+                            std::string *Err) {
+  if (!Committing)
+    return setErr(Err, "no commit in progress");
+  if (!CommitErr.empty())
+    return setErr(Err, CommitErr);
+  if (!NewTable.empty() && Id == NewTable.back().first)
+    return failCommit("duplicate chunk id in commit", Err);
+  if (!NewTable.empty() && Id < NewTable.back().first)
+    return failCommit("chunk id out of order in commit", Err);
+  uint64_t Hash = fnv1a(Bytes);
+  // Ids arrive ascending, so the current root's entry for Id (if any) is
+  // found by walking the old table forward.
+  while (OldCursor < Table.size() && Table[OldCursor].first < Id)
+    ++OldCursor;
+  ChunkEntry E;
+  if (OldCursor < Table.size() && Table[OldCursor].first == Id &&
+      Table[OldCursor].second.Hash == Hash &&
+      Table[OldCursor].second.Size == Bytes.size() &&
+      Table[OldCursor].second.Seg != Victim) {
+    E = Table[OldCursor].second; // unchanged: carry by reference
+  } else {
+    std::string Msg;
+    if (!appendChunk(Id, Bytes, Hash, E, &Msg))
+      return failCommit(Msg, Err);
   }
+  NewTable.emplace_back(Id, E);
+  return true;
+}
+
+bool SegmentStore::finishCommit(const std::string &MetaBlob,
+                                std::string *Err) {
+  if (!Committing)
+    return setErr(Err, "no commit in progress");
+  Committing = false;
+  ChunkTable Next = std::move(NewTable); // released on every early return
+  if (!CommitErr.empty())
+    return setErr(Err, CommitErr);
 
   // Data before root: everything the new root references must be durable
   // before the root record that publishes it.
-  if (OpenSeg != UINT32_MAX) {
-    Segment &S = Segments.at(OpenSeg);
-    if (!S.Map.sync(Err))
-      return false;
-    S.Map.sealWrittenPages();
-  }
-
-  std::string Payload = encodeRootPayload(MetaBlob, NewTable);
-  if (!Roots.append(Payload, Err))
+  if (OpenSeg != UINT32_MAX && !Segments.at(OpenSeg).File.sync(Err))
     return false;
-  BytesAppended += Payload.size();
+
+  std::string Payload = encodeRootPayload(MetaBlob, Next);
+  uint64_t PayloadBytes = Payload.size();
+  if (!Roots.append(std::move(Payload), Err))
+    return false;
+  BytesAppended += PayloadBytes;
 
   // Published: the new table is the truth from here on.
-  Table = std::move(NewTable);
+  Table = std::move(Next);
   RootMetaBlob = MetaBlob;
   ++Commits;
   recomputeLiveCounts();
   reclaimDeadSegments();
   return true;
+}
+
+bool SegmentStore::commit(
+    const std::string &MetaBlob,
+    const std::vector<std::pair<uint64_t, std::string_view>> &Chunks,
+    std::string *Err) {
+  if (!beginCommit(Err))
+    return false;
+  for (const auto &[Id, Bytes] : Chunks)
+    if (!putChunk(Id, Bytes, Err))
+      break;
+  return finishCommit(MetaBlob, Err);
 }
 
 void SegmentStore::reclaimDeadSegments() {
@@ -395,7 +474,7 @@ void SegmentStore::reclaimDeadSegments() {
   std::vector<std::string> Paths;
   for (uint32_t SegId : Dead) {
     Paths.push_back(Segments.at(SegId).Path);
-    Segments.erase(SegId); // munmap now; the unlink happens off-thread
+    Segments.erase(SegId); // close now; the unlink happens off-thread
   }
   if (Paths.empty())
     return;
@@ -416,8 +495,8 @@ StoreStats SegmentStore::stats() const {
   for (const auto &[SegId, S] : Segments) {
     SegmentInfo Info;
     Info.Id = SegId;
-    Info.EndBytes = std::max<uint64_t>(S.EndBytes, S.Map.writable()
-                                                       ? S.Map.used()
+    Info.EndBytes = std::max<uint64_t>(S.EndBytes, S.File.writable()
+                                                       ? S.File.used()
                                                        : S.EndBytes);
     Info.LiveBytes = S.LiveBytes;
     Info.LiveChunks = S.LiveChunks;
@@ -439,24 +518,25 @@ bool SegmentStore::fsck(const std::string &Dir, FsckReport &Report,
     return false;
   Report.Roots = Records.size();
 
-  // Map every segment file in the directory once.
-  std::map<uint32_t, MappedSegment> Maps;
-  auto Files = listSegmentFiles(Dir);
-  Report.SegmentFiles = Files.size();
-  for (const auto &[SegId, Path] : Files) {
-    MappedSegment M;
-    std::string MapErr;
-    if (!M.openExisting(Path, &MapErr)) {
-      Report.Errors.push_back("segment " + Path + ": " + MapErr);
+  // Open every segment file in the directory once.
+  std::map<uint32_t, SegmentFile> Files;
+  auto Listed = listSegmentFiles(Dir);
+  Report.SegmentFiles = Listed.size();
+  for (const auto &[SegId, Path] : Listed) {
+    SegmentFile F;
+    std::string OpenErr;
+    if (!F.openExisting(Path, &OpenErr)) {
+      Report.Errors.push_back("segment " + Path + ": " + OpenErr);
       continue;
     }
-    Maps.emplace(SegId, std::move(M));
+    Files.emplace(SegId, std::move(F));
   }
 
   std::set<uint32_t> Referenced;
+  std::string Scratch;
   for (const RootRecord &Rec : Records) {
     std::string Meta;
-    std::map<uint64_t, ChunkEntry> Table;
+    ChunkTable Table;
     std::string DecErr;
     if (!decodeRootPayload(Rec.Payload, Meta, Table, &DecErr)) {
       Report.Errors.push_back("root seq " + std::to_string(Rec.Seq) + ": " +
@@ -468,8 +548,8 @@ bool SegmentStore::fsck(const std::string &Dir, FsckReport &Report,
       Referenced.insert(E.Seg);
       Extents[E.Seg].emplace_back(E.Offset,
                                   E.Offset + ChunkHeaderBytes + E.Size);
-      auto MapIt = Maps.find(E.Seg);
-      if (MapIt == Maps.end()) {
+      auto FileIt = Files.find(E.Seg);
+      if (FileIt == Files.end()) {
         Report.Errors.push_back(
             "root seq " + std::to_string(Rec.Seq) + " chunk " +
             std::to_string(Id) + ": references missing segment " +
@@ -477,7 +557,9 @@ bool SegmentStore::fsck(const std::string &Dir, FsckReport &Report,
         continue;
       }
       std::string ChkErr;
-      if (!checkAndReadChunk(MapIt->second, Id, E, nullptr, &ChkErr))
+      Scratch.resize(E.Size);
+      if (!checkAndReadChunk(FileIt->second, Id, E, Scratch.data(),
+                             &ChkErr))
         Report.Errors.push_back("root seq " + std::to_string(Rec.Seq) +
                                 " chunk " + std::to_string(Id) + ": " +
                                 ChkErr);
@@ -496,7 +578,7 @@ bool SegmentStore::fsck(const std::string &Dir, FsckReport &Report,
                                   ": overlapping live chunk extents");
     }
   }
-  for (const auto &[SegId, Path] : Files)
+  for (const auto &[SegId, Path] : Listed)
     if (!Referenced.count(SegId))
       ++Report.StraySegmentFiles;
   return true;

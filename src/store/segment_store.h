@@ -6,27 +6,34 @@
 ///
 /// \file
 /// The persistent state store behind monitor checkpoints
-/// (`awdit monitor --checkpoint-store DIR`): a directory of append-only,
-/// mmap-backed segment files plus a root log (store/root_log.h). State is
-/// stored as *chunks* — checksummed byte extents keyed by a 64-bit id —
-/// and a commit publishes a complete chunk table (the "root"):
+/// (`awdit monitor --checkpoint-store DIR`): a directory of append-only
+/// segment files plus a root log (store/root_log.h), both plain files
+/// written with pwrite/write and read with pread/read — the store maps
+/// nothing. State is stored as *chunks* — checksummed byte extents keyed by
+/// a 64-bit id — and a commit publishes a complete chunk table (the
+/// "root"):
 ///
-///   - The caller hands commit() the full chunk set for the new state.
+///   - A commit is streamed: beginCommit(), then putChunk() once per chunk
+///     of the new state in strictly ascending id order (a serializer hands
+///     each chunk over as soon as it is complete), then finishCommit().
 ///     Chunks whose (id, size, FNV-1a) match the current root are carried
 ///     by reference — zero bytes written. Changed or new chunks are
 ///     appended to the open segment, each framed as
 ///     [u32 magic "AWCK"] [u32 size] [u64 id] [u64 hash] [payload] on a
 ///     64-byte boundary. That hash-gated copy-on-write is what makes a
-///     steady-state checkpoint O(delta): the serializer re-emits every
-///     chunk, the store writes only the ones that moved.
-///   - Segments are written once: a strictly growing cursor, msync before
-///     any root referencing the bytes, mprotect(PROT_READ) sealing of
-///     completed pages (store/page_alloc.h). Full segments are sealed and
-///     a fresh `seg-%06u.awseg` (default 4 MiB) is started.
+///     steady-state checkpoint O(delta) in bytes written: the serializer
+///     re-emits every chunk, the store writes only the ones that moved. A
+///     commit holds one chunk and one bounded write buffer in memory, never
+///     the state.
+///   - Segments are written once: a strictly growing cursor, staged writes
+///     made durable with fdatasync before any root referencing the bytes
+///     (store/page_alloc.h). A full segment is sealed — synced and closed
+///     for writing — and a fresh `seg-%06u.awseg` (default 4 MiB) is
+///     started.
 ///   - The commit point is one fsync'd append to the root log. A crash at
 ///     any moment can only tear the root-log tail or the open segment's
 ///     unpublished extents — both invisible to the last published root —
-///     so recovery is "truncate torn tail, map the segments the last root
+///     so recovery is "truncate torn tail, open the segments the last root
 ///     names".
 ///
 /// Space is reclaimed with per-segment refcounts (live chunks referencing
@@ -79,6 +86,9 @@ struct ChunkEntry {
   uint64_t Hash = 0;   ///< FNV-1a of the payload
 };
 
+/// A root's chunk table: (id, entry), strictly ascending by id.
+using ChunkTable = std::vector<std::pair<uint64_t, ChunkEntry>>;
+
 struct SegmentInfo {
   uint32_t Id = 0;
   uint64_t EndBytes = 0;   ///< bytes up to the last written extent
@@ -118,7 +128,7 @@ public:
   /// Opens \p Dir for committing, creating it if needed. Recovers from the
   /// last valid root: torn root-log tails are truncated, segment files no
   /// root references (unpublished leftovers of a crashed commit) are
-  /// removed, referenced segments are mapped read-only.
+  /// removed, referenced segments are opened read-only.
   bool open(const std::string &Dir, std::string *Err);
 
   /// Opens \p Dir for inspection only (awdit-store): nothing is truncated,
@@ -147,10 +157,32 @@ public:
   /// Reads one chunk's payload, verifying the header and checksum.
   bool readChunk(uint64_t Id, std::string &Out, std::string *Err) const;
 
-  /// Publishes a new root: \p MetaBlob plus exactly the chunks in
-  /// \p Chunks (ids must be unique). Unchanged chunks cost no data bytes.
-  /// On success the new root is durable; on failure the previous root
-  /// still stands.
+  /// Reads every chunk's payload into \p Out, concatenated in ascending id
+  /// order — the reassembled state. Reserves the total once and reads each
+  /// chunk straight into place, verifying it there.
+  bool readAllChunks(std::string &Out, std::string *Err) const;
+
+  /// Starts a streamed commit, discarding any unfinished one. Picks at most
+  /// one mostly-dead segment to vacate: its surviving chunks are rewritten
+  /// by this commit even when unchanged.
+  bool beginCommit(std::string *Err);
+
+  /// Adds chunk \p Id of the new root: carried by reference when its size
+  /// and hash match the current root's chunk \p Id, appended otherwise.
+  /// Ids must strictly increase within a commit; a duplicate or
+  /// out-of-order id, like an I/O error, fails the commit — this call and
+  /// every later one return false, and finishCommit() reports the first
+  /// error. \p Bytes is not retained.
+  bool putChunk(uint64_t Id, std::string_view Bytes, std::string *Err);
+
+  /// Publishes the new root: \p MetaBlob plus exactly the chunks put since
+  /// beginCommit(). On success the new root is durable; on failure
+  /// (including an earlier putChunk failure) the previous root still
+  /// stands and the next commit may proceed.
+  bool finishCommit(const std::string &MetaBlob, std::string *Err);
+
+  /// One whole commit of \p Chunks (ids strictly ascending): beginCommit,
+  /// a putChunk per chunk, finishCommit.
   bool commit(const std::string &MetaBlob,
               const std::vector<std::pair<uint64_t, std::string_view>> &Chunks,
               std::string *Err);
@@ -170,7 +202,7 @@ public:
 
 private:
   struct Segment {
-    MappedSegment Map;
+    SegmentFile File;
     uint32_t Id = 0;
     std::string Path;
     uint64_t EndBytes = 0;
@@ -179,10 +211,14 @@ private:
   };
 
   bool loadRootTable(std::string_view Payload, std::string *Err);
-  bool mapReferencedSegments(std::string *Err);
+  bool openReferencedSegments(std::string *Err);
+  const ChunkEntry *findChunk(uint64_t Id) const;
+  bool readChunkInto(uint64_t Id, const ChunkEntry &E, char *Dst,
+                     std::string *Err) const;
   bool ensureOpenSegment(size_t Need, std::string *Err);
   bool appendChunk(uint64_t Id, std::string_view Bytes, uint64_t Hash,
                    ChunkEntry &E, std::string *Err);
+  bool failCommit(const std::string &Msg, std::string *Err);
   void recomputeLiveCounts();
   void reclaimDeadSegments();
   std::string segmentPath(uint32_t Id) const;
@@ -195,12 +231,21 @@ private:
   bool ReadOnly = false;
   RootLog Roots;
   std::string RootMetaBlob;
-  std::map<uint64_t, ChunkEntry> Table; ///< current root's chunk table
-  std::map<uint32_t, Segment> Segments; ///< mapped segments by id
+  ChunkTable Table;                     ///< current root's chunk table
+  std::map<uint32_t, Segment> Segments; ///< open segment files by id
   uint32_t OpenSeg = UINT32_MAX;        ///< id of the writable segment
   uint32_t NextSegId = 0;
   uint64_t BytesAppended = 0;
   uint64_t Commits = 0;
+
+  // The streamed commit in progress (beginCommit .. finishCommit).
+  bool Committing = false;
+  /// The commit's first failure; once set, the commit cannot publish.
+  std::string CommitErr;
+  uint32_t Victim = UINT32_MAX;
+  ChunkTable NewTable;
+  /// Entries of Table with ids below the last put id.
+  size_t OldCursor = 0;
 
   std::thread Compactor;
   std::mutex CompactorMu;

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The byte-level primitives of the checkpoint layout (checker/checkpoint.h):
-/// a writer appending fixed-width little-endian fields to a growing buffer,
-/// and a bounds-checked reader over a byte range. The reader never throws
+/// a writer appending fixed-width little-endian fields to a growing buffer
+/// (or, in chunk mode, handing each completed chunk to a ChunkSink), and a
+/// bounds-checked reader over a byte range. The reader never throws
 /// and never reads past the end — a truncated or corrupted checkpoint turns
 /// into ok() == false (plus zero values), which the loaders translate into
 /// a clean error instead of UB. Counts read from untrusted bytes must pass
@@ -27,14 +28,44 @@
 
 namespace awdit {
 
-/// A chunk boundary recorded during chunked (checkpoint) serialization:
-/// bytes [Offset, next mark's Offset) belong to the chunk \p Id. Marks are
-/// out-of-band — the byte stream itself is identical with or without them —
-/// and ids are strictly increasing in stream order, so a reader reassembles
-/// the stream by concatenating chunks in ascending id order.
+/// Where a chunk starts in a collected chunked serialization (see
+/// ChunkCollector): bytes [Offset, next mark's Offset) belong to the chunk
+/// \p Id. Marks are out-of-band — the byte stream itself is identical with
+/// or without them — and ids are strictly increasing in stream order, so a
+/// reader reassembles the stream by concatenating chunks in ascending id
+/// order.
 struct ChunkMark {
   size_t Offset = 0;
   uint64_t Id = 0;
+};
+
+/// Receives a chunked serialization one chunk at a time, in stream order
+/// (ByteWriter's chunk mode). \p Bytes is only valid during the call: the
+/// writer reuses its buffer for the next chunk, so a serialization never
+/// holds more than its largest chunk.
+class ChunkSink {
+public:
+  virtual void put(uint64_t Id, std::string_view Bytes) = 0;
+
+protected:
+  ~ChunkSink() = default;
+};
+
+/// A ChunkSink that concatenates the chunks into one buffer and records
+/// where each begins — an in-memory snapshot of a chunked serialization.
+class ChunkCollector final : public ChunkSink {
+public:
+  ChunkCollector(std::string &Bytes, std::vector<ChunkMark> &Marks)
+      : Bytes(Bytes), Marks(Marks) {}
+
+  void put(uint64_t Id, std::string_view Chunk) override {
+    Marks.push_back({Bytes.size(), Id});
+    Bytes.append(Chunk);
+  }
+
+private:
+  std::string &Bytes;
+  std::vector<ChunkMark> &Marks;
 };
 
 /// Chunk ids are (Kind << 56) | Sub: Kind numbers the serialized sections
@@ -67,27 +98,36 @@ struct StateCoords {
 /// Appends little-endian fields to a byte buffer.
 class ByteWriter {
 public:
+  /// Plain mode: every field is appended to \p Out; chunk() is a no-op.
   explicit ByteWriter(std::string &Out) : Out(Out) {}
 
-  /// Starts recording chunk marks into \p M (chunked serialization only).
-  void enableChunks(std::vector<ChunkMark> *M) { Marks = M; }
+  /// Chunk mode: \p Scratch holds only the chunk being written. Each
+  /// chunk() boundary hands the bytes written since the previous one to
+  /// \p Sink and clears \p Scratch; finish() hands over the last chunk.
+  ByteWriter(std::string &Scratch, ChunkSink &Sink)
+      : Out(Scratch), Sink(&Sink) {
+    Out.clear();
+  }
 
   /// Declares that bytes written from here on belong to chunk \p Id.
-  /// No-op unless enableChunks() was called. Non-increasing ids are
-  /// ignored (the bytes stay in the current chunk), and a re-mark at the
-  /// current offset replaces the empty previous mark.
+  /// No-op in plain mode. Non-increasing ids are ignored (the bytes stay in
+  /// the current chunk), a re-mark before any byte of the current chunk
+  /// replaces its id, and bytes written before the first mark form chunk 0.
   void chunk(uint64_t Id) {
-    if (!Marks)
+    if (!Sink || (Marked && Id <= Cur))
       return;
-    if (!Marks->empty()) {
-      if (Id <= Marks->back().Id)
-        return;
-      if (Marks->back().Offset == Out.size()) {
-        Marks->back().Id = Id;
-        return;
-      }
-    }
-    Marks->push_back({Out.size(), Id});
+    if (!Out.empty())
+      emit(); // an unmarked prefix goes out as chunk 0
+    Marked = true;
+    Cur = Id;
+  }
+
+  /// Chunk mode: hands the last chunk to the sink — even an empty one, so
+  /// every mark names a chunk. Nothing is emitted when nothing was marked
+  /// or written. Call once, after the last field.
+  void finish() {
+    if (Sink && (Marked || !Out.empty()))
+      emit();
   }
 
   void u8(uint8_t V) { Out.push_back(static_cast<char>(V)); }
@@ -117,8 +157,17 @@ public:
   }
 
 private:
+  void emit() {
+    Sink->put(Cur, Out);
+    Out.clear();
+  }
+
   std::string &Out;
-  std::vector<ChunkMark> *Marks = nullptr;
+  ChunkSink *Sink = nullptr;
+  /// Chunk mode: whether chunk() has been called, and the open chunk's id
+  /// (0, the unmarked prefix's id, until then).
+  bool Marked = false;
+  uint64_t Cur = 0;
 };
 
 /// Bounds-checked little-endian reader. Reads past the end set the failed

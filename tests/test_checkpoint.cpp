@@ -1204,3 +1204,100 @@ TEST(Checkpoint, ChunkedBytesMatchGoldenHash) {
   EXPECT_GT(Stats.ForcedAborts, 0u);
   EXPECT_EQ(Hash, 0x0123352b65669cc6ull) << std::hex << "0x" << Hash;
 }
+
+namespace {
+
+/// FNV-1a over the name and bytes of every file in \p Dir, in name order.
+uint64_t dirHash(const std::string &Dir) {
+  std::vector<fs::path> Files;
+  for (const auto &E : fs::directory_iterator(Dir))
+    Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  uint64_t H = 1469598103934665603ULL;
+  for (const fs::path &F : Files) {
+    std::string Name = F.filename().string();
+    H = fnv1a(H, Name.data(), Name.size());
+    std::ifstream In(F, std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+    H = fnv1a(H, Bytes.data(), Bytes.size());
+  }
+  return H;
+}
+
+} // namespace
+
+/// The files a store-backed monitor stream leaves behind, pinned byte for
+/// byte: a seeded, injected, windowed CC stream checkpointed after every
+/// pass, long enough to roll segments over, relocate and reclaim. The value
+/// was taken when a commit serialized the whole state into one buffer and
+/// wrote segments through a memory mapping; how the bytes reach the disk
+/// must not change them.
+TEST(StoreCheckpoint, StoreBytesMatchGoldenHash) {
+  History H = generated(41, 3000, /*Inject=*/true);
+  std::string Text = writeTextHistory(H);
+  MonitorOptions Options;
+  Options.Level = IsolationLevel::CausalConsistency;
+  Options.Check.Threads = 1;
+  Options.CheckIntervalTxns = 16;
+  Options.WindowTxns = 1000;
+  StoreTempDir Dir("golden");
+  std::vector<fs::path> NoImages;
+  std::vector<uint64_t> Deltas =
+      runWithStoreCommits(Text, "native", Options, Dir.str(), {}, NoImages);
+  ASSERT_GT(Deltas.size(), 50u);
+  // Every store starts at segment 0: this one rolled over and was
+  // reclaimed.
+  EXPECT_FALSE(fs::exists(Dir.Path / "seg-000000.awseg"));
+  uint64_t Hash = dirHash(Dir.str());
+  EXPECT_EQ(Hash, 0x706aec61b8562245ull) << std::hex << "0x" << Hash;
+}
+
+/// A commit stopped mid-stream by a repeated chunk id publishes nothing:
+/// the checkpoint before it still reads back whole and restores to the
+/// same monitor, and the next checkpoint commits.
+TEST(StoreCheckpoint, AbortedCommitLeavesTheCheckpointRestorable) {
+  MonitorOptions Options;
+  Snapshot S = makeValidSnapshot(Options);
+  Monitor M(Options);
+  std::string Err;
+  ASSERT_TRUE(M.loadStateChunked(S.Bytes, S.IdBase, S.SoBase, &Err)) << Err;
+  StoreTempDir Dir("aborted");
+  {
+    StoreCheckpointer Ckpt;
+    ASSERT_TRUE(Ckpt.open(Dir.str(), &Err)) << Err;
+    ASSERT_TRUE(Ckpt.write(M, S.Machine, S.Meta, &Err)) << Err;
+  }
+  {
+    // Re-stream the chunks with changed payloads, then repeat an id
+    // halfway through.
+    store::SegmentStore Store;
+    ASSERT_TRUE(Store.open(Dir.str(), &Err)) << Err;
+    std::vector<uint64_t> Ids = Store.chunkIds();
+    ASSERT_GT(Ids.size(), 4u);
+    ASSERT_TRUE(Store.beginCommit(&Err)) << Err;
+    size_t Half = Ids.size() / 2;
+    for (size_t I = 0; I < Half; ++I) {
+      std::string Changed = "changed " + std::to_string(I);
+      ASSERT_TRUE(Store.putChunk(Ids[I], Changed, &Err)) << Err;
+    }
+    EXPECT_FALSE(Store.putChunk(Ids[Half - 1], "again", &Err));
+    EXPECT_FALSE(Store.finishCommit("not a checkpoint", &Err));
+    EXPECT_NE(Err.find("duplicate chunk id"), std::string::npos) << Err;
+    // The published chunks read back as the snapshot, in this handle.
+    std::string Bytes;
+    ASSERT_TRUE(Store.readAllChunks(Bytes, &Err)) << Err;
+    EXPECT_EQ(Bytes, S.Bytes);
+  }
+  StoreCheckpointer Ckpt;
+  ASSERT_TRUE(Ckpt.open(Dir.str(), &Err)) << Err;
+  Monitor Restored(Options);
+  std::string Machine;
+  ASSERT_TRUE(Ckpt.restore(Restored, Machine, &Err)) << Err;
+  EXPECT_EQ(Machine, S.Machine);
+  Snapshot Again;
+  saveChunked(Restored, Again);
+  EXPECT_EQ(Again.Bytes, S.Bytes);
+  ASSERT_TRUE(Ckpt.write(Restored, Machine, S.Meta, &Err)) << Err;
+  EXPECT_EQ(Ckpt.commits(), 1u);
+}

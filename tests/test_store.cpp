@@ -1,7 +1,7 @@
 //===- tests/test_store.cpp - CoW segment store battery ---------------------===//
 //
-// The acceptance battery of the persistent state store (store/): mmap'd
-// segments, the fsync'd root log, and the copy-on-write chunk store built
+// The acceptance battery of the persistent state store (store/): segment
+// files, the fsync'd root log, and the copy-on-write chunk store built
 // on both. The properties that matter: a published root survives any
 // crash (torn tails revert to the previous root, never to garbage),
 // unchanged chunks cost zero bytes to re-commit (the O(delta) claim),
@@ -17,11 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
@@ -83,22 +85,62 @@ void truncateFile(const std::string &Path, uint64_t Bytes) {
   ASSERT_FALSE(Ec) << Path;
 }
 
+/// Reads \p Size bytes of \p F at \p Off into \p Dst.
+bool readAt(const SegmentFile &F, size_t Off, char *Dst, size_t Size,
+            std::string *Err) {
+  iovec V{Dst, Size};
+  return F.readv(Off, &V, 1, Err);
+}
+
+/// Expects \p S's current root to hold \p Meta and exactly \p Want.
+void expectRoot(const SegmentStore &S, const std::string &Meta,
+                const std::vector<std::pair<uint64_t, std::string>> &Want) {
+  EXPECT_EQ(S.rootMeta(), Meta);
+  ASSERT_EQ(S.chunkIds().size(), Want.size());
+  for (const auto &[Id, Bytes] : Want) {
+    std::string Out, Err;
+    ASSERT_TRUE(S.readChunk(Id, Out, &Err)) << Err;
+    EXPECT_EQ(Out, Bytes) << "chunk " << Id;
+  }
+}
+
 /// Recursive directory copy — a crash image taken at a commit boundary.
 void copyDir(const fs::path &From, const fs::path &To) {
   fs::copy(From, To, fs::copy_options::recursive);
 }
 
+/// FNV-1a over the name and bytes of every file in \p Dir, in name order:
+/// the on-disk layout of a store, pinned.
+uint64_t dirHash(const std::string &Dir) {
+  std::vector<fs::path> Files;
+  for (const auto &E : fs::directory_iterator(Dir))
+    Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  uint64_t H = 1469598103934665603ULL;
+  auto Fold = [&](const std::string &Bytes) {
+    for (char C : Bytes)
+      H = (H ^ static_cast<uint8_t>(C)) * 1099511628211ULL;
+  };
+  for (const fs::path &F : Files) {
+    Fold(F.filename().string());
+    std::ifstream In(F, std::ios::binary);
+    Fold(std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>()));
+  }
+  return H;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// MappedSegment
+// SegmentFile
 //===----------------------------------------------------------------------===//
 
-TEST(MappedSegment, CreateWriteReopenReadBack) {
+TEST(SegmentFile, CreateWriteReopenReadBack) {
   TempDir D("seg");
   std::string Path = D.str() + "/seg-000001.awseg";
   std::string Err;
-  MappedSegment S;
+  SegmentFile S;
   ASSERT_TRUE(S.create(Path, 2 * PageSize, &Err)) << Err;
   EXPECT_TRUE(S.writable());
   EXPECT_EQ(S.capacity(), 2 * PageSize);
@@ -106,27 +148,75 @@ TEST(MappedSegment, CreateWriteReopenReadBack) {
   std::string Data = payload(1, 300);
   size_t Off = S.allocate(Data.size());
   ASSERT_NE(Off, SIZE_MAX);
-  std::memcpy(S.writableData() + Off, Data.data(), Data.size());
+  ASSERT_TRUE(S.write(Off, Data, &Err)) << Err;
   // Alignment: the next extent starts at a ChunkAlign boundary.
   size_t Off2 = S.allocate(10);
   EXPECT_EQ(Off2 % ChunkAlign, 0u);
   EXPECT_GE(Off2, Off + Data.size());
+  // Bytes are written once: nothing below the cursor, nothing past the
+  // allocation.
+  EXPECT_FALSE(S.write(Off, "x", &Err));
+  EXPECT_FALSE(S.write(Off2, payload(2, 11), &Err));
+  ASSERT_TRUE(S.write(Off2, payload(2, 10), &Err)) << Err;
   ASSERT_TRUE(S.sync(&Err)) << Err;
-  S.sealWrittenPages();
+  std::string Back(Data.size(), '\0');
+  ASSERT_TRUE(readAt(S, Off, Back.data(), Back.size(), &Err)) << Err;
+  EXPECT_EQ(Back, Data);
 
-  MappedSegment R;
+  SegmentFile R;
   ASSERT_TRUE(R.openExisting(Path, &Err)) << Err;
   EXPECT_FALSE(R.writable());
-  EXPECT_EQ(std::string_view(R.data() + Off, Data.size()), Data);
+  EXPECT_EQ(R.capacity(), 2 * PageSize);
+  EXPECT_EQ(R.allocate(1), SIZE_MAX);
+  std::fill(Back.begin(), Back.end(), '\0');
+  ASSERT_TRUE(readAt(R, Off, Back.data(), Back.size(), &Err)) << Err;
+  EXPECT_EQ(Back, Data);
+  // The padding between extents reads as zeros; reads past the file fail.
+  char Pad = 1;
+  ASSERT_TRUE(readAt(R, Off + Data.size(), &Pad, 1, &Err)) << Err;
+  EXPECT_EQ(Pad, 0);
+  EXPECT_FALSE(readAt(R, 2 * PageSize - 4, Back.data(), 8, &Err));
 }
 
-TEST(MappedSegment, AllocateFailsWhenFull) {
+TEST(SegmentFile, AllocateFailsWhenFull) {
   TempDir D("segfull");
   std::string Err;
-  MappedSegment S;
+  SegmentFile S;
   ASSERT_TRUE(S.create(D.str() + "/s.awseg", PageSize, &Err)) << Err;
   EXPECT_NE(S.allocate(PageSize), SIZE_MAX);
   EXPECT_EQ(S.allocate(1), SIZE_MAX);
+}
+
+/// Writes larger than the write buffer, and runs of small ones that
+/// overflow it, land at their offsets exactly as one in-memory image would.
+TEST(SegmentFile, BufferedAndDirectWritesMatchTheImage) {
+  TempDir D("segbuf");
+  std::string Path = D.str() + "/s.awseg";
+  std::string Err;
+  size_t Cap = 3 * WriteBufferBytes;
+  std::string Image(Cap, '\0');
+  {
+    SegmentFile S;
+    ASSERT_TRUE(S.create(Path, Cap, &Err)) << Err;
+    std::mt19937_64 Rng(9);
+    for (uint64_t I = 0;; ++I) {
+      size_t Size = 1 + Rng() % 3000;
+      if (I % 7 == 3)
+        Size = WriteBufferBytes + Rng() % 5000;
+      size_t Off = S.allocate(Size);
+      if (Off == SIZE_MAX)
+        break;
+      std::string Bytes = payload(I, Size);
+      ASSERT_TRUE(S.write(Off, Bytes, &Err)) << Err;
+      Image.replace(Off, Size, Bytes);
+    }
+    ASSERT_TRUE(S.seal(&Err)) << Err;
+    EXPECT_FALSE(S.writable());
+  }
+  std::ifstream In(Path, std::ios::binary);
+  std::string OnDisk((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+  EXPECT_TRUE(OnDisk == Image);
 }
 
 //===----------------------------------------------------------------------===//
@@ -367,6 +457,85 @@ TEST(SegmentStore, RelocationCompactsMostlyDeadSegments) {
                                       : Report.Errors.front());
 }
 
+/// The files a relocation-and-reclaim sequence leaves behind, pinned byte
+/// for byte: segment framing, extent placement and padding, relocation
+/// victims, reclaimed segments and the rotated root log. The value was
+/// taken when segments were still written through a memory mapping.
+TEST(SegmentStore, RelocationAndReclaimMatchGoldenBytes) {
+  TempDir D("stgold");
+  std::string Err;
+  {
+    SegmentStore S;
+    ASSERT_TRUE(S.open(D.str(), &Err)) << Err;
+    std::vector<std::pair<uint64_t, std::string>> Chunks{
+        {1, payload(1, 900'000)}, {2, payload(2, 600)}, {9, payload(9, 70)}};
+    ASSERT_TRUE(S.commit("m0", chunkList(Chunks), &Err)) << Err;
+    for (uint64_t Round = 1; Round <= 12; ++Round) {
+      std::vector<std::pair<uint64_t, std::string>> Next;
+      Next.emplace_back(1, payload(Round * 31, 900'000));
+      Next.emplace_back(2, payload(2, 600));
+      Next.emplace_back(5, payload(Round, 300 + Round * 40));
+      Next.emplace_back(9, payload(9, 70));
+      ASSERT_TRUE(S.commit("m" + std::to_string(Round), chunkList(Next),
+                           &Err))
+          << Err;
+    }
+  } // joins the compactor: every queued unlink has happened
+  uint64_t Hash = dirHash(D.str());
+  EXPECT_EQ(Hash, 0x6469e63753ac7d94ull) << std::hex << "0x" << Hash;
+  FsckReport Report;
+  ASSERT_TRUE(SegmentStore::fsck(D.str(), Report, &Err)) << Err;
+  EXPECT_TRUE(Report.clean());
+  EXPECT_EQ(Report.StraySegmentFiles, 0u);
+}
+
+/// A commit stopped mid-stream by a duplicate or out-of-order chunk id
+/// publishes nothing: the previous root stays readable, in this handle and
+/// after a reopen, and the next commit succeeds.
+TEST(SegmentStore, AbortedCommitKeepsThePreviousRoot) {
+  TempDir D("stabort");
+  std::string Err;
+  std::vector<std::pair<uint64_t, std::string>> Chunks{
+      {1, payload(1, 5000)}, {4, payload(4, 300)}, {7, payload(7, 90'000)}};
+  SegmentStore S;
+  ASSERT_TRUE(S.open(D.str(), &Err)) << Err;
+  ASSERT_TRUE(S.commit("m1", chunkList(Chunks), &Err)) << Err;
+  EXPECT_FALSE(S.putChunk(1, "no commit open", &Err));
+
+  // Out of order mid-stream: the commit is doomed from there on.
+  ASSERT_TRUE(S.beginCommit(&Err)) << Err;
+  ASSERT_TRUE(S.putChunk(1, payload(11, 5000), &Err)) << Err;
+  ASSERT_TRUE(S.putChunk(7, payload(17, 3000), &Err)) << Err;
+  EXPECT_FALSE(S.putChunk(4, payload(14, 300), &Err));
+  EXPECT_NE(Err.find("out of order"), std::string::npos) << Err;
+  EXPECT_FALSE(S.putChunk(9, payload(19, 30), &Err));
+  Err.clear();
+  EXPECT_FALSE(S.finishCommit("doomed", &Err));
+  EXPECT_NE(Err.find("out of order"), std::string::npos) << Err;
+  expectRoot(S, "m1", Chunks);
+  EXPECT_EQ(S.rootSeq(), 1u);
+
+  // A duplicate id, the same way.
+  ASSERT_TRUE(S.beginCommit(&Err)) << Err;
+  ASSERT_TRUE(S.putChunk(4, payload(24, 300), &Err)) << Err;
+  EXPECT_FALSE(S.putChunk(4, payload(25, 300), &Err));
+  EXPECT_NE(Err.find("duplicate"), std::string::npos) << Err;
+  EXPECT_FALSE(S.finishCommit("doomed", &Err));
+  expectRoot(S, "m1", Chunks);
+
+  // The next commit goes through, and a reopen sees it.
+  std::vector<std::pair<uint64_t, std::string>> Next{
+      {1, payload(1, 5000)}, {7, payload(27, 4000)}, {8, payload(8, 10)}};
+  ASSERT_TRUE(S.commit("m2", chunkList(Next), &Err)) << Err;
+  expectRoot(S, "m2", Next);
+  SegmentStore Reopened;
+  ASSERT_TRUE(Reopened.open(D.str(), &Err)) << Err;
+  expectRoot(Reopened, "m2", Next);
+  FsckReport Report;
+  ASSERT_TRUE(SegmentStore::fsck(D.str(), Report, &Err)) << Err;
+  EXPECT_TRUE(Report.clean());
+}
+
 TEST(SegmentStore, FsckDetectsFlippedBitInSealedChunk) {
   TempDir D("stflip");
   std::string Err;
@@ -383,7 +552,7 @@ TEST(SegmentStore, FsckDetectsFlippedBitInSealedChunk) {
       SegPath = E.path().string();
   ASSERT_FALSE(SegPath.empty());
   // Flip one payload byte on disk (the store process is gone; this is
-  // bit-rot, not a write through the sealed mapping).
+  // bit-rot, not a write by the store).
   {
     std::fstream F(SegPath, std::ios::binary | std::ios::in | std::ios::out);
     F.seekp(2000);
