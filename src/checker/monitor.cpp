@@ -665,7 +665,10 @@ CheckReport Monitor::finalize() {
 
 const MonitorStats &Monitor::stats() {
   Stats.LiveTxns = Live.numTxns();
-  Stats.InferredEdges = Saturation.numInferredEdges();
+  // Once finalized, the edge counts are the final report's: in exact mode
+  // they come from the one-shot check, not from the streaming engine.
+  if (!Finalized)
+    Stats.InferredEdges = Saturation.numInferredEdges();
   return Stats;
 }
 

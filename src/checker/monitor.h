@@ -229,7 +229,7 @@ public:
   // --- Introspection. ---
 
   /// Current statistics (LiveTxns/InferredEdges/UnresolvedReads refreshed
-  /// on access).
+  /// on access). After finalize() the edge counts are the final report's.
   const MonitorStats &stats();
 
   /// True once any violation has been reported.

@@ -24,8 +24,9 @@
 #include "support/hybrid_map.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace awdit::detail {
@@ -147,6 +148,77 @@ void saturateRcRange(const History &H, TxnId Begin, TxnId End,
   }
 }
 
+/// A flat map from a key to a transaction: open addressing with linear
+/// probing over (key, id) slots kept at most half full, a slot holding
+/// NoTxn being free. clear() empties only the slots in use, so a session
+/// that wrote few keys costs what it wrote, not the table size.
+class KeyTxnMap {
+public:
+  /// The transaction of \p K, or nullptr.
+  const TxnId *find(Key K) const {
+    if (Table.empty())
+      return nullptr;
+    const Slot &S = Table[probe(K)];
+    return S.T == NoTxn ? nullptr : &S.T;
+  }
+
+  /// Maps \p K to \p T (never NoTxn), replacing any previous value.
+  void set(Key K, TxnId T) {
+    if (2 * (Used.size() + 1) > Table.size())
+      grow();
+    size_t I = probe(K);
+    if (Table[I].T == NoTxn)
+      Used.push_back(static_cast<uint32_t>(I));
+    Table[I] = {K, T};
+  }
+
+  size_t size() const { return Used.size(); }
+
+  void clear() {
+    for (uint32_t I : Used)
+      Table[I].T = NoTxn;
+    Used.clear();
+  }
+
+  /// Calls \p F(key, transaction) for every entry, in insertion order.
+  template <typename Fn> void forEach(Fn &&F) const {
+    for (uint32_t I : Used)
+      F(Table[I].K, Table[I].T);
+  }
+
+private:
+  struct Slot {
+    Key K;
+    TxnId T;
+  };
+
+  size_t probe(Key K) const {
+    size_t Mask = Table.size() - 1;
+    size_t I = static_cast<size_t>((K * 0x9e3779b97f4a7c15ull) >> Shift);
+    while (Table[I].T != NoTxn && Table[I].K != K)
+      I = (I + 1) & Mask;
+    return I;
+  }
+
+  void grow() {
+    std::vector<Slot> Old(std::max<size_t>(16, 2 * Table.size()),
+                          Slot{0, NoTxn});
+    Old.swap(Table);
+    Shift = 64 - std::countr_zero(Table.size());
+    std::vector<uint32_t> OldUsed;
+    OldUsed.swap(Used);
+    for (uint32_t I : OldUsed) {
+      size_t J = probe(Old[I].K);
+      Table[J] = Old[I];
+      Used.push_back(static_cast<uint32_t>(J));
+    }
+  }
+
+  std::vector<Slot> Table;
+  std::vector<uint32_t> Used;
+  unsigned Shift = 64;
+};
+
 /// Reusable scratch of the RA kernel.
 struct RaScratch {
   /// Distinct externally-read keys of the current transaction and their
@@ -155,7 +227,7 @@ struct RaScratch {
   std::vector<Key> ExtKeys;
   /// lastWrite[x]: the so-latest transaction of the current session so far
   /// that writes x (Algorithm 2, line 6). Cleared per session.
-  std::unordered_map<Key, TxnId> LastWrite;
+  KeyTxnMap LastWrite;
 };
 
 /// Algorithm 2 lines 5-18 for the so positions [\p BeginSo, \p EndSo) of
@@ -187,10 +259,10 @@ void saturateRaSessionRange(const History &H, SessionId S, size_t BeginSo,
     // Lines 8-11: the so case. For each external read key x, the last
     // writer of x so-before t3 must be co-before the read's writer t1.
     for (Key X : Scratch.ExtKeys) {
-      auto It = Scratch.LastWrite.find(X);
-      if (It == Scratch.LastWrite.end())
+      const TxnId *Last = Scratch.LastWrite.find(X);
+      if (!Last)
         continue;
-      TxnId T2 = It->second;
+      TxnId T2 = *Last;
       TxnId T1 = *Scratch.ExtKeyWriter.find(X);
       if (T1 != T2)
         Infer(T2, T1);
@@ -218,7 +290,7 @@ void saturateRaSessionRange(const History &H, SessionId S, size_t BeginSo,
 
     // Lines 17-18: record t3 as the session's latest writer of its keys.
     for (Key X : T.WriteKeys)
-      Scratch.LastWrite[X] = T3;
+      Scratch.LastWrite.set(X, T3);
   }
 }
 
@@ -246,7 +318,7 @@ struct CcWriterEntry {
 /// kernel's monotone pointers (a re-run visits readers out of so order, so
 /// the pointers cannot stay monotone); the inference is identical. Pure
 /// over the (so-sorted) \p List.
-inline TxnId ccFrontierWriter(const std::vector<CcWriterEntry> &List,
+inline TxnId ccFrontierWriter(std::span<const CcWriterEntry> List,
                               uint32_t Frontier) {
   auto It = std::lower_bound(
       List.begin(), List.end(), Frontier,

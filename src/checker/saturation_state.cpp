@@ -10,7 +10,7 @@
 #include "support/serialize.h"
 
 #include <algorithm>
-#include <set>
+#include <functional>
 
 using namespace awdit;
 
@@ -25,9 +25,14 @@ uint64_t pack(TxnId From, TxnId To) {
   return CommitGraph::packEdge(From, To);
 }
 
+/// One source's entries, as the source log walks them.
+using EdgeSpan = std::span<const uint64_t>;
+
 /// Base sources (wr, so) are structural so ∪ wr edges; the rest are
 /// saturation-inferred.
-bool isBaseSource(uint64_t Source) { return (Source >> 32) >= 3; }
+bool isBaseSource(uint64_t Source) {
+  return (Source >> 32) >= detail::SourceLog::Wr;
+}
 
 /// Quarantine-retry region bound: above this many order positions the
 /// local SCC pass falls back to the greedy one-edge-at-a-time retry.
@@ -45,9 +50,11 @@ void SaturationState::ensureSizes(const History &H) {
     Order.addNodes(N - Processed.size());
     Processed.resize(N, 0);
     ReadersOf.resize(N);
+    HbQueued.resize(N, 0);
   }
   if (NumSessions < H.numSessions())
     NumSessions = H.numSessions();
+  Sources.grow(N, NumSessions);
   if (Level != IsolationLevel::CausalConsistency)
     return;
   if (NumSessions > HbStride) {
@@ -97,9 +104,15 @@ Violation SaturationState::makeCycleViolation(
   return V;
 }
 
-bool SaturationState::baseReaches(uint32_t SrcNode, uint32_t DstNode) const {
+bool SaturationState::baseReaches(uint32_t SrcNode, uint32_t DstNode) {
+  if (SeenMark.size() < Order.numNodes())
+    SeenMark.resize(Order.numNodes(), 0);
+  if (++SeenEpoch == 0) {
+    std::fill(SeenMark.begin(), SeenMark.end(), 0);
+    SeenEpoch = 1;
+  }
   std::vector<uint32_t> Stack{SrcNode};
-  std::unordered_set<uint32_t> Seen{SrcNode};
+  SeenMark[SrcNode] = SeenEpoch;
   while (!Stack.empty()) {
     uint32_t U = Stack.back();
     Stack.pop_back();
@@ -109,8 +122,10 @@ bool SaturationState::baseReaches(uint32_t SrcNode, uint32_t DstNode) const {
         continue;
       if (W == DstNode)
         return true;
-      if (Seen.insert(W).second)
+      if (SeenMark[W] != SeenEpoch) {
+        SeenMark[W] = SeenEpoch;
         Stack.push_back(W);
+      }
     }
   }
   return false;
@@ -138,7 +153,7 @@ void SaturationState::insertLive(const History &H, uint64_t Packed,
     if (Out)
       Out->push_back(makeCycleViolation(H, From, To, Path));
     if (!IsBase) {
-      Quarantined.insert(Packed);
+      Quarantined[Packed] = 1;
       return;
     }
     // A base (so/wr) edge. If the cycle exists in so ∪ wr alone this is a
@@ -148,7 +163,7 @@ void SaturationState::insertLive(const History &H, uint64_t Packed,
     // structural relation stays ordered (it drives HB propagation).
     if (baseReaches(To, From)) {
       BaseCyclic = true;
-      Quarantined.insert(Packed);
+      Quarantined[Packed] = 1;
       return;
     }
     bool Evicted = false;
@@ -157,7 +172,7 @@ void SaturationState::insertLive(const History &H, uint64_t Packed,
       const EdgeRefs *OnPathRefs = Edges.find(OnPath);
       if (OnPathRefs && OnPathRefs->Base == 0) {
         Order.removeEdge(Path[I], Path[I + 1]);
-        Quarantined.insert(OnPath);
+        Quarantined[OnPath] = 1;
         Evicted = true;
       }
     }
@@ -165,7 +180,7 @@ void SaturationState::insertLive(const History &H, uint64_t Packed,
       // Unreachable in theory (a non-base cycle has an inferred edge),
       // but never loop forever on a logic error.
       BaseCyclic = true;
-      Quarantined.insert(Packed);
+      Quarantined[Packed] = 1;
       return;
     }
   }
@@ -183,13 +198,13 @@ void SaturationState::removeLive(uint64_t Packed, bool IsBase) {
   if (Refs->Base + Refs->Inferred > 0)
     return;
   Edges.erase(Packed);
-  if (Quarantined.erase(Packed))
+  if (!Quarantined.empty() && Quarantined.erase(Packed))
     return;
   Order.removeEdge(edgeFrom(Packed), edgeTo(Packed));
 }
 
-void SaturationState::addSourceEdges(const History &H, uint64_t Source,
-                                     bool IsBase,
+void SaturationState::addSourceEdges(const History &H, SourceTag Tag,
+                                     uint32_t Id,
                                      const std::vector<uint64_t> &NewEdges,
                                      std::vector<Violation> *Out) {
   if (NewEdges.empty())
@@ -198,22 +213,19 @@ void SaturationState::addSourceEdges(const History &H, uint64_t Source,
   // cycle extraction) runs; metered per source call, not per edge, so the
   // clock reads stay off the per-edge path.
   uint64_t T0 = obs::traceNowNanos();
-  std::vector<uint64_t> &List = BySource[globalizeSource(Source)];
-  for (uint64_t Packed : NewEdges) {
-    List.push_back(globalizePacked(Packed));
+  Sources.append(Tag, Id, NewEdges, packedShift(EvictedBase));
+  bool IsBase = Tag >= SourceTag::Wr;
+  for (uint64_t Packed : NewEdges)
     insertLive(H, Packed, IsBase, Out);
-  }
   PhaseNs.Pk += obs::traceNowNanos() - T0;
 }
 
-void SaturationState::clearSource(uint64_t Source, bool IsBase) {
-  auto It = BySource.find(globalizeSource(Source));
-  if (It == BySource.end())
-    return;
-  for (uint64_t GPacked : It->second)
+void SaturationState::clearSource(SourceTag Tag, uint32_t Id) {
+  bool IsBase = Tag >= SourceTag::Wr;
+  for (uint64_t GPacked : Sources.entries(Tag, Id))
     if (!deadPacked(GPacked))
       removeLive(localizePacked(GPacked), IsBase);
-  BySource.erase(It);
+  Sources.clear(Tag, Id);
 }
 
 void SaturationState::retryQuarantined(const History &H) {
@@ -224,7 +236,11 @@ void SaturationState::retryQuarantined(const History &H) {
   // an edge out of the order; re-verify the quarantined region and bring
   // every edge that is no longer on a cycle back in (quietly — the region
   // was reported when first quarantined).
-  std::vector<uint64_t> Snapshot(Quarantined.begin(), Quarantined.end());
+  std::vector<uint64_t> Snapshot;
+  Snapshot.reserve(Quarantined.size());
+  Quarantined.forEach([&](uint64_t Packed, uint8_t) {
+    Snapshot.push_back(Packed);
+  });
   std::sort(Snapshot.begin(), Snapshot.end());
 
   // Position hull of the quarantined endpoints. Live edges strictly
@@ -295,11 +311,13 @@ void SaturationState::retryQuarantined(const History &H) {
 void SaturationState::maybeClearBaseCyclic() {
   if (!BaseCyclic)
     return;
-  for (uint64_t Packed : Quarantined) {
+  bool BaseOut = false;
+  Quarantined.forEach([&](uint64_t Packed, uint8_t) {
     const EdgeRefs *Refs = Edges.find(Packed);
-    if (Refs && Refs->Base > 0)
-      return; // a base edge is still out of the order: still cyclic
-  }
+    BaseOut |= Refs && Refs->Base > 0;
+  });
+  if (BaseOut)
+    return; // a base edge is still out of the order: still cyclic
   // The so ∪ wr cycle is gone (its edges were evicted or replaced);
   // happens-before is meaningful again, but every persisted row dates
   // from before the cycle — recompute them all once.
@@ -313,28 +331,8 @@ void SaturationState::maybeClearBaseCyclic() {
 
 void SaturationState::appendWriterEntries(const History &H, TxnId L) {
   const Transaction &T = H.txn(L);
-  for (Key X : T.WriteKeys) {
-    KeyWriters &KW = Writers[X];
-    size_t Slot = 0;
-    for (; Slot < KW.Sessions.size(); ++Slot)
-      if (KW.Sessions[Slot] == T.Session)
-        break;
-    if (Slot == KW.Sessions.size()) {
-      KW.Sessions.push_back(T.Session);
-      KW.Lists.emplace_back();
-    }
-    std::vector<detail::CcWriterEntry> &List = KW.Lists[Slot];
-    // Commits of one session arrive in so order, so this is almost always
-    // a push_back; a flush processing two commits of one session out of
-    // local-id order is the rare exception.
-    detail::CcWriterEntry Entry{L, T.SoIndex};
-    auto It = std::lower_bound(List.begin(), List.end(), Entry,
-                               [](const detail::CcWriterEntry &A,
-                                  const detail::CcWriterEntry &B) {
-                                 return A.SoIndex < B.SoIndex;
-                               });
-    List.insert(It, Entry);
-  }
+  for (Key X : T.WriteKeys)
+    Writers.add(X, T.Session, {L, T.SoIndex});
 }
 
 bool SaturationState::recomputeHbRow(const History &H, TxnId L) {
@@ -365,11 +363,16 @@ void SaturationState::propagateHappensBefore(const History &H,
                                              std::vector<TxnId> &ChangedOut) {
   // Worklist keyed by the maintained topological position: every
   // transaction is recomputed after all its so/wr predecessors, so one
-  // pass per dirty node reaches the fixpoint.
-  std::set<std::pair<uint32_t, TxnId>> Work;
+  // pass per dirty node reaches the fixpoint. Positions are unique, so the
+  // pop order is fully determined; the queued flag keeps a transaction in
+  // the heap at most once.
+  auto Later = std::greater<std::pair<uint32_t, TxnId>>();
   auto Push = [&](TxnId L) {
-    if (H.txn(L).Committed)
-      Work.insert({Order.position(L), L});
+    if (!H.txn(L).Committed || HbQueued[L])
+      return;
+    HbQueued[L] = 1;
+    HbHeap.push_back({Order.position(L), L});
+    std::push_heap(HbHeap.begin(), HbHeap.end(), Later);
   };
   if (NeedsFullHbRecompute) {
     NeedsFullHbRecompute = false;
@@ -380,9 +383,11 @@ void SaturationState::propagateHappensBefore(const History &H,
   for (TxnId L : Ready)
     Push(L);
 
-  while (!Work.empty()) {
-    TxnId L = Work.begin()->second;
-    Work.erase(Work.begin());
+  while (!HbHeap.empty()) {
+    std::pop_heap(HbHeap.begin(), HbHeap.end(), Later);
+    TxnId L = HbHeap.back().second;
+    HbHeap.pop_back();
+    HbQueued[L] = 0;
     bool RowChanged = recomputeHbRow(H, L);
     bool IsReady = std::binary_search(Ready.begin(), Ready.end(), L);
     if (RowChanged || IsReady)
@@ -408,18 +413,17 @@ void SaturationState::runCcReader(const History &H, TxnId L,
   for (uint32_t ReadIdx : T.ExtReads) {
     const ReadInfo &RI = T.Reads[ReadIdx];
     TxnId T1 = RI.Writer;
-    auto WIt = Writers.find(RI.K);
-    if (WIt == Writers.end())
+    const detail::CcWriterIndex::KeyWriters *KW = Writers.find(RI.K);
+    if (!KW)
       continue;
-    const KeyWriters &KW = WIt->second;
     // Algorithm 3 lines 9-15 with the monotone pointer scan replaced by a
     // binary search (the inference is the same: the so-latest writer of
     // the key in each session under the reader's happens-before frontier).
-    for (size_t Slot = 0; Slot < KW.Sessions.size(); ++Slot) {
-      uint32_t Frontier = Row[KW.Sessions[Slot]];
+    for (const detail::CcWriterIndex::Slot &Slot : KW->Slots) {
+      uint32_t Frontier = Row[Slot.Session];
       if (Frontier == 0)
         continue;
-      TxnId T2 = detail::ccFrontierWriter(KW.Lists[Slot], Frontier);
+      TxnId T2 = detail::ccFrontierWriter(KW->run(Slot), Frontier);
       if (T2 == NoTxn || T2 == T1)
         continue;
       EdgesOut.push_back(pack(T2, T1));
@@ -429,22 +433,18 @@ void SaturationState::runCcReader(const History &H, TxnId L,
 
 void SaturationState::setReaderWrEdges(const History &H, TxnId L,
                                        std::vector<Violation> *Out) {
-  uint64_t Source = wrSource(L);
-  auto It = BySource.find(globalizeSource(Source));
-  if (It != BySource.end()) {
-    for (uint64_t GPacked : It->second) {
-      if (deadPacked(GPacked))
-        continue;
-      std::vector<TxnId> &Readers =
-          ReadersOf[edgeFrom(localizePacked(GPacked))];
-      auto RIt = std::find(Readers.begin(), Readers.end(), L);
-      if (RIt != Readers.end()) {
-        *RIt = Readers.back();
-        Readers.pop_back();
-      }
+  for (uint64_t GPacked : Sources.entries(SourceTag::Wr, L)) {
+    if (deadPacked(GPacked))
+      continue;
+    TxnId Writer = edgeFrom(localizePacked(GPacked));
+    std::vector<TxnId> &Readers = ReadersOf[Writer];
+    auto RIt = std::find(Readers.begin(), Readers.end(), L);
+    if (RIt != Readers.end()) {
+      *RIt = Readers.back();
+      Readers.pop_back();
     }
   }
-  clearSource(Source, /*IsBase=*/true);
+  clearSource(SourceTag::Wr, L);
   const Transaction &T = H.txn(L);
   if (T.ReadFroms.empty())
     return;
@@ -454,7 +454,7 @@ void SaturationState::setReaderWrEdges(const History &H, TxnId L,
     NewEdges.push_back(pack(Writer, L));
     ReadersOf[Writer].push_back(L);
   }
-  addSourceEdges(H, Source, /*IsBase=*/true, NewEdges, Out);
+  addSourceEdges(H, SourceTag::Wr, L, NewEdges, Out);
 }
 
 //===----------------------------------------------------------------------===//
@@ -479,8 +479,8 @@ void SaturationState::flushDelta(const History &H,
         Processed[L] = 1;
         if (T.SoIndex > 0) {
           TxnId Pred = H.sessionTxns(T.Session)[T.SoIndex - 1];
-          addSourceEdges(H, soSource(T.Session), /*IsBase=*/true,
-                         {pack(Pred, L)}, &Out);
+          addSourceEdges(H, SourceTag::So, T.Session, {pack(Pred, L)},
+                         &Out);
         }
         if (Level == IsolationLevel::CausalConsistency)
           appendWriterEntries(H, L);
@@ -496,14 +496,14 @@ void SaturationState::flushDelta(const History &H,
   case IsolationLevel::ReadCommitted: {
     // Algorithm 1 is per-transaction: re-saturate exactly the delta.
     for (TxnId L : Ready) {
-      clearSource(rcSource(L), /*IsBase=*/false);
+      clearSource(SourceTag::Rc, L);
       std::vector<uint64_t> NewEdges;
       detail::saturateRcRange(H, L, L + 1, RcScratchState,
                               detail::appendPacked(NewEdges));
       std::sort(NewEdges.begin(), NewEdges.end());
       NewEdges.erase(std::unique(NewEdges.begin(), NewEdges.end()),
                      NewEdges.end());
-      addSourceEdges(H, rcSource(L), /*IsBase=*/false, NewEdges, &Out);
+      addSourceEdges(H, SourceTag::Rc, L, NewEdges, &Out);
     }
     break;
   }
@@ -522,7 +522,7 @@ void SaturationState::flushDelta(const History &H,
     for (SessionId S = 0; S < H.numSessions(); ++S) {
       RaSessionState &St = RaStates[S];
       if (St.NeedsFullRerun) {
-        clearSource(raSource(S), /*IsBase=*/false);
+        clearSource(SourceTag::Ra, S);
         St.Scratch.LastWrite.clear();
         St.NextSo = 0;
         St.NeedsFullRerun = false;
@@ -537,7 +537,7 @@ void SaturationState::flushDelta(const History &H,
       std::sort(NewEdges.begin(), NewEdges.end());
       NewEdges.erase(std::unique(NewEdges.begin(), NewEdges.end()),
                      NewEdges.end());
-      addSourceEdges(H, raSource(S), /*IsBase=*/false, NewEdges, &Out);
+      addSourceEdges(H, SourceTag::Ra, S, NewEdges, &Out);
     }
     break;
   }
@@ -553,7 +553,7 @@ void SaturationState::flushDelta(const History &H,
     std::vector<TxnId> Changed;
     propagateHappensBefore(H, Ready, Changed);
     for (TxnId L : Changed) {
-      clearSource(ccSource(L), /*IsBase=*/false);
+      clearSource(SourceTag::Cc, L);
       if (H.txn(L).ExtReads.empty())
         continue;
       std::vector<uint64_t> NewEdges;
@@ -561,7 +561,7 @@ void SaturationState::flushDelta(const History &H,
       std::sort(NewEdges.begin(), NewEdges.end());
       NewEdges.erase(std::unique(NewEdges.begin(), NewEdges.end()),
                      NewEdges.end());
-      addSourceEdges(H, ccSource(L), /*IsBase=*/false, NewEdges, &Out);
+      addSourceEdges(H, SourceTag::Cc, L, NewEdges, &Out);
     }
     break;
   }
@@ -614,47 +614,23 @@ void SaturationState::compact(const History &H, TxnId Cut) {
   }
 
   // Writer index: evicted writers vanish; survivors rebase ids and so
-  // positions.
-  for (auto It = Writers.begin(); It != Writers.end();) {
-    KeyWriters &KW = It->second;
-    size_t KeptSlots = 0;
-    for (size_t Slot = 0; Slot < KW.Sessions.size(); ++Slot) {
-      SessionId S = KW.Sessions[Slot];
-      std::vector<detail::CcWriterEntry> &List = KW.Lists[Slot];
-      size_t Kept = 0;
-      for (const detail::CcWriterEntry &E : List) {
-        if (E.T < Cut)
-          continue;
-        List[Kept++] = {E.T - Cut, E.SoIndex - RemovedBelow(S, E.SoIndex)};
-      }
-      List.resize(Kept);
-      if (Kept) {
-        if (KeptSlots != Slot) {
-          KW.Sessions[KeptSlots] = S;
-          KW.Lists[KeptSlots] = std::move(List);
-        }
-        ++KeptSlots;
-      }
-    }
-    KW.Sessions.resize(KeptSlots);
-    KW.Lists.resize(KeptSlots);
-    It = KeptSlots ? std::next(It) : Writers.erase(It);
-  }
+  // positions; keys left with no writer lose their id.
+  Writers.evict(Cut, RemovedBelow);
 
   // RA incremental state: scratch entries of evicted writers vanish, the
   // processed frontier shifts by the members removed below it.
+  std::vector<std::pair<Key, TxnId>> Survivors;
   for (SessionId S = 0; S < RaStates.size() && S < K; ++S) {
     RaSessionState &St = RaStates[S];
     St.NextSo -= RemovedBelow(S, static_cast<uint32_t>(St.NextSo));
-    for (auto ScIt = St.Scratch.LastWrite.begin();
-         ScIt != St.Scratch.LastWrite.end();) {
-      if (ScIt->second < Cut) {
-        ScIt = St.Scratch.LastWrite.erase(ScIt);
-      } else {
-        ScIt->second -= Cut;
-        ++ScIt;
-      }
-    }
+    Survivors.clear();
+    St.Scratch.LastWrite.forEach([&](Key X, TxnId T) {
+      if (T >= Cut)
+        Survivors.emplace_back(X, T - Cut);
+    });
+    St.Scratch.LastWrite.clear();
+    for (const auto &[X, T] : Survivors)
+      St.Scratch.LastWrite.set(X, T);
   }
 
   // Source-tagged edges: contributions of evicted units vanish wholesale,
@@ -668,26 +644,9 @@ void SaturationState::compact(const History &H, TxnId Cut) {
   // session members so survivors around an evicted middle member get
   // re-linked.
   uint32_t NewBase = EvictedBase + Cut;
-  for (auto It = BySource.begin(); It != BySource.end();) {
-    uint64_t Tag = It->first >> 32;
-    if (Tag == 4) {
-      It = BySource.erase(It); // so chains: rebuilt below.
-      continue;
-    }
-    if (isPerTxnSource(It->first)) {
-      It = static_cast<uint32_t>(It->first) < NewBase ? BySource.erase(It)
-                                                      : std::next(It);
-      continue;
-    }
-    // Per-session RA lists: prune dead entries, keep global coordinates.
-    std::vector<uint64_t> &List = It->second;
-    size_t Kept = 0;
-    for (uint64_t GPacked : List)
-      if (edgeFrom(GPacked) >= NewBase && edgeTo(GPacked) >= NewBase)
-        List[Kept++] = GPacked;
-    List.resize(Kept);
-    It = Kept ? std::next(It) : BySource.erase(It);
-  }
+  Sources.evict(Cut, [&](uint64_t GPacked) {
+    return edgeFrom(GPacked) < NewBase || edgeTo(GPacked) < NewBase;
+  });
   for (SessionId S = 0; S < K; ++S) {
     const std::vector<TxnId> &Sess = H.sessionTxns(S);
     std::vector<uint64_t> Chain;
@@ -699,19 +658,19 @@ void SaturationState::compact(const History &H, TxnId Cut) {
         Chain.push_back(pack(Prev - Cut + NewBase, Member - Cut + NewBase));
       Prev = Member;
     }
-    if (!Chain.empty())
-      BySource.emplace(soSource(S), std::move(Chain));
+    Sources.clear(SourceTag::So, S);
+    Sources.append(SourceTag::So, S, Chain, 0);
   }
   EvictedBase = NewBase;
 
   // Quarantined edges between survivors stay quarantined (their region
   // may still be cyclic); the retry at the next flush revisits them.
-  std::unordered_set<uint64_t> NewQuarantine;
-  for (uint64_t Packed : Quarantined) {
+  PackedEdgeMap<uint8_t> NewQuarantine;
+  Quarantined.forEach([&](uint64_t Packed, uint8_t) {
     TxnId From = edgeFrom(Packed), To = edgeTo(Packed);
     if (From >= Cut && To >= Cut)
-      NewQuarantine.insert(pack(From - Cut, To - Cut));
-  }
+      NewQuarantine[pack(From - Cut, To - Cut)] = 1;
+  });
   Quarantined = std::move(NewQuarantine);
 
   // Rebuild refcounts, the order, and the reader lists from the filtered
@@ -721,19 +680,14 @@ void SaturationState::compact(const History &H, TxnId Cut) {
   InferredDistinct = 0;
   Order.clearEdgesAndCompact(Cut);
   Processed.erase(Processed.begin(), Processed.begin() + Cut);
+  HbQueued.resize(NewN);
   ReadersOf.assign(NewN, {});
-  // Replay in sorted source order, not hash-table order: adjacency-list
-  // order steers later witness extraction, and a canonical replay makes
-  // the post-compaction order a pure function of the logical edge set —
+  // Replay in source-key order, not an arbitrary one: adjacency-list order
+  // steers later witness extraction, and a canonical replay makes the
+  // post-compaction order a pure function of the logical edge set —
   // identical between a resumed and an uninterrupted run, and stable
   // between consecutive checkpoints (what keeps their chunks unchanged).
-  std::vector<uint64_t> ReplayOrder;
-  ReplayOrder.reserve(BySource.size());
-  for (const auto &[Source, EdgeList] : BySource)
-    ReplayOrder.push_back(Source);
-  std::sort(ReplayOrder.begin(), ReplayOrder.end());
-  for (uint64_t Source : ReplayOrder) {
-    const std::vector<uint64_t> &EdgeList = BySource.at(Source);
+  Sources.forEach(EvictedBase, [&](uint64_t Source, EdgeSpan EdgeList) {
     bool IsBase = isBaseSource(Source);
     for (uint64_t GPacked : EdgeList) {
       if (deadPacked(GPacked))
@@ -750,21 +704,26 @@ void SaturationState::compact(const History &H, TxnId Cut) {
       }
       if (!WasLive && !Quarantined.count(Packed) &&
           !Order.addEdge(edgeFrom(Packed), edgeTo(Packed), nullptr))
-        Quarantined.insert(Packed); // only possible under a stale base cycle
+        Quarantined[Packed] = 1; // only possible under a stale base cycle
     }
-    if ((Source >> 32) == 3) { // wr: rebuild reader lists
+    if ((Source >> 32) == SourceTag::Wr) { // rebuild reader lists
       TxnId Reader = static_cast<TxnId>(static_cast<uint32_t>(Source) -
                                         EvictedBase);
       for (uint64_t GPacked : EdgeList)
         if (!deadPacked(GPacked))
           ReadersOf[edgeFrom(localizePacked(GPacked))].push_back(Reader);
     }
-  }
+  });
 
   // Quarantine entries whose every referencing source was evicted are
   // gone with their references.
-  for (auto It = Quarantined.begin(); It != Quarantined.end();)
-    It = Edges.count(*It) ? std::next(It) : Quarantined.erase(It);
+  std::vector<uint64_t> Gone;
+  Quarantined.forEach([&](uint64_t Packed, uint8_t) {
+    if (!Edges.count(Packed))
+      Gone.push_back(Packed);
+  });
+  for (uint64_t Packed : Gone)
+    Quarantined.erase(Packed);
 
   maybeClearBaseCyclic();
 }
@@ -781,8 +740,8 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords &C) const {
     return S < C.SoBase.size() ? static_cast<uint32_t>(So + C.SoBase[S])
                                : So;
   };
-  // BySource is already global-coordinate in memory and written verbatim,
-  // so its base and the checkpoint's must agree.
+  // Sources are already global-coordinate in memory and written verbatim,
+  // so their base and the checkpoint's must agree.
   AWDIT_ASSERT(IdBase == EvictedBase,
                "saveState: checkpoint id base != engine eviction base");
 
@@ -801,28 +760,24 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords &C) const {
   // it is the filtered refcount image of these lists, so loadState
   // re-derives it instead of paying churned refcount chunks on every
   // retroactive re-derivation.
-  {
-    std::vector<uint64_t> Sources;
-    Sources.reserve(BySource.size());
-    for (const auto &[Source, List] : BySource)
-      Sources.push_back(Source);
-    std::sort(Sources.begin(), Sources.end());
-    W.chunk(chunkId(ckchunk::SSources));
-    W.u64(Sources.size());
-    for (uint64_t Source : Sources) {
-      const std::vector<uint64_t> &List = BySource.at(Source);
-      W.chunk(chunkId(ckchunk::SSources,
-                      1 + (((Source >> 32) << 28) |
-                           (static_cast<uint32_t>(Source) >> 4))));
-      W.u64(Source);
-      W.u64(List.size());
-      for (uint64_t GPacked : List)
-        W.u64(GPacked);
-    }
-  }
+  W.chunk(chunkId(ckchunk::SSources));
+  W.u64(Sources.numSources());
+  Sources.forEach(EvictedBase, [&](uint64_t Source, EdgeSpan List) {
+    W.chunk(chunkId(ckchunk::SSources,
+                    1 + (((Source >> 32) << 28) |
+                         (static_cast<uint32_t>(Source) >> 4))));
+    W.u64(Source);
+    W.u64(List.size());
+    for (uint64_t GPacked : List)
+      W.u64(GPacked);
+  });
 
   {
-    std::vector<uint64_t> Sorted(Quarantined.begin(), Quarantined.end());
+    std::vector<uint64_t> Sorted;
+    Sorted.reserve(Quarantined.size());
+    Quarantined.forEach([&](uint64_t Packed, uint8_t) {
+      Sorted.push_back(Packed);
+    });
     std::sort(Sorted.begin(), Sorted.end());
     W.chunk(chunkId(ckchunk::SQuar));
     W.u64(Sorted.size());
@@ -867,26 +822,26 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords &C) const {
   // Per-key writer index: sorted by key; slot order (session discovery
   // order) and list order are semantic — verbatim.
   {
-    std::vector<Key> SortedKeys;
-    SortedKeys.reserve(Writers.size());
-    for (const auto &[K, KW] : Writers)
-      SortedKeys.push_back(K);
-    std::sort(SortedKeys.begin(), SortedKeys.end());
+    std::vector<uint32_t> ByKey(Writers.numKeys());
+    for (uint32_t Id = 0; Id < ByKey.size(); ++Id)
+      ByKey[Id] = Id;
+    std::sort(ByKey.begin(), ByKey.end(), [&](uint32_t A, uint32_t B) {
+      return Writers.keyOf(A) < Writers.keyOf(B);
+    });
     W.chunk(chunkId(ckchunk::SWriters));
-    W.u64(SortedKeys.size());
-    for (Key K : SortedKeys) {
-      const KeyWriters &KW = Writers.at(K);
+    W.u64(ByKey.size());
+    for (uint32_t Id : ByKey) {
+      Key K = Writers.keyOf(Id);
+      const detail::CcWriterIndex::KeyWriters &KW = Writers.writers(Id);
       W.chunk(chunkId(ckchunk::SWriters, 1 + (K >> 4)));
       W.u64(K);
-      W.u64(KW.Sessions.size());
-      for (size_t Slot = 0; Slot < KW.Sessions.size(); ++Slot) {
-        SessionId S = KW.Sessions[Slot];
-        W.u32(S);
-        const std::vector<detail::CcWriterEntry> &List = KW.Lists[Slot];
-        W.u64(List.size());
-        for (const detail::CcWriterEntry &E : List) {
+      W.u64(KW.Slots.size());
+      for (const detail::CcWriterIndex::Slot &Slot : KW.Slots) {
+        W.u32(Slot.Session);
+        W.u64(Slot.Size);
+        for (const detail::CcWriterEntry &E : KW.run(Slot)) {
           W.u32(GT(E.T));
-          W.u32(GSo(S, E.SoIndex));
+          W.u32(GSo(Slot.Session, E.SoIndex));
         }
       }
     }
@@ -902,8 +857,10 @@ void SaturationState::saveState(ByteWriter &W, const StateCoords &C) const {
     W.chunk(chunkId(ckchunk::SRa, 1 + S));
     W.u64(S < C.SoBase.size() ? St.NextSo + C.SoBase[S] : St.NextSo);
     W.boolean(St.NeedsFullRerun);
-    std::vector<std::pair<Key, TxnId>> Sorted(St.Scratch.LastWrite.begin(),
-                                              St.Scratch.LastWrite.end());
+    std::vector<std::pair<Key, TxnId>> Sorted;
+    Sorted.reserve(St.Scratch.LastWrite.size());
+    St.Scratch.LastWrite.forEach(
+        [&](Key X, TxnId T) { Sorted.emplace_back(X, T); });
     std::sort(Sorted.begin(), Sorted.end());
     W.u64(Sorted.size());
     for (const auto &[K, T] : Sorted) {
@@ -935,6 +892,10 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
   if (SavedLevel != static_cast<uint8_t>(Level))
     return Fail("checkpoint isolation level does not match this monitor");
   NumSessions = R.u64();
+  // One engine session per monitor session: the tables below are sized by
+  // this count, so it must not exceed the window's.
+  if (NumSessions > C.SoBase.size())
+    return Fail("corrupted checkpoint (session count)");
   BaseCyclic = R.boolean();
   NeedsFullHbRecompute = R.boolean();
 
@@ -942,32 +903,92 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
     return Fail("corrupted checkpoint (topological order)");
 
   // Source lists: the in-memory (global-coordinate, tombstone-carrying)
-  // form verbatim.
-  BySource.clear();
+  // form verbatim. The tables are indexed by source id, and a
+  // per-transaction id is bounded by the processed count, which follows:
+  // the lists wait in a staging buffer until it is known.
+  struct StagedSource {
+    uint64_t Source;
+    size_t Begin;
+    size_t Len;
+  };
+  std::vector<StagedSource> Staged;
+  std::vector<uint64_t> StagedEdges;
   uint64_t NumSources = R.u64();
   if (!R.checkCount(NumSources, 16))
     return Fail("corrupted checkpoint (source count)");
+  Staged.reserve(NumSources);
   for (uint64_t I = 0; I < NumSources && R.ok(); ++I) {
     uint64_t Source = R.u64();
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 8))
       return Fail("corrupted checkpoint (source list)");
-    std::vector<uint64_t> List(Len);
-    for (uint64_t &GPacked : List)
-      GPacked = R.u64();
-    BySource.emplace(Source, std::move(List));
+    Staged.push_back({Source, StagedEdges.size(), static_cast<size_t>(Len)});
+    for (uint64_t J = 0; J < Len; ++J)
+      StagedEdges.push_back(R.u64());
   }
+
+  Quarantined.clear();
+  uint64_t NumQuarantined = R.u64();
+  if (!R.checkCount(NumQuarantined, 8))
+    return Fail("corrupted checkpoint (quarantine)");
+  for (uint64_t I = 0; I < NumQuarantined; ++I)
+    Quarantined[localizePacked(R.u64())] = 1;
+
+  uint64_t NumProcessed = R.u64();
+  if (!R.checkCount(NumProcessed, 1))
+    return Fail("corrupted checkpoint (processed flags)");
+  Processed.resize(NumProcessed);
+  for (uint64_t I = 0; I < NumProcessed; ++I)
+    Processed[I] = R.u8();
+  HbQueued.assign(NumProcessed, 0);
+  if (!R.ok())
+    return Fail("truncated checkpoint (saturation state)");
+  // Ids from here on index tables of NumProcessed entries.
+  auto InWindow = [&](uint64_t Packed) {
+    return edgeFrom(Packed) < NumProcessed && edgeTo(Packed) < NumProcessed;
+  };
+  bool QuarantineInWindow = true;
+  Quarantined.forEach([&](uint64_t Packed, uint8_t) {
+    QuarantineInWindow &= InWindow(Packed);
+  });
+  if (!QuarantineInWindow)
+    return Fail("corrupted checkpoint (quarantine)");
+
+  Sources = detail::SourceLog();
+  Sources.grow(NumProcessed, NumSessions);
+  for (const StagedSource &St : Staged) {
+    uint32_t Tag = static_cast<uint32_t>(St.Source >> 32);
+    uint32_t Id = static_cast<uint32_t>(St.Source);
+    if (Tag > SourceTag::So)
+      return Fail("corrupted checkpoint (source tag)");
+    if (detail::SourceLog::isPerTxn(Tag)) {
+      if (Id < IdBase || Id - IdBase >= NumProcessed)
+        return Fail("corrupted checkpoint (source transaction)");
+      Id -= IdBase;
+    } else if (Id >= NumSessions) {
+      return Fail("corrupted checkpoint (source session)");
+    }
+    if (!Sources.entries(Tag, Id).empty())
+      return Fail("corrupted checkpoint (duplicate source)");
+    Sources.append(Tag, Id, EdgeSpan(StagedEdges).subspan(St.Begin, St.Len),
+                   0);
+  }
+  std::vector<StagedSource>().swap(Staged);
+  std::vector<uint64_t>().swap(StagedEdges);
   // Derive the refcount map: it is a pure, order-independent refcount
   // image of the filtered lists, so replaying them here reproduces the
   // live engine's map bit-exactly.
   Edges.clear();
   InferredDistinct = 0;
-  for (const auto &[Source, List] : BySource) {
+  bool EdgesInWindow = true;
+  Sources.forEach(IdBase, [&](uint64_t Source, EdgeSpan List) {
     bool IsBase = isBaseSource(Source);
     for (uint64_t GPacked : List) {
       if (deadPacked(GPacked))
         continue;
-      EdgeRefs &Refs = Edges[localizePacked(GPacked)];
+      uint64_t Packed = localizePacked(GPacked);
+      EdgesInWindow &= InWindow(Packed);
+      EdgeRefs &Refs = Edges[Packed];
       if (IsBase) {
         ++Refs.Base;
       } else {
@@ -976,21 +997,9 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
         ++Refs.Inferred;
       }
     }
-  }
-
-  Quarantined.clear();
-  uint64_t NumQuarantined = R.u64();
-  if (!R.checkCount(NumQuarantined, 8))
-    return Fail("corrupted checkpoint (quarantine)");
-  for (uint64_t I = 0; I < NumQuarantined; ++I)
-    Quarantined.insert(localizePacked(R.u64()));
-
-  uint64_t NumProcessed = R.u64();
-  if (!R.checkCount(NumProcessed, 1))
-    return Fail("corrupted checkpoint (processed flags)");
-  Processed.resize(NumProcessed);
-  for (uint64_t I = 0; I < NumProcessed; ++I)
-    Processed[I] = R.u8();
+  });
+  if (!EdgesInWindow)
+    return Fail("corrupted checkpoint (source edge)");
 
   uint64_t NumReaders = R.u64();
   if (!R.checkCount(NumReaders, 8))
@@ -1023,22 +1032,29 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
     return Fail("corrupted checkpoint (writer index)");
   for (uint64_t I = 0; I < NumKeys && R.ok(); ++I) {
     Key K = R.u64();
-    KeyWriters &KW = Writers[K];
+    detail::CcWriterIndex::KeyWriters *KW = Writers.addKey(K);
+    if (!KW)
+      return Fail("corrupted checkpoint (duplicate writer key)");
     uint64_t Slots = R.u64();
     if (!R.checkCount(Slots, 12))
       return Fail("corrupted checkpoint (writer slots)");
-    KW.Sessions.resize(Slots);
-    KW.Lists.assign(Slots, {});
+    KW->Slots.reserve(Slots);
     for (uint64_t Slot = 0; Slot < Slots && R.ok(); ++Slot) {
       SessionId S = R.u32();
-      KW.Sessions[Slot] = S;
       uint64_t Len = R.u64();
       if (!R.checkCount(Len, 8))
         return Fail("corrupted checkpoint (writer list)");
-      KW.Lists[Slot].resize(Len);
-      for (uint64_t J = 0; J < Len; ++J) {
-        KW.Lists[Slot][J].T = LT(R.u32());
-        KW.Lists[Slot][J].SoIndex = LSo(S, R.u32());
+      // A slot's session indexes the happens-before rows.
+      if (S >= NumSessions)
+        return Fail("corrupted checkpoint (writer session)");
+      uint32_t Begin = static_cast<uint32_t>(KW->Entries.size());
+      KW->Slots.push_back({S, Begin, static_cast<uint32_t>(Len),
+                           static_cast<uint32_t>(Len)});
+      for (uint64_t J = 0; J < Len && R.ok(); ++J) {
+        TxnId T = LT(R.u32());
+        if (R.ok() && T >= NumProcessed)
+          return Fail("corrupted checkpoint (writer transaction)");
+        KW->Entries.push_back({T, LSo(S, R.u32())});
       }
     }
   }
@@ -1057,9 +1073,12 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
     uint64_t Len = R.u64();
     if (!R.checkCount(Len, 12))
       return Fail("corrupted checkpoint (RA last-write)");
-    for (uint64_t J = 0; J < Len; ++J) {
+    for (uint64_t J = 0; J < Len && R.ok(); ++J) {
       Key K = R.u64();
-      St.Scratch.LastWrite[K] = LT(R.u32());
+      TxnId T = LT(R.u32());
+      if (R.ok() && T >= NumProcessed)
+        return Fail("corrupted checkpoint (RA last-write transaction)");
+      St.Scratch.LastWrite.set(K, T);
     }
   }
 
@@ -1067,3 +1086,4 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
     return Fail("truncated checkpoint (saturation state)");
   return true;
 }
+

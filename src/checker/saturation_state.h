@@ -33,6 +33,14 @@
 /// That keeps the serialized bytes of old sources stable across window
 /// slides, which is what makes store-backed checkpoints O(delta).
 ///
+/// Every per-source and per-key table is flat and indexed by dense ids
+/// (checker/saturation_tables.h): the per-transaction sources are spans of
+/// one append-only log, the per-session ones a list per session, and the
+/// CC writer index one slot-grouped run per dense key id. The refcounted
+/// edge set, the dynamic order, the reader lists and the happens-before
+/// rows are what they were, and so is every serialized byte: one walk in
+/// source-key order feeds both compaction's replay and saveState.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AWDIT_CHECKER_SATURATION_STATE_H
@@ -40,13 +48,12 @@
 
 #include "checker/isolation_level.h"
 #include "checker/saturation_impl.h"
+#include "checker/saturation_tables.h"
 #include "checker/violation.h"
 #include "graph/incremental_topo.h"
 #include "history/history.h"
 #include "support/packed_edge_map.h"
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace awdit {
@@ -128,24 +135,11 @@ public:
   bool loadState(ByteReader &R, std::string *Err, const StateCoords &C);
 
 private:
-  // Source tags: the unit of work that contributed an edge. Re-running a
-  // unit replaces exactly its contribution.
-  static uint64_t rcSource(TxnId L) { return L; }
-  static uint64_t raSource(SessionId S) { return (uint64_t(1) << 32) | S; }
-  static uint64_t ccSource(TxnId L) { return (uint64_t(2) << 32) | L; }
-  static uint64_t wrSource(TxnId L) { return (uint64_t(3) << 32) | L; }
-  static uint64_t soSource(SessionId S) { return (uint64_t(4) << 32) | S; }
-  static bool isPerTxnSource(uint64_t Source) {
-    uint64_t Tag = Source >> 32;
-    return Tag == 0 || Tag == 2 || Tag == 3;
-  }
+  using SourceTag = detail::SourceLog::Tag;
 
-  // BySource coordinate bridge: callers and the live structures (Edges,
+  // Source coordinate bridge: callers and the live structures (Edges,
   // Order, ReadersOf) speak window-local ids; the tagged lists store
-  // global ones. EvictedBase is the global id of local 0.
-  uint64_t globalizeSource(uint64_t Source) const {
-    return isPerTxnSource(Source) ? Source + EvictedBase : Source;
-  }
+  // global packed edges. EvictedBase is the global id of local 0.
   static uint64_t packedShift(uint32_t Base) {
     return (static_cast<uint64_t>(Base) << 32) | Base;
   }
@@ -180,20 +174,14 @@ private:
     bool NeedsFullRerun = false;
   };
 
-  /// Per-key, per-writing-session so-ordered writer lists (Algorithm 3's
-  /// Writes index), persisted and appended incrementally.
-  struct KeyWriters {
-    std::vector<SessionId> Sessions;
-    std::vector<std::vector<detail::CcWriterEntry>> Lists;
-  };
-
   void ensureSizes(const History &H);
 
-  // Edge bookkeeping.
-  void addSourceEdges(const History &H, uint64_t Source, bool IsBase,
+  // Edge bookkeeping. A source is (tag, id): the id is window-local for the
+  // per-transaction tags and a session for the per-session ones.
+  void addSourceEdges(const History &H, SourceTag Tag, uint32_t Id,
                       const std::vector<uint64_t> &Edges,
                       std::vector<Violation> *Out);
-  void clearSource(uint64_t Source, bool IsBase);
+  void clearSource(SourceTag Tag, uint32_t Id);
   void insertLive(const History &H, uint64_t Packed, bool IsBase,
                   std::vector<Violation> *Out);
   void removeLive(uint64_t Packed, bool IsBase);
@@ -206,7 +194,7 @@ private:
   /// True iff \p To reaches \p From using only edges with a base
   /// reference (a so ∪ wr path). Decides CausalityCycle vs a mixed cycle
   /// whose base edge can stay live by quarantining an inferred edge.
-  bool baseReaches(uint32_t SrcNode, uint32_t DstNode) const;
+  bool baseReaches(uint32_t SrcNode, uint32_t DstNode);
 
   Violation makeCycleViolation(const History &H, TxnId From, TxnId To,
                                const std::vector<uint32_t> &Path) const;
@@ -242,27 +230,36 @@ private:
   /// twice per delta edge, which made node-based hashing the dominant
   /// per-flush cost (ROADMAP follow-up from PR 3).
   PackedEdgeMap<EdgeRefs> Edges;
-  /// Source-tagged edge lists in *global* stream coordinates (keys of
-  /// per-transaction tags and every packed endpoint are global ids, never
-  /// rebased). A per-transaction list is immutable once written: eviction
-  /// drops whole evicted sources and leaves tombstone entries (an evicted
-  /// endpoint) in surviving lists for consumers to skip via deadPacked().
-  /// Per-session lists (RA contributions, so chains) are long-lived and
-  /// are pruned/rebuilt at compaction instead. The refcounted Edges map is
-  /// always the filtered refcount image of these lists — which is why the
-  /// chunked checkpoint derives it at load instead of persisting it.
-  std::unordered_map<uint64_t, std::vector<uint64_t>> BySource;
+  /// Source-tagged edge lists in *global* stream coordinates (every packed
+  /// endpoint is a global id, never rebased). A per-transaction list is
+  /// immutable once written: eviction drops whole evicted sources and
+  /// leaves tombstone entries (an evicted endpoint) in surviving lists for
+  /// consumers to skip via deadPacked(). Per-session lists (RA
+  /// contributions, so chains) are long-lived and are pruned/rebuilt at
+  /// compaction instead. The refcounted Edges map is always the filtered
+  /// refcount image of these lists — which is why the chunked checkpoint
+  /// derives it at load instead of persisting it.
+  detail::SourceLog Sources;
   /// Global id of window-local transaction 0 (total evicted count); the
-  /// BySource coordinate base and lazy eviction filter.
+  /// Sources coordinate base and lazy eviction filter.
   uint32_t EvictedBase = 0;
   /// Edges with live references that are kept out of the order because
-  /// inserting them closed a cycle (reported when first quarantined).
-  std::unordered_set<uint64_t> Quarantined;
+  /// inserting them closed a cycle (reported when first quarantined). A
+  /// flat set: the value is unused.
+  PackedEdgeMap<uint8_t> Quarantined;
   size_t InferredDistinct = 0;
 
   /// First-processing flag per transaction (so-chain edge added, writer
   /// entries appended).
   std::vector<uint8_t> Processed;
+  /// propagateHappensBefore's worklist: a min-heap of (order position,
+  /// transaction) with a per-transaction queued flag.
+  std::vector<std::pair<uint32_t, TxnId>> HbHeap;
+  std::vector<uint8_t> HbQueued;
+  /// baseReaches' visited marks: a node is visited iff its mark equals the
+  /// current epoch.
+  std::vector<uint32_t> SeenMark;
+  uint32_t SeenEpoch = 0;
   /// Readers currently holding a wr edge from each transaction, for
   /// happens-before dirty propagation.
   std::vector<std::vector<TxnId>> ReadersOf;
@@ -273,7 +270,9 @@ private:
   size_t HbStride = 0;
   std::vector<uint32_t> TmpRow;
 
-  std::unordered_map<Key, KeyWriters> Writers;
+  /// Per-key, per-writing-session so-ordered writer lists (Algorithm 3's
+  /// Writes index), persisted and appended incrementally.
+  detail::CcWriterIndex Writers;
   std::vector<RaSessionState> RaStates;
   detail::RcScratch RcScratchState;
 

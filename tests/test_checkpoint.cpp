@@ -575,6 +575,72 @@ TEST(Checkpoint, OutOfWindowWriteAndPendingIdsFailCleanly) {
   }
 }
 
+/// The saturation engine's source tables are indexed by the ids its
+/// checkpoint names: a per-transaction source outside the window (evicted,
+/// or at or past the processed count) and a per-session source past the
+/// session count are typed errors at load, never an index out of range.
+TEST(Checkpoint, OutOfRangeSourceIdsFailCleanly) {
+  MonitorOptions Options;
+  Options.CheckIntervalTxns = 4;
+  Options.WindowTxns = 16;
+  constexpr size_t Sessions = 3;
+  Monitor M(Options);
+  for (size_t S = 0; S < Sessions; ++S)
+    M.addSession();
+  // Each transaction reads the previous one's write and writes its own,
+  // so every one but the first has a wr source and each session an so
+  // chain.
+  for (Value V = 1; V <= 60; ++V) {
+    TxnId T = M.beginTxn(static_cast<SessionId>(V % Sessions));
+    if (V > 1)
+      M.read(T, 1, V - 1);
+    M.write(T, 1, V);
+    M.commit(T);
+  }
+  std::string Bytes;
+  std::vector<ChunkMark> Marks;
+  uint32_t IdBase = 0;
+  std::vector<uint64_t> SoBase;
+  M.saveStateChunked(Bytes, Marks, IdBase, SoBase);
+  ASSERT_GT(IdBase, 0u) << "the window must have slid";
+  {
+    Monitor Restored(Options);
+    std::string Err;
+    ASSERT_TRUE(Restored.loadStateChunked(Bytes, IdBase, SoBase, &Err))
+        << Err;
+  }
+
+  // A source's record starts with its key (tag << 32 | id); the first
+  // source of each bucket chunk starts at the chunk's mark.
+  auto FirstSourceOf = [&](uint64_t Tag) -> const ChunkMark * {
+    for (const ChunkMark &K : Marks)
+      if (K.Id >= chunkId(ckchunk::SSources, 1 + (Tag << 28)) &&
+          K.Id < chunkId(ckchunk::SSources, 1 + ((Tag + 1) << 28)))
+        return &K;
+    return nullptr;
+  };
+  struct Case {
+    uint64_t Tag;
+    uint64_t Id;
+    const char *Want;
+  };
+  for (Case C : {Case{3, IdBase - 1, "source transaction"},
+                 Case{3, IdBase + 1000, "source transaction"},
+                 Case{4, Sessions, "source session"},
+                 Case{7, 0, "source tag"}}) {
+    const ChunkMark *Mark = FirstSourceOf(C.Tag == 4 ? 4 : 3);
+    ASSERT_NE(Mark, nullptr);
+    std::string Bad = Bytes;
+    uint64_t Key = (C.Tag << 32) | C.Id;
+    std::memcpy(&Bad[Mark->Offset], &Key, sizeof(Key));
+    Monitor Restored(Options);
+    std::string Err;
+    EXPECT_FALSE(Restored.loadStateChunked(Bad, IdBase, SoBase, &Err));
+    EXPECT_NE(Err.find("corrupted checkpoint"), std::string::npos) << Err;
+    EXPECT_NE(Err.find(C.Want), std::string::npos) << Err;
+  }
+}
+
 /// Many independent monitors checkpointed and restored in one process —
 /// the multi-tenant server's resume path: distinct levels, cadences, and
 /// windows, interleaved save/load and interleaved replay, with every
@@ -1099,21 +1165,29 @@ uint64_t fnv1a(uint64_t H, const void *Data, size_t N) {
 
 } // namespace
 
-/// The checkpoint layout (CheckpointStoreVersion 3) pinned byte for byte: a
-/// seeded interleaved stream fed straight through the ingestion API, with
-/// transactions of six sessions open at once, reads of still-open writers
-/// (close-waiters), reads of values written only later (pending reads),
-/// force-aborted hung transactions and a 64-transaction window. The hash
-/// folds the chunked bytes, marks and coordinate bases of a snapshot taken
-/// every 97 steps. Its value was taken before the write-site index, the
-/// key set and the dirty/open sets moved to flat structures, so any change
-/// to what those serialize shows up here.
-TEST(Checkpoint, ChunkedBytesMatchGoldenHash) {
+namespace {
+
+/// What one run of the golden stream saw.
+struct GoldenRun {
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  size_t Snapshots = 0;
+  size_t WithPending = 0;
+  size_t WithWaiters = 0;
+  size_t ReadsOfOpenWriters = 0;
+  uint64_t EvictedTxns = 0;
+  uint64_t ForcedAborts = 0;
+};
+
+/// Feeds the golden stream to a monitor at \p Level with window
+/// \p WindowTxns (0 = exact) and folds a snapshot every 97 steps into the
+/// hash. The stream is a function of the seed alone: the monitor's
+/// answers never steer it.
+void runGoldenStream(IsolationLevel Level, size_t WindowTxns, GoldenRun &Run) {
   MonitorOptions Options;
-  Options.Level = IsolationLevel::CausalConsistency;
+  Options.Level = Level;
   Options.Check.Threads = 1;
   Options.CheckIntervalTxns = 7;
-  Options.WindowTxns = 64;
+  Options.WindowTxns = WindowTxns;
   Options.ForceAbortOpenTicks = 90;
   Monitor M(Options);
   constexpr size_t Sessions = 6;
@@ -1126,9 +1200,6 @@ TEST(Checkpoint, ChunkedBytesMatchGoldenHash) {
   std::vector<std::pair<Key, Value>> Readable; // committed writes
   std::vector<std::pair<Key, Value>> Planned;  // read before written
   Value NextVal = 1;
-  uint64_t Hash = 0xcbf29ce484222325ull;
-  size_t ReadsOfOpenWriters = 0, Snapshots = 0;
-  size_t WithPending = 0, WithWaiters = 0;
   for (uint64_t Step = 0; Step < 6000; ++Step) {
     M.advanceTime(Step);
     SessionId S = static_cast<SessionId>(R.nextBelow(Sessions));
@@ -1164,7 +1235,7 @@ TEST(Checkpoint, ChunkedBytesMatchGoldenHash) {
       } else if (Kind == 1 && O != S && !OpenWrites[O].empty()) {
         auto [K, V] = OpenWrites[O][R.nextBelow(OpenWrites[O].size())];
         M.read(Open[S], K, V);
-        ++ReadsOfOpenWriters;
+        ++Run.ReadsOfOpenWriters;
       } else if (!Readable.empty()) {
         size_t Recent = std::min<size_t>(Readable.size(), 64);
         auto [K, V] = Readable[Readable.size() - 1 - R.nextBelow(Recent)];
@@ -1178,31 +1249,71 @@ TEST(Checkpoint, ChunkedBytesMatchGoldenHash) {
     uint32_t IdBase = 0;
     std::vector<uint64_t> SoBase;
     M.saveStateChunked(Bytes, Marks, IdBase, SoBase);
-    Hash = fnv1a(Hash, Bytes.data(), Bytes.size());
+    Run.Hash = fnv1a(Run.Hash, Bytes.data(), Bytes.size());
     for (const ChunkMark &Mark : Marks) {
       uint64_t Fields[2] = {Mark.Offset, Mark.Id};
-      Hash = fnv1a(Hash, Fields, sizeof(Fields));
+      Run.Hash = fnv1a(Run.Hash, Fields, sizeof(Fields));
     }
-    Hash = fnv1a(Hash, &IdBase, sizeof(IdBase));
-    Hash = fnv1a(Hash, SoBase.data(), SoBase.size() * sizeof(uint64_t));
+    Run.Hash = fnv1a(Run.Hash, &IdBase, sizeof(IdBase));
+    Run.Hash =
+        fnv1a(Run.Hash, SoBase.data(), SoBase.size() * sizeof(uint64_t));
     // A section's bucket chunks exist only when it holds records.
     auto HasRecords = [&](ckchunk::Kind Kind) {
       return std::any_of(Marks.begin(), Marks.end(), [&](const ChunkMark &K) {
         return K.Id > chunkId(Kind) && K.Id < chunkId(Kind + 1);
       });
     };
-    WithPending += HasRecords(ckchunk::MPending);
-    WithWaiters += HasRecords(ckchunk::MWaiters);
-    ++Snapshots;
+    Run.WithPending += HasRecords(ckchunk::MPending);
+    Run.WithWaiters += HasRecords(ckchunk::MWaiters);
+    ++Run.Snapshots;
   }
   const MonitorStats &Stats = M.stats();
-  EXPECT_EQ(Snapshots, 61u);
-  EXPECT_GT(WithPending, 0u) << "no snapshot held a pending read";
-  EXPECT_GT(WithWaiters, 0u) << "no snapshot held a close-waiter";
-  EXPECT_GT(ReadsOfOpenWriters, 0u);
-  EXPECT_GT(Stats.EvictedTxns, 0u);
-  EXPECT_GT(Stats.ForcedAborts, 0u);
-  EXPECT_EQ(Hash, 0x0123352b65669cc6ull) << std::hex << "0x" << Hash;
+  Run.EvictedTxns = Stats.EvictedTxns;
+  Run.ForcedAborts = Stats.ForcedAborts;
+}
+
+} // namespace
+
+/// The checkpoint layout (CheckpointStoreVersion 3) pinned byte for byte at
+/// every level, windowed and exact: a seeded interleaved stream fed straight
+/// through the ingestion API, with transactions of six sessions open at
+/// once, reads of still-open writers (close-waiters), reads of values
+/// written only later (pending reads), force-aborted hung transactions and,
+/// windowed, a 64-transaction window. The hash folds the chunked bytes,
+/// marks and coordinate bases of a snapshot taken every 97 steps. The CC
+/// windowed value was taken before the write-site index, the key set and
+/// the dirty/open sets moved to flat structures, and all six before the
+/// saturation engine's source lists and writer index did, so any change to
+/// what those serialize shows up here.
+TEST(Checkpoint, ChunkedBytesMatchGoldenHash) {
+  struct Case {
+    IsolationLevel Level;
+    size_t WindowTxns;
+    uint64_t Hash;
+  };
+  for (Case C : {Case{IsolationLevel::ReadCommitted, 64, 0xa78c4fb2998d2f6dull},
+                 Case{IsolationLevel::ReadCommitted, 0, 0x8eec192714747382ull},
+                 Case{IsolationLevel::ReadAtomic, 64, 0xa8384836c0ebe1beull},
+                 Case{IsolationLevel::ReadAtomic, 0, 0x9626934a2aaa36dfull},
+                 Case{IsolationLevel::CausalConsistency, 64,
+                      0x0123352b65669cc6ull},
+                 Case{IsolationLevel::CausalConsistency, 0,
+                      0xff30f1078da936d7ull}}) {
+    SCOPED_TRACE(std::string(isolationLevelName(C.Level)) + " window " +
+                 std::to_string(C.WindowTxns));
+    GoldenRun Run;
+    runGoldenStream(C.Level, C.WindowTxns, Run);
+    EXPECT_EQ(Run.Snapshots, 61u);
+    EXPECT_GT(Run.WithPending, 0u) << "no snapshot held a pending read";
+    EXPECT_GT(Run.WithWaiters, 0u) << "no snapshot held a close-waiter";
+    EXPECT_GT(Run.ReadsOfOpenWriters, 0u);
+    if (C.WindowTxns)
+      EXPECT_GT(Run.EvictedTxns, 0u);
+    else
+      EXPECT_EQ(Run.EvictedTxns, 0u);
+    EXPECT_EQ(Run.ForcedAborts, 40u);
+    EXPECT_EQ(Run.Hash, C.Hash) << std::hex << "0x" << Run.Hash;
+  }
 }
 
 namespace {

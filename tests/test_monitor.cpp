@@ -343,6 +343,37 @@ TEST(MonitorIngestion, RetroactiveWrResolution) {
   EXPECT_TRUE(Sink.Violations.empty());
 }
 
+/// After an exact-mode finalize the monitor's edge counts are the final
+/// report's, at every level: the streaming engine's live counts differ
+/// from what the one-shot check derives, so stats() must not refresh them
+/// from the engine once finalized.
+TEST(MonitorIngestion, StatsAfterFinalizeMatchReport) {
+  GenerateParams P;
+  P.Bench = Benchmark::Random;
+  P.Sessions = 8;
+  P.Txns = 1500;
+  P.Seed = 5;
+  History H = generateHistory(P);
+  for (IsolationLevel Level : AllIsolationLevels) {
+    MonitorOptions Options;
+    Options.Level = Level;
+    Options.Check.Threads = 1;
+    Options.CheckIntervalTxns = 64;
+    Monitor M(Options);
+    M.replay(H);
+    uint64_t Streamed = M.stats().InferredEdges;
+    CheckReport Report = M.finalize();
+    const MonitorStats &Stats = M.stats();
+    EXPECT_NE(Streamed, Report.Stats.InferredEdges)
+        << isolationLevelName(Level) << ": the counts must differ for the "
+        << "check to mean anything";
+    EXPECT_EQ(Stats.InferredEdges, Report.Stats.InferredEdges)
+        << isolationLevelName(Level);
+    EXPECT_EQ(Stats.GraphEdges, Report.Stats.GraphEdges)
+        << isolationLevelName(Level);
+  }
+}
+
 /// Still-open transactions at finalize are treated as never-committed.
 TEST(MonitorIngestion, OpenTxnAtFinalizeIsAborted) {
   Monitor M;
