@@ -30,15 +30,18 @@
 ///   MonitorOptions, stream cursor] [str machine-state blob]
 ///   [u32 window id base] [u64 count] [count x u64 session so-base]
 ///
-/// Compatibility policy: CheckpointStoreVersion bumps on any change to the
-/// root meta blob or the chunked state encoding, and a reader only accepts
-/// its own version (checkpoints are operational state, not archival data —
-/// a monitor restart across an awdit upgrade re-reads the stream instead).
-/// Truncated or corrupted state fails with a clear error, never UB: every
-/// count is bounds-checked against the remaining bytes and per-chunk and
-/// per-root FNV-1a checksums cover every byte. A root is published only
-/// after the chunks it references are durable, so a kill mid-write leaves
-/// the previous checkpoint intact.
+/// Compatibility policy: two versions guard a store, and a reader only
+/// accepts its own of each (checkpoints are operational state, not archival
+/// data — a monitor restart across an awdit upgrade re-reads the stream
+/// instead). CheckpointStoreVersion bumps on any change to the root meta
+/// blob or the chunked state encoding; the store framing around them (root
+/// records, chunk frames, their checksum) is store::RootLogVersion. A store
+/// of another framing version is refused before anything is truncated or
+/// removed. Truncated or corrupted state fails with a clear error, never
+/// UB: every count is bounds-checked against the remaining bytes and
+/// per-chunk and per-root XXH64 checksums cover every byte. A root is
+/// published only after the chunks it references are durable, so a kill
+/// mid-write leaves the previous checkpoint intact.
 ///
 /// What counts as "layout": only durable logical state. Host-local
 /// telemetry (flush latencies, phase timings) is serialized nowhere.

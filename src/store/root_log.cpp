@@ -36,7 +36,7 @@ std::string recordHeader(uint64_t Seq, const std::string &Payload) {
   W.u32(RootLogVersion);
   W.u64(Seq);
   W.u64(Payload.size());
-  W.u64(fnv1a(Payload));
+  W.u64(checksum64(Payload));
   return Out;
 }
 
@@ -69,10 +69,15 @@ bool readWholeFile(const std::string &Path, std::string &Out,
   return true;
 }
 
-/// Parses records from \p Bytes in order; returns the byte offset just
-/// past the last valid record. Records must have strictly increasing seq.
-size_t parseRecords(std::string_view Bytes, std::vector<RootRecord> *All,
-                    RootRecord *Last, uint64_t *Count) {
+/// Parses records from \p Bytes (the log at \p Path) in order and sets
+/// \p Valid to the byte offset just past the last valid record. Records must
+/// have strictly increasing seq. A whole record header with the root magic
+/// but another version is no torn tail: another build wrote the log. Parsing
+/// then fails with an error naming both versions, and the caller must leave
+/// the store as it is.
+bool parseRecords(std::string_view Bytes, const std::string &Path,
+                  size_t &Valid, std::vector<RootRecord> *All,
+                  RootRecord *Last, uint64_t *Count, std::string *Err) {
   size_t Off = 0;
   uint64_t PrevSeq = 0;
   bool Any = false;
@@ -83,13 +88,19 @@ size_t parseRecords(std::string_view Bytes, std::vector<RootRecord> *All,
     uint64_t Seq = R.u64();
     uint64_t Size = R.u64();
     uint64_t Hash = R.u64();
-    if (Magic != RootMagic || Version != RootLogVersion)
+    if (Magic != RootMagic)
       break;
+    if (Version != RootLogVersion)
+      return setErr(Err, "unsupported root log version " +
+                             std::to_string(Version) + " in '" + Path +
+                             "' (this build reads version " +
+                             std::to_string(RootLogVersion) +
+                             "); the store is left as it is");
     if (Size > R.remaining())
       break; // torn tail: header landed, payload did not
     std::string_view Payload(Bytes.data() + Off + RecordHeaderBytes,
                              static_cast<size_t>(Size));
-    if (fnv1a(Payload) != Hash)
+    if (checksum64(Payload) != Hash)
       break;
     if (Any && Seq <= PrevSeq)
       break; // regression in seq means the tail is not ours
@@ -103,7 +114,8 @@ size_t parseRecords(std::string_view Bytes, std::vector<RootRecord> *All,
       ++*Count;
     Off += RecordHeaderBytes + static_cast<size_t>(Size);
   }
-  return Off;
+  Valid = Off;
+  return true;
 }
 
 bool fsyncDir(const std::string &Dir) {
@@ -156,7 +168,12 @@ bool RootLog::open(const std::string &D, std::string *Err) {
   Fd = ::open(Path.c_str(), O_RDWR | O_CREAT, 0644);
   if (Fd < 0)
     return setErr(Err, "cannot open root log '" + Path + "'");
-  return scanAndTruncate(Err);
+  if (scanAndTruncate(Err))
+    return true;
+  // Nothing may be appended to a log that did not scan.
+  ::close(Fd);
+  Fd = -1;
+  return false;
 }
 
 bool RootLog::openReadOnly(const std::string &D, std::string *Err) {
@@ -173,7 +190,9 @@ bool RootLog::openReadOnly(const std::string &D, std::string *Err) {
   HasLast = false;
   Records = 0;
   RootRecord Last;
-  size_t Valid = parseRecords(Bytes, nullptr, &Last, &Records);
+  size_t Valid = 0;
+  if (!parseRecords(Bytes, Path, Valid, nullptr, &Last, &Records, Err))
+    return false;
   FileBytes = Valid;
   if (Records > 0) {
     HasLast = true;
@@ -190,7 +209,9 @@ bool RootLog::scanAndTruncate(std::string *Err) {
   HasLast = false;
   Records = 0;
   RootRecord Last;
-  size_t Valid = parseRecords(Bytes, nullptr, &Last, &Records);
+  size_t Valid = 0;
+  if (!parseRecords(Bytes, Path, Valid, nullptr, &Last, &Records, Err))
+    return false;
   if (Records > 0) {
     HasLast = true;
     LastSeq = Last.Seq;
@@ -258,11 +279,14 @@ bool RootLog::rotate(std::string *Err) {
 
 bool RootLog::scanAll(const std::string &Dir, std::vector<RootRecord> &Out,
                       bool &TornTail, std::string *Err) {
+  std::string Path = filePath(Dir);
   std::string Bytes;
-  if (!readWholeFile(filePath(Dir), Bytes, Err))
+  if (!readWholeFile(Path, Bytes, Err))
     return false;
   Out.clear();
-  size_t Valid = parseRecords(Bytes, &Out, nullptr, nullptr);
+  size_t Valid = 0;
+  if (!parseRecords(Bytes, Path, Valid, &Out, nullptr, nullptr, Err))
+    return false;
   TornTail = Valid < Bytes.size();
   return true;
 }

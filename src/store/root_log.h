@@ -12,12 +12,15 @@
 /// append, so the moment the record's last byte is durable, the commit is
 /// published. Recovery scans forward from the start and truncates at the
 /// first invalid record — a torn tail from a crash mid-append reverts to
-/// the previous root, never to garbage.
+/// the previous root, never to garbage. A whole record header with the
+/// magic but another version is not a torn tail: another build wrote the
+/// store, so open(), openReadOnly() and scanAll() refuse it with an error
+/// naming both versions and change nothing on disk.
 ///
 /// Record framing (all integers little-endian):
 ///
 ///   [u32 magic "AWRT"] [u32 version] [u64 seq] [u64 payload size]
-///   [u64 FNV-1a of payload] [payload]
+///   [u64 XXH64 of payload] [payload]
 ///
 /// Sequence numbers strictly increase; scanAll() (used by fsck) reports
 /// every valid record, open() keeps only the last. The log is rotated —
@@ -39,8 +42,11 @@
 namespace awdit {
 namespace store {
 
-/// The root-log record version this build writes and reads.
-inline constexpr uint32_t RootLogVersion = 1;
+/// The store framing version this build writes and reads: the root record
+/// and chunk frame layouts and their checksum (XXH64 since version 2; FNV-1a
+/// in version 1). The chunked state inside is versioned separately
+/// (CheckpointStoreVersion, checker/checkpoint.h).
+inline constexpr uint32_t RootLogVersion = 2;
 
 /// A parsed root record (scanAll / lastPayload).
 struct RootRecord {
@@ -58,11 +64,13 @@ public:
   /// Opens (creating if absent) \p Dir/roots.awrl, scans it, truncates any
   /// torn tail, and positions for appending. Returns false only on I/O or
   /// structural errors that truncation cannot repair (e.g. unreadable
-  /// file); a valid-but-empty log opens fine with hasRoot() == false.
+  /// file) and on a record of another version, which leaves the file
+  /// untouched; a valid-but-empty log opens fine with hasRoot() == false.
   bool open(const std::string &Dir, std::string *Err);
 
   /// Opens read-only for inspection; no truncation is performed (a torn
-  /// tail is simply ignored, as recovery would).
+  /// tail is simply ignored, as recovery would). Refuses a record of
+  /// another version as open() does.
   bool openReadOnly(const std::string &Dir, std::string *Err);
 
   bool hasRoot() const { return HasLast; }
@@ -85,8 +93,8 @@ public:
   bool rotate(std::string *Err);
 
   /// Parses every valid record of \p Dir/roots.awrl in order, stopping at
-  /// the first invalid byte (reported via \p TornTail). For awdit-store
-  /// fsck.
+  /// the first invalid byte (reported via \p TornTail). Fails on a record
+  /// of another version. For awdit-store fsck.
   static bool scanAll(const std::string &Dir, std::vector<RootRecord> &Out,
                       bool &TornTail, std::string *Err);
 

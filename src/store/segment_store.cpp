@@ -143,7 +143,7 @@ bool checkAndReadChunk(const SegmentFile &Seg, uint64_t Id,
   uint64_t StoredHash = R.u64();
   if (StoredHash != E.Hash)
     return setErr(Err, "chunk header hash differs from root entry");
-  if (fnv1a(std::string_view(Dst, E.Size)) != E.Hash)
+  if (checksum64(std::string_view(Dst, E.Size)) != E.Hash)
     return setErr(Err, "chunk payload checksum mismatch");
   return true;
 }
@@ -398,7 +398,7 @@ bool SegmentStore::putChunk(uint64_t Id, std::string_view Bytes,
     return failCommit("duplicate chunk id in commit", Err);
   if (!NewTable.empty() && Id < NewTable.back().first)
     return failCommit("chunk id out of order in commit", Err);
-  uint64_t Hash = fnv1a(Bytes);
+  uint64_t Hash = checksum64(Bytes);
   // Ids arrive ascending, so the current root's entry for Id (if any) is
   // found by walking the old table forward.
   while (OldCursor < Table.size() && Table[OldCursor].first < Id)

@@ -16,7 +16,7 @@
 ///   - A commit is streamed: beginCommit(), then putChunk() once per chunk
 ///     of the new state in strictly ascending id order (a serializer hands
 ///     each chunk over as soon as it is complete), then finishCommit().
-///     Chunks whose (id, size, FNV-1a) match the current root are carried
+///     Chunks whose (id, size, XXH64) match the current root are carried
 ///     by reference — zero bytes written. Changed or new chunks are
 ///     appended to the open segment, each framed as
 ///     [u32 magic "AWCK"] [u32 size] [u64 id] [u64 hash] [payload] on a
@@ -83,7 +83,7 @@ struct ChunkEntry {
   uint32_t Seg = 0;
   uint64_t Offset = 0; ///< of the chunk header inside the segment
   uint32_t Size = 0;   ///< payload bytes (header excluded)
-  uint64_t Hash = 0;   ///< FNV-1a of the payload
+  uint64_t Hash = 0;   ///< checksum64 (XXH64) of the payload
 };
 
 /// A root's chunk table: (id, entry), strictly ascending by id.
@@ -128,7 +128,9 @@ public:
   /// Opens \p Dir for committing, creating it if needed. Recovers from the
   /// last valid root: torn root-log tails are truncated, segment files no
   /// root references (unpublished leftovers of a crashed commit) are
-  /// removed, referenced segments are opened read-only.
+  /// removed, referenced segments are opened read-only. A root log of
+  /// another version (RootLogVersion) fails the open before any of that,
+  /// so a store another build wrote is refused and left as it is.
   bool open(const std::string &Dir, std::string *Err);
 
   /// Opens \p Dir for inspection only (awdit-store): nothing is truncated,

@@ -13,13 +13,15 @@
 /// into ok() == false (plus zero values), which the loaders translate into
 /// a clean error instead of UB. Counts read from untrusted bytes must pass
 /// checkCount() before vectors are sized from them, so a flipped length
-/// field cannot demand a terabyte allocation.
+/// field cannot demand a terabyte allocation. checksum64() is the store's
+/// checksum (XXH64) over chunk payloads and root records.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AWDIT_SUPPORT_SERIALIZE_H
 #define AWDIT_SUPPORT_SERIALIZE_H
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -247,14 +249,76 @@ private:
   bool Failed = false;
 };
 
-/// FNV-1a over a byte range: the checkpoint payload checksum. Not
-/// cryptographic — it guards against truncation and bit rot, not malice.
-inline uint64_t fnv1a(std::string_view Bytes) {
-  uint64_t H = 1469598103934665603ULL;
-  for (char C : Bytes) {
-    H ^= static_cast<uint8_t>(C);
-    H *= 1099511628211ULL;
+namespace detail {
+
+/// A little-endian word at \p P, any alignment: one load on a
+/// little-endian host, plus a byte swap on a big-endian one.
+inline uint64_t loadLe64(const char *P) {
+  uint64_t V;
+  std::memcpy(&V, P, sizeof(V));
+  if constexpr (std::endian::native == std::endian::big)
+    V = __builtin_bswap64(V);
+  return V;
+}
+
+inline uint32_t loadLe32(const char *P) {
+  uint32_t V;
+  std::memcpy(&V, P, sizeof(V));
+  if constexpr (std::endian::native == std::endian::big)
+    V = __builtin_bswap32(V);
+  return V;
+}
+
+} // namespace detail
+
+/// XXH64 with seed 0 (https://github.com/Cyan4973/xxHash, doc/
+/// xxhash_spec.md): the store's checksum of every chunk payload and root
+/// record. Four independent 64-bit lanes take 32-byte stripes, so their
+/// multiplies overlap instead of waiting on one another as a byte-serial
+/// hash's do. Not cryptographic: it guards against truncation and bit rot,
+/// not malice. It is 64-bit because the store carries a chunk by reference
+/// when (id, size, checksum) match.
+inline uint64_t checksum64(std::string_view Bytes) {
+  constexpr uint64_t P1 = 0x9E3779B185EBCA87ull;
+  constexpr uint64_t P2 = 0xC2B2AE3D27D4EB4Full;
+  constexpr uint64_t P3 = 0x165667B19E3779F9ull;
+  constexpr uint64_t P4 = 0x85EBCA77C2B2AE63ull;
+  constexpr uint64_t P5 = 0x27D4EB2F165667C5ull;
+  auto Round = [](uint64_t Acc, uint64_t Lane) {
+    return std::rotl(Acc + Lane * P2, 31) * P1;
+  };
+  auto Merge = [&](uint64_t Acc, uint64_t Lane) {
+    return (Acc ^ Round(0, Lane)) * P1 + P4;
+  };
+  const char *P = Bytes.data();
+  const char *End = P + Bytes.size();
+  uint64_t H = P5;
+  if (Bytes.size() >= 32) {
+    uint64_t V1 = P1 + P2, V2 = P2, V3 = 0, V4 = 0 - P1;
+    for (; End - P >= 32; P += 32) {
+      V1 = Round(V1, detail::loadLe64(P));
+      V2 = Round(V2, detail::loadLe64(P + 8));
+      V3 = Round(V3, detail::loadLe64(P + 16));
+      V4 = Round(V4, detail::loadLe64(P + 24));
+    }
+    H = std::rotl(V1, 1) + std::rotl(V2, 7) + std::rotl(V3, 12) +
+        std::rotl(V4, 18);
+    H = Merge(Merge(Merge(Merge(H, V1), V2), V3), V4);
   }
+  H += Bytes.size();
+  for (; End - P >= 8; P += 8)
+    H = std::rotl(H ^ Round(0, detail::loadLe64(P)), 27) * P1 + P4;
+  if (End - P >= 4) {
+    H = std::rotl(H ^ (detail::loadLe32(P) * P1), 23) * P2 + P3;
+    P += 4;
+  }
+  for (; P < End; ++P)
+    H = std::rotl(H ^ (static_cast<uint8_t>(*P) * P5), 11) * P1;
+  H ^= H >> 33;
+  H *= P2;
+  H ^= H >> 29;
+  H *= P3;
+  H ^= H >> 32;
   return H;
 }
 

@@ -20,6 +20,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "sim/anomaly_injector.h"
+#include "store/root_log.h"
 #include "support/socket.h"
 #include "workload/generator.h"
 
@@ -28,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -887,6 +889,75 @@ TEST(ServerEndToEnd, DrainRestartResumeIsExactlyOnce) {
   ASSERT_TRUE(C4.connect(H.port()));
   ASSERT_TRUE(C4.sendLine("HELLO gone cc"));
   EXPECT_NE(C4.readLine().find("incompatible"), std::string::npos);
+  H.stop();
+}
+
+/// A tenant store another build wrote (its root log of another version) is
+/// refused at HELLO instead of being started fresh over: the resume fails
+/// with the typed error, creates no session and leaves every file of the
+/// store as it was, so the next HELLO is refused the same way.
+TEST(ServerEndToEnd, ResumeOfAStoreOfAnotherVersionIsRefusedAndLeftAsItIs) {
+  History Hist = generated(41, 400, /*Inject=*/true);
+  std::string Text = writeTextHistory(Hist);
+  ServerOptions Base;
+  Base.CheckpointIntervalFlushes = 1;
+  ServerHarness H(Base);
+  size_t Cut = Text.find('\n', Text.size() / 2);
+  ASSERT_NE(Cut, std::string::npos);
+  ++Cut;
+
+  TestClient C;
+  ASSERT_TRUE(C.connect(H.port()));
+  ASSERT_TRUE(C.sendLine("HELLO v1 cc interval=16"));
+  ASSERT_EQ(C.readLine().rfind("OK v1 new", 0), 0u);
+  ASSERT_TRUE(C.send(Text.substr(0, Cut)));
+  ASSERT_TRUE(C.sendLine("STATS"));
+  C.readUntil("STATS ");
+  std::thread Stopper([&] { H.stop(); }); // drain: checkpoints the tenant
+  C.readUntil("BYE");
+  Stopper.join();
+  C.close();
+
+  // Rewrite the first root record's version word to 1, as the build with
+  // the FNV-1a framing wrote it.
+  std::string Store = checkpointStoreDirFor(H.checkpointDir(), "v1");
+  ASSERT_TRUE(StoreCheckpointer::isStoreDir(Store));
+  {
+    std::fstream F(Store + "/roots.awrl",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    F.seekp(4);
+    F.write("\x01\x00\x00\x00", 4);
+  }
+  auto Image = [&] {
+    std::map<std::string, std::string> Files;
+    for (const auto &E : std::filesystem::directory_iterator(Store)) {
+      std::ifstream In(E.path(), std::ios::binary);
+      std::stringstream Bytes;
+      Bytes << In.rdbuf();
+      Files[E.path().filename().string()] = Bytes.str();
+    }
+    return Files;
+  };
+  auto Before = Image();
+  ASSERT_GE(Before.size(), 2u);
+
+  std::string Refusal =
+      "ERR checkpoint store " + Store + ": unsupported root log version 1";
+  std::string Reads =
+      "this build reads version " + std::to_string(store::RootLogVersion);
+  H.restart();
+  for (int Attempt = 0; Attempt < 2; ++Attempt) {
+    TestClient C2;
+    ASSERT_TRUE(C2.connect(H.port()));
+    ASSERT_TRUE(C2.sendLine("HELLO v1 cc"));
+    std::string Reply = C2.readLine();
+    EXPECT_EQ(Reply.rfind(Refusal, 0), 0u) << Reply;
+    EXPECT_NE(Reply.find(Reads), std::string::npos) << Reply;
+  }
+  EXPECT_EQ(metricValue(H.server().renderMetrics(),
+                        "awdit_server_sessions_created_total"),
+            0u);
+  EXPECT_TRUE(Image() == Before);
   H.stop();
 }
 

@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -128,6 +129,40 @@ uint64_t dirHash(const std::string &Dir) {
                      std::istreambuf_iterator<char>()));
   }
   return H;
+}
+
+/// Every file of \p Dir by name, with its bytes: a store image to compare
+/// byte for byte.
+std::map<std::string, std::string> dirImage(const std::string &Dir) {
+  std::map<std::string, std::string> Files;
+  for (const auto &E : fs::directory_iterator(Dir)) {
+    std::ifstream In(E.path(), std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+    Files[E.path().filename().string()] = std::move(Bytes);
+  }
+  return Files;
+}
+
+/// Rewrites the version word of the root record at \p RecordOffset of the
+/// root log \p Path, as another build would have written it.
+void setRecordVersion(const std::string &Path, uint64_t RecordOffset,
+                      uint32_t Version) {
+  char Word[4];
+  for (int I = 0; I < 4; ++I)
+    Word[I] = static_cast<char>(Version >> (8 * I));
+  std::fstream F(Path, std::ios::binary | std::ios::in | std::ios::out);
+  F.seekp(static_cast<std::streamoff>(RecordOffset + 4));
+  F.write(Word, 4);
+}
+
+/// Expects \p Err to be the refusal of a root log of version \p Version.
+void expectVersionRefusal(const std::string &Err, uint32_t Version) {
+  std::string Found = "unsupported root log version " + std::to_string(Version);
+  std::string Reads =
+      "this build reads version " + std::to_string(RootLogVersion);
+  EXPECT_NE(Err.find(Found), std::string::npos) << Err;
+  EXPECT_NE(Err.find(Reads), std::string::npos) << Err;
 }
 
 } // namespace
@@ -284,6 +319,49 @@ TEST(RootLog, GarbageTailIsIgnoredAndTruncated) {
   EXPECT_EQ(L.lastPayload(), "keep");
   ASSERT_TRUE(L.append("next", &Err)) << Err;
   EXPECT_EQ(L.lastSeq(), 2u);
+}
+
+/// A whole record header with the root magic and another version is another
+/// build's log, not a torn tail: open, openReadOnly and scanAll refuse it,
+/// name both versions and change no byte, wherever the record sits. A
+/// refused log takes no append.
+TEST(RootLog, OtherVersionIsRefusedAndLeftAsItIs) {
+  TempDir D("rlver");
+  std::string Err;
+  uint64_t SecondAt = 0;
+  {
+    RootLog L;
+    ASSERT_TRUE(L.open(D.str(), &Err)) << Err;
+    ASSERT_TRUE(L.append("first", &Err)) << Err;
+    SecondAt = L.sizeBytes();
+    ASSERT_TRUE(L.append("second", &Err)) << Err;
+  }
+  for (uint64_t At : {uint64_t(0), SecondAt}) {
+    for (uint32_t Version : {1u, 99u}) {
+      SCOPED_TRACE("record at " + std::to_string(At) + ", version " +
+                   std::to_string(Version));
+      TempDir Copy("rlver_img");
+      fs::copy(RootLog::filePath(D.str()), Copy.Path / "roots.awrl");
+      setRecordVersion(RootLog::filePath(Copy.str()), At, Version);
+      auto Before = dirImage(Copy.str());
+
+      RootLog L;
+      Err.clear();
+      EXPECT_FALSE(L.open(Copy.str(), &Err));
+      expectVersionRefusal(Err, Version);
+      EXPECT_FALSE(L.hasRoot());
+      EXPECT_FALSE(L.append("over it", &Err));
+      Err.clear();
+      EXPECT_FALSE(L.openReadOnly(Copy.str(), &Err));
+      expectVersionRefusal(Err, Version);
+      std::vector<RootRecord> Records;
+      bool TornTail = false;
+      Err.clear();
+      EXPECT_FALSE(RootLog::scanAll(Copy.str(), Records, TornTail, &Err));
+      expectVersionRefusal(Err, Version);
+      EXPECT_TRUE(dirImage(Copy.str()) == Before);
+    }
+  }
 }
 
 TEST(RootLog, RotateKeepsOnlyNewestRecord) {
@@ -460,7 +538,9 @@ TEST(SegmentStore, RelocationCompactsMostlyDeadSegments) {
 /// The files a relocation-and-reclaim sequence leaves behind, pinned byte
 /// for byte: segment framing, extent placement and padding, relocation
 /// victims, reclaimed segments and the rotated root log. The value was
-/// taken when segments were still written through a memory mapping.
+/// re-taken when the store's checksum became XXH64 (RootLogVersion 2),
+/// which rewrites every frame's checksum field and the root records'
+/// version word and nothing else.
 TEST(SegmentStore, RelocationAndReclaimMatchGoldenBytes) {
   TempDir D("stgold");
   std::string Err;
@@ -482,7 +562,7 @@ TEST(SegmentStore, RelocationAndReclaimMatchGoldenBytes) {
     }
   } // joins the compactor: every queued unlink has happened
   uint64_t Hash = dirHash(D.str());
-  EXPECT_EQ(Hash, 0x6469e63753ac7d94ull) << std::hex << "0x" << Hash;
+  EXPECT_EQ(Hash, 0x5b2de9c21f2f71f7ull) << std::hex << "0x" << Hash;
   FsckReport Report;
   ASSERT_TRUE(SegmentStore::fsck(D.str(), Report, &Err)) << Err;
   EXPECT_TRUE(Report.clean());
@@ -645,6 +725,52 @@ TEST(SegmentStore, CrashImageFuzzRecoversToAPublishedRoot) {
     // And the recovered store accepts new commits.
     std::vector<std::pair<uint64_t, std::string>> Next{{1, payload(7, 64)}};
     EXPECT_TRUE(S.commit("after-recovery", chunkList(Next), &Err)) << Err;
+  }
+}
+
+/// A store whose root log another build wrote is refused by every way in,
+/// and not one byte of it changes: open() truncates, rotates and unlinks
+/// nothing, and openReadOnly() and fsck fail the same way.
+TEST(SegmentStore, StoreOfAnotherVersionIsRefusedAndLeftAsItIs) {
+  TempDir D("stver");
+  std::string Err;
+  {
+    SegmentStore S;
+    ASSERT_TRUE(S.open(D.str(), &Err)) << Err;
+    for (uint64_t Round = 0; Round < 2; ++Round) {
+      std::vector<std::pair<uint64_t, std::string>> Chunks{
+          {1, payload(1, 3'000'000)},
+          {2, payload(2, 3'000'000)},
+          {3, payload(3 + Round, 700)},
+      };
+      ASSERT_TRUE(S.commit("m" + std::to_string(Round), chunkList(Chunks),
+                           &Err))
+          << Err;
+    }
+  }
+  for (uint32_t Version : {1u, 99u}) {
+    SCOPED_TRACE("version " + std::to_string(Version));
+    TempDir Image("stver_img");
+    fs::remove_all(Image.Path);
+    copyDir(D.Path, Image.Path);
+    setRecordVersion(RootLog::filePath(Image.str()), 0, Version);
+    auto Before = dirImage(Image.str());
+    ASSERT_GE(Before.size(), 3u); // the root log and two segments
+
+    SegmentStore S;
+    Err.clear();
+    EXPECT_FALSE(S.open(Image.str(), &Err));
+    expectVersionRefusal(Err, Version);
+    EXPECT_FALSE(S.hasRoot());
+    SegmentStore R;
+    Err.clear();
+    EXPECT_FALSE(R.openReadOnly(Image.str(), &Err));
+    expectVersionRefusal(Err, Version);
+    FsckReport Report;
+    Err.clear();
+    EXPECT_FALSE(SegmentStore::fsck(Image.str(), Report, &Err));
+    expectVersionRefusal(Err, Version);
+    EXPECT_TRUE(dirImage(Image.str()) == Before);
   }
 }
 

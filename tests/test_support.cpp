@@ -297,3 +297,89 @@ TEST(ByteWriter, PlainModeIgnoresChunkMarks) {
   W.finish();
   EXPECT_EQ(Out.size(), 5u);
 }
+
+//===----------------------------------------------------------------------===//
+// checksum64 (XXH64, seed 0)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Bytes 0, 1, ..., n-1 (mod 256).
+std::string countingBytes(size_t N) {
+  std::string Out(N, '\0');
+  for (size_t I = 0; I < N; ++I)
+    Out[I] = static_cast<char>(I);
+  return Out;
+}
+
+/// \p N bytes of the splitmix64 stream from \p Seed, each output word
+/// little-endian: easy to regenerate outside C++ to cross-check a value.
+std::string splitmixBytes(uint64_t Seed, size_t N) {
+  std::string Out;
+  Out.reserve(N + 8);
+  while (Out.size() < N) {
+    Seed += 0x9E3779B97F4A7C15ull;
+    uint64_t Z = Seed;
+    Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBull;
+    Z ^= Z >> 31;
+    for (int I = 0; I < 8; ++I)
+      Out.push_back(static_cast<char>(Z >> (8 * I)));
+  }
+  Out.resize(N);
+  return Out;
+}
+
+} // namespace
+
+/// Known answers of the reference XXH64 (seed 0) at every tail path: below
+/// one stripe, one stripe exactly, and stripes plus 8-, 4- and 1-byte
+/// tails.
+TEST(Checksum64, MatchesReferenceXxh64OnCountingBytes) {
+  const std::pair<size_t, uint64_t> Cases[] = {
+      {0, 0xef46db3751d8e999ull},
+      {1, 0xe934a84adb052768ull},
+      {3, 0xe5c7bb4533bc65ddull},
+      {4, 0xffced8604453cc1eull},
+      {7, 0x14cc643f630c72d2ull},
+      {8, 0x884a173614b81b8dull},
+      {13, 0x13d17c4c779723a8ull},
+      {31, 0xc346d2b59b4d8ee1ull},
+      {32, 0xcbf59c5116ff32b4ull},
+      {33, 0x0c535d1acafb8eadull},
+      {63, 0xe26aa9e2a95f8e4full},
+      {65, 0xc31eb63b2ae4465bull},
+  };
+  for (const auto &[N, Want] : Cases)
+    EXPECT_EQ(checksum64(countingBytes(N)), Want) << "n = " << N;
+}
+
+TEST(Checksum64, MatchesReferenceXxh64OnASeededMebibyte) {
+  std::string Bytes = splitmixBytes(23, size_t(1) << 20);
+  EXPECT_EQ(static_cast<uint8_t>(Bytes[0]), 0xd6);
+  EXPECT_EQ(checksum64(Bytes), 0x84e44d4bbe576f20ull);
+}
+
+/// Word loads at any alignment read the same bytes.
+TEST(Checksum64, UnalignedStartGivesTheSameValue) {
+  std::string Bytes = splitmixBytes(5, 1000);
+  uint64_t Want = checksum64(Bytes);
+  for (size_t Shift = 1; Shift < 16; ++Shift) {
+    std::string Padded(Shift, 'x');
+    Padded += Bytes;
+    EXPECT_EQ(checksum64(std::string_view(Padded).substr(Shift)), Want)
+        << "shift " << Shift;
+  }
+}
+
+TEST(Checksum64, EverySingleBitFlipChangesTheValue) {
+  std::string Bytes = splitmixBytes(7, 4096);
+  uint64_t Clean = checksum64(Bytes);
+  size_t Unchanged = 0;
+  for (size_t Bit = 0; Bit < Bytes.size() * 8; ++Bit) {
+    Bytes[Bit / 8] ^= static_cast<char>(1 << (Bit % 8));
+    Unchanged += checksum64(Bytes) == Clean;
+    Bytes[Bit / 8] ^= static_cast<char>(1 << (Bit % 8));
+  }
+  EXPECT_EQ(Unchanged, 0u);
+}
