@@ -42,13 +42,13 @@ struct TimedResult {
 /// Times an AWDIT check (witness extraction off: the paper measures the
 /// decision procedure). \p Threads: the default 1 runs the checker inline,
 /// the algorithm the paper's figures measure; > 1 (or 0 = all cores) runs
-/// its units of work on a pool of that many workers.
+/// its units of work on a pool of that many workers once the history has
+/// 4096 transactions (CheckOptions::Threads).
 inline TimedResult timeAwdit(const History &H, IsolationLevel Level,
                              unsigned Threads = 1) {
   CheckOptions Options;
   Options.MaxWitnesses = 1;
   Options.Threads = Threads;
-  Options.ParallelThreshold = 0;
   Timer T;
   CheckReport Report = checkIsolation(H, Level, Options);
   return {T.elapsedSeconds(), Report.Consistent, false};

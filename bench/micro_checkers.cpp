@@ -228,29 +228,16 @@ static void BM_RaSingleSessionGeneral(benchmark::State &State) {
 }
 BENCHMARK(BM_RaSingleSessionGeneral)->Arg(4096)->Arg(16384);
 
-// Ablation: Algorithm 3 as written (full HB matrix + pointer scans) vs
-// the paper tool's on-the-fly variant (recycled rows + binary search).
-static void BM_AwditCcOnTheFly(benchmark::State &State) {
-  const History &H = cachedHistory(static_cast<size_t>(State.range(0)));
-  for (auto _ : State) {
-    std::vector<Violation> Out;
-    benchmark::DoNotOptimize(checkCcOnTheFly(H, Out, /*MaxWitnesses=*/1));
-  }
-  reportOps(State, H);
-}
-BENCHMARK(BM_AwditCcOnTheFly)->Arg(1024)->Arg(4096)->Arg(16384);
-
 // Pool scaling: the same check at 1/2/4/8 workers on the large generated
 // history. Threads = 1 runs the checker inline, so each family reports the
-// single- vs multi-thread speedup directly (items_per_second column).
-// ParallelThreshold is forced to 0 so the thread count, not the history
-// size, decides whether a pool is built.
+// single- vs multi-thread speedup directly (items_per_second column). The
+// history is above the facade's 4096-transaction pool threshold, so the
+// thread count alone decides whether a pool is built.
 static void runParallelLevel(benchmark::State &State, IsolationLevel Level) {
   const History &H = cachedHistory(static_cast<size_t>(State.range(0)));
   CheckOptions Options;
   Options.MaxWitnesses = 1;
   Options.Threads = static_cast<unsigned>(State.range(1));
-  Options.ParallelThreshold = 0;
   for (auto _ : State)
     benchmark::DoNotOptimize(checkIsolation(H, Level, Options));
   reportOps(State, H);

@@ -30,6 +30,7 @@ import sys
 REQUIRED_DEFAULTS = [
     "awdit_server_sessions_live",
     "awdit_server_sessions_created_total",
+    "awdit_server_resume_failures_total",
     "awdit_server_txns_committed_total",
     "awdit_server_flushes_total",
     "awdit_server_poll_max_stall_micros",

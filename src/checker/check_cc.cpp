@@ -121,13 +121,14 @@ detail::CcKeyIndex::splitByWork(size_t Parts) const {
   return Bounds;
 }
 
+namespace {
+
 /// Fills the exclusive happens-before clock rows, processing committed
 /// transactions in the topological order \p Order of so ∪ wr (Algorithm 3,
 /// lines 22-25). Inclusive(t')[s'] differs from row(t') only at
 /// t'.Session, where it is 1 + SoIndex(t').
-void awdit::fillHappensBefore(const History &H,
-                              const std::vector<uint32_t> &Order,
-                              HappensBefore &HB) {
+void fillHappensBefore(const History &H, const std::vector<uint32_t> &Order,
+                       HappensBefore &HB) {
   size_t K = H.numSessions();
   HB.NumSessions = K;
   HB.Rows.assign(H.numTxns() * K, 0);
@@ -153,6 +154,8 @@ void awdit::fillHappensBefore(const History &H,
     }
   }
 }
+
+} // namespace
 
 bool awdit::computeHappensBefore(const History &H, HappensBefore &HB) {
   CommitGraph Base(H);

@@ -13,6 +13,14 @@
 
 using namespace awdit;
 
+namespace {
+
+/// Histories with fewer transactions than this run inline even when more
+/// than one worker is requested: below it, thread startup dominates.
+constexpr size_t ParallelThreshold = 4096;
+
+} // namespace
+
 CheckReport awdit::checkIsolation(const History &H, IsolationLevel Level,
                                   const CheckOptions &Options) {
   CheckReport Report;
@@ -20,16 +28,11 @@ CheckReport awdit::checkIsolation(const History &H, IsolationLevel Level,
 
   // The level's checker runs its units of work on a pool when more than
   // one worker is requested (or available, with Threads = 0) and the
-  // history is large enough to amortize thread startup. The OnTheFly CC
-  // variant is pinned inline: its purpose is bounded memory.
+  // history is large enough to amortize thread startup.
   size_t Threads =
       Options.Threads == 0 ? ThreadPool::defaultThreads() : Options.Threads;
-  bool UseParallel =
-      Threads > 1 && H.numTxns() >= Options.ParallelThreshold &&
-      !(Level == IsolationLevel::CausalConsistency &&
-        Options.Cc == CcVariant::OnTheFly);
   std::optional<ThreadPool> Pool;
-  if (UseParallel)
+  if (Threads > 1 && H.numTxns() >= ParallelThreshold)
     Pool.emplace(Threads);
   ThreadPool *P = Pool ? &*Pool : nullptr;
 
@@ -39,7 +42,7 @@ CheckReport awdit::checkIsolation(const History &H, IsolationLevel Level,
                                 &Sat, P);
     break;
   case IsolationLevel::ReadAtomic:
-    if (Options.UseSingleSessionFastPath && isSingleSession(H)) {
+    if (isSingleSession(H)) {
       Report.Consistent = checkRaSingleSession(H, Report.Violations);
       Report.Stats.UsedFastPath = true;
     } else {
@@ -48,12 +51,8 @@ CheckReport awdit::checkIsolation(const History &H, IsolationLevel Level,
     }
     break;
   case IsolationLevel::CausalConsistency:
-    if (Options.Cc == CcVariant::OnTheFly)
-      Report.Consistent = checkCcOnTheFly(H, Report.Violations,
-                                          Options.MaxWitnesses, &Sat);
-    else
-      Report.Consistent = checkCc(H, Report.Violations, Options.MaxWitnesses,
-                                  &Sat, P);
+    Report.Consistent = checkCc(H, Report.Violations, Options.MaxWitnesses,
+                                &Sat, P);
     break;
   }
 

@@ -10,7 +10,11 @@
 /// and run statistics. This is the API the examples, the CLI tool, and the
 /// benchmark harness use. Each level has one one-shot implementation
 /// (check_rc.h, check_ra.h, check_cc.h) that runs inline or on a thread
-/// pool; this facade picks the checker and whether to build the pool.
+/// pool; this facade picks the level's checker, takes the single-session
+/// RA fast path whenever the history qualifies, and builds the pool only
+/// when more than one worker is asked for and the history has at least
+/// 4096 transactions. Tests and benches that want one path call the
+/// level's checker directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,38 +29,20 @@
 
 namespace awdit {
 
-/// Implementation variant for the CC checker (both are Algorithm 3; see
-/// check_cc.h).
-enum class CcVariant : uint8_t {
-  /// Full HB matrix + monotone pointer scans (the algorithm as written).
-  PointerScan,
-  /// On-the-fly HB with recycled rows + binary-search lastWrite (the
-  /// variant the paper's tool ships, §5). Lower memory.
-  OnTheFly,
-};
-
-/// Options controlling a consistency check.
+/// Options controlling a consistency check: the two knobs the CLI, `awdit
+/// serve` and the benchmarks set.
 struct CheckOptions {
   /// Maximum number of cycle witnesses to extract (one per SCC, §3.4).
   /// 0 requests verdict-only mode (fastest when violations exist).
   size_t MaxWitnesses = 16;
-  /// Use the linear single-session RA fast path (Theorem 1.6) when the
-  /// history qualifies and the level is RA.
-  bool UseSingleSessionFastPath = true;
-  /// Which CC implementation to run. The OnTheFly variant is sequential by
-  /// design (its point is O(width·k) memory); selecting it runs the check
-  /// inline regardless of Threads.
-  CcVariant Cc = CcVariant::PointerScan;
   /// Workers of the pool the level's checker runs its units of work on
   /// (see check_rc.h). 1 (the default) builds no pool and runs the check
-  /// inline; 0 selects one worker per hardware thread. Verdicts,
-  /// violation lists, statistics, and witness cycles are bit-identical
-  /// either way on every history (enforced by tests/test_parallel.cpp).
+  /// inline; 0 selects one worker per hardware thread. Histories under
+  /// 4096 transactions run inline whatever this says: below that, thread
+  /// startup dominates the check. Verdicts, violation lists, statistics,
+  /// and witness cycles are bit-identical either way on every history
+  /// (enforced by tests/test_parallel.cpp).
   unsigned Threads = 1;
-  /// Histories with fewer transactions than this run inline even when
-  /// Threads > 1 — below it, thread startup dominates the check. Set to 0
-  /// to force the pool (tests do).
-  size_t ParallelThreshold = 4096;
 };
 
 /// Statistics of a completed check.
@@ -82,12 +68,12 @@ struct CheckReport {
 ///
 /// The one-shot entry point: builds a pool when Options ask for one and the
 /// history is large enough, then runs the level's checker over the
-/// complete history (checkRc, checkRa or checkCc; checkRaSingleSession or
-/// checkCcOnTheFly when Options select them). Monitor::finalize() runs it as its canonical pass, so a
-/// monitor fed the same history reports bit-identical results (enforced
-/// by tests/test_monitor.cpp). Callers that receive transactions
-/// incrementally should use Monitor (checker/monitor.h) directly instead
-/// of materializing a History first.
+/// complete history (checkRc, checkRa or checkCc; checkRaSingleSession for
+/// RA on a single-session history). Monitor::finalize() runs it as its
+/// canonical pass, so a monitor fed the same history reports bit-identical
+/// results (enforced by tests/test_monitor.cpp). Callers that receive
+/// transactions incrementally should use Monitor (checker/monitor.h)
+/// directly instead of materializing a History first.
 CheckReport checkIsolation(const History &H, IsolationLevel Level,
                            const CheckOptions &Options = {});
 

@@ -15,10 +15,13 @@ namespace {
 
 constexpr uint32_t CheckpointMagic = 0x50435741; // "AWCP" little-endian
 
-/// What the layout's two slots for the one-shot check's Threads and
-/// ParallelThreshold always hold. Both are host-local knobs: a load reads
-/// and discards them, so a resumed stream runs with the resuming process's
-/// settings, and two stores of one stream agree in bytes.
+/// What the layout's four slots for one-shot check knobs always hold: the
+/// single-session RA fast path (on), the CC variant (0, Algorithm 3), the
+/// pool's worker count (1) and its transaction threshold (4096). None is
+/// an option any more, so a load reads and discards them, and every store
+/// written before they were dropped holds exactly these bytes.
+constexpr bool StoredSingleSessionFastPath = true;
+constexpr uint8_t StoredCcChecker = 0;
 constexpr uint32_t StoredThreads = 1;
 constexpr uint64_t StoredParallelThreshold = 4096;
 
@@ -30,24 +33,30 @@ void saveOptions(ByteWriter &W, const MonitorOptions &O) {
   W.u64(O.WindowAgeTicks);
   W.u64(O.ForceAbortOpenTicks);
   W.u64(O.Check.MaxWitnesses);
-  W.boolean(O.Check.UseSingleSessionFastPath);
-  W.u8(static_cast<uint8_t>(O.Check.Cc));
+  W.boolean(StoredSingleSessionFastPath);
+  W.u8(StoredCcChecker);
   W.u32(StoredThreads);
   W.u64(StoredParallelThreshold);
 }
 
-void loadOptions(ByteReader &R, MonitorOptions &O) {
-  O.Level = static_cast<IsolationLevel>(R.u8());
+/// False when the level byte names no isolation level: a crafted root with
+/// valid checksums must be refused here, before anything switches on it.
+bool loadOptions(ByteReader &R, MonitorOptions &O) {
+  uint8_t Level = R.u8();
+  if (Level > static_cast<uint8_t>(IsolationLevel::CausalConsistency))
+    return false;
+  O.Level = static_cast<IsolationLevel>(Level);
   O.CheckIntervalTxns = R.u64();
   O.WindowTxns = R.u64();
   O.WindowEdges = R.u64();
   O.WindowAgeTicks = R.u64();
   O.ForceAbortOpenTicks = R.u64();
   O.Check.MaxWitnesses = R.u64();
-  O.Check.UseSingleSessionFastPath = R.boolean();
-  O.Check.Cc = static_cast<CcVariant>(R.u8());
-  (void)R.u32(); // StoredThreads
-  (void)R.u64(); // StoredParallelThreshold
+  (void)R.boolean(); // StoredSingleSessionFastPath
+  (void)R.u8();      // StoredCcChecker
+  (void)R.u32();     // StoredThreads
+  (void)R.u64();     // StoredParallelThreshold
+  return true;
 }
 
 void saveMeta(ByteWriter &W, const CheckpointMeta &Meta) {
@@ -59,13 +68,15 @@ void saveMeta(ByteWriter &W, const CheckpointMeta &Meta) {
   W.u64(Meta.Flushes);
 }
 
-void loadMeta(ByteReader &R, CheckpointMeta &Meta) {
+bool loadMeta(ByteReader &R, CheckpointMeta &Meta) {
   Meta.Format = R.str();
-  loadOptions(R, Meta.Options);
+  if (!loadOptions(R, Meta.Options))
+    return false;
   Meta.StreamOffset = R.u64();
   Meta.LineNo = R.u64();
   Meta.CommittedTxns = R.u64();
   Meta.Flushes = R.u64();
+  return true;
 }
 
 } // namespace
@@ -119,7 +130,8 @@ bool parseStoreMeta(std::string_view Blob, CheckpointMeta &Meta,
     return Fail("unsupported checkpoint store version " +
                 std::to_string(Version) + " (this build reads version " +
                 std::to_string(CheckpointStoreVersion) + ")");
-  loadMeta(R, Meta);
+  if (!loadMeta(R, Meta))
+    return Fail("corrupted checkpoint store root (isolation level)");
   std::string Machine = R.str();
   if (MachineState)
     *MachineState = std::move(Machine);

@@ -71,8 +71,11 @@ struct CheckpointMeta {
   std::string Format;
   /// The monitor configuration at checkpoint time. A resume must run with
   /// exactly these options — the CLI rejects incompatible flags — except
-  /// Check.Threads and Check.ParallelThreshold: they are host-local, so a
-  /// root stores fixed values for them and a load leaves the defaults.
+  /// Check.Threads: it is host-local, so a root stores a fixed value for it
+  /// and a load leaves the default. The root keeps three more fixed slots,
+  /// for one-shot knobs that are no longer options (fast path, CC variant,
+  /// pool threshold), which a load reads and discards; a level byte that
+  /// names no isolation level is refused as a corrupted root.
   MonitorOptions Options;
   /// Bytes of the stream fully applied; resume seeks here.
   uint64_t StreamOffset = 0;

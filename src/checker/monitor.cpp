@@ -739,8 +739,13 @@ void saveViolation(ByteWriter &W, const Violation &V) {
   }
 }
 
+/// False on a truncated record or a violation or edge kind the enums do
+/// not name.
 bool loadViolation(ByteReader &R, Violation &V) {
-  V.Kind = static_cast<ViolationKind>(R.u8());
+  uint8_t Kind = R.u8();
+  if (Kind > static_cast<uint8_t>(ViolationKind::CommitOrderCycle))
+    return false;
+  V.Kind = static_cast<ViolationKind>(Kind);
   V.T = R.u32();
   V.OpIndex = R.u32();
   V.Other = R.u32();
@@ -751,7 +756,10 @@ bool loadViolation(ByteReader &R, Violation &V) {
   for (uint64_t I = 0; I < Len; ++I) {
     V.Cycle[I].From = R.u32();
     V.Cycle[I].To = R.u32();
-    V.Cycle[I].Kind = static_cast<EdgeKind>(R.u8());
+    uint8_t EKind = R.u8();
+    if (EKind > static_cast<uint8_t>(EdgeKind::Inferred))
+      return false;
+    V.Cycle[I].Kind = static_cast<EdgeKind>(EKind);
   }
   return R.ok();
 }
@@ -1032,7 +1040,10 @@ bool Monitor::loadStateImpl(ByteReader &R, std::string *Err,
       return Fail("corrupted checkpoint (operation count)");
     T.Ops.resize(NumOps);
     for (Operation &Op : T.Ops) {
-      Op.Kind = static_cast<OpKind>(R.u8());
+      uint8_t Kind = R.u8();
+      if (Kind > static_cast<uint8_t>(OpKind::Write))
+        return Fail("corrupted checkpoint (operation kind)");
+      Op.Kind = static_cast<OpKind>(Kind);
       Op.K = R.u64();
       Op.V = R.i64();
     }

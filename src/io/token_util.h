@@ -14,9 +14,8 @@
 /// allocation-free:
 ///
 ///  - TokenCursor / CsvCursor walk a line's tokens in place — no per-line
-///    std::vector, no heap traffic. The legacy tokenize()/splitCsv()
-///    vector-returning functions remain as thin wrappers for cold callers
-///    (the server's verb parser).
+///    std::vector, no heap traffic. They are the only tokenizer API: the
+///    server's verb parser walks its tokens with TokenCursor too.
 ///  - The whitespace/newline scanners classify 8 bytes per step with SWAR
 ///    bitmasks (16 with SSE2/NEON where compiled in). The SIMD paths sit
 ///    behind a runtime switch — setSimdTokenizer(false) forces the scalar
@@ -40,7 +39,6 @@
 #include <cstring>
 #include <limits>
 #include <string_view>
-#include <vector>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -358,9 +356,9 @@ bool parseIntSlow(std::string_view Token, IntT &Out) {
   return Ec == std::errc() && Ptr == Token.data() + Token.size();
 }
 
-/// Walks the space/tab-separated tokens of one line in place — the
-/// allocation-free replacement for tokenize() on the hot decode path.
-/// Tokens are never empty, so an empty next() means the line is exhausted.
+/// Walks the space/tab-separated tokens of one line in place (the native
+/// and dbcop grammars, and the server's verbs). Tokens are never empty, so
+/// an empty next() means the line is exhausted.
 class TokenCursor {
 public:
   explicit TokenCursor(std::string_view Line) : Line(Line) {}
@@ -575,27 +573,6 @@ bool parseInt(std::string_view Token, IntT &Out) {
     }
   }
   return parseIntSlow(Token, Out);
-}
-
-/// Splits \p Line on runs of spaces/tabs (the native and dbcop grammars).
-/// Cold-path wrapper over TokenCursor; the hot decoders use the cursor
-/// directly.
-inline std::vector<std::string_view> tokenize(std::string_view Line) {
-  std::vector<std::string_view> Tokens;
-  TokenCursor C(Line);
-  for (std::string_view T = C.next(); !T.empty(); T = C.next())
-    Tokens.push_back(T);
-  return Tokens;
-}
-
-/// Splits \p Line on commas, keeping empty fields (the plume grammar).
-/// Cold-path wrapper over CsvCursor.
-inline std::vector<std::string_view> splitCsv(std::string_view Line) {
-  std::vector<std::string_view> Fields;
-  CsvCursor C(Line);
-  for (std::string_view F; C.next(F);)
-    Fields.push_back(F);
-  return Fields;
 }
 
 } // namespace awdit::io

@@ -7,7 +7,7 @@
 using namespace awdit;
 using namespace awdit::server;
 using awdit::io::parseInt;
-using awdit::io::tokenize;
+using awdit::io::TokenCursor;
 
 Verb awdit::server::classifyLine(std::string_view Line) {
   // First token, cheaply: skip leading blanks, cut at the next blank.
@@ -34,8 +34,8 @@ Verb awdit::server::classifyLine(std::string_view Line) {
 }
 
 bool awdit::server::statsWantsDeep(std::string_view Line) {
-  std::vector<std::string_view> Tok = tokenize(Line);
-  return Tok.size() >= 2 && Tok[0] == "STATS" && Tok[1] == "deep";
+  TokenCursor C(Line);
+  return C.next() == "STATS" && C.next() == "deep";
 }
 
 bool awdit::server::parseHello(std::string_view Line, HelloRequest &Req,
@@ -45,13 +45,14 @@ bool awdit::server::parseHello(std::string_view Line, HelloRequest &Req,
       *Err = Msg;
     return false;
   };
-  std::vector<std::string_view> Tok = tokenize(Line);
-  if (Tok.size() < 3 || Tok[0] != "HELLO")
+  TokenCursor C(Line);
+  std::string_view Head = C.next(), Stream = C.next(), LevelTok = C.next();
+  if (Head != "HELLO" || LevelTok.empty())
     return Fail("expected 'HELLO <stream-id> <rc|ra|cc> [k=v ...]'");
-  Req.Stream = std::string(Tok[1]);
-  std::optional<IsolationLevel> Level = parseIsolationLevel(Tok[2]);
+  Req.Stream = std::string(Stream);
+  std::optional<IsolationLevel> Level = parseIsolationLevel(LevelTok);
   if (!Level)
-    return Fail("unknown isolation level '" + std::string(Tok[2]) +
+    return Fail("unknown isolation level '" + std::string(LevelTok) +
                 "' (want rc|ra|cc)");
   Req.Level = *Level;
   Req.Options = MonitorOptions();
@@ -60,8 +61,7 @@ bool awdit::server::parseHello(std::string_view Line, HelloRequest &Req,
   Req.Options.CheckIntervalTxns = 256;
   Req.Options.Check.MaxWitnesses = 4;
 
-  for (size_t I = 3; I < Tok.size(); ++I) {
-    std::string_view KV = Tok[I];
+  for (std::string_view KV = C.next(); !KV.empty(); KV = C.next()) {
     size_t Eq = KV.find('=');
     if (Eq == std::string_view::npos || Eq == 0 || Eq + 1 > KV.size())
       return Fail("expected key=value, got '" + std::string(KV) + "'");

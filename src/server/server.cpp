@@ -384,8 +384,9 @@ void Server::handleTrace(const std::shared_ptr<Conn> &C,
                 "(HELLO ... token=<secret> first)");
     return;
   }
-  std::vector<std::string_view> Tok = io::tokenize(Line);
-  std::string_view Arg = Tok.size() >= 2 ? Tok[1] : std::string_view();
+  io::TokenCursor Tok(Line);
+  Tok.next(); // TRACE
+  std::string_view Arg = Tok.next();
   if (Arg == "on") {
     // A fresh window: operators turn tracing on to look at *now*, not at
     // whatever the rings held from a forgotten earlier session.
@@ -765,6 +766,9 @@ std::string Server::renderMetrics() const {
   metricLine(Out, "awdit_server_sessions_resumed_total",
              "Sessions restored from a per-stream checkpoint.", "counter",
              T.SessionsResumed);
+  metricLine(Out, "awdit_server_resume_failures_total",
+             "HELLOs refused because the stream's checkpoint store could "
+             "not be resumed.", "counter", T.ResumeFailures);
   metricLine(Out, "awdit_server_sessions_evicted_total",
              "Idle detached sessions checkpointed and evicted.", "counter",
              T.SessionsEvicted);

@@ -477,15 +477,21 @@ SessionRegistry::hello(const HelloRequest &Req,
   // per-stream checkpoint store when one exists.
   std::string CkptPath;
   std::unique_ptr<StoreCheckpointer> ResumeStore;
+  // A store that cannot be resumed refuses the HELLO and is counted; a
+  // HELLO whose options do not match a readable store is not.
+  auto ResumeFailed = [&](std::string Msg) {
+    R.Err = std::move(Msg);
+    std::lock_guard<std::mutex> L(Mu);
+    ++ResumeFailures;
+    return R;
+  };
   if (!Env.CheckpointDir.empty()) {
     CkptPath = checkpointStoreDirFor(Env.CheckpointDir, Req.Stream);
     if (StoreCheckpointer::isStoreDir(CkptPath)) {
       ResumeStore = std::make_unique<StoreCheckpointer>();
       std::string Err;
-      if (!ResumeStore->open(CkptPath, &Err)) {
-        R.Err = "checkpoint store " + CkptPath + ": " + Err;
-        return R;
-      }
+      if (!ResumeStore->open(CkptPath, &Err))
+        return ResumeFailed("checkpoint store " + CkptPath + ": " + Err);
       // A store directory with no committed root (a crash before the first
       // checkpoint) has nothing to resume from.
       if (!ResumeStore->hasCheckpoint())
@@ -496,10 +502,8 @@ SessionRegistry::hello(const HelloRequest &Req,
   if (ResumeStore) {
     CheckpointMeta Meta;
     std::string Err;
-    if (!ResumeStore->readMeta(Meta, &Err)) {
-      R.Err = "checkpoint " + CkptPath + ": " + Err;
-      return R;
-    }
+    if (!ResumeStore->readMeta(Meta, &Err))
+      return ResumeFailed("checkpoint " + CkptPath + ": " + Err);
     if (!checkCompatible(Req, Meta.Format, Meta.Options, &R.Err))
       return R;
     S = std::make_shared<StreamSession>(Req.Stream, Meta.Format,
@@ -507,21 +511,16 @@ SessionRegistry::hello(const HelloRequest &Req,
     // Before any dereference: a checkpoint with an unknown format name
     // (foreign writer, hand-edited but checksum-valid) must be an ERR,
     // not a null-machine crash.
-    if (!S->Ingest.valid()) {
-      R.Err = "checkpoint " + CkptPath + ": unknown format '" +
-              Meta.Format + "'";
-      return R;
-    }
+    if (!S->Ingest.valid())
+      return ResumeFailed("checkpoint " + CkptPath + ": unknown format '" +
+                          Meta.Format + "'");
     std::string MachineState;
-    if (!ResumeStore->restore(S->M, MachineState, &Err)) {
-      R.Err = "checkpoint " + CkptPath + ": " + Err;
-      return R;
-    }
+    if (!ResumeStore->restore(S->M, MachineState, &Err))
+      return ResumeFailed("checkpoint " + CkptPath + ": " + Err);
     ByteReader MR(MachineState);
-    if (!S->Ingest.machine().loadState(MR)) {
-      R.Err = "checkpoint " + CkptPath + ": corrupted parser state";
-      return R;
-    }
+    if (!S->Ingest.machine().loadState(MR))
+      return ResumeFailed("checkpoint " + CkptPath +
+                          ": corrupted parser state");
     S->Ingest.primeResume(Meta.StreamOffset, Meta.LineNo);
     // Keep committing into the store just restored from.
     S->StoreCkpt = std::move(ResumeStore);
@@ -662,6 +661,7 @@ SessionRegistry::Totals SessionRegistry::totals() const {
   std::lock_guard<std::mutex> L(Mu);
   T.SessionsCreated = Created;
   T.SessionsResumed = Resumed;
+  T.ResumeFailures = ResumeFailures;
   T.SessionsEvicted = Evicted;
   T.SessionsEnded = Ended;
   T.Counters = Retired;

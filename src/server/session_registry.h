@@ -374,6 +374,8 @@ public:
     uint64_t SessionsLive = 0;
     uint64_t SessionsCreated = 0;
     uint64_t SessionsResumed = 0;
+    /// HELLOs refused because their stream's store could not be resumed.
+    uint64_t ResumeFailures = 0;
     uint64_t SessionsEvicted = 0;
     uint64_t SessionsEnded = 0;
     uint64_t Checkpoints = 0;
@@ -405,7 +407,8 @@ private:
   std::condition_variable DeadCv;
 
   // Fold-in accumulators of retired sessions (guarded by Mu).
-  uint64_t Created = 0, Resumed = 0, Evicted = 0, Ended = 0;
+  uint64_t Created = 0, Resumed = 0, ResumeFailures = 0, Evicted = 0,
+           Ended = 0;
   StatsSnapshot Retired;
   uint64_t RetiredCheckpoints = 0;
   uint64_t RetiredQuotaTrips = 0;

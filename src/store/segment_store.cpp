@@ -150,8 +150,6 @@ bool checkAndReadChunk(const SegmentFile &Seg, uint64_t Id,
 
 } // namespace
 
-SegmentStore::~SegmentStore() { stopCompactor(); }
-
 std::string SegmentStore::segmentPath(uint32_t Id) const {
   char Name[32];
   std::snprintf(Name, sizeof(Name), "seg-%06u.awseg", Id);
@@ -201,7 +199,7 @@ bool SegmentStore::open(const std::string &D, std::string *Err) {
   }
   // Collapse the log to the recovered root, then clear crash leftovers:
   // any segment file no longer referenced (an unpublished commit's new
-  // segment, or a dead segment the compactor never got to unlink).
+  // segment, or a dead segment a crash kept from being unlinked).
   if (Roots.hasRoot() && !Roots.rotate(Err))
     return false;
   NextSegId = 0;
@@ -212,7 +210,6 @@ bool SegmentStore::open(const std::string &D, std::string *Err) {
   }
   recomputeLiveCounts();
   OpenSeg = UINT32_MAX; // appends start a fresh segment
-  startCompactor();
   return true;
 }
 
@@ -471,19 +468,11 @@ void SegmentStore::reclaimDeadSegments() {
   // files, so unlinking them cannot orphan a recoverable root.
   if (!Roots.rotate(nullptr))
     return; // keep the files; a failed rotation only wastes space
-  std::vector<std::string> Paths;
   for (uint32_t SegId : Dead) {
-    Paths.push_back(Segments.at(SegId).Path);
-    Segments.erase(SegId); // close now; the unlink happens off-thread
+    std::string Path = Segments.at(SegId).Path;
+    Segments.erase(SegId); // closes the file
+    ::unlink(Path.c_str());
   }
-  if (Paths.empty())
-    return;
-  {
-    std::lock_guard<std::mutex> Lock(CompactorMu);
-    for (auto &P : Paths)
-      UnlinkQueue.push_back(std::move(P));
-  }
-  CompactorCv.notify_one();
 }
 
 StoreStats SegmentStore::stats() const {
@@ -582,41 +571,6 @@ bool SegmentStore::fsck(const std::string &Dir, FsckReport &Report,
     if (!Referenced.count(SegId))
       ++Report.StraySegmentFiles;
   return true;
-}
-
-void SegmentStore::startCompactor() {
-  if (Compactor.joinable())
-    return;
-  CompactorStop = false;
-  Compactor = std::thread([this] { compactorMain(); });
-}
-
-void SegmentStore::stopCompactor() {
-  if (!Compactor.joinable())
-    return;
-  {
-    std::lock_guard<std::mutex> Lock(CompactorMu);
-    CompactorStop = true;
-  }
-  CompactorCv.notify_one();
-  Compactor.join();
-}
-
-void SegmentStore::compactorMain() {
-  std::unique_lock<std::mutex> Lock(CompactorMu);
-  for (;;) {
-    CompactorCv.wait(Lock,
-                     [this] { return CompactorStop || !UnlinkQueue.empty(); });
-    std::vector<std::string> Batch;
-    Batch.swap(UnlinkQueue);
-    bool Stop = CompactorStop;
-    Lock.unlock();
-    for (const std::string &Path : Batch)
-      ::unlink(Path.c_str());
-    if (Stop)
-      return;
-    Lock.lock();
-  }
 }
 
 } // namespace store

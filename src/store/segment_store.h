@@ -41,9 +41,9 @@
 /// drops to zero is dead, and a sealed segment under 25% live is picked
 /// (one per commit) as a relocation victim — its surviving chunks are
 /// force-reappended so the whole segment dies. Dead segments are unlinked
-/// by a background compactor thread, but only after the root log has been
-/// rotated down to the current root, so no record on disk references a
-/// file about to vanish.
+/// inline by the commit that killed them, right after it rotates the root
+/// log down to the current root, so no record on disk references a file
+/// about to vanish. The store starts no thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,13 +53,10 @@
 #include "store/page_alloc.h"
 #include "store/root_log.h"
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -121,7 +118,6 @@ struct FsckReport {
 class SegmentStore {
 public:
   SegmentStore() = default;
-  ~SegmentStore();
   SegmentStore(const SegmentStore &) = delete;
   SegmentStore &operator=(const SegmentStore &) = delete;
 
@@ -225,10 +221,6 @@ private:
   void reclaimDeadSegments();
   std::string segmentPath(uint32_t Id) const;
 
-  void startCompactor();
-  void stopCompactor();
-  void compactorMain();
-
   std::string Dir;
   bool ReadOnly = false;
   RootLog Roots;
@@ -248,12 +240,6 @@ private:
   ChunkTable NewTable;
   /// Entries of Table with ids below the last put id.
   size_t OldCursor = 0;
-
-  std::thread Compactor;
-  std::mutex CompactorMu;
-  std::condition_variable CompactorCv;
-  std::vector<std::string> UnlinkQueue;
-  bool CompactorStop = false;
 };
 
 } // namespace store

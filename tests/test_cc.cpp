@@ -6,6 +6,7 @@
 #include "reduction/reductions.h"
 #include "sim/anomaly_injector.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 
@@ -237,19 +238,15 @@ void expectKernelMatchesReference(const History &H,
 
   std::vector<Violation> Scratch;
   bool ReadConsistent = checkReadConsistency(H, Scratch);
-  CheckOptions Options;
-  Options.ParallelThreshold = 0;
-  Options.Threads = 1;
-  CheckReport Seq = checkIsolation(H, IsolationLevel::CausalConsistency,
-                                   Options);
-  Options.Threads = 4;
-  CheckReport Par = checkIsolation(H, IsolationLevel::CausalConsistency,
-                                   Options);
-  EXPECT_EQ(Seq.Consistent, Par.Consistent) << Context;
-  EXPECT_EQ(Seq.Stats.InferredEdges, Par.Stats.InferredEdges) << Context;
-  EXPECT_EQ(Seq.Stats.GraphEdges, Par.Stats.GraphEdges) << Context;
+  std::vector<Violation> SeqOut, ParOut;
+  SaturationStats Seq, Par;
+  ThreadPool Pool(4);
+  bool SeqConsistent = checkCc(H, SeqOut, 16, &Seq);
+  EXPECT_EQ(SeqConsistent, checkCc(H, ParOut, 16, &Par, &Pool)) << Context;
+  EXPECT_EQ(Seq.InferredEdges, Par.InferredEdges) << Context;
+  EXPECT_EQ(Seq.GraphEdges, Par.GraphEdges) << Context;
   if (ReadConsistent) {
-    EXPECT_EQ(Seq.Stats.InferredEdges, Reference.size()) << Context;
+    EXPECT_EQ(Seq.InferredEdges, Reference.size()) << Context;
   }
 }
 

@@ -641,6 +641,34 @@ TEST(Checkpoint, OutOfRangeSourceIdsFailCleanly) {
   }
 }
 
+/// Every enum a load reads is range-checked: state whose first operation
+/// has kind 7 (OpKind names 0 and 1) is a typed error, never an operation
+/// of no kind.
+TEST(Checkpoint, OutOfRangeOpKindFailsCleanly) {
+  MonitorOptions Options;
+  Monitor M(Options);
+  TxnId T = M.beginTxn(M.addSession());
+  M.write(T, 4, 40);
+  M.commit(T);
+  std::string Bytes;
+  std::vector<ChunkMark> Marks;
+  uint32_t IdBase = 0;
+  std::vector<uint64_t> SoBase;
+  M.saveStateChunked(Bytes, Marks, IdBase, SoBase);
+  // [u64 txn count] then the first transaction: [u32 session] [u32 so]
+  // [bool committed] [u64 op count] [u8 kind of its first op] ...
+  constexpr size_t FirstOpKind = 8 + 4 + 4 + 1 + 8;
+  ASSERT_GT(Bytes.size(), FirstOpKind);
+  ASSERT_EQ(Bytes[FirstOpKind], static_cast<char>(OpKind::Write));
+  Bytes[FirstOpKind] = 7;
+  Monitor Restored(Options);
+  std::string Err;
+  EXPECT_FALSE(Restored.loadStateChunked(Bytes, IdBase, SoBase, &Err));
+  EXPECT_NE(Err.find("corrupted checkpoint (operation kind)"),
+            std::string::npos)
+      << Err;
+}
+
 /// Many independent monitors checkpointed and restored in one process —
 /// the multi-tenant server's resume path: distinct levels, cadences, and
 /// windows, interleaved save/load and interleaved replay, with every
@@ -979,10 +1007,10 @@ TEST(StoreCheckpoint, TornRootLogResumesFromLastPublishedRoot) {
   }
 }
 
-/// The one-shot check's thread count and parallel threshold are host-local:
-/// a root stores fixed values for them, so a store written with Threads = 0
-/// (an all-cores pool) resumes with the resuming process's defaults, and
-/// its root meta bytes equal those of a default-options run of the stream.
+/// The one-shot check's thread count is host-local: a root stores a fixed
+/// value for it, so a store written with Threads = 0 (an all-cores pool)
+/// resumes with the resuming process's default, and its root meta bytes
+/// equal those of a default-options run of the stream.
 TEST(StoreCheckpoint, RootCarriesNoHostLocalCheckKnobs) {
   History H = generated(41, 300, /*Inject=*/true);
   std::string Text = writeTextHistory(H);
@@ -991,7 +1019,6 @@ TEST(StoreCheckpoint, RootCarriesNoHostLocalCheckKnobs) {
   Defaults.CheckIntervalTxns = 16;
   MonitorOptions HostLocal = Defaults;
   HostLocal.Check.Threads = 0;
-  HostLocal.Check.ParallelThreshold = 0;
 
   auto RootMeta = [&](const MonitorOptions &Options, const char *Tag) {
     StoreTempDir Dir(Tag);
@@ -1004,7 +1031,6 @@ TEST(StoreCheckpoint, RootCarriesNoHostLocalCheckKnobs) {
       CheckpointMeta Meta;
       EXPECT_TRUE(Ckpt.readMeta(Meta, &Err)) << Err;
       EXPECT_EQ(Meta.Options.Check.Threads, 1u) << Tag;
-      EXPECT_EQ(Meta.Options.Check.ParallelThreshold, 4096u) << Tag;
     }
     store::SegmentStore Store;
     EXPECT_TRUE(Store.open(Dir.str(), &Err)) << Err;

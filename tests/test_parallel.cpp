@@ -11,11 +11,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "checker/check_cc.h"
+#include "checker/check_ra.h"
+#include "checker/check_rc.h"
 #include "checker/checker.h"
 #include "checker/commit_graph.h"
 #include "checker/saturation_impl.h"
 #include "sim/anomaly_injector.h"
 #include "support/rng.h"
+#include "support/thread_pool.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 
@@ -33,13 +36,31 @@ using namespace awdit::test;
 
 namespace {
 
-/// Runs one check with \p Threads workers, forcing the parallel path for
-/// Threads > 1 regardless of history size.
+/// Runs the level's one-shot checker directly (never the single-session RA
+/// fast path): inline for \p Threads = 1, on a pool of \p Threads workers
+/// otherwise, whatever the history's size.
 CheckReport runWithThreads(const History &H, IsolationLevel Level,
-                           unsigned Threads, CheckOptions Options = {}) {
-  Options.Threads = Threads;
-  Options.ParallelThreshold = 0;
-  return checkIsolation(H, Level, Options);
+                           unsigned Threads, size_t MaxWitnesses = 16) {
+  std::optional<ThreadPool> Pool;
+  if (Threads > 1)
+    Pool.emplace(Threads);
+  ThreadPool *P = Pool ? &*Pool : nullptr;
+  CheckReport Report;
+  SaturationStats Sat;
+  switch (Level) {
+  case IsolationLevel::ReadCommitted:
+    Report.Consistent = checkRc(H, Report.Violations, MaxWitnesses, &Sat, P);
+    break;
+  case IsolationLevel::ReadAtomic:
+    Report.Consistent = checkRa(H, Report.Violations, MaxWitnesses, &Sat, P);
+    break;
+  case IsolationLevel::CausalConsistency:
+    Report.Consistent = checkCc(H, Report.Violations, MaxWitnesses, &Sat, P);
+    break;
+  }
+  Report.Stats.InferredEdges = Sat.InferredEdges;
+  Report.Stats.GraphEdges = Sat.GraphEdges;
+  return Report;
 }
 
 void expectSameReport(const CheckReport &Seq, const CheckReport &Par,
@@ -64,12 +85,11 @@ void expectSameReport(const CheckReport &Seq, const CheckReport &Par,
   EXPECT_EQ(Seq.Stats.GraphEdges, Par.Stats.GraphEdges) << Context;
 }
 
-void expectParallelMatchesSequential(const History &H, const char *Context,
-                                     const CheckOptions &Options = {}) {
+void expectParallelMatchesSequential(const History &H, const char *Context) {
   for (IsolationLevel Level : AllIsolationLevels) {
-    CheckReport Seq = runWithThreads(H, Level, 1, Options);
+    CheckReport Seq = runWithThreads(H, Level, 1);
     for (unsigned Threads : {2u, 4u}) {
-      CheckReport Par = runWithThreads(H, Level, Threads, Options);
+      CheckReport Par = runWithThreads(H, Level, Threads);
       std::string Label = std::string(Context) + " level " +
                           isolationLevelName(Level) + " threads " +
                           std::to_string(Threads);
@@ -132,8 +152,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ParallelDifferentialInjected,
 
 /// Degenerate inputs through the pool path: no units of work at all, one
 /// unit, pool units with nothing to do, and more CC key ranges than keys.
-/// Single-session histories also run RA with its fast path off, so the
-/// session-unit saturation sees them.
+/// runWithThreads calls checkRa itself, so single-session histories reach
+/// the session-unit saturation rather than the RA fast path.
 TEST(ParallelDifferentialDegenerate, MatchesSequential) {
   constexpr Key X = 1, Y = 2;
   History Single = makeHistory({
@@ -160,13 +180,9 @@ TEST(ParallelDifferentialDegenerate, MatchesSequential) {
   ASSERT_FALSE(consistent(OneSession, IsolationLevel::ReadAtomic));
   ASSERT_FALSE(consistent(FewKeys, IsolationLevel::CausalConsistency));
 
-  CheckOptions NoFastPath;
-  NoFastPath.UseSingleSessionFastPath = false;
   expectParallelMatchesSequential(History(), "empty");
   expectParallelMatchesSequential(Single, "single committed txn");
-  expectParallelMatchesSequential(Single, "single committed txn", NoFastPath);
   expectParallelMatchesSequential(OneSession, "one session");
-  expectParallelMatchesSequential(OneSession, "one session", NoFastPath);
   expectParallelMatchesSequential(AllAborted, "all aborted");
   expectParallelMatchesSequential(FewKeys, "fewer keys than CC ranges");
 }
@@ -180,7 +196,7 @@ TEST(ParallelDefaults, AutoThreadsMatchesSequentialAboveThreshold) {
   P.Txns = 5000;
   P.Seed = 99;
   History H = generateHistory(P);
-  ASSERT_GE(H.numTxns(), CheckOptions().ParallelThreshold);
+  ASSERT_GE(H.numTxns(), 4096u); // the facade's pool threshold
   CheckOptions Auto;
   Auto.Threads = 0;
   for (IsolationLevel Level : AllIsolationLevels) {
@@ -209,15 +225,10 @@ TEST(ParallelDefaults, MaxWitnessesHonored) {
       injectAnomaly(Base, AnomalyKind::CausalityCycle, 21, &Err);
   ASSERT_TRUE(H) << Err;
   for (size_t MaxW : {size_t(0), size_t(1), size_t(4)}) {
-    CheckOptions Options;
-    Options.MaxWitnesses = MaxW;
-    Options.ParallelThreshold = 0;
-    Options.Threads = 1;
-    CheckReport Seq = checkIsolation(*H, IsolationLevel::CausalConsistency,
-                                     Options);
-    Options.Threads = 4;
-    CheckReport Par = checkIsolation(*H, IsolationLevel::CausalConsistency,
-                                     Options);
+    CheckReport Seq =
+        runWithThreads(*H, IsolationLevel::CausalConsistency, 1, MaxW);
+    CheckReport Par =
+        runWithThreads(*H, IsolationLevel::CausalConsistency, 4, MaxW);
     EXPECT_EQ(Seq.Violations.size(), Par.Violations.size())
         << "MaxWitnesses = " << MaxW;
   }

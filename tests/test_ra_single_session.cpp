@@ -77,9 +77,12 @@ TEST(RaSingleSession, FacadeUsesFastPath) {
   EXPECT_TRUE(Report.Consistent);
   EXPECT_TRUE(Report.Stats.UsedFastPath);
 
-  CheckOptions NoFast;
-  NoFast.UseSingleSessionFastPath = false;
-  CheckReport Report2 = checkIsolation(H, IsolationLevel::ReadAtomic, NoFast);
+  // A second session takes the facade off the fast path.
+  History Two = makeHistory({
+      {0, {W(X, 1)}},
+      {1, {R(X, 1)}},
+  });
+  CheckReport Report2 = checkIsolation(Two, IsolationLevel::ReadAtomic);
   EXPECT_TRUE(Report2.Consistent);
   EXPECT_FALSE(Report2.Stats.UsedFastPath);
 }

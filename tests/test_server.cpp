@@ -21,6 +21,7 @@
 #include "server/server.h"
 #include "sim/anomaly_injector.h"
 #include "store/root_log.h"
+#include "store/segment_store.h"
 #include "support/socket.h"
 #include "workload/generator.h"
 
@@ -33,6 +34,9 @@
 #include <sstream>
 #include <thread>
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace awdit;
@@ -411,6 +415,30 @@ std::vector<std::string> fileLines(const std::string &Path) {
   for (std::string Line; std::getline(In, Line);)
     Lines.push_back(Line);
   return Lines;
+}
+
+/// Runs the awdit CLI with \p Args, its stdout discarded and its stderr
+/// written to \p ErrPath. Returns the exit status, or -1 when it could
+/// not start or did not exit normally.
+int runCli(std::vector<std::string> Args, const std::string &ErrPath) {
+  std::string Cli = AWDIT_CLI_PATH;
+  std::vector<char *> Argv{Cli.data()};
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  Argv.push_back(nullptr);
+  posix_spawn_file_actions_t Files;
+  posix_spawn_file_actions_init(&Files);
+  posix_spawn_file_actions_addopen(&Files, 1, "/dev/null", O_WRONLY, 0);
+  posix_spawn_file_actions_addopen(&Files, 2, ErrPath.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  pid_t Pid = 0;
+  int Rc = posix_spawn(&Pid, Cli.c_str(), &Files, nullptr, Argv.data(),
+                       environ);
+  posix_spawn_file_actions_destroy(&Files);
+  int Status = 0;
+  if (Rc != 0 || ::waitpid(Pid, &Status, 0) != Pid || !WIFEXITED(Status))
+    return -1;
+  return WEXITSTATUS(Status);
 }
 
 /// Drops the `"stream":"<name>",` tag the push channel adds, so pushed
@@ -954,10 +982,96 @@ TEST(ServerEndToEnd, ResumeOfAStoreOfAnotherVersionIsRefusedAndLeftAsItIs) {
     EXPECT_EQ(Reply.rfind(Refusal, 0), 0u) << Reply;
     EXPECT_NE(Reply.find(Reads), std::string::npos) << Reply;
   }
-  EXPECT_EQ(metricValue(H.server().renderMetrics(),
-                        "awdit_server_sessions_created_total"),
-            0u);
+  std::string Page = H.server().renderMetrics();
+  EXPECT_EQ(metricValue(Page, "awdit_server_sessions_created_total"), 0u);
+  EXPECT_EQ(metricValue(Page, "awdit_server_resume_failures_total"), 2u);
   EXPECT_TRUE(Image() == Before);
+  H.stop();
+}
+
+/// A root whose level byte names no isolation level, re-committed through
+/// the store so every checksum is valid, is a typed refusal on each path
+/// that resumes it: StoreCheckpointer::readMeta, `awdit monitor --resume`
+/// (exit 2), and a resuming HELLO, after which the server still answers
+/// its other tenants and counts the refusal.
+TEST(ServerEndToEnd, RootWithAnUnknownLevelIsRefusedOnEveryResumePath) {
+  std::string Text = writeTextHistory(generated(43, 300, /*Inject=*/false));
+  ServerOptions Base;
+  Base.CheckpointIntervalFlushes = 1;
+  ServerHarness H(Base);
+  size_t Cut = Text.find('\n', Text.size() / 2) + 1;
+  {
+    TestClient C;
+    ASSERT_TRUE(C.connect(H.port()));
+    ASSERT_TRUE(C.sendLine("HELLO lvl cc interval=16"));
+    ASSERT_EQ(C.readLine().rfind("OK lvl new", 0), 0u);
+    ASSERT_TRUE(C.send(Text.substr(0, Cut)));
+    ASSERT_TRUE(C.sendLine("STATS"));
+    C.readUntil("STATS ");
+    std::thread Stopper([&] { H.stop(); }); // drain: checkpoints the tenant
+    C.readUntil("BYE");
+    Stopper.join();
+  }
+
+  std::string StoreDir = checkpointStoreDirFor(H.checkpointDir(), "lvl");
+  std::string Err;
+  {
+    store::SegmentStore Store;
+    ASSERT_TRUE(Store.open(StoreDir, &Err)) << Err;
+    // [u32 magic] [u32 version] [u64 length, "native"] [u8 level] ...
+    std::string Meta = Store.rootMeta();
+    size_t LevelAt = 4 + 4 + 8 + std::string_view("native").size();
+    ASSERT_GT(Meta.size(), LevelAt);
+    ASSERT_EQ(Meta[LevelAt],
+              static_cast<char>(IsolationLevel::CausalConsistency));
+    Meta[LevelAt] = 7;
+    std::vector<uint64_t> Ids = Store.chunkIds();
+    std::vector<std::string> Payloads(Ids.size());
+    std::vector<std::pair<uint64_t, std::string_view>> Chunks;
+    for (size_t I = 0; I < Ids.size(); ++I) {
+      ASSERT_TRUE(Store.readChunk(Ids[I], Payloads[I], &Err)) << Err;
+      Chunks.emplace_back(Ids[I], Payloads[I]);
+    }
+    ASSERT_TRUE(Store.commit(Meta, Chunks, &Err)) << Err;
+  }
+  {
+    StoreCheckpointer Ckpt;
+    ASSERT_TRUE(Ckpt.open(StoreDir, &Err)) << Err;
+    CheckpointMeta Meta;
+    EXPECT_FALSE(Ckpt.readMeta(Meta, &Err));
+    EXPECT_NE(Err.find("corrupted checkpoint"), std::string::npos) << Err;
+  }
+
+  std::filesystem::path Scratch =
+      std::filesystem::path(H.checkpointDir()).parent_path();
+  std::string TextPath = (Scratch / "lvl.txt").string();
+  std::string ErrPath = (Scratch / "lvl.err").string();
+  std::ofstream(TextPath, std::ios::binary) << Text;
+  EXPECT_EQ(runCli({"monitor", TextPath, "--resume", StoreDir}, ErrPath), 2);
+  std::vector<std::string> CliErr = fileLines(ErrPath);
+  ASSERT_FALSE(CliErr.empty());
+  EXPECT_NE(CliErr[0].find("corrupted checkpoint"), std::string::npos)
+      << CliErr[0];
+
+  H.restart();
+  TestClient Other;
+  ASSERT_TRUE(Other.connect(H.port()));
+  ASSERT_TRUE(Other.sendLine("HELLO other cc"));
+  ASSERT_EQ(Other.readLine().rfind("OK other new", 0), 0u);
+  TestClient C;
+  ASSERT_TRUE(C.connect(H.port()));
+  ASSERT_TRUE(C.sendLine("HELLO lvl cc"));
+  std::string Reply = C.readLine();
+  EXPECT_EQ(Reply.rfind("ERR checkpoint " + StoreDir +
+                            ": corrupted checkpoint",
+                        0),
+            0u)
+      << Reply;
+  ASSERT_TRUE(Other.sendLine("STATS"));
+  EXPECT_FALSE(Other.readUntil("STATS ").empty());
+  EXPECT_EQ(metricValue(H.server().renderMetrics(),
+                        "awdit_server_resume_failures_total"),
+            1u);
   H.stop();
 }
 

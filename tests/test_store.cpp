@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -27,7 +26,6 @@
 #include <map>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -475,19 +473,11 @@ TEST(SegmentStore, OverwrittenStateIsReclaimedFromDisk) {
                            chunkList(Chunks), &Err))
           << Err;
     }
-    // The background compactor unlinks dead segments asynchronously.
-    auto Deadline = std::chrono::steady_clock::now() +
-                    std::chrono::seconds(10);
-    size_t SegFiles = SIZE_MAX;
-    while (std::chrono::steady_clock::now() < Deadline) {
-      SegFiles = 0;
-      for (const auto &E : fs::directory_iterator(D.str()))
-        if (E.path().extension() == ".awseg")
-          ++SegFiles;
-      if (SegFiles <= 2)
-        break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    // The commit that kills a segment unlinks it before it returns.
+    size_t SegFiles = 0;
+    for (const auto &E : fs::directory_iterator(D.str()))
+      if (E.path().extension() == ".awseg")
+        ++SegFiles;
     EXPECT_LE(SegFiles, 2u) << "dead segments were not reclaimed";
     // Reclamation never touches the live root.
     for (uint64_t I = 1; I <= 12; ++I) {

@@ -19,8 +19,8 @@
 /// A torn tail on the root log (a crash mid-commit) is reported but is
 /// not an error — recovery truncates it and resumes from the last
 /// published root, which is exactly what fsck verified. `stats` prints
-/// the per-segment live/dead byte ledger the background compactor works
-/// from, plus the checkpoint meta of the current root.
+/// the per-segment live/dead byte ledger that reclamation works from,
+/// plus the checkpoint meta of the current root.
 ///
 //===----------------------------------------------------------------------===//
 
