@@ -8,6 +8,8 @@
 //   - the CC kernel's emission redundancy (raw vs distinct edges);
 //   - the single-session RA fast path vs the general algorithm
 //     (Theorem 1.6 ablation);
+//   - the RC and RA scaling exponents on the paper's §4 lower-bound
+//     family;
 //   - the store's chunk checksum vs a byte-serial FNV-1a.
 //
 //===----------------------------------------------------------------------===//
@@ -26,6 +28,7 @@
 #include "checker/saturation_impl.h"
 #include "io/sharded_ingest.h"
 #include "io/text_format.h"
+#include "reduction/reductions.h"
 #include "server/server.h"
 #include "support/serialize.h"
 #include "support/socket.h"
@@ -36,6 +39,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <ctime>
 #include <filesystem>
 #include <map>
@@ -227,6 +231,68 @@ static void BM_RaSingleSessionGeneral(benchmark::State &State) {
   reportOps(State, H);
 }
 BENCHMARK(BM_RaSingleSessionGeneral)->Arg(4096)->Arg(16384);
+
+// The paper's O(n^{3/2}) bound for RC and RA (Algorithms 1-2) as a gate
+// that host speed cannot move, on the paper's own §4 lower-bound family:
+// reduceGeneral over G(N, p) and G(2N, p), about 4x the ops. One iteration
+// times inline checkRc and checkRa on both sizes in nine back-to-back
+// pairs, alternating which size goes first, and each level's exponent is
+// log(t_2N / t_N) / log(ops_2N / ops_N) for the median pair.
+// exponent_headroom is the bound minus the larger exponent; bench-smoke
+// floors it at 0. The checks include their linear passes (read
+// consistency, the commit graph), so they read below 1.5 at small N;
+// work of O(ops) per op reads 2 or more.
+static double checkCpuSecs(IsolationLevel Level, const History &H) {
+  std::vector<Violation> Out;
+  std::clock_t T0 = std::clock();
+  bool Consistent = Level == IsolationLevel::ReadCommitted
+                        ? checkRc(H, Out, /*MaxWitnesses=*/1)
+                        : checkRa(H, Out, /*MaxWitnesses=*/1);
+  benchmark::DoNotOptimize(Consistent);
+  return static_cast<double>(std::clock() - T0) / CLOCKS_PER_SEC;
+}
+
+static void BM_ReductionScaling(benchmark::State &State) {
+  constexpr double EdgeProb = 0.05;
+  constexpr double Bound = 1.65;
+  constexpr int Pairs = 9;
+  size_t N = static_cast<size_t>(State.range(0));
+  Rng Rand(1);
+  History Small = reduceGeneral(randomGraph(N, EdgeProb, Rand));
+  History Large = reduceGeneral(randomGraph(2 * N, EdgeProb, Rand));
+  double LogOps = std::log(static_cast<double>(Large.numOps()) /
+                           static_cast<double>(Small.numOps()));
+  std::vector<double> Ratios[2];
+  const IsolationLevel Levels[2] = {IsolationLevel::ReadCommitted,
+                                    IsolationLevel::ReadAtomic};
+  for (auto _ : State) {
+    for (int I = 0; I < Pairs; ++I)
+      for (int L = 0; L < 2; ++L) {
+        double TSmall, TLarge;
+        if (I % 2 == 0) {
+          TSmall = checkCpuSecs(Levels[L], Small);
+          TLarge = checkCpuSecs(Levels[L], Large);
+        } else {
+          TLarge = checkCpuSecs(Levels[L], Large);
+          TSmall = checkCpuSecs(Levels[L], Small);
+        }
+        Ratios[L].push_back(TSmall > 0.0 ? TLarge / TSmall : 0.0);
+      }
+  }
+  double Exponent[2];
+  for (int L = 0; L < 2; ++L) {
+    std::sort(Ratios[L].begin(), Ratios[L].end());
+    Exponent[L] = std::log(Ratios[L][Ratios[L].size() / 2]) / LogOps;
+  }
+  State.counters["rc_exponent"] = Exponent[0];
+  State.counters["ra_exponent"] = Exponent[1];
+  State.counters["exponent_headroom"] =
+      Bound - std::max(Exponent[0], Exponent[1]);
+  int64_t OpsPerPair = static_cast<int64_t>(Small.numOps() + Large.numOps());
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) * 2 *
+                          Pairs * OpsPerPair);
+}
+BENCHMARK(BM_ReductionScaling)->Arg(650)->Unit(benchmark::kMillisecond);
 
 // Pool scaling: the same check at 1/2/4/8 workers on the large generated
 // history. Threads = 1 runs the checker inline, so each family reports the

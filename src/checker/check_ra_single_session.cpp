@@ -4,8 +4,7 @@
 
 #include "checker/read_consistency.h"
 #include "support/assert.h"
-
-#include <unordered_map>
+#include "support/flat_map.h"
 
 using namespace awdit;
 
@@ -33,24 +32,24 @@ bool awdit::checkRaSingleSession(const History &H,
 
   // co must equal so. Scan in so order, keeping the latest writer per key;
   // every external read must observe exactly that writer (Theorem 1.6).
-  std::unordered_map<Key, TxnId> LatestWriter;
+  FlatMap<TxnId> LatestWriter(H.numKeys());
   for (TxnId T3 : *Session) {
     const Transaction &T = H.txn(T3);
     for (uint32_t ReadIdx : T.ExtReads) {
       const ReadInfo &RI = T.Reads[ReadIdx];
-      auto It = LatestWriter.find(RI.K);
+      const TxnId *Latest = LatestWriter.find(RI.K);
       // Reading a transaction that is not so-before t3 at all (or reading
       // "ahead" of the session) shows up as a missing/mismatched entry.
-      if (It == LatestWriter.end() || It->second != RI.Writer) {
+      if (!Latest || *Latest != RI.Writer) {
         Violation V;
         V.Kind = ViolationKind::CommitOrderCycle;
         V.T = T3;
         V.OpIndex = RI.OpIndex;
         V.Other = RI.Writer;
-        if (It != LatestWriter.end()) {
+        if (Latest) {
           // Witness: t2 co'-> t1 is forced, but t1 so-> t2.
-          V.Cycle.push_back({It->second, RI.Writer, EdgeKind::Inferred});
-          V.Cycle.push_back({RI.Writer, It->second, EdgeKind::So});
+          V.Cycle.push_back({*Latest, RI.Writer, EdgeKind::Inferred});
+          V.Cycle.push_back({RI.Writer, *Latest, EdgeKind::So});
         }
         Out.push_back(std::move(V));
       }

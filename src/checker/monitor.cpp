@@ -10,7 +10,6 @@
 #include "support/serialize.h"
 
 #include <algorithm>
-#include <chrono>
 
 using namespace awdit;
 
@@ -326,7 +325,6 @@ void Monitor::forceAbortHung() {
 void Monitor::flush(bool Final) {
   AWDIT_SPAN("flush");
   uint64_t FlushT0 = obs::traceNowNanos();
-  auto FlushStart = std::chrono::steady_clock::now();
   ++Stats.Flushes;
   CommitsSinceFlush = 0;
   forceAbortHung();
@@ -402,10 +400,7 @@ void Monitor::flush(bool Final) {
     M.FlushPhases[I].record(Phases[I]);
     PhaseMicros[I] += Phases[I];
   }
-  uint64_t FlushMicros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - FlushStart)
-          .count());
+  uint64_t FlushMicros = (obs::traceNowNanos() - FlushT0) / 1000;
   M.FlushTotal.record(FlushMicros);
   FlushHist.record(FlushMicros);
   Stats.FlushMicros += FlushMicros;
@@ -638,6 +633,11 @@ CheckReport Monitor::finalize() {
       AWDIT_ASSERT(Derived, "finalize: writer still open after close-all");
       (void)Derived;
     }
+    // The check reads neither the streaming engine nor the wr table, so
+    // free their large tables before it runs rather than hold them under
+    // its peak.
+    Saturation.releaseTables();
+    Writes = WriteSiteIndex();
     CheckReport Report = checkIsolation(Live, Opts.Level, Opts.Check);
     // Deliver anything the incremental passes had not yet surfaced.
     // Monitor ids equal history ids here (nothing was evicted).

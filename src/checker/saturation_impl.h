@@ -21,10 +21,9 @@
 #include "checker/check_cc.h"
 #include "checker/commit_graph.h"
 #include "history/history.h"
-#include "support/hybrid_map.h"
+#include "support/flat_map.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -72,10 +71,10 @@ struct TwoSlot {
 /// Reusable scratch of the RC kernel, hoisted so one instance serves a whole
 /// transaction range without per-transaction allocation churn.
 struct RcScratch {
-  HybridSet<TxnId> ReadTxns;
+  FlatSet ReadTxns;
   std::vector<bool> IsFirstRead;
-  HybridMap<Key, TwoSlot> EarliestWts;
-  HybridSet<Key> ReadKeys;
+  /// The keys read below the scan point, each with its earliestWts stack.
+  FlatMap<TwoSlot> EarliestWts;
 };
 
 /// Algorithm 1 lines 4-21 for the committed transactions in [Begin, End):
@@ -99,12 +98,12 @@ void saturateRcRange(const History &H, TxnId Begin, TxnId End,
     Scratch.ReadTxns.clear();
     Scratch.IsFirstRead.assign(Ext.size(), false);
     for (size_t I = 0; I < Ext.size(); ++I)
-      Scratch.IsFirstRead[I] = Scratch.ReadTxns.insert(T.Reads[Ext[I]].Writer);
+      Scratch.IsFirstRead[I] =
+          Scratch.ReadTxns.insert(T.Reads[Ext[I]].Writer).second;
 
     // Lines 11-21: reverse po scan with the two-slot earliest-writers
-    // stack and the set of keys read below the scan point.
+    // stack of every key read below the scan point.
     Scratch.EarliestWts.clear();
-    Scratch.ReadKeys.clear();
     for (size_t I = Ext.size(); I-- > 0;) {
       const ReadInfo &RI = T.Reads[Ext[I]];
       Key Y = RI.K;
@@ -114,120 +113,44 @@ void saturateRcRange(const History &H, TxnId Begin, TxnId End,
         const Transaction &Writer = H.txn(T2);
         // Lines 15-18: iterate the smaller of KeysWt(t2) and readKeys,
         // picking per key the earliest future writer distinct from t2.
-        auto Process = [&](Key X) {
-          TwoSlot *Slot = Scratch.EarliestWts.find(X);
-          if (!Slot)
-            return;
-          TxnId T1 = Slot->Top;
+        auto Process = [&](const TwoSlot &Slot) {
+          TxnId T1 = Slot.Top;
           if (T1 == T2)
-            T1 = Slot->Second;
+            T1 = Slot.Second;
           if (T1 != NoTxn)
             Infer(T2, T1);
         };
-        if (Writer.WriteKeys.size() <= Scratch.ReadKeys.size()) {
+        if (Writer.WriteKeys.size() <= Scratch.EarliestWts.size()) {
           for (Key X : Writer.WriteKeys)
-            if (Scratch.ReadKeys.contains(X))
-              Process(X);
+            if (const TwoSlot *Slot = Scratch.EarliestWts.find(X))
+              Process(*Slot);
         } else {
-          Scratch.ReadKeys.forEach([&](Key X) {
+          Scratch.EarliestWts.forEach([&](Key X, const TwoSlot &Slot) {
             if (Writer.writesKey(X))
-              Process(X);
+              Process(Slot);
           });
         }
       }
 
       // Lines 19-21: push t2 onto the per-key stack (distinct writers
-      // only) and record the key as read below the scan point.
-      TwoSlot &Slot = Scratch.EarliestWts.getOrInsert(Y);
+      // only), which also records the key as read below the scan point.
+      TwoSlot &Slot = Scratch.EarliestWts[Y];
       if (Slot.Top != T2) {
         Slot.Second = Slot.Top;
         Slot.Top = T2;
       }
-      Scratch.ReadKeys.insert(Y);
     }
   }
 }
 
-/// A flat map from a key to a transaction: open addressing with linear
-/// probing over (key, id) slots kept at most half full, a slot holding
-/// NoTxn being free. clear() empties only the slots in use, so a session
-/// that wrote few keys costs what it wrote, not the table size.
-class KeyTxnMap {
-public:
-  /// The transaction of \p K, or nullptr.
-  const TxnId *find(Key K) const {
-    if (Table.empty())
-      return nullptr;
-    const Slot &S = Table[probe(K)];
-    return S.T == NoTxn ? nullptr : &S.T;
-  }
-
-  /// Maps \p K to \p T (never NoTxn), replacing any previous value.
-  void set(Key K, TxnId T) {
-    if (2 * (Used.size() + 1) > Table.size())
-      grow();
-    size_t I = probe(K);
-    if (Table[I].T == NoTxn)
-      Used.push_back(static_cast<uint32_t>(I));
-    Table[I] = {K, T};
-  }
-
-  size_t size() const { return Used.size(); }
-
-  void clear() {
-    for (uint32_t I : Used)
-      Table[I].T = NoTxn;
-    Used.clear();
-  }
-
-  /// Calls \p F(key, transaction) for every entry, in insertion order.
-  template <typename Fn> void forEach(Fn &&F) const {
-    for (uint32_t I : Used)
-      F(Table[I].K, Table[I].T);
-  }
-
-private:
-  struct Slot {
-    Key K;
-    TxnId T;
-  };
-
-  size_t probe(Key K) const {
-    size_t Mask = Table.size() - 1;
-    size_t I = static_cast<size_t>((K * 0x9e3779b97f4a7c15ull) >> Shift);
-    while (Table[I].T != NoTxn && Table[I].K != K)
-      I = (I + 1) & Mask;
-    return I;
-  }
-
-  void grow() {
-    std::vector<Slot> Old(std::max<size_t>(16, 2 * Table.size()),
-                          Slot{0, NoTxn});
-    Old.swap(Table);
-    Shift = 64 - std::countr_zero(Table.size());
-    std::vector<uint32_t> OldUsed;
-    OldUsed.swap(Used);
-    for (uint32_t I : OldUsed) {
-      size_t J = probe(Old[I].K);
-      Table[J] = Old[I];
-      Used.push_back(static_cast<uint32_t>(J));
-    }
-  }
-
-  std::vector<Slot> Table;
-  std::vector<uint32_t> Used;
-  unsigned Shift = 64;
-};
-
 /// Reusable scratch of the RA kernel.
 struct RaScratch {
-  /// Distinct externally-read keys of the current transaction and their
-  /// (unique, by repeatable reads) writer. Hybrid: flat while small.
-  HybridMap<Key, TxnId> ExtKeyWriter;
-  std::vector<Key> ExtKeys;
+  /// Distinct externally-read keys of the current transaction, in po order
+  /// of first read, and their (unique, by repeatable reads) writer.
+  FlatMap<TxnId> ExtKeyWriter;
   /// lastWrite[x]: the so-latest transaction of the current session so far
   /// that writes x (Algorithm 2, line 6). Cleared per session.
-  KeyTxnMap LastWrite;
+  FlatMap<TxnId> LastWrite;
 };
 
 /// Algorithm 2 lines 5-18 for the so positions [\p BeginSo, \p EndSo) of
@@ -247,26 +170,18 @@ void saturateRaSessionRange(const History &H, SessionId S, size_t BeginSo,
 
     // Collect the distinct external read keys of t3 once.
     Scratch.ExtKeyWriter.clear();
-    Scratch.ExtKeys.clear();
     for (uint32_t ReadIdx : T.ExtReads) {
       const ReadInfo &RI = T.Reads[ReadIdx];
-      if (!Scratch.ExtKeyWriter.find(RI.K)) {
-        Scratch.ExtKeyWriter.getOrInsert(RI.K) = RI.Writer;
-        Scratch.ExtKeys.push_back(RI.K);
-      }
+      Scratch.ExtKeyWriter.insert(RI.K, RI.Writer);
     }
 
     // Lines 8-11: the so case. For each external read key x, the last
     // writer of x so-before t3 must be co-before the read's writer t1.
-    for (Key X : Scratch.ExtKeys) {
+    Scratch.ExtKeyWriter.forEach([&](Key X, TxnId T1) {
       const TxnId *Last = Scratch.LastWrite.find(X);
-      if (!Last)
-        continue;
-      TxnId T2 = *Last;
-      TxnId T1 = *Scratch.ExtKeyWriter.find(X);
-      if (T1 != T2)
-        Infer(T2, T1);
-    }
+      if (Last && *Last != T1)
+        Infer(*Last, T1);
+    });
 
     // Lines 12-16: the wr case. For each wr predecessor t2, intersect
     // KeysWt(t2) with KeysRd(t3), iterating over the smaller set.
@@ -276,21 +191,22 @@ void saturateRaSessionRange(const History &H, SessionId S, size_t BeginSo,
         if (T1 != T2)
           Infer(T2, T1);
       };
-      if (Writer.WriteKeys.size() <= Scratch.ExtKeys.size()) {
+      if (Writer.WriteKeys.size() <= Scratch.ExtKeyWriter.size()) {
         for (Key X : Writer.WriteKeys) {
-          if (TxnId *T1 = Scratch.ExtKeyWriter.find(X))
+          if (const TxnId *T1 = Scratch.ExtKeyWriter.find(X))
             Process(*T1);
         }
       } else {
-        for (Key X : Scratch.ExtKeys)
+        Scratch.ExtKeyWriter.forEach([&](Key X, TxnId T1) {
           if (Writer.writesKey(X))
-            Process(*Scratch.ExtKeyWriter.find(X));
+            Process(T1);
+        });
       }
     }
 
     // Lines 17-18: record t3 as the session's latest writer of its keys.
     for (Key X : T.WriteKeys)
-      Scratch.LastWrite.set(X, T3);
+      Scratch.LastWrite[X] = T3;
   }
 }
 
@@ -372,61 +288,6 @@ struct CcKeyIndex {
   std::vector<CcKeyRead> Reads;
 };
 
-/// The exact per-key dedupe of the CC kernel's emitted (t2, t1) pairs: an
-/// open-addressing set of packed edges that doubles when half full and is
-/// emptied between keys through its list of used slots, so a cold key
-/// costs what it inserted, not the table size.
-class CcEmitSet {
-public:
-  static constexpr unsigned InitialBits = 10;
-  static constexpr size_t InitialCapacity = size_t(1) << InitialBits;
-
-  /// Inserts \p Packed (a CommitGraph::packEdge, never ~0); true iff it
-  /// was absent.
-  bool insert(uint64_t Packed) {
-    if ((Used.size() + 1) * 2 > Table.size())
-      grow();
-    size_t Mask = Table.size() - 1;
-    // Fibonacci hashing: the top bits of the product mix both halves.
-    size_t I = static_cast<size_t>((Packed * 0x9e3779b97f4a7c15ull) >> Shift);
-    for (;; I = (I + 1) & Mask) {
-      if (Table[I] == Packed)
-        return false;
-      if (Table[I] == Empty) {
-        Table[I] = Packed;
-        Used.push_back(static_cast<uint32_t>(I));
-        return true;
-      }
-    }
-  }
-
-  void clear() {
-    for (uint32_t I : Used)
-      Table[I] = Empty;
-    Used.clear();
-  }
-
-  size_t capacity() const { return Table.size(); }
-
-private:
-  static constexpr uint64_t Empty = ~uint64_t(0);
-
-  void grow() {
-    std::vector<uint64_t> Old;
-    Old.swap(Table);
-    Table.assign(Old.size() * 2, Empty);
-    --Shift;
-    Used.clear();
-    for (uint64_t Packed : Old)
-      if (Packed != Empty)
-        insert(Packed);
-  }
-
-  std::vector<uint64_t> Table = std::vector<uint64_t>(InitialCapacity, Empty);
-  std::vector<uint32_t> Used;
-  unsigned Shift = 64 - InitialBits;
-};
-
 /// Reusable scratch of the CC kernel: the scan state of each writer slot
 /// of the key being scanned, and the key's emitted-pair set.
 struct CcScratch {
@@ -442,7 +303,8 @@ struct CcScratch {
     uint64_t LastEmit;
   };
   std::vector<SlotScan> Slots;
-  CcEmitSet Emitted;
+  /// The exact per-key dedupe of the emitted (t2, t1) pairs, packed.
+  FlatSet Emitted;
 };
 
 /// Algorithm 3 lines 5-15 for the key ids [\p KeyBegin, \p KeyEnd) of
@@ -502,7 +364,8 @@ void saturateCcKeys(const CcKeyIndex &Index, const HappensBefore &HB,
           continue;
         Scan.LastEmit = Emit;
         TxnId T2 = Index.Writers[C - 1].T;
-        if (T2 != T1 && Scratch.Emitted.insert(CommitGraph::packEdge(T2, T1)))
+        if (T2 != T1 &&
+            Scratch.Emitted.insert(CommitGraph::packEdge(T2, T1)).second)
           Infer(T2, T1);
       }
     }

@@ -569,6 +569,12 @@ void SaturationState::flushDelta(const History &H,
   PhaseNs.Merge += obs::traceNowNanos() - MergeT0;
 }
 
+void SaturationState::releaseTables() {
+  Edges = PackedEdgeMap<EdgeRefs>();
+  Sources = detail::SourceLog();
+  std::vector<uint32_t>().swap(HbRows);
+}
+
 //===----------------------------------------------------------------------===//
 // Eviction-aware compaction.
 //===----------------------------------------------------------------------===//
@@ -630,7 +636,7 @@ void SaturationState::compact(const History &H, TxnId Cut) {
     });
     St.Scratch.LastWrite.clear();
     for (const auto &[X, T] : Survivors)
-      St.Scratch.LastWrite.set(X, T);
+      St.Scratch.LastWrite[X] = T;
   }
 
   // Source-tagged edges: contributions of evicted units vanish wholesale,
@@ -1078,7 +1084,7 @@ bool SaturationState::loadState(ByteReader &R, std::string *Err,
       TxnId T = LT(R.u32());
       if (R.ok() && T >= NumProcessed)
         return Fail("corrupted checkpoint (RA last-write transaction)");
-      St.Scratch.LastWrite.set(K, T);
+      St.Scratch.LastWrite[K] = T;
     }
   }
 

@@ -117,6 +117,13 @@ public:
     return Order.numEdges() + Quarantined.size();
   }
 
+  /// Frees the largest tables, the edge refcounts, the source log and the
+  /// happens-before rows, once the stream has ended: only the destructor
+  /// may touch the state afterwards. The rest is mostly small
+  /// per-transaction lists, which cost more time to free than their bytes
+  /// are worth before exact-mode finalize's one-shot check.
+  void releaseTables();
+
   // --- Checkpoint support (checker/checkpoint.h). ---
 
   /// Serializes every persisted streaming fact — source lists, the dynamic

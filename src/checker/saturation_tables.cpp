@@ -94,10 +94,8 @@ void SourceLog::rewrite() {
 
 void CcWriterIndex::add(Key K, SessionId S, CcWriterEntry E) {
   uint32_t Id = Ids.intern(K);
-  if (Id == Keys.size()) {
-    KeyOf.push_back(K);
+  if (Id == Keys.size())
     Keys.emplace_back();
-  }
   KeyWriters &KW = Keys[Id];
   size_t SlotIdx = 0;
   while (SlotIdx < KW.Slots.size() && KW.Slots[SlotIdx].Session != S)
@@ -163,7 +161,6 @@ CcWriterIndex::KeyWriters *CcWriterIndex::addKey(Key K) {
   uint32_t Id = Ids.intern(K);
   if (Id != Keys.size())
     return nullptr;
-  KeyOf.push_back(K);
   Keys.emplace_back();
   return &Keys.back();
 }

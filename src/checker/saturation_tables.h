@@ -185,17 +185,17 @@ public:
     return Id == DenseKeyIds::NoId ? nullptr : &Keys[Id];
   }
 
-  size_t numKeys() const { return KeyOf.size(); }
-  Key keyOf(uint32_t Id) const { return KeyOf[Id]; }
+  size_t numKeys() const { return Keys.size(); }
+  Key keyOf(uint32_t Id) const { return Ids.keyOf(Id); }
   const KeyWriters &writers(uint32_t Id) const { return Keys[Id]; }
 
   /// Eviction of the window-local prefix [0, \p Cut): drops its writers,
   /// rebases the survivors' ids by \p Cut and their so positions by
   /// RemovedBelow(session, so position), drops emptied slots and keys, and
-  /// re-interns the surviving keys, so the ids stay within the keys the
-  /// window writes (the id table keeps its capacity).
+  /// re-interns the surviving keys in id order, so the ids stay within the
+  /// keys the window writes.
   template <typename Fn> void evict(TxnId Cut, Fn &&RemovedBelow) {
-    size_t Kept = 0;
+    DenseKeyIds Kept(Ids.size());
     for (size_t Id = 0; Id < Keys.size(); ++Id) {
       KeyWriters New;
       for (const Slot &S : Keys[Id].Slots) {
@@ -210,16 +210,12 @@ public:
         if (Size)
           New.Slots.push_back({S.Session, Begin, Size, Size});
       }
-      if (New.Slots.empty())
-        continue;
-      KeyOf[Kept] = KeyOf[Id];
-      Keys[Kept++] = std::move(New);
+      if (!New.Slots.empty())
+        Keys[Kept.intern(Ids.keyOf(static_cast<uint32_t>(Id)))] =
+            std::move(New);
     }
-    KeyOf.resize(Kept);
-    Keys.resize(Kept);
-    Ids.clear();
-    for (Key K : KeyOf)
-      Ids.intern(K);
+    Keys.resize(Kept.size());
+    Ids = std::move(Kept);
   }
 
   /// Checkpoint load: the empty writers of a key not present yet, or
@@ -235,9 +231,9 @@ private:
   /// keeping its room.
   static void repack(KeyWriters &KW);
 
+  /// Key -> dense id and back.
   DenseKeyIds Ids;
-  /// Dense id -> key and -> its writers.
-  std::vector<Key> KeyOf;
+  /// Dense id -> the key's writers.
   std::vector<KeyWriters> Keys;
 };
 

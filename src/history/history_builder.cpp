@@ -90,29 +90,27 @@ std::optional<History> HistoryBuilder::build(std::string *Err) const {
   // Optionally synthesize the initial transaction for reads of 0 on keys
   // that nothing writes.
   if (ImplicitInit) {
-    std::vector<Key> InitKeys;
-    DenseKeyIds Seen;
+    DenseKeyIds InitKeys;
     for (size_t I = 0; I < NumUserTxns; ++I) {
       for (const Operation &Op : H.Txns[I].Ops) {
         if (!Op.isRead() || Op.V != 0)
           continue;
         if (WriteIndex.find(Op.K, 0))
           continue;
-        if (Seen.intern(Op.K) == InitKeys.size())
-          InitKeys.push_back(Op.K);
+        InitKeys.intern(Op.K);
       }
     }
-    if (!InitKeys.empty()) {
+    if (InitKeys.size() > 0) {
       Transaction Init;
       Init.Session = static_cast<SessionId>(NumSessions);
       Init.Committed = true;
-      for (Key K : InitKeys)
-        Init.Ops.push_back(Operation::write(K, 0));
+      for (uint32_t Id = 0; Id < InitKeys.size(); ++Id)
+        Init.Ops.push_back(Operation::write(InitKeys.keyOf(Id), 0));
       TxnId InitId = static_cast<TxnId>(H.Txns.size());
       H.Txns.push_back(std::move(Init));
       H.Sessions.emplace_back();
       for (uint32_t OpIdx = 0; OpIdx < InitKeys.size(); ++OpIdx)
-        WriteIndex.record(InitKeys[OpIdx], 0, InitId, OpIdx);
+        WriteIndex.record(InitKeys.keyOf(OpIdx), 0, InitId, OpIdx);
     }
   }
 

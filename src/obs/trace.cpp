@@ -16,8 +16,6 @@ std::atomic<bool> awdit::obs::detail::TraceOn{false};
 
 namespace {
 
-enum class EventKind : uint32_t { Span = 0, Counter = 1 };
-
 /// One ring slot: a seqlock of relaxed atomics. The owner thread writes
 /// (odd seq → fields → even seq with a release fence between the odd
 /// store and the fields, release on the closing store); a dumper accepts
@@ -26,10 +24,9 @@ enum class EventKind : uint32_t { Span = 0, Counter = 1 };
 /// fields keep the race well-defined (and TSan-clean).
 struct Slot {
   std::atomic<uint32_t> Seq{0};
-  std::atomic<uint32_t> Kind{0};
   std::atomic<const char *> Name{nullptr};
   std::atomic<uint64_t> StartNs{0};
-  std::atomic<uint64_t> DurNs{0}; // Counter events: the value's bits
+  std::atomic<uint64_t> DurNs{0};
 };
 
 struct ThreadRing {
@@ -116,8 +113,8 @@ ThreadRing &threadRing() {
   return *H.Ring;
 }
 
-void writeSlot(ThreadRing &Ring, EventKind Kind, const char *Name,
-               uint64_t StartNs, uint64_t DurBits) {
+void writeSlot(ThreadRing &Ring, const char *Name, uint64_t StartNs,
+               uint64_t DurNs) {
   Slot *Slots = Ring.SlotsPtr.load(std::memory_order_relaxed);
   if (!Slots) {
     Slots = new Slot[TraceRingSlots];
@@ -128,30 +125,27 @@ void writeSlot(ThreadRing &Ring, EventKind Kind, const char *Name,
   uint32_t Seq = S.Seq.load(std::memory_order_relaxed);
   S.Seq.store(Seq + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  S.Kind.store(static_cast<uint32_t>(Kind), std::memory_order_relaxed);
   S.Name.store(Name, std::memory_order_relaxed);
   S.StartNs.store(StartNs, std::memory_order_relaxed);
-  S.DurNs.store(DurBits, std::memory_order_relaxed);
+  S.DurNs.store(DurNs, std::memory_order_relaxed);
   S.Seq.store(Seq + 2, std::memory_order_release);
   Ring.Next.store(I + 1, std::memory_order_release);
 }
 
 /// A stable copy of one slot, or false when it was mid-overwrite.
 struct EventCopy {
-  EventKind Kind;
   const char *Name;
   uint64_t StartNs;
-  uint64_t DurBits;
+  uint64_t DurNs;
 };
 
 bool readSlot(const Slot &S, EventCopy &Out) {
   uint32_t S1 = S.Seq.load(std::memory_order_acquire);
   if (S1 & 1)
     return false;
-  Out.Kind = static_cast<EventKind>(S.Kind.load(std::memory_order_relaxed));
   Out.Name = S.Name.load(std::memory_order_relaxed);
   Out.StartNs = S.StartNs.load(std::memory_order_relaxed);
-  Out.DurBits = S.DurNs.load(std::memory_order_relaxed);
+  Out.DurNs = S.DurNs.load(std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_acquire);
   return S.Seq.load(std::memory_order_relaxed) == S1 && Out.Name != nullptr;
 }
@@ -203,15 +197,7 @@ void awdit::obs::setTraceThreadName(std::string_view Name) {
 }
 
 void awdit::obs::detail::recordSpan(const char *Name, uint64_t StartNs) {
-  writeSlot(threadRing(), EventKind::Span, Name, StartNs,
-            traceNowNanos() - StartNs);
-}
-
-void awdit::obs::detail::recordCounter(const char *Name, double Value) {
-  uint64_t Bits;
-  static_assert(sizeof(Bits) == sizeof(Value));
-  __builtin_memcpy(&Bits, &Value, sizeof(Bits));
-  writeSlot(threadRing(), EventKind::Counter, Name, traceNowNanos(), Bits);
+  writeSlot(threadRing(), Name, StartNs, traceNowNanos() - StartNs);
 }
 
 void awdit::obs::traceClear() {
@@ -276,31 +262,15 @@ std::string awdit::obs::traceDumpJson() {
       if (!readSlot(Slots[J & (TraceRingSlots - 1)], E))
         continue;
       Sep();
-      if (E.Kind == EventKind::Counter) {
-        double Value;
-        __builtin_memcpy(&Value, &E.DurBits, sizeof(Value));
-        char Buf[32];
-        std::snprintf(Buf, sizeof(Buf), "%.6g", Value);
-        Out += "{\"ph\":\"C\",\"name\":\"";
-        appendJsonEscaped(Out, E.Name);
-        Out += "\",\"cat\":\"awdit\",\"pid\":1,\"tid\":";
-        Out += std::to_string(Tid);
-        Out += ",\"ts\":";
-        appendMicros(Out, E.StartNs);
-        Out += ",\"args\":{\"value\":";
-        Out += Buf;
-        Out += "}}";
-      } else {
-        Out += "{\"ph\":\"X\",\"name\":\"";
-        appendJsonEscaped(Out, E.Name);
-        Out += "\",\"cat\":\"awdit\",\"pid\":1,\"tid\":";
-        Out += std::to_string(Tid);
-        Out += ",\"ts\":";
-        appendMicros(Out, E.StartNs);
-        Out += ",\"dur\":";
-        appendMicros(Out, E.DurBits);
-        Out += "}";
-      }
+      Out += "{\"ph\":\"X\",\"name\":\"";
+      appendJsonEscaped(Out, E.Name);
+      Out += "\",\"cat\":\"awdit\",\"pid\":1,\"tid\":";
+      Out += std::to_string(Tid);
+      Out += ",\"ts\":";
+      appendMicros(Out, E.StartNs);
+      Out += ",\"dur\":";
+      appendMicros(Out, E.DurNs);
+      Out += "}";
     }
   }
   Out += "]}\n";

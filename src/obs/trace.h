@@ -53,8 +53,6 @@ extern std::atomic<bool> TraceOn;
 /// Records a completed span; called only when tracing was on at span
 /// entry. \p StartNs is traceNowNanos() at construction.
 void recordSpan(const char *Name, uint64_t StartNs);
-/// Records a counter sample (Chrome "C" event); caller checks the flag.
-void recordCounter(const char *Name, double Value);
 } // namespace detail
 
 /// True while spans are being recorded. Relaxed: the flag gates a
@@ -111,13 +109,6 @@ private:
   const char *Name = nullptr;
   uint64_t StartNs = 0;
 };
-
-/// Records a named counter sample (rendered as a Perfetto counter track),
-/// e.g. queue depths. No-op while tracing is off.
-inline void traceCounter(const char *Name, double Value) {
-  if (traceEnabled())
-    detail::recordCounter(Name, Value);
-}
 
 } // namespace obs
 } // namespace awdit

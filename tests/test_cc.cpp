@@ -313,13 +313,14 @@ TEST(CcKernel, HotKeyGrowsTheEmitSet) {
   detail::CcKeyIndex Index(*H);
   ASSERT_EQ(Index.numKeys(), 1u);
   detail::CcScratch Scratch;
+  size_t InitialCapacity = Scratch.Emitted.capacity();
   EdgeSet Edges;
   size_t Raw = 0;
   detail::saturateCcKeys(Index, HB, 0, 1, Scratch, [&](TxnId From, TxnId To) {
     Edges.insert({From, To});
     ++Raw;
   });
-  EXPECT_GT(Scratch.Emitted.capacity(), detail::CcEmitSet::InitialCapacity);
+  EXPECT_GT(Scratch.Emitted.capacity(), InitialCapacity);
   // One key: the per-key dedupe is exact over the whole run.
   EXPECT_EQ(Raw, Edges.size());
   expectKernelMatchesReference(*H, "hot key");

@@ -370,7 +370,7 @@ TEST(CcWriterIndexModel, HotKeyAcrossManySessionsStaysCompact) {
 /// growth past its initial size, clears and the insertion-order walk.
 TEST(KeyTxnMapModel, MatchesStdMap) {
   Rng R(99);
-  KeyTxnMap Map;
+  decltype(RaScratch::LastWrite) Map;
   std::map<Key, TxnId> Model;
   for (size_t Step = 0; Step < 20000; ++Step) {
     uint64_t Dice = R.nextBelow(1000);
@@ -383,7 +383,7 @@ TEST(KeyTxnMapModel, MatchesStdMap) {
                                   : R.nextBelow(3000) * 0x10001;
       if (Dice < 600) {
         TxnId T = static_cast<TxnId>(R.nextBelow(1u << 20));
-        Map.set(K, T);
+        Map[K] = T;
         Model[K] = T;
       } else {
         const TxnId *Got = Map.find(K);
@@ -403,7 +403,7 @@ TEST(KeyTxnMapModel, MatchesStdMap) {
   EXPECT_EQ(Walked, Model);
 }
 
-/// DenseKeyIds::find probes without interning.
+/// DenseKeyIds::find looks up without interning.
 TEST(DenseKeyIdsFind, FindsOnlyInternedKeys) {
   DenseKeyIds Ids(2);
   for (Key K = 0; K < 100; ++K)
