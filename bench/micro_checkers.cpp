@@ -9,7 +9,7 @@
 //   - the single-session RA fast path vs the general algorithm
 //     (Theorem 1.6 ablation);
 //   - the RC and RA scaling exponents on the paper's §4 lower-bound
-//     family;
+//     family, and the CC exponent at a fixed session count;
 //   - the store's chunk checksum vs a byte-serial FNV-1a.
 //
 //===----------------------------------------------------------------------===//
@@ -245,9 +245,18 @@ BENCHMARK(BM_RaSingleSessionGeneral)->Arg(4096)->Arg(16384);
 static double checkCpuSecs(IsolationLevel Level, const History &H) {
   std::vector<Violation> Out;
   std::clock_t T0 = std::clock();
-  bool Consistent = Level == IsolationLevel::ReadCommitted
-                        ? checkRc(H, Out, /*MaxWitnesses=*/1)
-                        : checkRa(H, Out, /*MaxWitnesses=*/1);
+  bool Consistent = false;
+  switch (Level) {
+  case IsolationLevel::ReadCommitted:
+    Consistent = checkRc(H, Out, /*MaxWitnesses=*/1);
+    break;
+  case IsolationLevel::ReadAtomic:
+    Consistent = checkRa(H, Out, /*MaxWitnesses=*/1);
+    break;
+  case IsolationLevel::CausalConsistency:
+    Consistent = checkCc(H, Out, /*MaxWitnesses=*/1);
+    break;
+  }
   benchmark::DoNotOptimize(Consistent);
   return static_cast<double>(std::clock() - T0) / CLOCKS_PER_SEC;
 }
@@ -293,6 +302,51 @@ static void BM_ReductionScaling(benchmark::State &State) {
                           Pairs * OpsPerPair);
 }
 BENCHMARK(BM_ReductionScaling)->Arg(650)->Unit(benchmark::kMillisecond);
+
+// The paper's O(n·k) bound for CC (Algorithm 3) as the same kind of gate:
+// inline checkCc on random histories of 32 sessions at N and 4N
+// transactions from one seed, nine alternating pairs, and cc_exponent =
+// log(t_4N / t_N) / log(ops_4N / ops_N) for the median pair. At a fixed
+// session count the whole check, linear graph passes included, is linear
+// in the history; exponent_headroom is 1.15 minus the exponent, and
+// bench-smoke floors it at 0.
+static void BM_CcScaling(benchmark::State &State) {
+  constexpr double Bound = 1.15;
+  constexpr int Pairs = 9;
+  GenerateParams P;
+  P.Bench = Benchmark::Random;
+  P.Mode = ConsistencyMode::Causal;
+  P.Sessions = 32;
+  P.Seed = 7;
+  P.Txns = static_cast<size_t>(State.range(0));
+  History Small = generateHistory(P);
+  P.Txns *= 4;
+  History Large = generateHistory(P);
+  double LogOps = std::log(static_cast<double>(Large.numOps()) /
+                           static_cast<double>(Small.numOps()));
+  std::vector<double> Ratios;
+  for (auto _ : State) {
+    for (int I = 0; I < Pairs; ++I) {
+      double TSmall, TLarge;
+      if (I % 2 == 0) {
+        TSmall = checkCpuSecs(IsolationLevel::CausalConsistency, Small);
+        TLarge = checkCpuSecs(IsolationLevel::CausalConsistency, Large);
+      } else {
+        TLarge = checkCpuSecs(IsolationLevel::CausalConsistency, Large);
+        TSmall = checkCpuSecs(IsolationLevel::CausalConsistency, Small);
+      }
+      Ratios.push_back(TSmall > 0.0 ? TLarge / TSmall : 0.0);
+    }
+  }
+  std::sort(Ratios.begin(), Ratios.end());
+  double Exponent = std::log(Ratios[Ratios.size() / 2]) / LogOps;
+  State.counters["cc_exponent"] = Exponent;
+  State.counters["exponent_headroom"] = Bound - Exponent;
+  int64_t OpsPerPair = static_cast<int64_t>(Small.numOps() + Large.numOps());
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) * Pairs *
+                          OpsPerPair);
+}
+BENCHMARK(BM_CcScaling)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 // Pool scaling: the same check at 1/2/4/8 workers on the large generated
 // history. Threads = 1 runs the checker inline, so each family reports the

@@ -11,10 +11,11 @@
 /// pass; witness cycles (one per SCC, minimizing inferred edges, §3.4) are
 /// extracted on demand.
 ///
-/// Construction is allocation-lean on purpose: base edges are plain
-/// adjacency pushes (no hashing), and edges are classified structurally
-/// (so-successor / read-froms membership) only when a witness is actually
-/// extracted — the common consistent-history path never pays for it.
+/// The graph is one flat CSR (graph/digraph.h), built and rebuilt by
+/// counting sorts: no hashing, no comparison sort and no heap vector per
+/// transaction. Edges are classified structurally (so-successor /
+/// read-froms membership) only when a witness is actually extracted — the
+/// common consistent-history path never pays for it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,16 +34,18 @@ namespace awdit {
 /// The partial commit relation co' over committed transactions.
 ///
 /// Construction seeds the graph with so (as per-session successor chains —
-/// the transitive reduction of so) and txn-level wr edges; checker
-/// algorithms then add inferred edges via inferEdge() or adoptInferred().
+/// the transitive reduction of so) and txn-level wr edges, in two counting
+/// passes over the History; checker algorithms then add inferred edges via
+/// inferEdge() or adoptInferred().
 ///
-/// Inferred edges are canonicalized at flush time without hashing: a
-/// counting sort on the dense source id, then inside each source's bucket
-/// a marker-array dedupe and a sort of the distinct targets. New distinct
-/// edges enter the graph in ascending (From, To) order, so each node's
-/// adjacency is [so successor, wr readers ascending, inferred targets
-/// ascending] — a later flush appends its new targets after the earlier
-/// ones. The order steers Tarjan numbering and witness choice.
+/// Each node's row is [so successor, wr readers ascending, inferred targets]
+/// and that order steers Tarjan numbering and witness choice. A flush
+/// orders the raw inferred edges by two stable counting sorts, on the
+/// target and then on the source, so duplicates sit side by side; it drops
+/// them and the edges an earlier flush added (the row's tail past its base
+/// degree), then writes one merged CSR: each old row, then its new targets
+/// ascending, so a later flush appends its new targets after the earlier
+/// ones.
 class CommitGraph {
 public:
   explicit CommitGraph(const History &H);
@@ -75,7 +78,7 @@ public:
   /// Number of distinct inferred edges added so far (flushes pending).
   size_t numInferredEdges() {
     flushInferred();
-    return Inferred.size();
+    return NumInferred;
   }
 
   /// Number of edges in the underlying graph: so + wr + distinct inferred
@@ -112,8 +115,12 @@ private:
   /// inferEdge()'s buffer and the buffers handed over by adoptInferred().
   std::vector<uint64_t> Pending;
   std::vector<std::vector<uint64_t>> Adopted;
-  /// Packed (From, To) pairs of flushed inferred edges, sorted ascending.
-  std::vector<uint64_t> Inferred;
+  /// Distinct inferred edges merged into G so far.
+  size_t NumInferred = 0;
+  /// The row offsets of the base so ∪ wr graph, kept by the first flush
+  /// that merges an edge: later flushes find each row's inferred tail
+  /// past its base degree.
+  std::vector<uint32_t> BaseOffsets;
 };
 
 } // namespace awdit

@@ -278,29 +278,27 @@ void SaturationState::retryQuarantined(const History &H) {
 
   // Local subgraph: the live edges inside the region plus every
   // quarantined edge, condensed with one bounded Tarjan pass.
-  Digraph G(RegionSize);
+  std::vector<Digraph::Edge> Local;
   for (size_t I = 0; I < RegionSize; ++I) {
     for (uint32_t W : Order.succs(NodeAt[I])) {
       uint32_t P = Order.position(W);
       if (P >= Lo && P <= Hi)
-        G.addEdge(static_cast<uint32_t>(I), P - Lo);
+        Local.emplace_back(static_cast<uint32_t>(I), P - Lo);
     }
   }
   // Dense endpoints captured now: admissions below reorder positions.
-  std::vector<std::pair<uint32_t, uint32_t>> Dense;
-  Dense.reserve(Snapshot.size());
-  for (uint64_t Packed : Snapshot) {
-    Dense.emplace_back(Order.position(edgeFrom(Packed)) - Lo,
+  size_t FirstQuarantined = Local.size();
+  for (uint64_t Packed : Snapshot)
+    Local.emplace_back(Order.position(edgeFrom(Packed)) - Lo,
                        Order.position(edgeTo(Packed)) - Lo);
-    G.addEdge(Dense.back().first, Dense.back().second);
-  }
-  SccResult Scc = computeScc(G);
+  SccResult Scc = computeScc(Digraph(RegionSize, Local));
 
   // Edges between distinct components are jointly cycle-free (the
   // condensation is a DAG): re-admit them all in one pass. Same-component
   // edges stay out — their region is still mutually cyclic.
   for (size_t I = 0; I < Snapshot.size(); ++I) {
-    if (Scc.CompOf[Dense[I].first] == Scc.CompOf[Dense[I].second])
+    const Digraph::Edge &E = Local[FirstQuarantined + I];
+    if (Scc.CompOf[E.first] == Scc.CompOf[E.second])
       continue;
     if (Order.addEdge(edgeFrom(Snapshot[I]), edgeTo(Snapshot[I]), nullptr))
       Quarantined.erase(Snapshot[I]);

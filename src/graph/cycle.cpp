@@ -19,7 +19,7 @@ constexpr unsigned Inf = std::numeric_limits<unsigned>::max();
 /// cycle through the anchor exists). \p CostOut receives its weight.
 std::vector<CycleEdge> cycleThroughAnchor(
     const Digraph &G, const std::vector<uint32_t> &CompOf, uint32_t Comp,
-    const std::vector<uint32_t> &Nodes, uint32_t Anchor,
+    std::span<const uint32_t> Nodes, uint32_t Anchor,
     const std::function<unsigned(uint32_t, uint32_t)> &EdgeWeight,
     unsigned &CostOut) {
   std::unordered_map<uint32_t, unsigned> Dist;
@@ -85,7 +85,7 @@ std::vector<CycleEdge> cycleThroughAnchor(
 
 std::vector<CycleEdge> awdit::extractCycle(
     const Digraph &G, const std::vector<uint32_t> &CompOf, uint32_t Comp,
-    const std::vector<uint32_t> &Nodes,
+    std::span<const uint32_t> Nodes,
     const std::function<unsigned(uint32_t, uint32_t)> &EdgeWeight) {
   AWDIT_ASSERT(!Nodes.empty(), "extractCycle: empty component");
 

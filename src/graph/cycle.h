@@ -39,7 +39,7 @@ struct CycleEdge {
 ///          From of the first). Never empty for a genuinely cyclic SCC.
 std::vector<CycleEdge> extractCycle(
     const Digraph &G, const std::vector<uint32_t> &CompOf, uint32_t Comp,
-    const std::vector<uint32_t> &Nodes,
+    std::span<const uint32_t> Nodes,
     const std::function<unsigned(uint32_t, uint32_t)> &EdgeWeight);
 
 } // namespace awdit

@@ -44,7 +44,7 @@ SccResult awdit::computeScc(const Digraph &G) {
     while (!Dfs.empty()) {
       Frame &F = Dfs.back();
       uint32_t U = F.Node;
-      const std::vector<uint32_t> &Succs = G.succs(U);
+      std::span<const uint32_t> Succs = G.succs(U);
       if (F.NextSucc < Succs.size()) {
         uint32_t V = Succs[F.NextSucc++];
         if (Index[V] == Unvisited) {
